@@ -38,18 +38,30 @@ class CactusFilter:
         return True
 
 
-def _extensions(g: Graph, max_n: int):
-    """All one-endblock extensions of g with order <= max_n."""
-    n = g.order
-    if n + 1 <= max_n:
-        for v in range(n):
-            yield from_edges(n + 1, list(g.edges) + [(v, n)])
-    for c in range(3, max_n - n + 2):
-        fresh = list(range(n, n + c - 1))
-        for v in range(n):
-            cyc = [v] + fresh
-            extra = [(cyc[i], cyc[(i + 1) % c]) for i in range(c)]
-            yield from_edges(n + c - 1, list(g.edges) + extra)
+def _extensions(g: Graph, n: int):
+    """All one-endblock extensions of g with order exactly n: the new vertices
+    g.order..n-1 closed into a cycle through each vertex v of g in turn.  With
+    one new vertex the two edges collapse into a pendant edge."""
+    for v in range(g.order):
+        cyc = [v] + list(range(g.order, n))
+        yield from_edges(n, list(g.edges) + [(cyc[i - 1], cyc[i])
+                                             for i in range(len(cyc))])
+
+
+@lru_cache(maxsize=None)
+def _level(n: int) -> tuple:
+    """(code, graph) for every cactus class on n vertices, in discovery order:
+    the first extension found in each class, scanning the smaller levels in
+    order and in their own discovery order, is its representative."""
+    if n == 1:
+        g = from_edges(1, [])
+        return ((canonical_code(g).code, g),)
+    bucket = {}
+    for size in range(1, n):
+        for _, g in _level(size):
+            for child in _extensions(g, n):
+                bucket.setdefault(canonical_code(child).code, child)
+    return tuple(bucket.items())
 
 
 @lru_cache(maxsize=None)
@@ -59,17 +71,7 @@ def _all_cacti(n: int) -> tuple:
         return ()
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the enumeration guard {MAX_N}")
-    levels = {1: {canonical_code(from_edges(1, [])).code:
-                  from_edges(1, [])}}
-    for size in range(1, n):
-        for g in levels.get(size, {}).values():
-            for child in _extensions(g, n):
-                bucket = levels.setdefault(child.order, {})
-                code = canonical_code(child).code
-                if code not in bucket:
-                    bucket[code] = child
-    bucket = levels.get(n, {})
-    return tuple(bucket[c] for c in sorted(bucket))
+    return tuple(g for _, g in sorted(_level(n), key=lambda item: item[0]))
 
 
 def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:

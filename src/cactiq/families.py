@@ -97,29 +97,39 @@ def l_quintic(n: int, k: int) -> IntPolynomial:
                           -(12 * n - 2 * k - 10), 6 * n + 4, -(n + 5), 1))
 
 
+def _linear_factors(family: str, n: int, k: int) -> IntPolynomial:
+    """Check the parameters of family H or L at (n, k) and return the
+    (x-1)^e1 (x-3)^e3 factor shared by its exact and legacy formulas."""
+    if family == "H":
+        if k >= n:
+            raise ValueError(f"k = {k} must be < n = {n}")
+        if (n - k - 1) % 2:
+            raise ValueError(f"n - k - 1 = {n - k - 1} must be even")
+        e1 = _check_exponent(n + k - 3, "(n+k-3)")
+        e3 = _check_exponent(n - k - 3, "(n-k-3)")
+    elif family == "L":
+        if k < 1:
+            raise ValueError("L requires k >= 1")
+        if k >= n:
+            raise ValueError(f"k = {k} must be < n = {n}")
+        if (n - k) % 2:
+            raise ValueError(f"n - k = {n - k} must be even")
+        e1 = _check_exponent(n + k - 6, "(n+k-6)")
+        e3 = _check_exponent(n - k - 4, "(n-k-4)")
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return monomial_shift(1) ** e1 * monomial_shift(3) ** e3
+
+
 def psi_H(n: int, k: int) -> IntPolynomial:
     """Characteristic polynomial of Q(H(s, k)) with n = 2s + k + 1, expanded:
     (x-1)^((n+k-3)/2) (x-3)^((n-k-3)/2) times the cubic factor."""
-    if k >= n:
-        raise ValueError(f"k = {k} must be < n = {n}")
-    if (n - k - 1) % 2:
-        raise ValueError(f"n - k - 1 = {n - k - 1} must be even")
-    e1 = _check_exponent(n + k - 3, "(n+k-3)")
-    e3 = _check_exponent(n - k - 3, "(n-k-3)")
-    return monomial_shift(1) ** e1 * monomial_shift(3) ** e3 * h_cubic(n, k)
+    return _linear_factors("H", n, k) * h_cubic(n, k)
 
 
 def psi_L(n: int, k: int) -> IntPolynomial:
     """Characteristic polynomial of Q(L(s, k)) with n = 2s + k + 2, expanded."""
-    if k < 1:
-        raise ValueError("L requires k >= 1")
-    if k >= n:
-        raise ValueError(f"k = {k} must be < n = {n}")
-    if (n - k) % 2:
-        raise ValueError(f"n - k = {n - k} must be even")
-    e1 = _check_exponent(n + k - 6, "(n+k-6)")
-    e3 = _check_exponent(n - k - 4, "(n-k-4)")
-    return monomial_shift(1) ** e1 * monomial_shift(3) ** e3 * l_quintic(n, k)
+    return _linear_factors("L", n, k) * l_quintic(n, k)
 
 
 def legacy_h_cubic(n: int, k: int) -> IntPolynomial:
@@ -134,25 +144,8 @@ def legacy_l_quintic(n: int, k: int) -> IntPolynomial:
 def psi_legacy(family: str, n: int, k: int) -> IntPolynomial:
     """Superseded published formulas, kept only so tests can pin down the
     documented erratum (they disagree with psi_H/psi_L for n >= 5)."""
-    if family == "H":
-        if k >= n:
-            raise ValueError(f"k = {k} must be < n = {n}")
-        if (n - k - 1) % 2:
-            raise ValueError(f"n - k - 1 = {n - k - 1} must be even")
-        e1 = _check_exponent(n + k - 3, "(n+k-3)")
-        e3 = _check_exponent(n - k - 3, "(n-k-3)")
-        core = legacy_h_cubic(n, k)
-    elif family == "L":
-        if k < 1:
-            raise ValueError("L requires k >= 1")
-        if (n - k) % 2:
-            raise ValueError(f"n - k = {n - k} must be even")
-        e1 = _check_exponent(n + k - 6, "(n+k-6)")
-        e3 = _check_exponent(n - k - 4, "(n-k-4)")
-        core = legacy_l_quintic(n, k)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return monomial_shift(1) ** e1 * monomial_shift(3) ** e3 * core
+    core = legacy_h_cubic if family == "H" else legacy_l_quintic
+    return _linear_factors(family, n, k) * core(n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,11 @@ def _decode_order(data: bytes):
         return data[0] - 63, 1
     if len(data) < 4:
         raise ValueError("truncated graph6 order prefix")
+    if not all(63 <= ch <= 126 for ch in data[1:4]):
+        raise ValueError("invalid byte in graph6 order prefix")
     n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+    if n <= 62:
+        raise ValueError(f"graph6 long-form order prefix used for n = {n} <= 62")
     return n, 4
 
 
@@ -64,6 +68,8 @@ def decode(text: str) -> Graph:
         if not 0 <= v <= 63:
             raise ValueError(f"invalid graph6 byte {ch}")
         bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise ValueError("nonzero graph6 padding bits")
     edges = []
     idx = 0
     for j in range(1, n):

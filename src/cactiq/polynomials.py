@@ -231,18 +231,20 @@ def root_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(m, lead)
 
 
-def isolate_largest_root(p: IntPolynomial, lo=None, hi=None):
+def isolate_largest_root(p: IntPolynomial, lo=None, hi=None, seq=None):
     """Return Fractions (a, b) with exactly one root of p in (a, b], that root
     being the largest real root of p inside [lo, hi].
 
-    Returns None when p has no real root in the window.
+    Returns None when p has no real root in the window.  `seq`, when given,
+    is the Sturm chain of p.
     """
     if p.degree < 1:
         raise ValueError("cannot isolate roots of a constant polynomial")
     bound = root_bound(p)
     a = Fraction(lo) if lo is not None else -bound - 1
     b = Fraction(hi) if hi is not None else bound
-    seq = sturm_sequence(p)
+    if seq is None:
+        seq = sturm_sequence(p)
     total = count_roots(p, a, b, seq)
     if total == 0:
         if lo is not None and p(a) == 0:
@@ -261,10 +263,13 @@ def isolate_largest_root(p: IntPolynomial, lo=None, hi=None):
     return a, b
 
 
-def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float = 1e-12):
+def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float = 1e-12,
+                seq=None):
     """Shrink an isolating interval (lo, hi] down to width <= tol by bisection
-    driven by Sturm counts, then return the midpoint as a float."""
-    seq = sturm_sequence(p)
+    driven by Sturm counts, then return the midpoint as a float.  `seq`, when
+    given, is the Sturm chain of p."""
+    if seq is None:
+        seq = sturm_sequence(p)
     lo, hi = Fraction(lo), Fraction(hi)
     if count_roots(p, lo, hi, seq) != 1:
         raise ValueError("interval does not isolate exactly one root")
@@ -289,10 +294,11 @@ def largest_real_root(p: IntPolynomial, bracket, tol: float = 1e-12) -> float:
     if p.degree < 1:
         raise ValueError("nonconstant polynomial required")
     lo, hi = bracket
-    iso = isolate_largest_root(p, lo, hi)
+    seq = sturm_sequence(p)
+    iso = isolate_largest_root(p, lo, hi, seq)
     if iso is None:
         raise ValueError(f"no real root of {p.pretty()} in [{lo}, {hi}]")
-    return refine_root(p, iso[0], iso[1], tol)
+    return refine_root(p, iso[0], iso[1], tol, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -321,23 +327,24 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial,
 
     Returns -1, 0 or 1.  Both polynomials must have at least one real root.
     """
-    ip = isolate_largest_root(p)
-    iq = isolate_largest_root(q)
+    sp, sq = sturm_sequence(p), sturm_sequence(q)
+    ip = isolate_largest_root(p, seq=sp)
+    iq = isolate_largest_root(q, seq=sq)
     if ip is None or iq is None:
         raise ValueError("both polynomials must have a real root")
     (alo, ahi), (blo, bhi) = ip, iq
-    sp, sq = sturm_sequence(p), sturm_sequence(q)
     g = _poly_gcd(p, q)
+    sg = sturm_sequence(g) if g.degree >= 1 else None
     for _ in range(max_iter):
         if ahi < blo or (ahi == blo and q(blo) != 0):
             return -1
         if bhi < alo or (bhi == alo and p(alo) != 0):
             return 1
-        if g.degree >= 1:
+        if sg is not None:
             lo, hi = min(alo, blo), max(ahi, bhi)
-            if (count_roots(g, lo, hi) >= 1
-                    and count_roots(g, alo, ahi) >= 1
-                    and count_roots(g, blo, bhi) >= 1):
+            if (count_roots(g, lo, hi, sg) >= 1
+                    and count_roots(g, alo, ahi, sg) >= 1
+                    and count_roots(g, blo, bhi, sg) >= 1):
                 # the shared factor owns both isolated roots: exact tie
                 return 0
         mid = (alo + ahi) / 2

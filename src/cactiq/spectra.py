@@ -56,7 +56,6 @@ class SpectralResult:
     radius: float
     perron: tuple
     residual: float
-    iterations: int
 
 
 def signless_laplacian(g: Graph) -> DenseSymMatrix:
@@ -92,7 +91,7 @@ def spectral_radius(m: DenseSymMatrix, tol: float = DEFAULT_TOL) -> SpectralResu
     if residual > max(tol, 1e-10) * max(1.0, abs(radius)):
         raise RuntimeError(f"eigensolver residual {residual} above tolerance")
     return SpectralResult(radius=radius, perron=tuple(float(x) for x in vec),
-                          residual=residual, iterations=1)
+                          residual=residual)
 
 
 def graph_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:

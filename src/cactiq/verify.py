@@ -2,18 +2,17 @@
 monotonicity property runs.
 
 Every entry point returns a VerificationReport that serializes to one JSON
-line.  Numeric acceptance is at 1e-9; any comparison whose numeric gap falls
-under 1e-7 is escalated to exact largest-root separation of the two
+line.  Numeric acceptance is at 1e-9; every candidate whose radius lies within
+1e-7 of a class maximum is ranked by exact largest-root comparison of the
 characteristic polynomials.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 
 from . import graph6
 from .enumeration import CactusFilter, enumerate_cacti
@@ -62,46 +61,29 @@ class VerificationReport:
         }, sort_keys=True)
 
 
-def worker_count() -> int:
-    env = os.environ.get("CACTIQ_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def rank_certified(graphs, radii):
+    """Indices of the maximizer and runner-up, the runner-up gap and an
+    exact-tie flag.
 
-
-def _radii(graphs):
-    workers = worker_count()
-    if workers <= 1 or len(graphs) < 8:
-        return [graph_radius(g).radius for g in graphs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda g: graph_radius(g).radius, graphs))
-
-
-def _top_two_exact(graphs, radii):
-    """Indices of the maximizer and runner-up, with near-ties settled by exact
-    largest-root comparison of the characteristic polynomials."""
+    Every candidate whose float radius lies within EXACT_ESCALATION_GAP of the
+    maximum is ranked by exact largest-root comparison of its characteristic
+    polynomial; float-descending order breaks exact ties.  A one-graph class
+    has no runner-up and no gap.
+    """
     order = sorted(range(len(graphs)), key=lambda i: radii[i], reverse=True)
     if len(order) == 1:
-        return order[0], None, float("inf")
+        return order[0], None, None, False
     best, second = order[0], order[1]
-    gap = radii[best] - radii[second]
-    if gap < EXACT_ESCALATION_GAP:
-        cmp = compare_largest_roots(
-            char_poly(signless_laplacian(graphs[best])),
-            char_poly(signless_laplacian(graphs[second])))
-        if cmp < 0:
-            best, second = second, best
-        elif cmp == 0:
-            return best, second, 0.0
-    return best, second, abs(gap)
-
-
-def _strictly_separated(g_best: Graph, g_second: Graph, gap: float) -> bool:
-    if gap >= EXACT_ESCALATION_GAP:
-        return True
-    cmp = compare_largest_roots(char_poly(signless_laplacian(g_best)),
-                                char_poly(signless_laplacian(g_second)))
-    return cmp > 0
+    near = [i for i in order if radii[best] - radii[i] < EXACT_ESCALATION_GAP]
+    tie = False
+    if len(near) > 1:
+        polys = {i: char_poly(signless_laplacian(graphs[i])) for i in near}
+        near.sort(key=cmp_to_key(
+            lambda a, b: compare_largest_roots(polys[b], polys[a])))
+        best, second = near[0], near[1]
+        tie = compare_largest_roots(polys[best], polys[second]) == 0
+    gap = 0.0 if tie else abs(radii[best] - radii[second])
+    return best, second, gap, tie
 
 
 def _claim_filter(claim: str, n: int, m, k) -> CactusFilter:
@@ -153,16 +135,16 @@ def verify_extremal(claim: str, n: int, m: int | None = None,
     graphs = list(enumerate_cacti(n, filt))
     if not graphs:
         raise ValueError(f"no cacti match {params}")
-    radii = _radii(graphs)
-    bi, si, gap = _top_two_exact(graphs, radii)
+    radii = [graph_radius(g).radius for g in graphs]
+    bi, _, gap, tie = rank_certified(graphs, radii)
     observed, q_obs = graphs[bi], radii[bi]
     report.observed_maximizer = graph6.encode(observed)
     report.observed_radius = q_obs
-    report.runner_up_gap = gap if si is not None else None
+    report.runner_up_gap = gap
 
     ok_iso = canonical_code(observed) == canonical_code(predicted.maximizer)
     ok_radius = abs(q_obs - predicted.radius) <= RADIUS_TOL
-    ok_unique = si is None or _strictly_separated(observed, graphs[si], gap)
+    ok_unique = not tie
     report.passed = ok_iso and ok_radius and ok_unique
     if not ok_iso:
         report.counterexamples.append({"observed": graph6.encode(observed),
@@ -182,13 +164,13 @@ def verify_conjecture11_negative(n: int, m: int | None = None) -> VerificationRe
     report = VerificationReport(claim="conjecture11_negative",
                                 parameters={"n": n, "m": m})
     graphs = list(enumerate_cacti(n, CactusFilter(matching=m)))
-    radii = _radii(graphs)
-    bi, si, gap = _top_two_exact(graphs, radii)
+    radii = [graph_radius(g).radius for g in graphs]
+    bi, _, gap, _ = rank_certified(graphs, radii)
     bound = superseded_conjecture_bound(n)
     report.predicted_radius = bound
     report.observed_radius = radii[bi]
     report.observed_maximizer = graph6.encode(graphs[bi])
-    report.runner_up_gap = gap if si is not None else None
+    report.runner_up_gap = gap
     exceeded = radii[bi] > bound + RADIUS_TOL
     report.passed = exceeded
     report.details = {"superseded_bound": bound,

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from cactiq import graph6
+from cactiq.cli import main
 from cactiq.graph import from_edges
 
 
@@ -41,3 +42,22 @@ def test_bad_input():
         graph6.decode("")
     with pytest.raises(ValueError):
         graph6.decode("C")  # truncated body
+
+
+@pytest.mark.parametrize("text", [
+    "Bx",     # the triangle 'Bw' with a nonzero padding bit
+    "~??BW",  # long-form order prefix for n = 3
+    "~?!?",   # long-form prefix byte below the printable range
+])
+def test_non_canonical_input_rejected(text, capsys):
+    with pytest.raises(ValueError):
+        graph6.decode(text)
+    assert main(["charpoly", "--graph6", text]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_long_form_order_prefix():
+    g = from_edges(63, [(i, i + 1) for i in range(62)])
+    text = graph6.encode(g)
+    assert text.startswith("~??~")
+    assert graph6.decode(text) == g

@@ -3,10 +3,13 @@ import math
 
 import pytest
 
+from cactiq import graph6, verify
 from cactiq.cli import main
 from cactiq.enumeration import CactusFilter, enumerate_cacti
-from cactiq.verify import (verify_conjecture11_negative, verify_extremal,
-                           verify_formulas, verify_monotonicity)
+from cactiq.spectra import graph_radius
+from cactiq.verify import (rank_certified, verify_conjecture11_negative,
+                           verify_extremal, verify_formulas,
+                           verify_monotonicity)
 
 
 class TestVerifyExtremal:
@@ -68,6 +71,72 @@ class TestVerifyExtremal:
         assert isinstance(d["predicted_maximizer"], str)
         assert d["details"]["class_size"] == len(
             enumerate_cacti(5, CactusFilter(matching=2)))
+
+
+def _class_claims(n):
+    """(claim, keyword arguments) for the unconstrained class, every matching
+    class and every pendant class on n vertices."""
+    yield "theorem32", {}
+    for m in range(1, n // 2 + 1):
+        claim = ("theorem31i" if n == 2 * m + 1 else
+                 "prop215" if n == 2 * m else "theorem31ii")
+        yield claim, {"m": m}
+    for k in range(n):
+        yield "prop213", {"k": k}
+
+
+def _class_reports(max_n):
+    out = {}
+    for n in range(3, max_n + 1):
+        for claim, kw in _class_claims(n):
+            key = (claim, n, tuple(kw.items()))
+            try:
+                out[key] = verify_extremal(claim, n, **kw).to_json()
+            except ValueError as exc:  # empty class or no predicted answer
+                out[key] = f"error: {exc}"
+    return out
+
+
+class TestRankCertified:
+    def test_wide_escalation_gap_changes_nothing(self, monkeypatch):
+        # with the gap at 1.0 the exact ranking decides every class at n <= 8
+        # that has near rivals; verdicts and maximizers must not move
+        baseline = _class_reports(8)
+        calls = []
+
+        def counting(p, q):
+            calls.append(1)
+            return compare(p, q)
+
+        compare = verify.compare_largest_roots
+        monkeypatch.setattr(verify, "EXACT_ESCALATION_GAP", 1.0)
+        monkeypatch.setattr(verify, "compare_largest_roots", counting)
+        assert _class_reports(8) == baseline
+        assert calls
+
+    def test_true_maximizer_third_in_float_order(self):
+        # float noise puts the true maximizer behind two rivals inside the
+        # escalation gap; comparing only the top two would pick the middle one
+        pool = sorted(enumerate_cacti(5), key=lambda g: graph_radius(g).radius)
+        low, mid, high = pool[0], pool[len(pool) // 2], pool[-1]
+        radii = [5.0, 5.0 - 1e-9, 5.0 - 2e-9]
+        best, second, gap, tie = rank_certified([low, mid, high], radii)
+        assert (best, second, tie) == (2, 1, False)
+        assert gap == pytest.approx(1e-9)
+
+    def test_q_cospectral_pair_is_a_tie(self):
+        # an exact tie from the n = 7 class; the float-first graph stays the
+        # representative in either input order
+        a, b = graph6.decode("FsOIG"), graph6.decode("FqDGO")
+        for graphs in ([a, b], [b, a]):
+            radii = [graph_radius(g).radius for g in graphs]
+            first = 0 if radii[0] >= radii[1] else 1
+            assert rank_certified(graphs, radii) == \
+                (first, 1 - first, 0.0, True)
+
+    def test_singleton_class(self):
+        assert rank_certified([graph6.decode("Bw")], [4.0]) == \
+            (0, None, None, False)
 
 
 class TestConjectureNegative:
