@@ -11,7 +11,7 @@ from .graph import (Graph, MatchingResult, BlockDecomposition, CanonicalCode,
                     pendant_count, canonical_code, are_isomorphic)
 from .polynomials import IntPolynomial, largest_real_root, compare_largest_roots
 from .spectra import (DenseSymMatrix, SpectralResult, signless_laplacian,
-                      spectral_radius, graph_radius, char_poly)
+                      spectral_radius, graph_radius, radii, char_poly)
 from .quotient import (IndexPartition, QuotientMatrix, BlockSpec,
                        SpectrumMultiset, quotient_matrix, is_equitable,
                        build_from_spec, structured_spectrum)

@@ -12,7 +12,6 @@ import sys
 from . import graph6
 from .enumeration import CactusFilter, count_cacti, enumerate_cacti
 from .families import build_H, build_L
-from .polynomials import IntPolynomial
 from .spectra import char_poly, graph_radius, signless_laplacian
 from .verify import (CLAIMS, verify_extremal, verify_formulas,
                      verify_monotonicity)

@@ -7,7 +7,7 @@ canonical codes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -184,7 +184,6 @@ def pendant_count(g: Graph) -> int:
 def _refined_colors(g: Graph) -> list:
     """Iterated neighborhood refinement; color ids are isomorphism-invariant."""
     n = g.order
-    colors = [0] * n
     ranks = {d: i for i, d in enumerate(sorted({g.degree(v) for v in range(n)}))}
     colors = [ranks[g.degree(v)] for v in range(n)]
     while True:

@@ -1,10 +1,10 @@
 """Signless Laplacian matrices, numeric spectral radii with Perron vectors,
 and exact integer characteristic polynomials.
 
-The numeric path goes through LAPACK's symmetric eigensolver
-(tridiagonalization + implicit-shift QR); the exact path is Faddeev-LeVerrier
-over arbitrary-precision integers, so the characteristic polynomial carries no
-floating-point error at all.
+The numeric path is one stacked call of LAPACK's symmetric eigensolver
+(tridiagonalization + implicit-shift QR) per list of same-order matrices; the
+exact path is Faddeev-LeVerrier over arbitrary-precision integers, so the
+characteristic polynomial carries no floating-point error at all.
 """
 
 from __future__ import annotations
@@ -31,23 +31,17 @@ class DenseSymMatrix:
         self.order = arr.shape[0]
         self.data = arr
         self.data.setflags(write=False)
-        if int_rows is not None:
-            int_rows = tuple(tuple(int(x) for x in row) for row in int_rows)
-            if len(int_rows) != self.order:
-                raise ValueError("integer view has wrong shape")
-        self.int_rows = int_rows
+        self.int_rows = int_rows  # tuple of int tuples; see from_int_rows
 
     @classmethod
     def from_int_rows(cls, rows) -> "DenseSymMatrix":
         rows = tuple(tuple(int(x) for x in row) for row in rows)
         return cls(rows, int_rows=rows)
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
+    def is_symmetric(self) -> bool:
         if self.int_rows is not None:
-            n = self.order
-            return all(self.int_rows[i][j] == self.int_rows[j][i]
-                       for i in range(n) for j in range(i))
-        return bool(np.allclose(self.data, self.data.T, atol=tol or 1e-12))
+            return self.int_rows == tuple(zip(*self.int_rows))
+        return bool(np.allclose(self.data, self.data.T, atol=1e-12))
 
 
 @dataclass(frozen=True)
@@ -58,15 +52,43 @@ class SpectralResult:
     residual: float
 
 
+def _q_stack(graphs) -> np.ndarray:
+    """Q of every graph as one (N, n, n) float array; all graphs share n."""
+    n = graphs[0].order if graphs else 0
+    if any(g.order != n for g in graphs):
+        raise ValueError("a stack of Q matrices needs graphs of one order")
+    k, u, v = np.fromiter((x for i, g in enumerate(graphs) for e in g.edges
+                           for x in (i, *e)), dtype=np.intp).reshape(-1, 3).T
+    stack = np.zeros((len(graphs), n, n))
+    stack[k, u, v] = stack[k, v, u] = 1.0
+    stack[:, range(n), range(n)] = stack.sum(axis=2)
+    return stack
+
+
+def _top_eigenpairs(stack: np.ndarray, tol: float):
+    """Largest eigenvalue, its sign-fixed unit eigenvector and its residual
+    for every matrix of a symmetric (N, n, n) stack, as three arrays."""
+    try:
+        # eigh: the values-only solver's top eigenvalue differs in the last bits
+        w, vecs = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+    radius, vec = w[:, -1], vecs[:, :, -1]
+    vec = np.where(vec.sum(axis=1, keepdims=True) < 0, -vec, vec)
+    residual = np.linalg.norm((stack @ vec[:, :, None])[:, :, 0]
+                              - radius[:, None] * vec, axis=1)
+    bad = np.flatnonzero(residual > max(tol, 1e-10)
+                         * np.maximum(1.0, np.abs(radius)))
+    if bad.size:
+        raise RuntimeError(f"eigensolver residual {residual[bad[0]]} above "
+                           f"tolerance at index {bad[0]}")
+    return radius, vec, residual
+
+
 def signless_laplacian(g: Graph) -> DenseSymMatrix:
     """Q(G): degree diagonal plus adjacency matrix."""
-    n = g.order
-    rows = [[0] * n for _ in range(n)]
-    for v in range(n):
-        rows[v][v] = g.degree(v)
-        for w in g.neighbors(v):
-            rows[v][w] = 1
-    return DenseSymMatrix.from_int_rows(rows)
+    q = _q_stack([g])[0]
+    return DenseSymMatrix(q, int_rows=tuple(map(tuple, q.astype(int).tolist())))
 
 
 def spectral_radius(m: DenseSymMatrix, tol: float = DEFAULT_TOL) -> SpectralResult:
@@ -75,23 +97,13 @@ def spectral_radius(m: DenseSymMatrix, tol: float = DEFAULT_TOL) -> SpectralResu
     For matrices built from connected graphs the returned vector is the Perron
     vector: strictly positive and unit-norm.  Raises ValueError on
     non-symmetric input; numeric failure surfaces as RuntimeError carrying the
-    best residual seen.
+    residual seen.
     """
     if not m.is_symmetric():
         raise ValueError("spectral_radius requires a symmetric matrix")
-    try:
-        w, vecs = np.linalg.eigh(m.data)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-    radius = float(w[-1])
-    vec = vecs[:, -1]
-    if vec.sum() < 0:
-        vec = -vec
-    residual = float(np.linalg.norm(m.data @ vec - radius * vec))
-    if residual > max(tol, 1e-10) * max(1.0, abs(radius)):
-        raise RuntimeError(f"eigensolver residual {residual} above tolerance")
-    return SpectralResult(radius=radius, perron=tuple(float(x) for x in vec),
-                          residual=residual)
+    radius, vec, residual = _top_eigenpairs(m.data[None], tol)
+    return SpectralResult(radius=float(radius[0]), perron=tuple(vec[0].tolist()),
+                          residual=float(residual[0]))
 
 
 def graph_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
@@ -99,11 +111,12 @@ def graph_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     return spectral_radius(signless_laplacian(g), tol=tol)
 
 
-def eigenvalues(m: DenseSymMatrix):
-    """All eigenvalues, ascending (numeric)."""
-    if not m.is_symmetric():
-        raise ValueError("symmetric matrix required")
-    return [float(x) for x in np.linalg.eigvalsh(m.data)]
+def radii(graphs) -> list:
+    """Spectral radius of Q(g) for each graph in a list of same-order graphs,
+    from one stacked eigensolve; each equals graph_radius(g).radius exactly."""
+    if not graphs:
+        return []
+    return _top_eigenpairs(_q_stack(graphs), DEFAULT_TOL)[0].tolist()
 
 
 def char_poly_int_rows(rows) -> IntPolynomial:

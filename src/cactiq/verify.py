@@ -13,11 +13,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from itertools import zip_longest
 
-from . import graph6
+from . import graph6, spectra
 from .enumeration import CactusFilter, enumerate_cacti
-from .families import (extremal_answer, psi_H, psi_L, psi_legacy,
-                       superseded_conjecture_bound)
+from .families import (build_H, build_L, extremal_answer, psi_H, psi_L,
+                       psi_legacy, superseded_conjecture_bound)
 from .graph import (Graph, canonical_code, from_edges, is_connected,
                     block_decomposition)
 from .polynomials import compare_largest_roots
@@ -86,6 +87,19 @@ def rank_certified(graphs, radii):
     return best, second, gap, tie
 
 
+def _rank_class(report: VerificationReport, n: int, filt: CactusFilter):
+    """Record the class's certified maximizer, radius and runner-up gap in the
+    report; return the maximizer, its radius, class size and exact-tie flag."""
+    graphs = list(enumerate_cacti(n, filt))
+    if not graphs:
+        raise ValueError(f"no cacti match {report.parameters}")
+    class_radii = spectra.radii(graphs)
+    best, _, report.runner_up_gap, tie = rank_certified(graphs, class_radii)
+    report.observed_maximizer = graph6.encode(graphs[best])
+    report.observed_radius = class_radii[best]
+    return graphs[best], class_radii[best], len(graphs), tie
+
+
 def _claim_filter(claim: str, n: int, m, k) -> CactusFilter:
     if claim == "theorem31i":
         if m is None:
@@ -132,16 +146,7 @@ def verify_extremal(claim: str, n: int, m: int | None = None,
     report.predicted_maximizer = graph6.encode(predicted.maximizer)
     report.predicted_radius = predicted.radius
 
-    graphs = list(enumerate_cacti(n, filt))
-    if not graphs:
-        raise ValueError(f"no cacti match {params}")
-    radii = [graph_radius(g).radius for g in graphs]
-    bi, _, gap, tie = rank_certified(graphs, radii)
-    observed, q_obs = graphs[bi], radii[bi]
-    report.observed_maximizer = graph6.encode(observed)
-    report.observed_radius = q_obs
-    report.runner_up_gap = gap
-
+    observed, q_obs, class_size, tie = _rank_class(report, n, filt)
     ok_iso = canonical_code(observed) == canonical_code(predicted.maximizer)
     ok_radius = abs(q_obs - predicted.radius) <= RADIUS_TOL
     ok_unique = not tie
@@ -149,7 +154,7 @@ def verify_extremal(claim: str, n: int, m: int | None = None,
     if not ok_iso:
         report.counterexamples.append({"observed": graph6.encode(observed),
                                        "radius": q_obs})
-    report.details = {"class_size": len(graphs), "isomorphic": ok_iso,
+    report.details = {"class_size": class_size, "isomorphic": ok_iso,
                       "radius_match": ok_radius, "unique": ok_unique}
     return report
 
@@ -163,19 +168,14 @@ def verify_conjecture11_negative(n: int, m: int | None = None) -> VerificationRe
         raise ValueError(f"conjecture11_negative requires n = 2m + 1, got n={n}, m={m}")
     report = VerificationReport(claim="conjecture11_negative",
                                 parameters={"n": n, "m": m})
-    graphs = list(enumerate_cacti(n, CactusFilter(matching=m)))
-    radii = [graph_radius(g).radius for g in graphs]
-    bi, _, gap, _ = rank_certified(graphs, radii)
+    _, q_obs, _, _ = _rank_class(report, n, CactusFilter(matching=m))
     bound = superseded_conjecture_bound(n)
     report.predicted_radius = bound
-    report.observed_radius = radii[bi]
-    report.observed_maximizer = graph6.encode(graphs[bi])
-    report.runner_up_gap = gap
-    exceeded = radii[bi] > bound + RADIUS_TOL
+    exceeded = q_obs > bound + RADIUS_TOL
     report.passed = exceeded
     report.details = {"superseded_bound": bound,
                       "exceeded_as_documented": exceeded,
-                      "excess": radii[bi] - bound}
+                      "excess": q_obs - bound}
     return report
 
 
@@ -183,75 +183,62 @@ def verify_conjecture11_negative(n: int, m: int | None = None) -> VerificationRe
 # Formula identities and the erratum
 # ---------------------------------------------------------------------------
 
-def _h_params(max_n: int):
-    for s in range(1, (max_n - 1) // 2 + 1):
-        for k in range(0, max_n - 2 * s):
-            yield s, k, 2 * s + k + 1
-
-def _l_params(max_n: int):
-    for s in range(1, (max_n - 3) // 2 + 1):
-        for k in range(1, max_n - 2 * s - 1):
-            yield s, k, 2 * s + k + 2
+def _family_params(family: str, max_n: int):
+    """(s, k, n) of every valid member of family "H" or "L" up to order max_n."""
+    if family == "H":
+        for s in range(1, (max_n - 1) // 2 + 1):
+            for k in range(0, max_n - 2 * s):
+                yield s, k, 2 * s + k + 1
+    else:
+        for s in range(1, (max_n - 3) // 2 + 1):
+            for k in range(1, max_n - 2 * s - 1):
+                yield s, k, 2 * s + k + 2
 
 
 def verify_formulas(max_n: int = 24) -> VerificationReport:
     """Exact identity of both factored formulas against the determinant-free
     exact characteristic polynomial, plus the legacy-formula erratum."""
-    from .families import build_H, build_L
     if max_n > 24:
         raise ValueError("max_n capped at 24")
     report = VerificationReport(claim="formulas", parameters={"max_n": max_n})
     failures = []
-    checked_h = checked_l = 0
-    for s, k, n in _h_params(max_n):
-        if psi_H(n, k) != char_poly(signless_laplacian(build_H(s, k))):
-            failures.append({"family": "H", "s": s, "k": k})
-        checked_h += 1
-    for s, k, n in _l_params(max_n):
-        if psi_L(n, k) != char_poly(signless_laplacian(build_L(s, k))):
-            failures.append({"family": "L", "s": s, "k": k})
-        checked_l += 1
+    checked = 0
+    for family, psi, build in (("H", psi_H, build_H), ("L", psi_L, build_L)):
+        for s, k, n in _family_params(family, max_n):
+            if psi(n, k) != char_poly(signless_laplacian(build(s, k))):
+                failures.append({"family": family, "s": s, "k": k})
+            checked += 1
 
-    # the legacy formulas must disagree at every tested point (n >= 5, k = 0
-    # for H; the five smallest valid L parameter points), recording the first
-    # differing coefficient
-    mismatches = []
-    legacy_failures = []
-    for n in range(5, min(max_n, 15) + 1, 2):
-        diff = _first_coeff_diff(psi_legacy("H", n, 0), psi_H(n, 0))
+    mismatches, legacy_failures = [], []
+    def check_legacy(family, psi, n, k):
+        """The legacy formula must disagree: record its first differing degree."""
+        point = {"family": family, "n": n, "k": k}
+        diff = _first_coeff_diff(psi_legacy(family, n, k), psi(n, k))
         if diff is None:
-            legacy_failures.append({"family": "H", "n": n, "k": 0})
+            legacy_failures.append(point)
         else:
-            mismatches.append({"family": "H", "n": n, "k": 0,
-                               "first_diff_degree": diff})
-    # legacy L coincides with the corrected formula at s = 1 (as legacy H does
-    # at n = 3); the documented disagreement starts at s >= 2
-    l_points = sorted((t for t in _l_params(max_n) if t[0] >= 2),
+            mismatches.append({**point, "first_diff_degree": diff})
+
+    # H at n >= 5, k = 0: legacy H coincides with the corrected formula at n = 3
+    for n in range(5, min(max_n, 15) + 1, 2):
+        check_legacy("H", psi_H, n, 0)
+    # the five smallest L points with s >= 2: legacy L coincides at s = 1
+    l_points = sorted((t for t in _family_params("L", max_n) if t[0] >= 2),
                       key=lambda t: (t[2], t[1]))[:5]
     for s, k, n in l_points:
-        diff = _first_coeff_diff(psi_legacy("L", n, k), psi_L(n, k))
-        if diff is None:
-            legacy_failures.append({"family": "L", "n": n, "k": k})
-        else:
-            mismatches.append({"family": "L", "n": n, "k": k,
-                               "first_diff_degree": diff})
+        check_legacy("L", psi_L, n, k)
 
     report.passed = not failures and not legacy_failures
     report.counterexamples = failures + legacy_failures
-    report.details = {"identities_checked": checked_h + checked_l,
+    report.details = {"identities_checked": checked,
                       "identity_failures": len(failures),
                       "legacy_mismatches": mismatches}
     return report
 
 
 def _first_coeff_diff(a, b):
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = list(a.coeffs) + [0] * (n - len(a.coeffs))
-    cb = list(b.coeffs) + [0] * (n - len(b.coeffs))
-    for deg in range(n):
-        if ca[deg] != cb[deg]:
-            return deg
-    return None
+    pairs = zip_longest(a.coeffs, b.coeffs, fillvalue=0)
+    return next((deg for deg, (x, y) in enumerate(pairs) if x != y), None)
 
 
 # ---------------------------------------------------------------------------

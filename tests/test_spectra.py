@@ -8,8 +8,9 @@ from cactiq.enumeration import enumerate_cacti
 from cactiq.families import build_H
 from cactiq.graph import from_edges, is_connected
 from cactiq.polynomials import IntPolynomial, count_roots
-from cactiq.spectra import (DenseSymMatrix, char_poly, graph_radius,
-                            signless_laplacian, spectral_radius)
+from cactiq.spectra import (DenseSymMatrix, _top_eigenpairs, char_poly,
+                            graph_radius, radii, signless_laplacian,
+                            spectral_radius)
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
@@ -54,6 +55,10 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(DenseSymMatrix([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_non_symmetric_int_view(self):
+        with pytest.raises(ValueError):
+            spectral_radius(DenseSymMatrix.from_int_rows([[0, 1], [0, 0]]))
+
     def test_perron_positive_and_unit(self):
         rng = random.Random(13)
         for _ in range(50):
@@ -62,6 +67,40 @@ class TestSpectralRadius:
             assert all(x > 0 for x in res.perron)
             assert np.linalg.norm(res.perron) == pytest.approx(1, abs=1e-10)
             assert res.residual <= 1e-10 * max(1.0, res.radius)
+
+
+def q_by_hand(g):
+    """Q(g) from its edge list, built without cactiq.spectra."""
+    q = np.zeros((g.order, g.order))
+    for u, v in g.edges:
+        q[u, v] = q[v, u] = 1.0
+        q[u, u] += 1.0
+        q[v, v] += 1.0
+    return q
+
+
+class TestRadii:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equal_to_one_eigh_per_graph(self, n):
+        graphs = enumerate_cacti(n)
+        want = [float(np.linalg.eigh(q_by_hand(g))[0][-1]) for g in graphs]
+        assert radii(graphs) == want
+
+    def test_rejects_mixed_orders(self):
+        with pytest.raises(ValueError):
+            radii([C3, S4])
+
+    def test_empty(self):
+        assert radii([]) == []
+
+    def test_residual_check_names_the_matrix(self):
+        # eigh reads one triangle only, so a non-symmetric member leaves a
+        # large residual against the full matrix
+        good = q_by_hand(C3)
+        bad = good.copy()
+        bad[0, 2] = 0.0
+        with pytest.raises(RuntimeError, match="at index 1$"):
+            _top_eigenpairs(np.stack([good, bad]), 1e-12)
 
 
 class TestCharPoly:

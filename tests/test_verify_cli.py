@@ -250,6 +250,12 @@ class TestCli:
     def test_missing_n_exit_2(self, capsys):
         assert main(["verify", "--claim", "theorem32"]) == 2
 
+    def test_empty_conjecture_class_exit_2(self, capsys):
+        assert main(["verify", "--claim", "conjecture11_negative", "--n", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no cacti match {'n': 1, 'm': 0}\n"
+
     def test_check_formulas_cli(self, capsys):
         assert main(["check-formulas", "--max-n", "9"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
