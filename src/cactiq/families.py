@@ -224,9 +224,9 @@ def extremal_answer(n: int, matching: int | None = None,
         if n == 2 * m + 1:
             return _answer(FamilyParams("H", m, 0),
                            ClosedFormRadius(n + 2, n * n - 4 * n + 12, 2))
-        cubic = IntPolynomial((-4 * m + 4, 3 * n, -(n + 3), 1))
-        return _answer(FamilyParams("H", m - 1, n - 2 * m + 1),
-                       _poly_descriptor(cubic, n))
+        k = n - 2 * m + 1
+        return _answer(FamilyParams("H", m - 1, k),
+                       _poly_descriptor(h_cubic(n, k), n))
 
     if pendants is not None:
         k = pendants

@@ -3,12 +3,15 @@
 All coefficients are arbitrary-precision Python integers, stored in ascending
 degree order.  Root counting and isolation run over `fractions.Fraction`, so
 every bracket produced here is a rigorous statement, not a floating-point one.
+Isolation, refinement and comparison share one halving step, which evaluates
+the Sturm chain once, at the midpoint, and carries the end sign variations.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class IntPolynomial:
@@ -231,6 +234,17 @@ def root_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(m, lead)
 
 
+def _halve(seq, a: Fraction, b: Fraction, va: int, vb: int):
+    """One bisection step on (a, b], whose ends have Sturm sign variations va
+    and vb: evaluate the chain once at the midpoint and return the half that
+    holds the largest root in (a, b], with its own end variations."""
+    mid = (a + b) / 2
+    vm = _sign_variations(seq, mid)
+    if vm > vb:
+        return mid, b, vm, vb
+    return a, mid, va, vm
+
+
 def isolate_largest_root(p: IntPolynomial, lo=None, hi=None, seq=None):
     """Return Fractions (a, b) with exactly one root of p in (a, b], that root
     being the largest real root of p inside [lo, hi].
@@ -245,21 +259,15 @@ def isolate_largest_root(p: IntPolynomial, lo=None, hi=None, seq=None):
     b = Fraction(hi) if hi is not None else bound
     if seq is None:
         seq = sturm_sequence(p)
-    total = count_roots(p, a, b, seq)
-    if total == 0:
-        if lo is not None and p(a) == 0:
-            # root sitting exactly on the left endpoint of a user bracket
-            eps = Fraction(1, 2)
-            while count_roots(p, a - eps, a, seq) != 1:
-                eps /= 2
-            return a - eps, a
-        return None
-    while count_roots(p, a, b, seq) > 1:
-        mid = (a + b) / 2
-        if count_roots(p, mid, b, seq) >= 1:
-            a = mid
-        else:
-            b = mid
+    va, vb = _sign_variations(seq, a), _sign_variations(seq, b)
+    if b <= a or va == vb:
+        if lo is None or p(a) != 0:
+            return None
+        # root on the left end of a user window: bracket it in (a - 1/2, a]
+        a, b, vb = a - Fraction(1, 2), a, va
+        va = _sign_variations(seq, a)
+    while va - vb > 1:
+        a, b, va, vb = _halve(seq, a, b, va, vb)
     return a, b
 
 
@@ -271,17 +279,15 @@ def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float = 1e-12
     if seq is None:
         seq = sturm_sequence(p)
     lo, hi = Fraction(lo), Fraction(hi)
-    if count_roots(p, lo, hi, seq) != 1:
+    vlo, vhi = _sign_variations(seq, lo), _sign_variations(seq, hi)
+    if hi <= lo or vlo - vhi != 1:
         raise ValueError("interval does not isolate exactly one root")
     t = Fraction(tol).limit_denominator(10 ** 18)
     while hi - lo > t:
         mid = (lo + hi) / 2
         if p(mid) == 0:
             return float(mid)
-        if count_roots(p, mid, hi, seq) == 1:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi, vlo, vhi = _halve(seq, lo, hi, vlo, vhi)
     return float((lo + hi) / 2)
 
 
@@ -305,6 +311,9 @@ def largest_real_root(p: IntPolynomial, bracket, tol: float = 1e-12) -> float:
 # Exact comparison of largest roots (the near-tie discriminator)
 # ---------------------------------------------------------------------------
 
+MAX_SEPARATION_STEPS = 512
+
+
 def _poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     a, b = _frac_coeffs(p), _frac_coeffs(q)
     while b:
@@ -312,17 +321,13 @@ def _poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     if not a:
         return IntPolynomial(())
     # clear denominators and content
-    from math import gcd, lcm
-    denom = lcm(*[c.denominator for c in a]) if len(a) > 1 else a[0].denominator
+    denom = lcm(*(c.denominator for c in a))
     ints = [int(c * denom) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    g = gcd(*ints)
     return IntPolynomial(c // g for c in ints)
 
 
-def compare_largest_roots(p: IntPolynomial, q: IntPolynomial,
-                          max_iter: int = 512) -> int:
+def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact three-way comparison of the largest real roots of p and q.
 
     Returns -1, 0 or 1.  Both polynomials must have at least one real root.
@@ -333,28 +338,22 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial,
     if ip is None or iq is None:
         raise ValueError("both polynomials must have a real root")
     (alo, ahi), (blo, bhi) = ip, iq
+    # A gcd root in (alo, ahi] is p's largest root, one in (blo, bhi] is q's;
+    # each is also a root of the other polynomial, so they are equal.  Every
+    # exact tie shows here, so the bisection below only has to separate.
     g = _poly_gcd(p, q)
-    sg = sturm_sequence(g) if g.degree >= 1 else None
-    for _ in range(max_iter):
-        if ahi < blo or (ahi == blo and q(blo) != 0):
+    if g.degree >= 1:
+        sg = sturm_sequence(g)
+        if count_roots(g, alo, ahi, sg) and count_roots(g, blo, bhi, sg):
+            return 0
+    va, vb = _sign_variations(sp, alo), _sign_variations(sp, ahi)
+    wa, wb = _sign_variations(sq, blo), _sign_variations(sq, bhi)
+    for _ in range(MAX_SEPARATION_STEPS):
+        # the brackets are half-open, so ahi <= blo puts p's root below q's
+        if ahi <= blo:
             return -1
-        if bhi < alo or (bhi == alo and p(alo) != 0):
+        if bhi <= alo:
             return 1
-        if sg is not None:
-            lo, hi = min(alo, blo), max(ahi, bhi)
-            if (count_roots(g, lo, hi, sg) >= 1
-                    and count_roots(g, alo, ahi, sg) >= 1
-                    and count_roots(g, blo, bhi, sg) >= 1):
-                # the shared factor owns both isolated roots: exact tie
-                return 0
-        mid = (alo + ahi) / 2
-        if count_roots(p, mid, ahi, sp) == 1:
-            alo = mid
-        else:
-            ahi = mid
-        mid = (blo + bhi) / 2
-        if count_roots(q, mid, bhi, sq) == 1:
-            blo = mid
-        else:
-            bhi = mid
+        alo, ahi, va, vb = _halve(sp, alo, ahi, va, vb)
+        blo, bhi, wa, wb = _halve(sq, blo, bhi, wa, wb)
     raise RuntimeError("failed to separate largest roots")

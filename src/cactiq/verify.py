@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cmp_to_key
 from itertools import zip_longest
 
@@ -48,18 +48,7 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "claim": self.claim,
-            "parameters": self.parameters,
-            "predicted_maximizer": self.predicted_maximizer,
-            "observed_maximizer": self.observed_maximizer,
-            "predicted_radius": self.predicted_radius,
-            "observed_radius": self.observed_radius,
-            "runner_up_gap": self.runner_up_gap,
-            "passed": self.passed,
-            "counterexamples": self.counterexamples,
-            "details": self.details,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def rank_certified(graphs, radii):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from cactiq import polynomials
 from cactiq.polynomials import (IntPolynomial, compare_largest_roots,
                                 count_roots, isolate_largest_root,
-                                largest_real_root, monomial_shift)
+                                largest_real_root, monomial_shift, refine_root)
 
 
 def test_construction_strips_trailing_zeros():
@@ -78,6 +79,32 @@ def test_isolate_largest_root():
     assert count_roots(p, lo, hi) == 1
 
 
+def test_isolate_largest_root_degenerate_windows():
+    p = monomial_shift(4)
+    # a root on the left end of an empty window is still bracketed
+    assert isolate_largest_root(p, lo=4, hi=4) == (Fraction(7, 2), 4)
+    assert isolate_largest_root(p, lo=5, hi=3) is None
+
+
+class TestRefineRoot:
+    def test_isolating_interval_within_tol(self):
+        p = IntPolynomial((-2, 0, 1))  # roots -sqrt(2), sqrt(2)
+        for tol in (1e-3, 1e-9, 1e-12):
+            assert abs(refine_root(p, 1, 2, tol) - math.sqrt(2)) <= tol
+
+    def test_exact_dyadic_root(self):
+        assert refine_root(monomial_shift(4), 0, 8) == 4.0
+
+    @pytest.mark.parametrize("lo, hi", [(6, 8), (0, 4), (5, 5), (8, 0)])
+    def test_no_root_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            refine_root(monomial_shift(5) * monomial_shift(6), lo, hi)
+
+    def test_two_roots_rejected(self):
+        with pytest.raises(ValueError):
+            refine_root(monomial_shift(1) * monomial_shift(3), 0, 4)
+
+
 class TestCompareLargestRoots:
     def test_clearly_separated(self):
         assert compare_largest_roots(monomial_shift(2), monomial_shift(3)) == -1
@@ -95,3 +122,20 @@ class TestCompareLargestRoots:
         q = IntPolynomial((-(2 ** 61 + 1), 2 ** 60))
         assert compare_largest_roots(p, q) == -1
         assert compare_largest_roots(q, p) == 1
+
+    def test_shared_factor_below_the_largest_roots(self):
+        # gcd x - 1 is no largest root; the isolating intervals of 3 and
+        # 3 + 2^-60 overlap, so only bisection separates them
+        p = monomial_shift(1) * monomial_shift(3)
+        q = monomial_shift(1) * IntPolynomial((-3 * 2 ** 60 - 1, 2 ** 60))
+        ip, iq = isolate_largest_root(p), isolate_largest_root(q)
+        assert max(ip[0], iq[0]) < min(ip[1], iq[1])
+        assert compare_largest_roots(p, q) == -1
+        assert compare_largest_roots(q, p) == 1
+
+    def test_gives_up_after_max_steps(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "MAX_SEPARATION_STEPS", 0)
+        with pytest.raises(RuntimeError):
+            compare_largest_roots(monomial_shift(2), monomial_shift(3))
+        shared = IntPolynomial((8, -7, 1))  # ties need no bisection
+        assert compare_largest_roots(shared * monomial_shift(1), shared) == 0
