@@ -1,12 +1,16 @@
 """Labeled simple graphs on dense integer indices, with the structural
-predicates and invariants the rest of the toolkit relies on: cactus and bundle
-tests via block decomposition, maximum matchings, and relabeling-invariant
-canonical codes.
+predicates and invariants the rest of the toolkit relies on.
+
+One iterative biconnected DFS (`_biconnected`) gives the blocks, the cut
+vertices and connectivity; block decomposition, the cactus and bundle tests
+and the choice of canonical code all rest on it.  Cacti get a near-linear
+canonical code from their vertex-block tree, encoded bottom-up from its
+centre; every other graph gets the refinement search (`_search_code`).
+Maximum matchings come from networkx.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import networkx as nx
@@ -122,31 +126,93 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.order
 
 
+def _biconnected(g: Graph):
+    """One iterative Hopcroft-Tarjan DFS over g: (blocks, cut vertices,
+    connected).
+
+    Each block is a list of its edges as (tail, head) pairs in the order the
+    search met them.  The first pair is the tree edge that entered the block,
+    so its tail is the block's vertex nearest the search root; in a cycle
+    block the tails run once round the cycle in order.  Isolated vertices
+    belong to no block.
+    """
+    n = g.order
+    adj = g._adj
+    disc = [0] * n  # discovery time from 1; 0 = not yet seen
+    low = [0] * n
+    blocks, cuts, edges = [], set(), []
+    t = roots = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        roots += 1
+        t += 1
+        disc[root] = low[root] = t
+        root_children = 0
+        # frames: (vertex, parent, index of its tree edge in `edges`, iterator)
+        stack = [(root, -1, 0, iter(adj[root]))]
+        while stack:
+            v, parent, at, it = stack[-1]
+            for w in it:
+                if not disc[w]:
+                    t += 1
+                    disc[w] = low[w] = t
+                    stack.append((w, v, len(edges), iter(adj[w])))
+                    edges.append((v, w))
+                    break
+                if disc[w] < disc[v] and w != parent:  # back edge
+                    edges.append((v, w))
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    blocks.append(edges[at:])
+                    del edges[at:]
+                    if parent == root:
+                        root_children += 1
+                    else:
+                        cuts.add(parent)
+        if root_children > 1:
+            cuts.add(root)
+    return blocks, cuts, roots == 1
+
+
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Biconnected components of g, each as a frozenset of edges."""
-    G = g.to_networkx()
-    blocks = tuple(frozenset(_norm_edge(u, v) for u, v in comp)
-                   for comp in nx.biconnected_component_edges(G))
-    cuts = frozenset(nx.articulation_points(G))
-    return BlockDecomposition(blocks=blocks, cut_vertices=cuts)
+    blocks, cuts, _ = _biconnected(g)
+    return BlockDecomposition(
+        blocks=tuple(frozenset(_norm_edge(u, v) for u, v in b) for b in blocks),
+        cut_vertices=frozenset(cuts))
 
 
-def _block_vertices(block) -> frozenset:
-    return frozenset(itertools.chain.from_iterable(block))
+def _cactus_blocks(g: Graph):
+    """The blocks of g as vertex lists, a cycle's in cyclic order, when g is
+    a cactus; None otherwise."""
+    blocks, _, connected = _biconnected(g)
+    if not connected:
+        return None
+    out = []
+    for b in blocks:
+        if len(b) == 1:
+            out.append(b[0])
+            continue
+        # a biconnected block is a cycle exactly when |E| = |V|
+        tails = [v for v, _ in b]
+        if len(set(tails)) != len(b):
+            return None
+        out.append(tails)
+    return out
 
 
 def is_cactus(g: Graph) -> bool:
     """True iff g is connected and every biconnected block is an edge or a
     cycle (equivalently: any two cycles share at most one vertex)."""
-    if not is_connected(g):
-        return False
-    for block in block_decomposition(g).blocks:
-        if len(block) == 1:
-            continue
-        # a biconnected block is a cycle exactly when |E| = |V|
-        if len(block) != len(_block_vertices(block)):
-            return False
-    return True
+    return _cactus_blocks(g) is not None
 
 
 def is_bundle(g: Graph) -> bool:
@@ -155,10 +221,10 @@ def is_bundle(g: Graph) -> bool:
     Cacti with at most one cycle are bundles vacuously.  Raises ValueError on
     non-cactus input.
     """
-    if not is_cactus(g):
+    blocks = _cactus_blocks(g)
+    if blocks is None:
         raise ValueError("is_bundle requires a cactus")
-    cycle_vertex_sets = [_block_vertices(b)
-                         for b in block_decomposition(g).blocks if len(b) >= 3]
+    cycle_vertex_sets = [frozenset(b) for b in blocks if len(b) >= 3]
     if len(cycle_vertex_sets) <= 1:
         return True
     common = frozenset.intersection(*cycle_vertex_sets)
@@ -196,9 +262,98 @@ def _refined_colors(g: Graph) -> list:
         colors = new
 
 
+# Cactus codes start with this byte; search codes start with the order, 1..64.
+CACTUS_TAG = b"\x00"
+
+
+def _cactus_code(n: int, blocks) -> bytes:
+    """AHU code of the vertex-block incidence tree of a cactus, rooted at its
+    centre.
+
+    The tree's nodes are the n vertices and the blocks (as from
+    `_cactus_blocks`); its leaves are all vertices, so its diameter is even
+    and its centre unique.  A vertex is "(" + its sorted child codes + ")",
+    a block "[" + its child codes + "]" in cyclic order from its parent, the
+    lesser of the two directions, and a root block the least of every
+    rotation and reflection.  Each code is balanced, so the concatenations
+    are prefix-free and the code fixes the cactus up to isomorphism.
+    """
+    total = n + len(blocks)
+    nbrs = [[] for _ in range(n)]
+    link = [0] * total  # xor of the ids of a node's unpeeled neighbours
+    for b, verts in enumerate(blocks, n):
+        for v in verts:
+            nbrs[v].append(b)
+            link[v] ^= b
+            link[b] ^= v
+    nbrs.extend(blocks)
+    deg = [len(x) for x in nbrs]
+
+    # Peel leaves layer by layer down to the centre.  A peeled node's one
+    # unpeeled neighbour, its parent, is what is left in its link, and its
+    # children are all peeled, so its code is known.  The tree is bipartite:
+    # a vertex's children are blocks (their codes collect in kids) and a
+    # block's are vertices (their codes are read from code).
+    code = [b""] * n
+    kids = [[] for _ in range(n)]
+    layer = [x for x in range(total) if deg[x] == 1]
+    left = total
+    while left > 1:
+        nxt = []
+        for x in layer:
+            p = link[x]
+            if x < n:
+                code[x] = _vertex_code(kids[x])
+            else:
+                kids[p].append(_block_code(nbrs[x], p, code))
+            link[p] ^= x
+            deg[p] -= 1
+            if deg[p] == 1:
+                nxt.append(p)
+        left -= len(layer)
+        layer = nxt
+    root = layer[0] if layer else 0
+    if root < n:
+        return _vertex_code(kids[root])
+    return _block_code(nbrs[root], -1, code)
+
+
+def _vertex_code(kids) -> bytes:
+    return b"(" + b"".join(sorted(kids)) + b")" if kids else b"()"
+
+
+def _block_code(verts, p: int, code) -> bytes:
+    """Code of a block whose vertices, in cyclic order, are verts, under the
+    parent vertex p, or as the root when p is -1."""
+    seq = [code[v] for v in verts]
+    if p < 0:
+        back = seq[::-1]
+        best = min(min(s[i:] + s[:i] for i in range(len(s)))
+                   for s in (seq, back))
+    else:
+        i = verts.index(p)
+        seq = seq[i + 1:] + seq[:i]
+        best = min(seq, seq[::-1])
+    return b"[" + b"".join(best) + b"]"
+
+
 def canonical_code(g: Graph) -> CanonicalCode:
-    """Lexicographically minimal adjacency bitstring over all relabelings that
-    respect the refinement coloring.
+    """Relabeling-invariant code of g; equal codes mean isomorphic graphs.
+
+    One biconnected DFS picks the path.  A cactus gets the tag byte and the
+    centre-rooted code of its vertex-block tree (`_cactus_code`), in time
+    near linear in the order.  Any other graph gets `_search_code`, which is
+    exponential in the worst case.  The two code spaces are disjoint.
+    """
+    blocks = _cactus_blocks(g)
+    if blocks is not None:
+        return CanonicalCode(CACTUS_TAG + _cactus_code(g.order, blocks))
+    return _search_code(g)
+
+
+def _search_code(g: Graph) -> CanonicalCode:
+    """Order byte, then the lexicographically minimal adjacency bitstring over
+    all relabelings that respect the refinement coloring.
 
     The search keeps a frontier of partial labelings whose emitted bits are
     identical so far and extends greedily, so the result is the true minimum.

@@ -3,6 +3,9 @@
 All coefficients are arbitrary-precision Python integers, stored in ascending
 degree order.  Root counting and isolation run over `fractions.Fraction`, so
 every bracket produced here is a rigorous statement, not a floating-point one.
+Sturm chains are divided through by gcd(p, p') and kept as primitive integer
+polynomials, so they count distinct roots, multiple ones included, and are
+evaluated in exact integer arithmetic.
 Isolation, refinement and comparison share one halving step, which evaluates
 the Sturm chain once, at the midpoint, and carries the end sign variations.
 """
@@ -164,10 +167,11 @@ def _frac_coeffs(p: IntPolynomial):
     return [Fraction(c) for c in p.coeffs]
 
 
-def _poly_rem(a, b):
-    """Remainder of a / b for lists of Fractions, ascending order."""
+def _poly_divmod(a, b):
+    """Quotient and remainder of a / b for lists of Fractions, ascending order."""
     a = a[:]
     db, lb = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(len(a) - db, 0)
     while len(a) - 1 >= db and any(a):
         while a and a[-1] == 0:
             a.pop()
@@ -175,16 +179,33 @@ def _poly_rem(a, b):
             break
         f = a[-1] / lb
         shift = len(a) - 1 - db
+        q[shift] = f
         for i, c in enumerate(b):
             a[shift + i] -= f * c
         a.pop()
     while a and a[-1] == 0:
         a.pop()
-    return a
+    return q, a
+
+
+def _primitive(coeffs):
+    """The primitive integer polynomial that is a positive multiple of a
+    nonzero Fraction polynomial: same roots, same sign everywhere."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
 
 
 def sturm_sequence(p: IntPolynomial):
-    """Standard Sturm chain of p as lists of Fraction coefficients."""
+    """Sturm chain of p, every member divided by the last, gcd(p, p'), as
+    lists of integer coefficients (each a positive multiple of the member).
+
+    Dividing through leaves the sign variations unchanged wherever the gcd
+    does not vanish and keeps them meaningful at a multiple root of p, where
+    every member of the undivided chain is zero; either way the chain counts
+    distinct roots.
+    """
     if p.is_zero():
         raise ValueError("Sturm sequence of the zero polynomial")
     seq = [_frac_coeffs(p)]
@@ -192,26 +213,32 @@ def sturm_sequence(p: IntPolynomial):
     if d:
         seq.append(d)
     while len(seq[-1]) > 1:
-        r = _poly_rem(seq[-2], seq[-1])
+        _, r = _poly_divmod(seq[-2], seq[-1])
         if not r:
             break
         seq.append([-c for c in r])
-    return seq
-
-
-def _eval_frac(coeffs, x: Fraction):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    g = seq[-1]
+    if len(g) > 1:
+        seq = [_poly_divmod(f, g)[0] for f in seq]
+    return [_primitive(f) for f in seq]
 
 
 def _sign_variations(seq, x: Fraction) -> int:
+    """Sign changes along the chain at x, zeros skipped.  A member f of
+    degree d is evaluated as den^d * f(num / den) in integers, which has the
+    sign of f(x)."""
+    num, den = x.numerator, x.denominator
+    powers = [1]
+    for _ in seq[0][1:]:
+        powers.append(powers[-1] * den)
     signs = []
     for coeffs in seq:
-        v = _eval_frac(coeffs, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+        d = len(coeffs) - 1
+        acc = 0
+        for i in range(d, -1, -1):
+            acc = acc * num + coeffs[i] * powers[d - i]
+        if acc:
+            signs.append(acc > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -317,14 +344,8 @@ MAX_SEPARATION_STEPS = 512
 def _poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     a, b = _frac_coeffs(p), _frac_coeffs(q)
     while b:
-        a, b = b, _poly_rem(a, b)
-    if not a:
-        return IntPolynomial(())
-    # clear denominators and content
-    denom = lcm(*(c.denominator for c in a))
-    ints = [int(c * denom) for c in a]
-    g = gcd(*ints)
-    return IntPolynomial(c // g for c in ints)
+        a, b = b, _poly_divmod(a, b)[1]
+    return IntPolynomial(_primitive(a) if a else ())
 
 
 def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:

@@ -189,6 +189,8 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
     exact characteristic polynomial, plus the legacy-formula erratum."""
     if max_n > 24:
         raise ValueError("max_n capped at 24")
+    if max_n < 3:
+        raise ValueError(f"max_n must be >= 3, the order of H(1, 0), got {max_n}")
     report = VerificationReport(claim="formulas", parameters={"max_n": max_n})
     failures = []
     checked = 0

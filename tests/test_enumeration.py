@@ -7,7 +7,8 @@ from cactiq.graph import (are_isomorphic, canonical_code, is_cactus,
                           matching_number, pendant_count)
 
 # counts of non-isomorphic cacti on n vertices (trees included)
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 23, 7: 63, 8: 188, 9: 596}
+KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 23, 7: 63, 8: 188, 9: 596,
+                10: 1979}
 
 
 class TestCounts:

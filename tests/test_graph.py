@@ -1,10 +1,13 @@
 import random
 
+import networkx as nx
 import pytest
 
-from cactiq.graph import (canonical_code, from_edges, is_bundle, is_cactus,
+from cactiq import enumeration
+from cactiq.graph import (CACTUS_TAG, _search_code, block_decomposition,
+                          canonical_code, from_edges, is_bundle, is_cactus,
                           matching_number, pendant_count)
-from cactiq.families import build_H
+from cactiq.families import build_H, extremal_answer
 
 from oracles import (all_labeled_graphs, brute_isomorphic, brute_matching,
                      cactus_by_definition)
@@ -70,6 +73,19 @@ class TestCactus:
         for _ in range(800):
             g = from_edges(6, [e for e in pairs if rng.random() < 0.35])
             assert is_cactus(g) == cactus_by_definition(g), g
+
+
+class TestBlockDecomposition:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_networkx(self, n):
+        # every labelled graph, disconnected ones and isolated vertices included
+        for g in all_labeled_graphs(n):
+            G = g.to_networkx()
+            want = {frozenset((min(u, v), max(u, v)) for u, v in comp)
+                    for comp in nx.biconnected_component_edges(G)}
+            got = block_decomposition(g)
+            assert len(got.blocks) == len(want) and set(got.blocks) == want, g
+            assert got.cut_vertices == frozenset(nx.articulation_points(G)), g
 
 
 class TestBundle:
@@ -174,3 +190,46 @@ class TestCanonicalCode:
         two = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert not brute_isomorphic(c6, two)
         assert canonical_code(c6) != canonical_code(two)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestCactusCode:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_same_partition_as_search(self, n):
+        # the tree code and the refinement search split every extension
+        # candidate of order n into the same classes
+        cands = [child for size in range(1, n)
+                 for _, g in enumeration._level(size)
+                 for child in enumeration._extensions(g, n)]
+        fast, slow = {}, {}
+        for i, g in enumerate(cands):
+            a = fast.setdefault(canonical_code(g).code, i)
+            b = slow.setdefault(_search_code(g).code, i)
+            assert a == b, g
+
+    def test_extremal_maximizers_to_order_64(self):
+        rng = random.Random(64)
+        orders = range(11, 65)
+        graphs = [extremal_answer(n).maximizer for n in orders]
+        assert build_H(31, 1) in graphs
+        for g in graphs:
+            assert canonical_code(g) == canonical_code(_relabelled(g, rng))
+
+    def test_distinct_hubs_of_triangles(self):
+        codes = {canonical_code(build_H(s, k)).code
+                 for s in range(1, 8) for k in range(0, 8)}
+        assert len(codes) == 7 * 8
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cactus_and_non_cactus_codes_disjoint(self, n):
+        cactus, other = set(), set()
+        for g in all_labeled_graphs(n):
+            code = canonical_code(g).code
+            (cactus if is_cactus(g) else other).add(code)
+            assert code.startswith(CACTUS_TAG) == is_cactus(g), g
+        assert cactus and other and not cactus & other

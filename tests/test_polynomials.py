@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,28 @@ def test_isolate_largest_root():
     lo, hi = isolate_largest_root(p)
     assert lo < 2 <= hi
     assert count_roots(p, lo, hi) == 1
+
+
+def test_isolate_multiple_root_at_window_end():
+    # 2x(x + 4)(x + 2)^2(x^2 + x + 5): every member of the undivided Sturm
+    # chain vanishes at the double root -2
+    p = IntPolynomial([0, 160, 232, 152, 66, 18, 2])
+    assert p(-2) == 0 and p.derivative()(-2) == 0
+    lo, hi = isolate_largest_root(p, -16, -2)
+    assert lo < -2 <= hi
+    assert count_roots(p, lo, hi) == 1
+
+
+def test_count_roots_counts_distinct_roots_at_multiple_roots():
+    rng = random.Random(17)
+    for _ in range(200):
+        roots = [rng.randint(-4, 4) for _ in range(rng.randint(1, 6))]
+        p = IntPolynomial((1,))
+        for r in roots:
+            p = p * monomial_shift(r)
+        lo, hi = sorted(rng.sample(range(-6, 7), 2))
+        want = len({r for r in roots if lo < r <= hi})
+        assert count_roots(p, lo, hi) == want, (roots, lo, hi)
 
 
 def test_isolate_largest_root_degenerate_windows():

@@ -259,3 +259,11 @@ class TestCli:
     def test_check_formulas_cli(self, capsys):
         assert main(["check-formulas", "--max-n", "9"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize("max_n", ["2", "0", "-3"])
+    def test_check_formulas_below_smallest_member_exit_2(self, max_n, capsys):
+        assert main(["check-formulas", "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: max_n must be >= 3, the order of "
+                                f"H(1, 0), got {max_n}\n")
