@@ -4,7 +4,9 @@ Every cactus with at least two vertices has a removable endblock (a pendant
 edge, or a cycle whose vertices other than one cut vertex all have degree 2),
 so attaching pendant edges and fresh cycles at every vertex of every smaller
 cactus, with canonical-code deduplication, generates each isomorphism class
-exactly once per size.  Output is sorted by canonical code.
+exactly once per size.  Output is sorted by canonical code.  The matching
+number and pendant count of each class are computed once per order, on the
+first filtered call, and filters read them from that table.
 """
 
 from __future__ import annotations
@@ -30,22 +32,25 @@ class CactusFilter:
         if self.pendants is not None and not 0 <= self.pendants < n:
             raise ValueError(f"pendant filter {self.pendants} out of range for n = {n}")
 
-    def admits(self, g: Graph) -> bool:
-        if self.matching is not None and matching_number(g).size != self.matching:
-            return False
-        if self.pendants is not None and pendant_count(g) != self.pendants:
-            return False
-        return True
+    def admits(self, matching: int, pendants: int) -> bool:
+        """Whether a class with this matching number and pendant count
+        passes."""
+        return ((self.matching is None or matching == self.matching)
+                and (self.pendants is None or pendants == self.pendants))
 
 
 def _extensions(g: Graph, n: int):
     """All one-endblock extensions of g with order exactly n: the new vertices
     g.order..n-1 closed into a cycle through each vertex v of g in turn.  With
-    one new vertex the two edges collapse into a pendant edge."""
-    for v in range(g.order):
-        cyc = [v] + list(range(g.order, n))
-        yield from_edges(n, list(g.edges) + [(cyc[i - 1], cyc[i])
-                                             for i in range(len(cyc))])
+    one new vertex the two edges collapse into a pendant edge.
+
+    g is valid and its edges normalised, so each child is g's edges plus the
+    new path and its two closing edges (v, g.order) and (v, n - 1), all
+    already normalised, with no `from_edges` validation."""
+    k = g.order
+    path = g.edges.union(zip(range(k, n - 1), range(k + 1, n)))
+    for v in range(k):
+        yield Graph(n, path | {(v, k), (v, n - 1)})
 
 
 @lru_cache(maxsize=None)
@@ -74,6 +79,14 @@ def _all_cacti(n: int) -> tuple:
     return tuple(g for _, g in sorted(_level(n), key=lambda item: item[0]))
 
 
+@lru_cache(maxsize=None)
+def _invariants(n: int) -> tuple:
+    """(matching number, pendant count) of every class of `_all_cacti(n)`, in
+    the same order."""
+    return tuple((matching_number(g).size, pendant_count(g))
+                 for g in _all_cacti(n))
+
+
 def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:
     """One representative per isomorphism class of cacti on n vertices meeting
     the filter, in ascending canonical-code order.
@@ -87,7 +100,10 @@ def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:
         filt.validate(n)
     except ValueError:
         return ()
-    return tuple(g for g in _all_cacti(n) if filt.admits(g))
+    if filt == CactusFilter():
+        return _all_cacti(n)
+    return tuple(g for g, inv in zip(_all_cacti(n), _invariants(n))
+                 if filt.admits(*inv))
 
 
 def count_cacti(n: int, filt: CactusFilter | None = None) -> int:

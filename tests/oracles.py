@@ -6,6 +6,8 @@ library routines it checks.
 """
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
 from cactiq.graph import Graph, from_edges, is_connected
 
@@ -83,3 +85,107 @@ def cactus_by_definition(g: Graph) -> bool:
         if len(va & vb) > 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Counting cacti: Harary & Uhlenbeck, "On the number of Husimi trees, I",
+# PNAS 39 (1953) 315-322; the unrooted counts are OEIS A000083.
+# ---------------------------------------------------------------------------
+
+def _mul(a, b, top):
+    out = [Fraction(0)] * (top + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(min(len(b), top + 1 - i)):
+                out[i + j] += x * b[j]
+    return out
+
+
+def _at_power(a, k, top):
+    """a(x^k), truncated at degree top."""
+    out = [Fraction(0)] * (top + 1)
+    for i in range(0, top // k + 1):
+        out[i * k] = a[i]
+    return out
+
+
+def _pow(a, e, top):
+    out = [Fraction(1)] + [Fraction(0)] * top
+    for _ in range(e):
+        out = _mul(out, a, top)
+    return out
+
+
+def _exp(f, top):
+    """exp(f) for a series with f(0) = 0: n g_n = sum_k k f_k g_(n-k)."""
+    g = [Fraction(1)] + [Fraction(0)] * top
+    for n in range(1, top + 1):
+        g[n] = sum(k * f[k] * g[n - k] for k in range(1, n + 1)) / n
+    return g
+
+
+def _phi(d):
+    return sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
+
+
+def _polygon_index(p, r, top):
+    """The cycle index of the dihedral group D_p evaluated at the series r:
+    a p-gon block with a rooted cactus at each corner, up to rotation and
+    reflection."""
+    s1, s2 = r, _at_power(r, 2, top)
+    out = [Fraction(0)] * (top + 1)
+    for d in range(1, p + 1):
+        if p % d == 0:
+            term = _pow(_at_power(r, d, top), p // d, top)
+            out = [x + Fraction(_phi(d), 2 * p) * y for x, y in zip(out, term)]
+    if p % 2:
+        refl = _mul(s1, _pow(s2, (p - 1) // 2, top), top)
+    else:
+        refl = [(x + y) / 2 for x, y in
+                zip(_pow(s2, p // 2, top),
+                    _mul(_pow(s1, 2, top), _pow(s2, p // 2 - 1, top), top))]
+    return [x + y / 2 for x, y in zip(out, refl)]
+
+
+def _branches(r, top):
+    """B: what hangs from a root through one block, an edge or a cycle."""
+    r2 = _at_power(r, 2, top)
+    b, rj, even = list(r), r, [Fraction(1)] + [Fraction(0)] * top
+    for j in range(2, top):
+        rj = _mul(rj, r, top)  # R^j
+        if j % 2 == 0:
+            even = _mul(even, r2, top)  # R(x^2)^(j/2)
+            fixed = even
+        else:
+            fixed = _mul(r, even, top)
+        b = [x + (y + z) / 2 for x, y, z in zip(b, rj, fixed)]
+    return b
+
+
+def cactus_counts(top):
+    """[u_1, ..., u_top]: the number of cacti on n vertices, up to
+    isomorphism, from the exact generating functions.
+
+    R, the rooted cacti, is x exp(sum_k B(x^k) / k), where B, what hangs
+    from the root through one block, is R for an edge plus
+    (R^j + S_j) / 2 for a cycle through the root and j >= 2 further
+    vertices (S_j counts the sequences fixed by reversal: R(x^2)^(j/2) for
+    even j, R R(x^2)^((j-1)/2) for odd j).  By the dissimilarity theorem the
+    unrooted series is U = R + P - R B, with P the block-rooted cacti:
+    (R^2 + R(x^2)) / 2 for an edge and the dihedral cycle index at R for a
+    polygon.
+    """
+    r = [Fraction(0)] * (top + 1)
+    for _ in range(top):  # each pass fixes one more coefficient of R
+        b = _branches(r, top)
+        f = [Fraction(0)] * (top + 1)
+        for k in range(1, top + 1):
+            f = [x + y / k for x, y in zip(f, _at_power(b, k, top))]
+        r = [Fraction(0)] + _exp(f, top)[:top]
+    b = _branches(r, top)
+    p = [(x + y) / 2 for x, y in zip(_pow(r, 2, top), _at_power(r, 2, top))]
+    for gon in range(3, top + 1):
+        p = [x + y for x, y in zip(p, _polygon_index(gon, r, top))]
+    u = [x + y - z for x, y, z in zip(r, p, _mul(r, b, top))]
+    assert all(c.denominator == 1 for c in u)
+    return [int(c) for c in u[1:]]

@@ -1,20 +1,36 @@
+from collections import Counter
+
 import pytest
 
+from cactiq import enumeration
 from cactiq.enumeration import (MAX_N, CactusFilter, count_cacti,
                                 enumerate_cacti, oracle_cacti)
 from cactiq.families import build_H
-from cactiq.graph import (are_isomorphic, canonical_code, is_cactus,
-                          matching_number, pendant_count)
+from cactiq.graph import (are_isomorphic, canonical_code, from_edges,
+                          is_cactus, matching_number, pendant_count)
+
+from oracles import cactus_counts
 
 # counts of non-isomorphic cacti on n vertices (trees included)
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 23, 7: 63, 8: 188, 9: 596,
                 10: 1979}
+
+# Harary & Uhlenbeck, PNAS 39 (1953); OEIS A000083, n = 1..16.
+HARARY_UHLENBECK = [1, 1, 2, 4, 9, 23, 63, 188, 596, 1979, 6804, 24118,
+                    87379, 322652, 1209808, 4596158]
 
 
 class TestCounts:
     @pytest.mark.parametrize("n,want", sorted(KNOWN_COUNTS.items()))
     def test_known_sequence(self, n, want):
         assert count_cacti(n) == want
+
+    def test_counting_oracle_sequence(self):
+        assert cactus_counts(16) == HARARY_UHLENBECK
+
+    def test_enumeration_matches_counting_oracle(self):
+        assert [count_cacti(n) for n in range(1, MAX_N + 1)] == \
+            cactus_counts(MAX_N)
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -72,14 +88,51 @@ class TestFilters:
         assert enumerate_cacti(5, CactusFilter(matching=9)) == ()
         assert enumerate_cacti(5, CactusFilter(pendants=7)) == ()
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    # Over every feasible value a filter picks each class exactly once.
+    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
     def test_matching_partition_identity(self, n):
-        total = sum(count_cacti(n, CactusFilter(matching=m))
-                    for m in range(1, n // 2 + 1))
-        assert total == KNOWN_COUNTS[n]
+        picked = Counter(g for m in range(1, n // 2 + 1)
+                         for g in enumerate_cacti(n, CactusFilter(matching=m)))
+        assert picked == Counter(enumerate_cacti(n))
+        assert sum(picked.values()) == KNOWN_COUNTS[n]
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
     def test_pendant_partition_identity(self, n):
-        total = sum(count_cacti(n, CactusFilter(pendants=k))
-                    for k in range(0, n))
-        assert total == KNOWN_COUNTS[n]
+        picked = Counter(g for k in range(0, n)
+                         for g in enumerate_cacti(n, CactusFilter(pendants=k)))
+        if n == 2:
+            # K2 has 2 pendant vertices, outside the filter's range 0..n-1
+            assert not picked
+            return
+        assert picked == Counter(enumerate_cacti(n))
+        assert sum(picked.values()) == KNOWN_COUNTS[n]
+
+
+class TestExtensions:
+    def test_children_equal_from_edges_build(self):
+        for n in range(2, 9):
+            for size in range(1, n):
+                for _, g in enumeration._level(size):
+                    want = []
+                    for v in range(g.order):
+                        cyc = [v] + list(range(g.order, n))
+                        want.append(from_edges(n, list(g.edges) + [
+                            (cyc[i - 1], cyc[i]) for i in range(len(cyc))]))
+                    assert list(enumeration._extensions(g, n)) == want
+
+
+class TestInvariantTable:
+    def test_rebuilt_table_equals_cached(self):
+        orders = range(2, 11)
+        for n in orders:
+            enumerate_cacti(n, CactusFilter(pendants=0))
+        cached = [enumeration._invariants(n) for n in orders]
+        enumeration._invariants.cache_clear()
+        assert [enumeration._invariants(n) for n in orders] == cached
+        assert all(len(t) == KNOWN_COUNTS[n] for n, t in zip(orders, cached))
+
+    def test_unfiltered_enumeration_builds_no_table(self):
+        enumeration._invariants.cache_clear()
+        enumerate_cacti(7)
+        count_cacti(8)
+        assert enumeration._invariants.cache_info().currsize == 0

@@ -60,12 +60,13 @@ class TestConstruction:
     def test_matching_numbers(self):
         # H(s, k): one edge per triangle plus one pendant edge if any.
         # L(s, k): same plus the outer path edge, plus a hub pendant if k >= 2.
-        for s in range(0, 4):
-            for k in range(0, 4):
-                if s + k >= 1:
+        # Every member up to order 64.
+        for s in range(0, 32):
+            for k in range(0, 64):
+                if s + k >= 1 and 2 * s + k + 1 <= 64:
                     want = s + min(k, 1)
                     assert matching_number(build_H(s, k)).size == want
-                if k >= 1:
+                if k >= 1 and 2 * s + k + 2 <= 64:
                     want = s + 1 + (1 if k >= 2 else 0)
                     assert matching_number(build_L(s, k)).size == want
 

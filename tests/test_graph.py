@@ -139,6 +139,53 @@ class TestMatching:
             assert matching_number(g).size == brute_matching(g), g
 
 
+def _random_cactus(n, rng):
+    """Endblocks (pendant edges and cycles of length 3..6) glued at random
+    vertices until the order is n, then relabelled."""
+    edges, order = [], 1
+    while order < n:
+        length = rng.choice([2, 2, 3, 3, 4, 5, 6])
+        length = min(length, n - order + 1)
+        cyc = [rng.randrange(order)] + list(range(order, order + length - 1))
+        edges += [(cyc[i - 1], cyc[i]) for i in range(len(cyc))]
+        order += length - 1
+    return _relabelled(from_edges(n, edges), rng)
+
+
+class TestCactusMatching:
+    """The endblock peel against independent oracles: size, and a witness of
+    disjoint edges of g, as many as the size."""
+
+    @staticmethod
+    def check(g, res, want):
+        assert res.size == want, g
+        ends = [v for e in res.witness for v in e]
+        assert len(set(ends)) == len(ends), g
+        assert all(g.has_edge(u, v) for u, v in res.witness), g
+        assert len(res.witness) == res.size
+
+    def test_against_subset_oracle_every_cactus_to_8(self):
+        rng = random.Random(8)
+        for n in range(1, 9):
+            for g in enumeration.enumerate_cacti(n):
+                for h in (g, _relabelled(g, rng)):
+                    self.check(h, matching_number(h), brute_matching(h))
+
+    def test_against_networkx_every_cactus_to_10(self):
+        for n in range(1, 11):
+            for g in enumeration.enumerate_cacti(n):
+                want = nx.max_weight_matching(g.to_networkx(), maxcardinality=True)
+                self.check(g, matching_number(g), len(want))
+
+    def test_against_networkx_random_cacti_to_64(self):
+        rng = random.Random(64)
+        for _ in range(150):
+            g = _random_cactus(rng.randrange(11, 65), rng)
+            assert is_cactus(g)
+            want = nx.max_weight_matching(g.to_networkx(), maxcardinality=True)
+            self.check(g, matching_number(g), len(want))
+
+
 class TestPendants:
     def test_star(self):
         assert pendant_count(S4) == 3
