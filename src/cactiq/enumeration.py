@@ -29,7 +29,7 @@ class CactusFilter:
     def validate(self, n: int) -> None:
         if self.matching is not None and not 1 <= self.matching <= n // 2:
             raise ValueError(f"matching filter {self.matching} out of range for n = {n}")
-        if self.pendants is not None and not 0 <= self.pendants < n:
+        if self.pendants is not None and not 0 <= self.pendants <= n:
             raise ValueError(f"pendant filter {self.pendants} out of range for n = {n}")
 
     def admits(self, matching: int, pendants: int) -> bool:

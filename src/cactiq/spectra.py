@@ -3,8 +3,10 @@ and exact integer characteristic polynomials.
 
 The numeric path is one stacked call of LAPACK's symmetric eigensolver
 (tridiagonalization + implicit-shift QR) per list of same-order matrices; the
-exact path is Faddeev-LeVerrier over arbitrary-precision integers, so the
-characteristic polynomial carries no floating-point error at all.
+exact path takes the power sums tr(A^k) from matrix rows packed into
+arbitrary-precision integers and turns them into coefficients by Newton's
+identities, so the characteristic polynomial carries no floating-point error
+at all.
 """
 
 from __future__ import annotations
@@ -120,27 +122,34 @@ def radii(graphs) -> list:
 
 
 def char_poly_int_rows(rows) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - A) of an integer matrix by the
-    Faddeev-LeVerrier recurrence.  Works for any square integer matrix; all
-    divisions are exact."""
+    """Exact characteristic polynomial det(xI - A) of a square integer matrix,
+    from the power sums s_k = tr(A^k) and Newton's identities
+    k c_k = -(c_(k-1) s_1 + ... + c_0 s_k), where c_k is the coefficient of
+    x^(n-k); every division is exact.
+
+    Each row of A^k is packed into one integer, entry j in a w-bit slot j, so
+    one step A^k = A A^(k-1) is one big-int multiply-add per nonzero of A.
+    With r the largest absolute row sum, |(A^k)_ij| <= r^n < 2^(w-2); adding
+    2^(w-1) to every slot before reading one keeps signed entries apart.
+    Works for any square integer matrix, symmetric or not.
+    """
     n = len(rows)
     sparse = [[(j, a) for j, a in enumerate(row) if a != 0] for row in rows]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    r = max((sum(abs(a) for _, a in row) for row in sparse), default=0)
+    w = n * max(r, 1).bit_length() + 2
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = sum(half << (i * w) for i in range(n))
+    packed = [1 << (i * w) for i in range(n)]  # the rows of A^0 = I
+    coeffs, sums = [1], []  # c_0 .. c_(k-1) and s_1 .. s_k
     for k in range(1, n + 1):
-        # AM = A @ M using the sparse rows of A
-        AM = [[sum(a * M[j][col] for j, a in sparse[i]) for col in range(n)]
-              for i in range(n)]
-        tr = sum(AM[i][i] for i in range(n))
-        if tr % k:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
-        c = -(tr // k)
-        coeffs[n - k] = c
-        for i in range(n):
-            AM[i][i] += c
-        M = AM
-    return IntPolynomial(coeffs)
+        packed = [sum(a * packed[j] for j, a in row) for row in sparse]
+        sums.append(sum(((p + bias) >> (i * w) & mask) - half
+                        for i, p in enumerate(packed)))
+        t = sum(c * s for c, s in zip(reversed(coeffs), sums))
+        if t % k:
+            raise ArithmeticError("Newton identity sum not divisible")
+        coeffs.append(-(t // k))
+    return IntPolynomial(coeffs[::-1])
 
 
 def char_poly(m: DenseSymMatrix) -> IntPolynomial:

@@ -189,3 +189,30 @@ def cactus_counts(top):
     u = [x + y - z for x, y, z in zip(r, p, _mul(r, b, top))]
     assert all(c.denominator == 1 for c in u)
     return [int(c) for c in u[1:]]
+
+
+# ---------------------------------------------------------------------------
+# Exact characteristic polynomials
+# ---------------------------------------------------------------------------
+
+def faddeev_leverrier(rows):
+    """Coefficients of det(xI - A), constant term first, by the
+    Faddeev-LeVerrier recurrence on full integer matrices:
+    M_k = A M_(k-1) + c_(n-k+1) I with c_(n-k) = -tr(A M_(k-1)) / k."""
+    n = len(rows)
+    sparse = [[(j, a) for j, a in enumerate(row) if a != 0] for row in rows]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        AM = [[sum(a * M[j][col] for j, a in sparse[i]) for col in range(n)]
+              for i in range(n)]
+        tr = sum(AM[i][i] for i in range(n))
+        if tr % k:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
+        c = -(tr // k)
+        coeffs[n - k] = c
+        for i in range(n):
+            AM[i][i] += c
+        M = AM
+    return coeffs

@@ -3,13 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from cactiq.families import build_H
+from cactiq.families import build_H, build_L
 from cactiq.graph import from_edges
 from cactiq.quotient import (BlockSpec, IndexPartition, SpectrumMultiset,
                              build_from_spec, is_equitable, natural_partition,
                              quotient_char_poly, quotient_matrix,
-                             structured_spectrum)
-from cactiq.spectra import signless_laplacian
+                             spec_quotient_rows, structured_spectrum)
+from cactiq.polynomials import IntPolynomial
+from cactiq.spectra import char_poly, signless_laplacian
+from oracles import faddeev_leverrier
 
 Q_C3 = signless_laplacian(from_edges(3, [(0, 1), (1, 2), (0, 2)]))
 Q_P3 = signless_laplacian(from_edges(3, [(0, 1), (1, 2)]))
@@ -132,6 +134,49 @@ def hub_spec(s, k):
     for j in range(1, t):
         sm[0][j] = sm[j][0] = 1
     return BlockSpec(sizes, l, p, sm)
+
+
+def path_spec(s, k):
+    """The block structure of Q(L(s, k)): hub, s triangle pairs, the pendant
+    path's two vertices, then the pendant block."""
+    n = 2 * s + k + 2
+    sizes = [1] + [2] * s + [1, 1] + ([k - 1] if k > 1 else [])
+    l = [n - 3] + [1] * s + [1, 0] + ([0] if k > 1 else [])
+    t = len(sizes)
+    sm = [[0] * t for _ in range(t)]
+    for j in range(1, t):
+        sm[0][j] = sm[j][0] = 1
+    sm[0][s + 2] = sm[s + 2][0] = 0  # the path end hangs off the path middle
+    sm[s + 1][s + 2] = sm[s + 2][s + 1] = 1
+    return BlockSpec(sizes, l, [1] * t, sm)
+
+
+class TestQuotientCharPoly:
+    @staticmethod
+    def assert_exact(spec):
+        """The quotient's char poly equals the oracle's on its (generally
+        non-symmetric) rows, and times (x - p_i)^(n_i - 1) over the blocks
+        gives the dense matrix's."""
+        p = quotient_char_poly(spec)
+        rows = [[int(x) for x in row] for row in spec_quotient_rows(spec)]
+        assert p.coeffs == tuple(faddeev_leverrier(rows))
+        for p_i, n_i in zip(spec.p, spec.sizes):
+            p = p * IntPolynomial((-p_i, 1)) ** (n_i - 1)
+        assert p == char_poly(build_from_spec(spec))
+
+    def test_family_specs(self):
+        for s in range(8):
+            for k in range(1, 10):
+                for spec, g in ((hub_spec(s, k), build_H(s, k)),
+                                (path_spec(s, k), build_L(s, k))):
+                    assert build_from_spec(spec).int_rows == \
+                        signless_laplacian(g).int_rows
+                    self.assert_exact(spec)
+
+    def test_random_signed_specs(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            self.assert_exact(random_spec(rng))
 
 
 class TestTwoStageChain:

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from cactiq.enumeration import enumerate_cacti
-from cactiq.families import build_H
+from cactiq.families import build_H, build_L
 from cactiq.graph import from_edges, is_connected
 from cactiq.polynomials import IntPolynomial, count_roots
 from cactiq.spectra import (DenseSymMatrix, _top_eigenpairs, char_poly,
-                            graph_radius, radii, signless_laplacian,
-                            spectral_radius)
+                            char_poly_int_rows, graph_radius, radii,
+                            signless_laplacian, spectral_radius)
+from oracles import faddeev_leverrier
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
@@ -127,6 +128,57 @@ class TestCharPoly:
         for _ in range(20):
             g = random_connected(rng, rng.randint(1, 7))
             assert char_poly(signless_laplacian(g)).is_monic()
+
+
+def assert_equals_oracle(rows):
+    assert char_poly_int_rows(rows).coeffs == tuple(faddeev_leverrier(rows))
+
+
+class TestCharPolyOracle:
+    """Packed power sums against the Faddeev-LeVerrier recurrence."""
+
+    def test_empty_matrix(self):
+        assert char_poly_int_rows([]) == IntPolynomial([1])
+
+    def test_every_cactus_to_n9(self):
+        for n in range(1, 10):
+            for g in enumerate_cacti(n):
+                assert_equals_oracle(signless_laplacian(g).int_rows)
+
+    def test_family_members(self):
+        # every H(s, k) and L(s, k) to order 24, the check-formulas range,
+        # and members of order 63 and 64 with many triangles or pendants
+        members = [("H", s, k) for s in range(12) for k in range(24 - 2 * s)
+                   if s or k]
+        members += [("L", s, k) for s in range(12) for k in range(1, 23 - 2 * s)]
+        members += [("H", 31, 1), ("H", 0, 63), ("L", 30, 2), ("L", 20, 21)]
+        for family, s, k in members:
+            g = build_H(s, k) if family == "H" else build_L(s, k)
+            assert_equals_oracle(signless_laplacian(g).int_rows)
+
+    @pytest.mark.parametrize("bound", [1, 5, 10 ** 6])
+    def test_random_signed_non_symmetric(self, bound):
+        rng = random.Random(31 + bound)
+        for _ in range(150):
+            n = rng.randint(0, 10)
+            rows = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+                     for _ in range(n)] for _ in range(n)]
+            assert_equals_oracle(rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+    @pytest.mark.parametrize("r", [1, 2, 7, 10 ** 6])
+    def test_slot_bound_all_r(self, n, r):
+        # r J: every absolute row sum is n r, so the slots are sized for
+        # (n r)^n, and every entry of A^n is (n r)^n / n; x^(n-1) (x - n r)
+        want = IntPolynomial((-n * r, 1)) * IntPolynomial((0, 1)) ** (n - 1)
+        assert char_poly_int_rows([[r] * n for _ in range(n)]) == want
+        # D (r J) D with D = diag(+-1) has the same spectrum and signed entries
+        signs = [(-1) ** (i * (i + 1) // 2) for i in range(n)]
+        assert char_poly_int_rows([[r * a * b for b in signs]
+                                   for a in signs]) == want
+        # -r J: x^(n-1) (x + n r)
+        assert char_poly_int_rows([[-r] * n for _ in range(n)]) == \
+            IntPolynomial((n * r, 1)) * IntPolynomial((0, 1)) ** (n - 1)
 
 
 def assert_charpoly_roots_match_eigensolver(g):

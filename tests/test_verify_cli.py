@@ -204,6 +204,18 @@ class TestCli:
         from cactiq import graph6
         assert all(graph6.decode(s).order == 4 for s in lines)
 
+    def test_enumerate_k2_under_two_pendants(self, capsys):
+        assert main(["enumerate", "--n", "2", "--pendants", "2"]) == 0
+        assert capsys.readouterr().out == "A_\n"
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_prop213_all_pendants_exit_2(self, n, capsys):
+        # the filter admits k = n, but no cactus of order >= 3 has n pendants
+        assert main(["verify", "--claim", "prop213", "--n", str(n),
+                     "--k", str(n)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: pendant count {n} infeasible for n = {n}\n"
+
     def test_family_charpoly(self, capsys):
         assert main(["family", "--family", "H", "--s", "2", "--k", "0",
                      "--emit", "charpoly"]) == 0
