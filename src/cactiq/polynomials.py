@@ -1,13 +1,15 @@
 """Exact integer polynomials, Sturm sequences and certified real-root isolation.
 
 All coefficients are arbitrary-precision Python integers, stored in ascending
-degree order.  Root counting and isolation run over `fractions.Fraction`, so
-every bracket produced here is a rigorous statement, not a floating-point one.
-Sturm chains are divided through by gcd(p, p') and kept as primitive integer
-polynomials, so they count distinct roots, multiple ones included, and are
-evaluated in exact integer arithmetic.
-Isolation, refinement and comparison share one halving step, which evaluates
-the Sturm chain once, at the midpoint, and carries the end sign variations.
+degree order, and the root layer runs in integer arithmetic only, so every
+bracket produced here is a rigorous statement, not a floating-point one.
+Sturm chains come from a primitive remainder sequence in Z[x]
+(pseudo-division, then the primitive part) and are divided through by
+gcd(p, p') exactly, so they count distinct roots, multiple ones included.
+Isolation, refinement and comparison share one halving step, which carries a
+bracket as integer numerators over a common denominator, evaluates the Sturm
+chain once, at the midpoint, and carries the end sign variations; brackets
+are handed out as `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -160,86 +162,107 @@ def monomial_shift(c: int) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences over the rationals
+# Sturm sequences in Z[x]
 # ---------------------------------------------------------------------------
 
-def _frac_coeffs(p: IntPolynomial):
-    return [Fraction(c) for c in p.coeffs]
+def _primitive_part(coeffs):
+    """A nonzero integer polynomial divided by its (positive) content."""
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs] if g != 1 else coeffs
 
 
-def _poly_divmod(a, b):
-    """Quotient and remainder of a / b for lists of Fractions, ascending order."""
-    a = a[:]
+def _remainder(a, b):
+    """The primitive positive multiple of the remainder of a / b in Q[x], as
+    an integer list ([] when b divides a).
+
+    Pseudo-division: each step scales the running remainder by the positive
+    integer |lc(b)| / gcd(lead, lc(b)), so the leading term cancels in
+    integers and the result stays a positive multiple of the rational
+    remainder; since rem(sA, tB) = s rem(A, B), a chain of these is a chain
+    of positive multiples of the rational one.
+    """
+    r = list(a)
     db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
+    while len(r) - 1 >= db:
+        c = r[-1]
+        g = gcd(c, lb)
+        s, f = abs(lb) // g, (c if lb > 0 else -c) // g
+        if s != 1:
+            r = [s * x for x in r]
+        shift = len(r) - 1 - db
+        for i in range(db):  # the leading term cancels by construction
+            r[shift + i] -= f * b[i]
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive_part(r) if r else r
+
+
+def _exact_quotient(a, b):
+    """a / b for integer lists when b divides a in Z[x]."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(r) - db)
+    for shift in range(len(q) - 1, -1, -1):
+        f, m = divmod(r[shift + db], lb)
+        if m:
+            raise ArithmeticError("polynomial division is not exact")
         q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _primitive(coeffs):
-    """The primitive integer polynomial that is a positive multiple of a
-    nonzero Fraction polynomial: same roots, same sign everywhere."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = gcd(*ints)
-    return [c // g for c in ints]
+        if f:
+            for i in range(db):
+                r[shift + i] -= f * b[i]
+    return q
 
 
 def sturm_sequence(p: IntPolynomial):
     """Sturm chain of p, every member divided by the last, gcd(p, p'), as
-    lists of integer coefficients (each a positive multiple of the member).
+    primitive integer lists, each the positive multiple of the member.
 
-    Dividing through leaves the sign variations unchanged wherever the gcd
-    does not vanish and keeps them meaningful at a multiple root of p, where
-    every member of the undivided chain is zero; either way the chain counts
-    distinct roots.
+    The chain is a primitive remainder sequence in Z[x] (`_remainder`), so
+    no rational arithmetic runs.  The last member is primitive and divides
+    every other over Q, so by Gauss's lemma each quotient is a primitive
+    integer polynomial and every division is exact.  Dividing through leaves
+    the sign variations unchanged wherever the gcd does not vanish and keeps
+    them meaningful at a multiple root of p, where every member of the
+    undivided chain is zero; either way the chain counts distinct roots.
     """
     if p.is_zero():
         raise ValueError("Sturm sequence of the zero polynomial")
-    seq = [_frac_coeffs(p)]
-    d = _frac_coeffs(p.derivative())
+    seq = [_primitive_part(list(p.coeffs))]
+    d = p.derivative().coeffs
     if d:
-        seq.append(d)
+        seq.append(_primitive_part(list(d)))
     while len(seq[-1]) > 1:
-        _, r = _poly_divmod(seq[-2], seq[-1])
+        r = _remainder(seq[-2], seq[-1])
         if not r:
             break
         seq.append([-c for c in r])
     g = seq[-1]
     if len(g) > 1:
-        seq = [_poly_divmod(f, g)[0] for f in seq]
-    return [_primitive(f) for f in seq]
+        seq = [_exact_quotient(f, g) for f in seq]
+    return seq
 
 
-def _sign_variations(seq, x: Fraction) -> int:
-    """Sign changes along the chain at x, zeros skipped.  A member f of
-    degree d is evaluated as den^d * f(num / den) in integers, which has the
-    sign of f(x)."""
-    num, den = x.numerator, x.denominator
+def _evaluate(seq, num: int, den: int):
+    """Sign variations along the chain at num / den (den > 0), zeros
+    skipped, and whether num / den is a root of the first member, which has
+    the roots of p.  A member f of degree d is evaluated as
+    den^d * f(num / den) in integers, which has the sign of f(num / den)."""
     powers = [1]
     for _ in seq[0][1:]:
         powers.append(powers[-1] * den)
-    signs = []
+    variations, last, root = 0, 0, False
     for coeffs in seq:
-        d = len(coeffs) - 1
         acc = 0
-        for i in range(d, -1, -1):
-            acc = acc * num + coeffs[i] * powers[d - i]
+        for c, w in zip(reversed(coeffs), powers):
+            acc = acc * num + c * w
         if acc:
-            signs.append(acc > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            if last and (acc < 0) != (last < 0):
+                variations += 1
+            last = acc
+        elif coeffs is seq[0]:
+            root = True
+    return variations, root
 
 
 def count_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, seq=None) -> int:
@@ -249,7 +272,8 @@ def count_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, seq=None) -> int:
         return 0
     if seq is None:
         seq = sturm_sequence(p)
-    return _sign_variations(seq, lo) - _sign_variations(seq, hi)
+    return (_evaluate(seq, lo.numerator, lo.denominator)[0]
+            - _evaluate(seq, hi.numerator, hi.denominator)[0])
 
 
 def root_bound(p: IntPolynomial) -> Fraction:
@@ -261,15 +285,28 @@ def root_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(m, lead)
 
 
-def _halve(seq, a: Fraction, b: Fraction, va: int, vb: int):
-    """One bisection step on (a, b], whose ends have Sturm sign variations va
-    and vb: evaluate the chain once at the midpoint and return the half that
-    holds the largest root in (a, b], with its own end variations."""
-    mid = (a + b) / 2
-    vm = _sign_variations(seq, mid)
+# Bisection runs on an integer grid: a bracket (a/den, b/den] is carried as
+# integer numerators over one positive common denominator, so a midpoint is
+# (a + b) / 2den and no step normalises a fraction.
+
+def _grid(lo: Fraction, hi: Fraction):
+    """Numerators of lo and hi over their least common denominator."""
+    den = lcm(lo.denominator, hi.denominator)
+    return (lo.numerator * (den // lo.denominator),
+            hi.numerator * (den // hi.denominator), den)
+
+
+def _halve(seq, a: int, b: int, den: int, va: int, vb: int):
+    """One bisection step on (a/den, b/den], whose ends have Sturm sign
+    variations va and vb: evaluate the chain once at the midpoint
+    (a + b) / 2den and return the half that holds the largest root in the
+    interval, as numerators over 2den with its end variations, and whether
+    the midpoint is a root of p."""
+    mid = a + b
+    vm, root = _evaluate(seq, mid, 2 * den)
     if vm > vb:
-        return mid, b, vm, vb
-    return a, mid, va, vm
+        return mid, 2 * b, 2 * den, vm, vb, root
+    return 2 * a, mid, 2 * den, va, vm, root
 
 
 def isolate_largest_root(p: IntPolynomial, lo=None, hi=None, seq=None):
@@ -281,48 +318,59 @@ def isolate_largest_root(p: IntPolynomial, lo=None, hi=None, seq=None):
     """
     if p.degree < 1:
         raise ValueError("cannot isolate roots of a constant polynomial")
-    bound = root_bound(p)
-    a = Fraction(lo) if lo is not None else -bound - 1
-    b = Fraction(hi) if hi is not None else bound
+    if lo is None or hi is None:
+        bound = root_bound(p)
+    a, b, den = _grid(Fraction(lo) if lo is not None else -bound - 1,
+                      Fraction(hi) if hi is not None else bound)
     if seq is None:
         seq = sturm_sequence(p)
-    va, vb = _sign_variations(seq, a), _sign_variations(seq, b)
+    va, a_is_root = _evaluate(seq, a, den)
+    vb = _evaluate(seq, b, den)[0]
     if b <= a or va == vb:
-        if lo is None or p(a) != 0:
+        if lo is None or not a_is_root:
             return None
         # root on the left end of a user window: bracket it in (a - 1/2, a]
-        a, b, vb = a - Fraction(1, 2), a, va
-        va = _sign_variations(seq, a)
+        a, b, den, vb = 2 * a - den, 2 * a, 2 * den, va
+        va = _evaluate(seq, a, den)[0]
     while va - vb > 1:
-        a, b, va, vb = _halve(seq, a, b, va, vb)
-    return a, b
+        a, b, den, va, vb, _ = _halve(seq, a, b, den, va, vb)
+    return Fraction(a, den), Fraction(b, den)
 
 
 def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float = 1e-12,
                 seq=None):
     """Shrink an isolating interval (lo, hi] down to width <= tol by bisection
     driven by Sturm counts, then return the midpoint as a float.  `seq`, when
-    given, is the Sturm chain of p."""
+    given, is the Sturm chain of p.
+
+    tol is read as the nearest fraction with denominator <= 10^18, which must
+    be positive: a tolerance below about 5e-19 rounds to 0 and raises
+    ValueError, as a non-positive one does.
+    """
     if seq is None:
         seq = sturm_sequence(p)
-    lo, hi = Fraction(lo), Fraction(hi)
-    vlo, vhi = _sign_variations(seq, lo), _sign_variations(seq, hi)
-    if hi <= lo or vlo - vhi != 1:
+    a, b, den = _grid(Fraction(lo), Fraction(hi))
+    va, vb = _evaluate(seq, a, den)[0], _evaluate(seq, b, den)[0]
+    if b <= a or va - vb != 1:
         raise ValueError("interval does not isolate exactly one root")
     t = Fraction(tol).limit_denominator(10 ** 18)
-    while hi - lo > t:
-        mid = (lo + hi) / 2
-        if p(mid) == 0:
-            return float(mid)
-        lo, hi, vlo, vhi = _halve(seq, lo, hi, vlo, vhi)
-    return float((lo + hi) / 2)
+    if t <= 0:
+        raise ValueError(f"tolerance {tol!r} rounds to {t} at denominators "
+                         "up to 10^18; it must be positive")
+    while (b - a) * t.denominator > t.numerator * den:
+        a, b, den, va, vb, root = _halve(seq, a, b, den, va, vb)
+        if root:
+            # the one root in the interval is the midpoint, now its right end
+            return b / den
+    return (a + b) / (2 * den)  # ints divide to the correctly rounded float
 
 
 def largest_real_root(p: IntPolynomial, bracket, tol: float = 1e-12) -> float:
     """Largest real root of p inside the bracket, certified by Sturm counting
     before bisection refinement.
 
-    Raises ValueError when p has no root in the bracket.
+    Raises ValueError when p has no root in the bracket or tol is not
+    positive (see `refine_root`).
     """
     if p.degree < 1:
         raise ValueError("nonconstant polynomial required")
@@ -342,10 +390,12 @@ MAX_SEPARATION_STEPS = 512
 
 
 def _poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    a, b = _frac_coeffs(p), _frac_coeffs(q)
+    """The primitive gcd of p and q with the sign of the rational Euclidean
+    gcd, by the remainder step of the Sturm chains."""
+    a, b = list(p.coeffs), list(q.coeffs)
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return IntPolynomial(_primitive(a) if a else ())
+        a, b = b, _remainder(a, b)
+    return IntPolynomial(_primitive_part(a) if a else ())
 
 
 def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
@@ -359,6 +409,12 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     if ip is None or iq is None:
         raise ValueError("both polynomials must have a real root")
     (alo, ahi), (blo, bhi) = ip, iq
+    # the brackets are half-open, so ahi <= blo puts p's root below q's;
+    # disjoint brackets decide before any gcd is taken
+    if ahi <= blo:
+        return -1
+    if bhi <= alo:
+        return 1
     # A gcd root in (alo, ahi] is p's largest root, one in (blo, bhi] is q's;
     # each is also a root of the other polynomial, so they are equal.  Every
     # exact tie shows here, so the bisection below only has to separate.
@@ -367,14 +423,15 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
         sg = sturm_sequence(g)
         if count_roots(g, alo, ahi, sg) and count_roots(g, blo, bhi, sg):
             return 0
-    va, vb = _sign_variations(sp, alo), _sign_variations(sp, ahi)
-    wa, wb = _sign_variations(sq, blo), _sign_variations(sq, bhi)
+    a, b, da = _grid(alo, ahi)
+    c, d, dc = _grid(blo, bhi)
+    va, vb = _evaluate(sp, a, da)[0], _evaluate(sp, b, da)[0]
+    wc, wd = _evaluate(sq, c, dc)[0], _evaluate(sq, d, dc)[0]
     for _ in range(MAX_SEPARATION_STEPS):
-        # the brackets are half-open, so ahi <= blo puts p's root below q's
-        if ahi <= blo:
+        a, b, da, va, vb, _ = _halve(sp, a, b, da, va, vb)
+        c, d, dc, wc, wd, _ = _halve(sq, c, d, dc, wc, wd)
+        if b * dc <= c * da:
             return -1
-        if bhi <= alo:
+        if d * da <= a * dc:
             return 1
-        alo, ahi, va, vb = _halve(sp, alo, ahi, va, vb)
-        blo, bhi, wa, wb = _halve(sq, blo, bhi, wa, wb)
     raise RuntimeError("failed to separate largest roots")

@@ -7,7 +7,7 @@ library routines it checks.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from cactiq.graph import Graph, from_edges, is_connected
 
@@ -216,3 +216,112 @@ def faddeev_leverrier(rows):
             AM[i][i] += c
         M = AM
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# Sturm chains and root refinement over the rationals
+# ---------------------------------------------------------------------------
+
+def _frac_divmod(a, b):
+    """Quotient and remainder of a / b for lists of Fractions, ascending
+    order, by schoolbook long division."""
+    a = a[:]
+    db, lb = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(len(a) - db, 0)
+    while len(a) - 1 >= db and any(a):
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) - 1 < db:
+            break
+        f = a[-1] / lb
+        shift = len(a) - 1 - db
+        q[shift] = f
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return q, a
+
+
+def _frac_primitive(coeffs):
+    """The primitive integer polynomial that is a positive multiple of a
+    nonzero Fraction polynomial."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def fraction_sturm_sequence(coeffs):
+    """Sturm chain of the integer polynomial `coeffs` (ascending) by
+    Euclidean division over Fractions, every member divided by the last,
+    gcd(p, p'), and scaled to its primitive positive integer multiple."""
+    seq = [[Fraction(c) for c in coeffs]]
+    d = [Fraction(i * c) for i, c in enumerate(coeffs) if i > 0]
+    while d and d[-1] == 0:
+        d.pop()
+    if d:
+        seq.append(d)
+    while len(seq[-1]) > 1:
+        _, r = _frac_divmod(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    g = seq[-1]
+    if len(g) > 1:
+        seq = [_frac_divmod(f, g)[0] for f in seq]
+    return [_frac_primitive(f) for f in seq]
+
+
+def fraction_gcd(p, q):
+    """gcd of two integer polynomials (ascending lists) by the Euclidean
+    algorithm over Fractions, as a primitive positive multiple of the last
+    nonzero remainder ([] when both are zero)."""
+    a, b = [Fraction(c) for c in p], [Fraction(c) for c in q]
+    while b:
+        a, b = b, _frac_divmod(a, b)[1]
+    return _frac_primitive(a) if a else []
+
+
+def _sign_at(coeffs, x):
+    """Sign of the integer polynomial at the Fraction x, from the integer
+    d^deg * f(n / d)."""
+    n, d, deg = x.numerator, x.denominator, len(coeffs) - 1
+    v = sum(c * n ** i * d ** (deg - i) for i, c in enumerate(coeffs))
+    return (v > 0) - (v < 0)
+
+
+def fraction_largest_roots(coeffs, lo, hi, tols):
+    """Largest root of the integer polynomial in (lo, hi] as a float, one
+    per tol, by bisection over Fractions on Sturm counts of
+    `fraction_sturm_sequence`: halve until one root is left in (a, b], then
+    down to width <= tol, returning a midpoint that is a root as soon as
+    one shows, else the last midpoint.  The halving path does not depend on
+    tol, so one run serves every tol."""
+    seq = fraction_sturm_sequence(coeffs)
+
+    def var(x):
+        s = [v for v in (_sign_at(f, x) for f in seq) if v]
+        return sum(1 for u, v in zip(s, s[1:]) if u != v)
+
+    a, b = Fraction(lo), Fraction(hi)
+    va, vb = var(a), var(b)
+    assert va > vb, "no root in (lo, hi]"
+    left = {tol: Fraction(tol).limit_denominator(10 ** 18) for tol in tols}
+    out = {}
+    while left:
+        if va - vb == 1:
+            width = b - a
+            for tol in [tol for tol, t in left.items() if width <= t]:
+                out[tol] = float((a + b) / 2)
+                del left[tol]
+            if not left:
+                break
+        mid = (a + b) / 2
+        if va - vb == 1 and _sign_at(coeffs, mid) == 0:
+            out.update(dict.fromkeys(left, float(mid)))
+            break
+        vm = var(mid)
+        a, b, va, vb = (mid, b, vm, vb) if vm > vb else (a, mid, va, vm)
+    return [out[tol] for tol in tols]

@@ -4,10 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from cactiq import polynomials
-from cactiq.polynomials import (IntPolynomial, compare_largest_roots,
+from cactiq import graph6, polynomials
+from cactiq.enumeration import enumerate_cacti
+from cactiq.families import PolyRootRadius, extremal_answer
+from cactiq.polynomials import (IntPolynomial, _poly_gcd, compare_largest_roots,
                                 count_roots, isolate_largest_root,
-                                largest_real_root, monomial_shift, refine_root)
+                                largest_real_root, monomial_shift, refine_root,
+                                sturm_sequence)
+from cactiq.spectra import char_poly, radii, signless_laplacian
+from cactiq.verify import EXACT_ESCALATION_GAP
+from oracles import fraction_gcd, fraction_largest_roots, fraction_sturm_sequence
 
 
 def test_construction_strips_trailing_zeros():
@@ -127,11 +133,57 @@ class TestRefineRoot:
         with pytest.raises(ValueError):
             refine_root(monomial_shift(1) * monomial_shift(3), 0, 4)
 
+    @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, 1e-20])
+    def test_tolerance_that_rounds_to_zero_rejected(self, tol):
+        # 1e-20 rounds to 0 at denominators up to 10^18; bisection to width
+        # <= 0 would never stop
+        p = IntPolynomial((-2, 0, 1))
+        with pytest.raises(ValueError, match="must be positive"):
+            largest_real_root(p, (0, 10), tol=tol)
+        with pytest.raises(ValueError, match="must be positive"):
+            refine_root(p, 1, 2, tol)
+
+    def test_smallest_tolerances_still_accepted(self):
+        p = IntPolynomial((-2, 0, 1))
+        for tol in (1e-18, 6e-19):
+            assert largest_real_root(p, (0, 10), tol=tol) == math.sqrt(2)
+
 
 class TestCompareLargestRoots:
     def test_clearly_separated(self):
         assert compare_largest_roots(monomial_shift(2), monomial_shift(3)) == -1
         assert compare_largest_roots(monomial_shift(3), monomial_shift(2)) == 1
+
+    def test_disjoint_brackets_decide_without_a_gcd(self, monkeypatch):
+        def no_gcd(p, q):
+            raise AssertionError("gcd taken although the brackets separate")
+
+        monkeypatch.setattr(polynomials, "_poly_gcd", no_gcd)
+        # the first isolating brackets are (7/4, 4] and (10.8..., 11.6...]
+        p = monomial_shift(1) * monomial_shift(2)
+        q = monomial_shift(10) * monomial_shift(11)
+        ip, iq = isolate_largest_root(p), isolate_largest_root(q)
+        assert ip[1] <= iq[0]
+        assert compare_largest_roots(p, q) == -1
+        assert compare_largest_roots(q, p) == 1
+
+    def test_overlapping_brackets_still_take_the_gcd(self, monkeypatch):
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return gcd(p, q)
+
+        gcd = polynomials._poly_gcd
+        monkeypatch.setattr(polynomials, "_poly_gcd", counting)
+        # the first brackets of x - 2 and x - 3 are (-4, 3] and (-5, 4]
+        assert compare_largest_roots(monomial_shift(2), monomial_shift(3)) == -1
+        assert len(calls) == 1
+        shared = IntPolynomial((8, -7, 1))
+        assert compare_largest_roots(shared * monomial_shift(1), shared) == 0
+        a, b = graph6.decode("FsOIG"), graph6.decode("FqDGO")
+        pa, pb = (char_poly(signless_laplacian(g)) for g in (a, b))
+        assert compare_largest_roots(pa, pb) == compare_largest_roots(pb, pa) == 0
 
     def test_exact_tie_shared_factor(self):
         shared = IntPolynomial((8, -7, 1))
@@ -162,3 +214,93 @@ class TestCompareLargestRoots:
             compare_largest_roots(monomial_shift(2), monomial_shift(3))
         shared = IntPolynomial((8, -7, 1))  # ties need no bisection
         assert compare_largest_roots(shared * monomial_shift(1), shared) == 0
+
+
+# ---------------------------------------------------------------------------
+# The integer root layer against the Fraction oracles
+# ---------------------------------------------------------------------------
+
+def _near_tie_pairs(n):
+    """Char polys of neighbours in the radius order of the class at n whose
+    float radii lie within the exact escalation gap."""
+    graphs = enumerate_cacti(n)
+    rs = radii(graphs)
+    order = sorted(range(len(graphs)), key=lambda i: (rs[i], i))
+    return [tuple(char_poly(signless_laplacian(graphs[i])) for i in (lo, hi))
+            for lo, hi in zip(order, order[1:])
+            if rs[hi] - rs[lo] < EXACT_ESCALATION_GAP]
+
+
+def _random_product(rng):
+    """A nonzero integer polynomial: a unit or non-unit constant of either
+    sign times integer linear factors, some repeated, times a random integer
+    polynomial."""
+    p = IntPolynomial((rng.choice((-6, -3, -2, -1, 1, 2, 5)),))
+    for _ in range(rng.randint(0, 3)):
+        factor = IntPolynomial((rng.randint(-6, 6), rng.choice((-3, -2, -1, 1, 2, 4))))
+        p = p * factor ** rng.randint(1, 2)
+    extra = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))])
+    return p * extra if not extra.is_zero() else p
+
+
+class TestIntegerChains:
+    def test_cactus_char_polys_match_fraction_chains(self):
+        count = 0
+        for n in range(1, 10):
+            for g in enumerate_cacti(n):
+                p = char_poly(signless_laplacian(g))
+                assert sturm_sequence(p) == fraction_sturm_sequence(p.coeffs), g
+                count += 1
+        assert count == 887
+
+    def test_near_tie_gcds_match_fraction_gcd(self):
+        pairs = _near_tie_pairs(10)
+        assert len(pairs) == 134
+        for pa, pb in pairs:
+            assert list(_poly_gcd(pa, pb).coeffs) == fraction_gcd(pa.coeffs, pb.coeffs)
+            assert list(_poly_gcd(pb, pa).coeffs) == fraction_gcd(pb.coeffs, pa.coeffs)
+
+    def test_random_products_match_fraction_oracles(self):
+        rng = random.Random(8)
+        negative_leads = 0
+        for _ in range(1200):
+            shared = _random_product(rng)
+            p, q = shared * _random_product(rng), shared * _random_product(rng)
+            negative_leads += p.leading < 0
+            assert sturm_sequence(p) == fraction_sturm_sequence(p.coeffs), p
+            assert list(_poly_gcd(p, q).coeffs) == fraction_gcd(p.coeffs, q.coeffs), (p, q)
+        assert negative_leads > 300
+
+    def test_gcd_with_zero(self):
+        p = IntPolynomial((-6, 4, 2))
+        assert _poly_gcd(p, IntPolynomial(())).coeffs == (-3, 2, 1)
+        assert _poly_gcd(IntPolynomial(()), -p).coeffs == (3, -2, -1)
+        assert _poly_gcd(IntPolynomial(()), IntPolynomial(())).is_zero()
+
+
+def _extremal_descriptors():
+    seen = set()
+    for n in range(3, 65):
+        constraints = [{}] + [{"matching": m} for m in range(1, n // 2 + 1)]
+        constraints += [{"pendants": k} for k in range(n)]
+        for c in constraints:
+            try:
+                d = extremal_answer(n, **c).descriptor
+            except ValueError:
+                continue
+            if isinstance(d, PolyRootRadius) and (d.poly, d.bracket) not in seen:
+                seen.add((d.poly, d.bracket))
+                yield d
+
+
+def test_refined_floats_match_fraction_bisection():
+    # every cubic and quintic descriptor of the extremal answers to n = 64,
+    # refined bit for bit as Fraction bisection does it
+    tols = (1e-9, 1e-12, 1e-15)
+    count = 0
+    for d in _extremal_descriptors():
+        want = fraction_largest_roots(d.poly.coeffs, *d.bracket, tols)
+        got = [largest_real_root(d.poly, d.bracket, tol=tol) for tol in tols]
+        assert got == want, d
+        count += 1
+    assert count == 2046
