@@ -4,9 +4,12 @@ Every cactus with at least two vertices has a removable endblock (a pendant
 edge, or a cycle whose vertices other than one cut vertex all have degree 2),
 so attaching pendant edges and fresh cycles at every vertex of every smaller
 cactus, with canonical-code deduplication, generates each isomorphism class
-exactly once per size.  Output is sorted by canonical code.  The matching
-number and pendant count of each class are computed once per order, on the
-first filtered call, and filters read them from that table.
+exactly once per size.  A candidate is its parent plus one block, so its
+block list is the parent's plus that block: each parent gets one block DFS,
+each candidate is coded from its block list alone, and only the first
+candidate of each class is built as a `Graph`.  Output is sorted by canonical
+code.  The matching number and pendant count of each class are computed once
+per order, on the first filtered call, and filters read them from that table.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import (Graph, canonical_code, from_edges, is_cactus,
-                    matching_number, pendant_count)
+from .graph import (CACTUS_TAG, Graph, _cactus_blocks, _cactus_code,
+                    canonical_code, from_edges, is_cactus, matching_number,
+                    pendant_count)
 
 MAX_N = 10
 
@@ -39,33 +43,41 @@ class CactusFilter:
                 and (self.pendants is None or pendants == self.pendants))
 
 
-def _extensions(g: Graph, n: int):
-    """All one-endblock extensions of g with order exactly n: the new vertices
-    g.order..n-1 closed into a cycle through each vertex v of g in turn.  With
-    one new vertex the two edges collapse into a pendant edge.
+def _child_codes(g: Graph, n: int):
+    """Canonical code of each one-endblock extension of g to order n, for the
+    attachment vertex v = 0..g.order-1 in turn: the new vertices
+    g.order..n-1 closed into a cycle through v, or a pendant edge at v when
+    there is one new vertex.
 
-    g is valid and its edges normalised, so each child is g's edges plus the
-    new path and its two closing edges (v, g.order) and (v, n - 1), all
-    already normalised, with no `from_edges` validation."""
-    k = g.order
-    path = g.edges.union(zip(range(k, n - 1), range(k + 1, n)))
-    for v in range(k):
-        yield Graph(n, path | {(v, k), (v, n - 1)})
+    The child's blocks are g's plus the cycle [v, g.order, ..., n - 1], and
+    the cactus code depends on neither the order of the blocks nor where a
+    cycle starts, so one block DFS of g serves every child."""
+    blocks = _cactus_blocks(g)
+    path = list(range(g.order, n))
+    for v in range(g.order):
+        yield CACTUS_TAG + _cactus_code(n, blocks + [[v] + path])
 
 
 @lru_cache(maxsize=None)
 def _level(n: int) -> tuple:
     """(code, graph) for every cactus class on n vertices, in discovery order:
     the first extension found in each class, scanning the smaller levels in
-    order and in their own discovery order, is its representative."""
+    order and in their own discovery order, is its representative.
+
+    Candidates are coded by `_child_codes`; a `Graph` is built only for the
+    first of each class, as the parent's edges plus the new path and its two
+    closing edges (v, size) and (v, n - 1), all already normalised, so the
+    edge tuples are shared with the parent and need no validation."""
     if n == 1:
         g = from_edges(1, [])
         return ((canonical_code(g).code, g),)
     bucket = {}
     for size in range(1, n):
         for _, g in _level(size):
-            for child in _extensions(g, n):
-                bucket.setdefault(canonical_code(child).code, child)
+            edges = g.edges.union(zip(range(size, n - 1), range(size + 1, n)))
+            for v, code in enumerate(_child_codes(g, n)):
+                if code not in bucket:
+                    bucket[code] = Graph(n, edges | {(v, size), (v, n - 1)})
     return tuple(bucket.items())
 
 

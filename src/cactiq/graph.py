@@ -370,6 +370,8 @@ def _vertex_code(kids) -> bytes:
 def _block_code(verts, p: int, code) -> bytes:
     """Code of a block whose vertices, in cyclic order, are verts, under the
     parent vertex p, or as the root when p is -1."""
+    if p >= 0 and len(verts) == 2:  # an edge: the one child, either way
+        return b"[" + code[verts[0] if verts[1] == p else verts[1]] + b"]"
     seq = [code[v] for v in verts]
     if p < 0:
         back = seq[::-1]

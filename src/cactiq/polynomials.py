@@ -6,10 +6,11 @@ bracket produced here is a rigorous statement, not a floating-point one.
 Sturm chains come from a primitive remainder sequence in Z[x]
 (pseudo-division, then the primitive part) and are divided through by
 gcd(p, p') exactly, so they count distinct roots, multiple ones included.
-Isolation, refinement and comparison share one halving step, which carries a
-bracket as integer numerators over a common denominator, evaluates the Sturm
-chain once, at the midpoint, and carries the end sign variations; brackets
-are handed out as `fractions.Fraction`.
+Isolation and comparison share one halving step, which carries a bracket as
+integer numerators over a common denominator, evaluates the Sturm chain once,
+at the midpoint, and carries the end sign variations.  Refinement of an
+isolated root bisects on the same grid by the sign of the chain's first,
+square-free member alone.  Brackets are handed out as `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -243,19 +244,32 @@ def sturm_sequence(p: IntPolynomial):
     return seq
 
 
+def _powers(den: int, k: int) -> list:
+    """[1, den, ..., den^(k-1)]."""
+    powers = [1]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * den)
+    return powers
+
+
+def _scaled_value(coeffs, num: int, powers) -> int:
+    """den^d * f(num / den) in integers for f of degree d, given powers from
+    `_powers(den, k)` with k > d; it has the sign of f(num / den)."""
+    acc = 0
+    for c, w in zip(reversed(coeffs), powers):
+        acc = acc * num + c * w
+    return acc
+
+
 def _evaluate(seq, num: int, den: int):
     """Sign variations along the chain at num / den (den > 0), zeros
     skipped, and whether num / den is a root of the first member, which has
     the roots of p.  A member f of degree d is evaluated as
     den^d * f(num / den) in integers, which has the sign of f(num / den)."""
-    powers = [1]
-    for _ in seq[0][1:]:
-        powers.append(powers[-1] * den)
+    powers = _powers(den, len(seq[0]))
     variations, last, root = 0, 0, False
     for coeffs in seq:
-        acc = 0
-        for c, w in zip(reversed(coeffs), powers):
-            acc = acc * num + c * w
+        acc = _scaled_value(coeffs, num, powers)
         if acc:
             if last and (acc < 0) != (last < 0):
                 variations += 1
@@ -300,13 +314,12 @@ def _halve(seq, a: int, b: int, den: int, va: int, vb: int):
     """One bisection step on (a/den, b/den], whose ends have Sturm sign
     variations va and vb: evaluate the chain once at the midpoint
     (a + b) / 2den and return the half that holds the largest root in the
-    interval, as numerators over 2den with its end variations, and whether
-    the midpoint is a root of p."""
+    interval, as numerators over 2den with its end variations."""
     mid = a + b
-    vm, root = _evaluate(seq, mid, 2 * den)
+    vm = _evaluate(seq, mid, 2 * den)[0]
     if vm > vb:
-        return mid, 2 * b, 2 * den, vm, vb, root
-    return 2 * a, mid, 2 * den, va, vm, root
+        return mid, 2 * b, 2 * den, vm, vb
+    return 2 * a, mid, 2 * den, va, vm
 
 
 def isolate_largest_root(p: IntPolynomial, lo=None, hi=None, seq=None):
@@ -333,15 +346,16 @@ def isolate_largest_root(p: IntPolynomial, lo=None, hi=None, seq=None):
         a, b, den, vb = 2 * a - den, 2 * a, 2 * den, va
         va = _evaluate(seq, a, den)[0]
     while va - vb > 1:
-        a, b, den, va, vb, _ = _halve(seq, a, b, den, va, vb)
+        a, b, den, va, vb = _halve(seq, a, b, den, va, vb)
     return Fraction(a, den), Fraction(b, den)
 
 
 def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float = 1e-12,
                 seq=None):
-    """Shrink an isolating interval (lo, hi] down to width <= tol by bisection
-    driven by Sturm counts, then return the midpoint as a float.  `seq`, when
-    given, is the Sturm chain of p.
+    """Shrink an isolating interval (lo, hi] down to width <= tol by bisection,
+    then return the midpoint as a float.  Sturm counts check that (lo, hi]
+    isolates one root; each halving then reads one sign.  `seq`, when given,
+    is the Sturm chain of p.
 
     tol is read as the nearest fraction with denominator <= 10^18, which must
     be positive: a tolerance below about 5e-19 rounds to 0 and raises
@@ -357,11 +371,21 @@ def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float = 1e-12
     if t <= 0:
         raise ValueError(f"tolerance {tol!r} rounds to {t} at denominators "
                          "up to 10^18; it must be positive")
+    # The first member f = p / gcd(p, p') is square-free, so its one root r
+    # in (a, b] is simple and f changes sign there and nowhere else in the
+    # bracket: the midpoint's sign against b's picks the half, as the Sturm
+    # counts would.  At r = b (sign 0 there) the right half is always kept.
+    f = seq[0]
+    sb = _scaled_value(f, b, _powers(den, len(f)))
     while (b - a) * t.denominator > t.numerator * den:
-        a, b, den, va, vb, root = _halve(seq, a, b, den, va, vb)
-        if root:
-            # the one root in the interval is the midpoint, now its right end
-            return b / den
+        mid, den = a + b, 2 * den
+        sm = _scaled_value(f, mid, _powers(den, len(f)))
+        if not sm:
+            return mid / den  # the midpoint is the root
+        if sb and (sm < 0) == (sb < 0):
+            a, b = 2 * a, mid
+        else:
+            a, b = mid, 2 * b
     return (a + b) / (2 * den)  # ints divide to the correctly rounded float
 
 
@@ -428,8 +452,8 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     va, vb = _evaluate(sp, a, da)[0], _evaluate(sp, b, da)[0]
     wc, wd = _evaluate(sq, c, dc)[0], _evaluate(sq, d, dc)[0]
     for _ in range(MAX_SEPARATION_STEPS):
-        a, b, da, va, vb, _ = _halve(sp, a, b, da, va, vb)
-        c, d, dc, wc, wd, _ = _halve(sq, c, d, dc, wc, wd)
+        a, b, da, va, vb = _halve(sp, a, b, da, va, vb)
+        c, d, dc, wc, wd = _halve(sq, c, d, dc, wc, wd)
         if b * dc <= c * da:
             return -1
         if d * da <= a * dc:

@@ -113,12 +113,20 @@ def graph_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     return spectral_radius(signless_laplacian(g), tol=tol)
 
 
+# Graphs per stacked eigensolve in `radii`, so that Q and the eigenvectors
+# held at once (2 * RADII_SLICE * n^2 floats) do not grow with the class.
+RADII_SLICE = 256
+
+
 def radii(graphs) -> list:
-    """Spectral radius of Q(g) for each graph in a list of same-order graphs,
-    from one stacked eigensolve; each equals graph_radius(g).radius exactly."""
-    if not graphs:
-        return []
-    return _top_eigenpairs(_q_stack(graphs), DEFAULT_TOL)[0].tolist()
+    """Spectral radius of Q(g) for each graph in a sequence of same-order
+    graphs, from one stacked eigensolve per RADII_SLICE graphs; each equals
+    graph_radius(g).radius exactly."""
+    out = []
+    for i in range(0, len(graphs), RADII_SLICE):
+        part = graphs[i:i + RADII_SLICE]
+        out += _top_eigenpairs(_q_stack(part), DEFAULT_TOL)[0].tolist()
+    return out
 
 
 def char_poly_int_rows(rows) -> IntPolynomial:

@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from cactiq.graph import Graph, from_edges, is_connected
+from cactiq.graph import Graph, canonical_code, from_edges, is_connected
 
 
 def all_labeled_graphs(n, min_edges=0, max_edges=None):
@@ -85,6 +85,37 @@ def cactus_by_definition(g: Graph) -> bool:
         if len(va & vb) > 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Endblock extension with every candidate built as a Graph
+# ---------------------------------------------------------------------------
+
+def extensions(g: Graph, n: int):
+    """All one-endblock extensions of g with order exactly n: the new vertices
+    g.order..n-1 closed into a cycle through each vertex v of g in turn.  With
+    one new vertex the two edges collapse into a pendant edge.
+
+    g is valid and its edges normalised, so each child is g's edges plus the
+    new path and its two closing edges (v, g.order) and (v, n - 1), all
+    already normalised, with no `from_edges` validation."""
+    k = g.order
+    path = g.edges.union(zip(range(k, n - 1), range(k + 1, n)))
+    for v in range(k):
+        yield Graph(n, path | {(v, k), (v, n - 1)})
+
+
+def scanned_level(n, smaller):
+    """(code, graph) for every cactus class on n vertices, the first
+    extension found in each class first: every candidate is built by
+    `extensions` and coded by a full `canonical_code`, scanning
+    smaller(1), ..., smaller(n - 1) in their own order."""
+    bucket = {}
+    for size in range(1, n):
+        for _, g in smaller(size):
+            for child in extensions(g, n):
+                bucket.setdefault(canonical_code(child).code, child)
+    return tuple(bucket.items())
 
 
 # ---------------------------------------------------------------------------

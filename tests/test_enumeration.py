@@ -1,15 +1,16 @@
+import hashlib
 from collections import Counter
 
 import pytest
 
-from cactiq import enumeration
+from cactiq import enumeration, graph6
 from cactiq.enumeration import (MAX_N, CactusFilter, count_cacti,
                                 enumerate_cacti, oracle_cacti)
 from cactiq.families import build_H
 from cactiq.graph import (are_isomorphic, canonical_code, from_edges,
                           is_cactus, matching_number, pendant_count)
 
-from oracles import cactus_counts
+from oracles import cactus_counts, extensions, scanned_level
 
 # counts of non-isomorphic cacti on n vertices (trees included)
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 23, 7: 63, 8: 188, 9: 596,
@@ -31,6 +32,10 @@ class TestCounts:
     def test_enumeration_matches_counting_oracle(self):
         assert [count_cacti(n) for n in range(1, MAX_N + 1)] == \
             cactus_counts(MAX_N)
+
+    def test_level_past_guard_matches_counting_oracle(self):
+        # _level has no guard; n = 11 runs in about a second
+        assert len(enumeration._level(MAX_N + 1)) == cactus_counts(MAX_N + 1)[-1]
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -55,6 +60,15 @@ class TestOutputProperties:
         a = enumerate_cacti(6)
         b = enumerate_cacti(6)
         assert [g.edges for g in a] == [g.edges for g in b]
+
+    def test_graph6_lines_pinned(self):
+        # every representative and its labelling, as `enumerate --n 1..10`
+        # prints them, fixed since the block-cut-tree canonical form
+        lines = "".join(graph6.encode(g) + "\n"
+                        for n in range(1, 11) for g in enumerate_cacti(n))
+        assert lines.count("\n") == sum(KNOWN_COUNTS.values())
+        assert hashlib.sha256(lines.encode("ascii")).hexdigest() == \
+            "b357b55604f0cc6967db596ed286a78c0976f2aea51259bf219f9b36a2358a33"
 
 
 class TestAgainstOracle:
@@ -114,7 +128,22 @@ class TestExtensions:
                         cyc = [v] + list(range(g.order, n))
                         want.append(from_edges(n, list(g.edges) + [
                             (cyc[i - 1], cyc[i]) for i in range(len(cyc))]))
-                    assert list(enumeration._extensions(g, n)) == want
+                    assert list(extensions(g, n)) == want
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_block_list_codes_equal_canonical_code(self, n):
+        for size in range(1, n):
+            for _, g in enumeration._level(size):
+                assert list(enumeration._child_codes(g, n)) == \
+                    [canonical_code(c).code for c in extensions(g, n)]
+
+    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
+    def test_first_found_representatives(self, n):
+        # each level against a scan that builds and fully codes every
+        # candidate of the smaller levels, checked at their own n
+        want = scanned_level(n, enumeration._level)
+        assert enumeration._level(n) == want
+        assert len(want) == KNOWN_COUNTS[n]
 
 
 class TestInvariantTable:

@@ -10,7 +10,7 @@ from cactiq.graph import (CACTUS_TAG, _search_code, block_decomposition,
 from cactiq.families import build_H, extremal_answer
 
 from oracles import (all_labeled_graphs, brute_isomorphic, brute_matching,
-                     cactus_by_definition)
+                     cactus_by_definition, extensions)
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -252,7 +252,7 @@ class TestCactusCode:
         # candidate of order n into the same classes
         cands = [child for size in range(1, n)
                  for _, g in enumeration._level(size)
-                 for child in enumeration._extensions(g, n)]
+                 for child in extensions(g, n)]
         fast, slow = {}, {}
         for i, g in enumerate(cands):
             a = fast.setdefault(canonical_code(g).code, i)

@@ -124,6 +124,21 @@ class TestRefineRoot:
     def test_exact_dyadic_root(self):
         assert refine_root(monomial_shift(4), 0, 8) == 4.0
 
+    @pytest.mark.parametrize("p, lo, hi", [
+        (monomial_shift(4), 0, 4),  # the root is the right end
+        (IntPolynomial((4, -1)), 0, 4),  # ... with p falling through it
+        (monomial_shift(4) ** 2 * monomial_shift(5), 0, 4),  # a double root
+        (monomial_shift(3) ** 3 * IntPolynomial((-2, 0, 1)), 2, 3),
+        (monomial_shift(3) * monomial_shift(10), 2, 4),  # the first midpoint
+        (IntPolynomial((-3, 2)) * monomial_shift(1), 1, 2),  # a root at lo
+        (IntPolynomial((-2, 0, 1)) * monomial_shift(5), 1, 2),
+    ])
+    def test_roots_on_ends_and_midpoints_match_fraction_bisection(
+            self, p, lo, hi):
+        tols = (0.5, 1e-3, 1e-12)
+        want = fraction_largest_roots(p.coeffs, lo, hi, tols)
+        assert [refine_root(p, lo, hi, tol) for tol in tols] == want
+
     @pytest.mark.parametrize("lo, hi", [(6, 8), (0, 4), (5, 5), (8, 0)])
     def test_no_root_rejected(self, lo, hi):
         with pytest.raises(ValueError):

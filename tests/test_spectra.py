@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from cactiq import spectra
 from cactiq.enumeration import enumerate_cacti
 from cactiq.families import build_H, build_L
 from cactiq.graph import from_edges, is_connected
@@ -86,6 +87,14 @@ class TestRadii:
         graphs = enumerate_cacti(n)
         want = [float(np.linalg.eigh(q_by_hand(g))[0][-1]) for g in graphs]
         assert radii(graphs) == want
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("size", [1, 64, 256, 500])
+    def test_slices_equal_whole_stack(self, monkeypatch, n, size):
+        graphs = enumerate_cacti(n)
+        whole = _top_eigenpairs(spectra._q_stack(graphs), 1e-12)[0].tolist()
+        monkeypatch.setattr(spectra, "RADII_SLICE", size)
+        assert radii(graphs) == whole
 
     def test_rejects_mixed_orders(self):
         with pytest.raises(ValueError):
