@@ -9,7 +9,10 @@ block list is the parent's plus that block: each parent gets one block DFS,
 each candidate is coded from its block list alone, and only the first
 candidate of each class is built as a `Graph`.  Output is sorted by canonical
 code.  The matching number and pendant count of each class are computed once
-per order, on the first filtered call, and filters read them from that table.
+per order, on the first filtered call, and filters read them from that table;
+`class_positions` gives a filtered class as indices into the full list, so
+per-class tables aligned with that list (such as the spectra in `verify`) are
+read through the same filter.
 """
 
 from __future__ import annotations
@@ -99,9 +102,10 @@ def _invariants(n: int) -> tuple:
                  for g in _all_cacti(n))
 
 
-def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:
-    """One representative per isomorphism class of cacti on n vertices meeting
-    the filter, in ascending canonical-code order.
+def class_positions(n: int, filt: CactusFilter | None = None):
+    """Indices into the full class list of order n (`enumerate_cacti(n)`) of
+    the classes meeting the filter, ascending: a range when there is no
+    filter, otherwise a tuple.
 
     An infeasible filter yields an empty sequence.
     """
@@ -113,9 +117,23 @@ def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:
     except ValueError:
         return ()
     if filt == CactusFilter():
-        return _all_cacti(n)
-    return tuple(g for g, inv in zip(_all_cacti(n), _invariants(n))
-                 if filt.admits(*inv))
+        return range(len(_all_cacti(n)))
+    return tuple(i for i, inv in enumerate(_invariants(n)) if filt.admits(*inv))
+
+
+def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:
+    """One representative per isomorphism class of cacti on n vertices meeting
+    the filter, in ascending canonical-code order.
+
+    An infeasible filter yields an empty sequence.
+    """
+    positions = class_positions(n, filt)
+    if not positions:
+        return ()
+    classes = _all_cacti(n)
+    if len(positions) == len(classes):
+        return classes
+    return tuple(classes[i] for i in positions)
 
 
 def count_cacti(n: int, filt: CactusFilter | None = None) -> int:

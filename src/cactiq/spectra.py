@@ -11,6 +11,7 @@ at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,7 @@ class SpectralResult:
 
 def _q_stack(graphs) -> np.ndarray:
     """Q of every graph as one (N, n, n) float array; all graphs share n."""
-    n = graphs[0].order if graphs else 0
-    if any(g.order != n for g in graphs):
-        raise ValueError("a stack of Q matrices needs graphs of one order")
+    n = graphs[0].order
     k, u, v = np.fromiter((x for i, g in enumerate(graphs) for e in g.edges
                            for x in (i, *e)), dtype=np.intp).reshape(-1, 3).T
     stack = np.zeros((len(graphs), n, n))
@@ -69,7 +68,12 @@ def _q_stack(graphs) -> np.ndarray:
 
 def _top_eigenpairs(stack: np.ndarray, tol: float):
     """Largest eigenvalue, its sign-fixed unit eigenvector and its residual
-    for every matrix of a symmetric (N, n, n) stack, as three arrays."""
+    for every matrix of a symmetric (N, n, n) stack, as three arrays.
+
+    The residual gate is max(tol, 1e-10) relative to max(1, |radius|); a tol
+    that is negative, nan or infinite raises ValueError."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     try:
         # eigh: the values-only solver's top eigenvalue differs in the last bits
         w, vecs = np.linalg.eigh(stack)
@@ -113,20 +117,33 @@ def graph_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     return spectral_radius(signless_laplacian(g), tol=tol)
 
 
-# Graphs per stacked eigensolve in `radii`, so that Q and the eigenvectors
-# held at once (2 * RADII_SLICE * n^2 floats) do not grow with the class.
+# Graphs per stacked eigensolve in `eigenpairs`, so that Q and the
+# eigenvectors held at once (2 * RADII_SLICE * n^2 floats) do not grow with
+# the list.
 RADII_SLICE = 256
+
+
+def eigenpairs(graphs, tol: float = DEFAULT_TOL):
+    """Spectral radius and Perron vector of Q(g) for each graph in a sequence
+    of same-order graphs, as an (N,) array and an (N, n) array of rows, from
+    one stacked eigensolve per RADII_SLICE graphs; row i equals
+    graph_radius(graphs[i], tol) exactly."""
+    n = graphs[0].order if graphs else 0
+    if any(g.order != n for g in graphs):
+        raise ValueError("a stack of Q matrices needs graphs of one order")
+    radius, perron = np.empty(len(graphs)), np.empty((len(graphs), n))
+    for i in range(0, len(graphs), RADII_SLICE):
+        part = graphs[i:i + RADII_SLICE]
+        radius[i:i + len(part)], perron[i:i + len(part)], _ = \
+            _top_eigenpairs(_q_stack(part), tol)
+    return radius, perron
 
 
 def radii(graphs) -> list:
     """Spectral radius of Q(g) for each graph in a sequence of same-order
-    graphs, from one stacked eigensolve per RADII_SLICE graphs; each equals
+    graphs, the radius column of `eigenpairs`; each equals
     graph_radius(g).radius exactly."""
-    out = []
-    for i in range(0, len(graphs), RADII_SLICE):
-        part = graphs[i:i + RADII_SLICE]
-        out += _top_eigenpairs(_q_stack(part), DEFAULT_TOL)[0].tolist()
-    return out
+    return eigenpairs(graphs)[0].tolist()
 
 
 def char_poly_int_rows(rows) -> IntPolynomial:

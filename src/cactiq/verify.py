@@ -5,6 +5,14 @@ Every entry point returns a VerificationReport that serializes to one JSON
 line.  Numeric acceptance is at 1e-9; every candidate whose radius lies within
 1e-7 of a class maximum is ranked by exact largest-root comparison of the
 characteristic polynomials.
+
+Numeric radii come from one table per order (`_class_spectra`): the radius
+and Perron vector of every class of `enumerate_cacti(n)`, solved once in
+stacked calls and held until `cache_clear`.  A filtered class reads its radii
+at its `class_positions`.  The monotonicity runs read each drawn graph's
+radius and Perron vector from the same tables, queue the surgery results and
+solve them RADII_SLICE instances at a time, stacked by order, before checking
+them in trial and property order.
 """
 
 from __future__ import annotations
@@ -12,17 +20,19 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from functools import cmp_to_key
-from itertools import zip_longest
+from functools import cmp_to_key, lru_cache
+from itertools import islice, zip_longest
 
 from . import graph6, spectra
-from .enumeration import CactusFilter, enumerate_cacti
+from .enumeration import CactusFilter, class_positions, enumerate_cacti
 from .families import (build_H, build_L, extremal_answer, psi_H, psi_L,
                        psi_legacy, superseded_conjecture_bound)
 from .graph import (Graph, canonical_code, from_edges, is_connected,
                     block_decomposition)
 from .polynomials import compare_largest_roots
-from .spectra import char_poly, graph_radius, signless_laplacian
+# graph_radius is not called here; perfbench's layer-trace self-test reads it
+# as cactiq.verify.graph_radius
+from .spectra import char_poly, graph_radius, signless_laplacian  # noqa: F401
 from .transforms import ShiftPlan, contract_pend, shift_neighbors
 
 RADIUS_TOL = 1e-9
@@ -76,13 +86,31 @@ def rank_certified(graphs, radii):
     return best, second, gap, tie
 
 
+@lru_cache(maxsize=None)
+def _class_spectra(n: int) -> tuple:
+    """Q-radius and Perron vector of every class of `enumerate_cacti(n)`, in
+    the same order: an (N,) and an (N, n) float array from one stacked
+    `spectra.eigenpairs` solve of the order."""
+    return spectra.eigenpairs(enumerate_cacti(n))
+
+
+def _class_radii(n: int, filt: CactusFilter):
+    """The classes of order n meeting the filter and their Q-radii, read from
+    the order's table at the classes' positions."""
+    positions = list(class_positions(n, filt))
+    if not positions:
+        return [], []
+    classes = enumerate_cacti(n)
+    return ([classes[i] for i in positions],
+            _class_spectra(n)[0][positions].tolist())
+
+
 def _rank_class(report: VerificationReport, n: int, filt: CactusFilter):
     """Record the class's certified maximizer, radius and runner-up gap in the
     report; return the maximizer, its radius, class size and exact-tie flag."""
-    graphs = list(enumerate_cacti(n, filt))
+    graphs, class_radii = _class_radii(n, filt)
     if not graphs:
         raise ValueError(f"no cacti match {report.parameters}")
-    class_radii = spectra.radii(graphs)
     best, _, report.runner_up_gap, tie = rank_certified(graphs, class_radii)
     report.observed_maximizer = graph6.encode(graphs[best])
     report.observed_radius = class_radii[best]
@@ -236,18 +264,23 @@ def _first_coeff_diff(a, b):
 # Monotonicity property suites
 # ---------------------------------------------------------------------------
 
-def _random_cactus(rng: random.Random, lo: int = 3, hi: int = 8) -> Graph:
+def _random_cactus(rng: random.Random, lo: int = 3, hi: int = 8):
+    """A class of a random order in lo..hi, with its Q-radius and Perron
+    vector read from the order's table."""
     n = rng.randint(lo, hi)
     pool = enumerate_cacti(n)
-    return pool[rng.randrange(len(pool))]
+    i = rng.randrange(len(pool))
+    radius, perron = _class_spectra(n)
+    return pool[i], float(radius[i]), perron[i]
 
 
 def _draw_shift_instance(rng: random.Random):
-    """A (graph, plan) pair meeting the neighbor-shift hypotheses, including
-    the Perron-label condition x_v <= x_u; invalid draws are redrawn."""
+    """A (graph, radius, plan) triple meeting the neighbor-shift hypotheses,
+    including the Perron-label condition x_v <= x_u; invalid draws are
+    redrawn."""
     while True:
-        g = _random_cactus(rng)
-        x = graph_radius(g).perron
+        g, q0, x = _random_cactus(rng)
+        x = x.tolist()
         verts = list(range(g.order))
         rng.shuffle(verts)
         for v in verts:
@@ -259,12 +292,14 @@ def _draw_shift_instance(rng: random.Random):
                     continue
                 take = rng.randint(1, len(cands))
                 moved = rng.sample(cands, take)
-                return g, ShiftPlan(v=v, u=u, moved=moved)
+                return g, q0, ShiftPlan(v=v, u=u, moved=moved)
 
 
 def _draw_contract_instance(rng: random.Random):
+    """A (graph, radius, edge) triple: a non-pendant edge whose endpoints
+    share no neighbor."""
     while True:
-        g = _random_cactus(rng)
+        g, q0, _ = _random_cactus(rng)
         edges = sorted(g.edges)
         rng.shuffle(edges)
         for u, v in edges:
@@ -272,7 +307,7 @@ def _draw_contract_instance(rng: random.Random):
                 continue
             if g.neighbors(u) & g.neighbors(v):
                 continue
-            return g, (u, v)
+            return g, q0, (u, v)
 
 
 def _delete_vertex(g: Graph, v: int) -> Graph:
@@ -283,53 +318,85 @@ def _delete_vertex(g: Graph, v: int) -> Graph:
 
 
 def _draw_subgraph_instance(rng: random.Random):
-    """A (G, H) pair with H a proper connected subgraph of G."""
+    """A (G, radius of G, H) triple with H a proper connected subgraph of G."""
     while True:
-        g = _random_cactus(rng)
+        g, q0, _ = _random_cactus(rng)
         if rng.random() < 0.5 and g.size > g.order - 1:
             edges = sorted(g.edges)
             rng.shuffle(edges)
             for e in edges:
                 h = from_edges(g.order, [x for x in edges if x != e])
                 if is_connected(h):
-                    return g, h
+                    return g, q0, h
         cuts = block_decomposition(g).cut_vertices
         options = [v for v in range(g.order) if v not in cuts]
         if g.order >= 3 and options:
-            return g, _delete_vertex(g, rng.choice(options))
+            return g, q0, _delete_vertex(g, rng.choice(options))
+
+
+def _instances(rng: random.Random, trials: int):
+    """(property, trial, G, radius of G, surgery result) for the three
+    properties of each trial in turn, drawn lazily from rng.  A result is
+    held as its (order, edges) pair, a fraction of its `Graph`'s memory,
+    until its batch is solved."""
+    for t in range(trials):
+        g, q0, plan = _draw_shift_instance(rng)
+        h = shift_neighbors(g, plan)
+        yield "neighbor_shift", t, g, q0, (h.order, h.edges)
+        g, q0, (u, v) = _draw_contract_instance(rng)
+        h = contract_pend(g, u, v)
+        yield "contract_pend", t, g, q0, (h.order, h.edges)
+        g, q0, h = _draw_subgraph_instance(rng)
+        yield "proper_subgraph", t, g, q0, (h.order, h.edges)
+
+
+def _radii_by_order(shapes) -> list:
+    """Q-radius of the graph of each (order, edges) pair, from one
+    `spectra.radii` call per order."""
+    by_order = {}
+    for i, (n, _) in enumerate(shapes):
+        by_order.setdefault(n, []).append(i)
+    out = [0.0] * len(shapes)
+    for n, idx in by_order.items():
+        graphs = [Graph(n, shapes[i][1]) for i in idx]
+        for i, r in zip(idx, spectra.radii(graphs)):
+            out[i] = r
+    return out
+
+
+def _violations(batch) -> list:
+    """Violation records of a batch of instances, in batch order."""
+    out = []
+    after = _radii_by_order([h for *_, h in batch])
+    for (prop, t, g, q0, h), q1 in zip(batch, after):
+        if prop == "proper_subgraph":
+            if q0 - q1 <= MONOTONE_MARGIN:
+                out.append({"property": prop, "trial": t,
+                            "graph": graph6.encode(g),
+                            "sub": graph6.encode(Graph(*h)),
+                            "whole": q0, "part": q1})
+        elif q1 - q0 <= MONOTONE_MARGIN:
+            out.append({"property": prop, "trial": t,
+                        "graph": graph6.encode(g), "before": q0, "after": q1})
+    return out
 
 
 def verify_monotonicity(trials: int = 200, seed: int = 42) -> VerificationReport:
     """Seeded random instances of the three monotonicity properties: neighbor
-    shift, contraction-plus-pendant, and proper-subgraph comparison."""
+    shift, contraction-plus-pendant, and proper-subgraph comparison.
+
+    Each drawn graph's radius comes from its order's class table; the surgery
+    results are solved RADII_SLICE instances at a time, stacked by order, and
+    checked in trial and property order."""
     if trials < 1:
         raise ValueError("trials >= 1 required")
-    rng = random.Random(seed)
     report = VerificationReport(claim="monotonicity",
                                 parameters={"trials": trials, "seed": seed})
     violations = []
-    for t in range(trials):
-        g, plan = _draw_shift_instance(rng)
-        q0 = graph_radius(g).radius
-        q1 = graph_radius(shift_neighbors(g, plan)).radius
-        if q1 - q0 <= MONOTONE_MARGIN:
-            violations.append({"property": "neighbor_shift", "trial": t,
-                               "graph": graph6.encode(g), "before": q0,
-                               "after": q1})
-        g, (u, v) = _draw_contract_instance(rng)
-        q0 = graph_radius(g).radius
-        q1 = graph_radius(contract_pend(g, u, v)).radius
-        if q1 - q0 <= MONOTONE_MARGIN:
-            violations.append({"property": "contract_pend", "trial": t,
-                               "graph": graph6.encode(g), "before": q0,
-                               "after": q1})
-        g, h = _draw_subgraph_instance(rng)
-        q0 = graph_radius(g).radius
-        q1 = graph_radius(h).radius
-        if q0 - q1 <= MONOTONE_MARGIN:
-            violations.append({"property": "proper_subgraph", "trial": t,
-                               "graph": graph6.encode(g), "sub": graph6.encode(h),
-                               "whole": q0, "part": q1})
+    instances = _instances(random.Random(seed), trials)
+    while batch := list(islice(instances, spectra.RADII_SLICE)):
+        violations += _violations(batch)
+        del batch  # release the solved batch before the next one is drawn
     report.passed = not violations
     report.counterexamples = violations
     report.details = {"comparisons": 3 * trials, "violations": len(violations)}

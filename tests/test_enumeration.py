@@ -4,8 +4,8 @@ from collections import Counter
 import pytest
 
 from cactiq import enumeration, graph6
-from cactiq.enumeration import (MAX_N, CactusFilter, count_cacti,
-                                enumerate_cacti, oracle_cacti)
+from cactiq.enumeration import (MAX_N, CactusFilter, class_positions,
+                                count_cacti, enumerate_cacti, oracle_cacti)
 from cactiq.families import build_H
 from cactiq.graph import (are_isomorphic, canonical_code, from_edges,
                           is_cactus, matching_number, pendant_count)
@@ -101,6 +101,21 @@ class TestFilters:
     def test_infeasible_filter_empty(self):
         assert enumerate_cacti(5, CactusFilter(matching=9)) == ()
         assert enumerate_cacti(5, CactusFilter(pendants=7)) == ()
+        assert class_positions(5, CactusFilter(matching=9)) == ()
+
+    @pytest.mark.parametrize("n", [1, 6, 9])
+    def test_positions_index_the_full_list(self, n):
+        classes = enumerate_cacti(n)
+        assert class_positions(n) == range(len(classes))
+        for filt in ([CactusFilter(matching=m) for m in range(1, n // 2 + 1)]
+                     + [CactusFilter(pendants=k) for k in range(n + 1)]):
+            positions = class_positions(n, filt)
+            assert list(positions) == sorted(set(positions))
+            assert tuple(classes[i] for i in positions) == \
+                enumerate_cacti(n, filt)
+            assert all(matching_number(classes[i]).size == filt.matching
+                       or pendant_count(classes[i]) == filt.pendants
+                       for i in positions)
 
     # Over every feasible value a filter picks each class exactly once.
     @pytest.mark.parametrize("n", range(2, MAX_N + 1))

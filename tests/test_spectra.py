@@ -10,8 +10,8 @@ from cactiq.families import build_H, build_L
 from cactiq.graph import from_edges, is_connected
 from cactiq.polynomials import IntPolynomial, count_roots
 from cactiq.spectra import (DenseSymMatrix, _top_eigenpairs, char_poly,
-                            char_poly_int_rows, graph_radius, radii,
-                            signless_laplacian, spectral_radius)
+                            char_poly_int_rows, eigenpairs, graph_radius,
+                            radii, signless_laplacian, spectral_radius)
 from oracles import faddeev_leverrier
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -61,6 +61,19 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(DenseSymMatrix.from_int_rows([[0, 1], [0, 0]]))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_rejects_non_finite_or_negative_tol(self, tol):
+        # nan or inf would switch the residual check off
+        with pytest.raises(ValueError, match="tol"):
+            graph_radius(C3, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            spectral_radius(signless_laplacian(C3), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            eigenpairs([C3], tol=tol)
+
+    def test_zero_tol_uses_the_floor(self):
+        assert graph_radius(C3, tol=0.0) == graph_radius(C3)
+
     def test_perron_positive_and_unit(self):
         rng = random.Random(13)
         for _ in range(50):
@@ -102,6 +115,29 @@ class TestRadii:
 
     def test_empty(self):
         assert radii([]) == []
+
+    def test_eigenpairs_equal_graph_radius(self):
+        # the one-graph solve is the oracle for the stacked radii and rows
+        for n in range(1, 9):
+            graphs = enumerate_cacti(n)
+            radius, perron = eigenpairs(graphs)
+            assert perron.shape == (len(graphs), n)
+            for g, r, x in zip(graphs, radius.tolist(), perron.tolist()):
+                want = graph_radius(g)
+                assert r == want.radius
+                assert tuple(x) == want.perron
+
+    def test_eigenpairs_slices_equal_whole_stack(self, monkeypatch):
+        graphs = enumerate_cacti(9)
+        whole = _top_eigenpairs(spectra._q_stack(graphs), 1e-12)
+        monkeypatch.setattr(spectra, "RADII_SLICE", 100)
+        radius, perron = eigenpairs(graphs)
+        assert radius.tolist() == whole[0].tolist()
+        assert perron.tolist() == whole[1].tolist()
+
+    def test_eigenpairs_empty(self):
+        radius, perron = eigenpairs([])
+        assert radius.shape == (0,) and perron.shape == (0, 0)
 
     def test_residual_check_names_the_matrix(self):
         # eigh reads one triangle only, so a non-symmetric member leaves a

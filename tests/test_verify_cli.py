@@ -1,12 +1,15 @@
+import hashlib
 import json
 import math
+import random
 
 import pytest
 
-from cactiq import graph6, verify
+from cactiq import graph6, spectra, verify
 from cactiq.cli import main
 from cactiq.enumeration import CactusFilter, enumerate_cacti
 from cactiq.spectra import graph_radius
+from cactiq.transforms import contract_pend, shift_neighbors
 from cactiq.verify import (rank_certified, verify_conjecture11_negative,
                            verify_extremal, verify_formulas,
                            verify_monotonicity)
@@ -168,7 +171,91 @@ class TestFormulas:
             verify_formulas(25)
 
 
+class TestClassSpectra:
+    """The per-order table against one `graph_radius` solve per graph."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_class_radii_equal_graph_radius(self, n):
+        want = {id(g): graph_radius(g).radius for g in enumerate_cacti(n)}
+        filters = [CactusFilter()]
+        filters += [CactusFilter(matching=m) for m in range(1, n // 2 + 1)]
+        filters += [CactusFilter(pendants=k) for k in range(n + 1)]
+        for filt in filters:
+            graphs, got = verify._class_radii(n, filt)
+            assert graphs == list(enumerate_cacti(n, filt))
+            assert got == [want[id(g)] for g in graphs]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_perron_rows_equal_graph_radius(self, n):
+        _, perron = verify._class_spectra(n)
+        assert [tuple(row) for row in perron.tolist()] == \
+            [graph_radius(g).perron for g in enumerate_cacti(n)]
+
+
+# sha256 of verify_monotonicity(trials, seed).to_json(), recorded when every
+# radius was a separate graph_radius call
+MONOTONICITY_PINS = {
+    (200, 42): "ae709192e10a2aca2b9dd4c68db7e78afc91ac8d0d94cbe8e388850f4b67ce61",
+    (200, 1): "9b7afa6d74ead7e495d4ffa4f033aeb32d2d8c9fdb6a094d71ce5e1faa1d223d",
+    (1000, 1): "5244526ddc5e197b4f7191eba0460a568d9aa2707a2959e05b39e4da3530929c",
+}
+
+
+def _sha(report):
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
 class TestMonotonicity:
+    @pytest.mark.parametrize("trials, seed", sorted(MONOTONICITY_PINS))
+    def test_pinned_reports(self, trials, seed):
+        first = _sha(verify_monotonicity(trials, seed))
+        verify._class_spectra.cache_clear()
+        assert _sha(verify_monotonicity(trials, seed)) == first
+        assert first == MONOTONICITY_PINS[trials, seed]
+
+    def test_stacked_solves_cold(self, monkeypatch):
+        # one solve per radius would take about 1,500 calls
+        calls = []
+        solve = spectra._top_eigenpairs
+
+        def counting(stack, tol):
+            calls.append(len(stack))
+            return solve(stack, tol)
+
+        monkeypatch.setattr(spectra, "_top_eigenpairs", counting)
+        verify._class_spectra.cache_clear()
+        verify_monotonicity(200, 42)
+        assert len(calls) < 30
+        # six order tables (n = 3..8) plus the surgery results, no stack
+        # larger than a slice
+        assert sum(calls) == sum(map(len, map(enumerate_cacti, range(3, 9)))) + 600
+        assert max(calls) <= spectra.RADII_SLICE
+
+    def test_violations_in_trial_and_property_order(self, monkeypatch):
+        # an infinite margin makes every comparison a violation, so the report
+        # lists every instance; one graph_radius call per radius is the oracle
+        monkeypatch.setattr(verify, "MONOTONE_MARGIN", math.inf)
+        monkeypatch.setattr(spectra, "RADII_SLICE", 7)  # several batches
+        got = verify_monotonicity(trials=12, seed=9).counterexamples
+        rng, want = random.Random(9), []
+        for t in range(12):
+            g, _, plan = verify._draw_shift_instance(rng)
+            want.append({"property": "neighbor_shift", "trial": t,
+                         "graph": graph6.encode(g),
+                         "before": graph_radius(g).radius,
+                         "after": graph_radius(shift_neighbors(g, plan)).radius})
+            g, _, (u, v) = verify._draw_contract_instance(rng)
+            want.append({"property": "contract_pend", "trial": t,
+                         "graph": graph6.encode(g),
+                         "before": graph_radius(g).radius,
+                         "after": graph_radius(contract_pend(g, u, v)).radius})
+            g, _, h = verify._draw_subgraph_instance(rng)
+            want.append({"property": "proper_subgraph", "trial": t,
+                         "graph": graph6.encode(g), "sub": graph6.encode(h),
+                         "whole": graph_radius(g).radius,
+                         "part": graph_radius(h).radius})
+        assert got == want
+
     def test_small_run_passes(self):
         r = verify_monotonicity(trials=30, seed=7)
         assert r.passed
@@ -229,6 +316,17 @@ class TestCli:
         assert main(["radius", "--graph6", g6]) == 0
         got = float(capsys.readouterr().out.strip())
         assert got == pytest.approx((7 + math.sqrt(17)) / 2, abs=1e-10)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-12"])
+    def test_radius_bad_tol_exit_2(self, tol, capsys):
+        assert main(["radius", "--graph6", "Bw", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be finite and >= 0")
+
+    def test_radius_zero_tol(self, capsys):
+        assert main(["radius", "--graph6", "Bw", "--tol", "0"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(4, abs=1e-12)
 
     def test_charpoly_subcommand(self, capsys):
         assert main(["charpoly", "--graph6", "Bw"]) == 0  # triangle
