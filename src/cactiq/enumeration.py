@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import (CACTUS_TAG, Graph, _cactus_blocks, _cactus_code,
-                    canonical_code, from_edges, is_cactus, matching_number,
-                    pendant_count)
+from .graph import (Graph, _cactus_blocks, _cactus_code, canonical_code,
+                    from_edges, matching_number, pendant_count)
 
 MAX_N = 10
 
@@ -33,11 +32,10 @@ class CactusFilter:
     matching: int | None = None
     pendants: int | None = None
 
-    def validate(self, n: int) -> None:
-        if self.matching is not None and not 1 <= self.matching <= n // 2:
-            raise ValueError(f"matching filter {self.matching} out of range for n = {n}")
-        if self.pendants is not None and not 0 <= self.pendants <= n:
-            raise ValueError(f"pendant filter {self.pendants} out of range for n = {n}")
+    def feasible(self, n: int) -> bool:
+        """Whether some graph on n vertices could meet both constraints."""
+        return ((self.matching is None or 1 <= self.matching <= n // 2)
+                and (self.pendants is None or 0 <= self.pendants <= n))
 
     def admits(self, matching: int, pendants: int) -> bool:
         """Whether a class with this matching number and pendant count
@@ -58,7 +56,7 @@ def _child_codes(g: Graph, n: int):
     blocks = _cactus_blocks(g)
     path = list(range(g.order, n))
     for v in range(g.order):
-        yield CACTUS_TAG + _cactus_code(n, blocks + [[v] + path])
+        yield _cactus_code(n, blocks + [[v] + path])
 
 
 @lru_cache(maxsize=None)
@@ -87,8 +85,6 @@ def _level(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _all_cacti(n: int) -> tuple:
     """All non-isomorphic cacti on exactly n vertices, sorted by code."""
-    if n < 1:
-        return ()
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the enumeration guard {MAX_N}")
     return tuple(g for _, g in sorted(_level(n), key=lambda item: item[0]))
@@ -112,9 +108,7 @@ def class_positions(n: int, filt: CactusFilter | None = None):
     if n < 1:
         raise ValueError("n >= 1 required")
     filt = filt or CactusFilter()
-    try:
-        filt.validate(n)
-    except ValueError:
+    if not filt.feasible(n):
         return ()
     if filt == CactusFilter():
         return range(len(_all_cacti(n)))
@@ -139,22 +133,3 @@ def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:
 def count_cacti(n: int, filt: CactusFilter | None = None) -> int:
     return len(enumerate_cacti(n, filt))
 
-
-def oracle_cacti(n: int) -> tuple:
-    """Exhaustive edge-subset oracle (test-grade, n <= 6): every labeled graph
-    on n vertices, filtered for connected cactus, deduplicated by canonical
-    code.  Independent of the endblock generator."""
-    if n > 6:
-        raise ValueError("oracle limited to n <= 6")
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    # a cactus on n vertices has between n-1 and 3(n-1)/2 edges
-    lo, hi = n - 1, 3 * (n - 1) // 2
-    out = {}
-    for mask in range(1 << len(pairs)):
-        if not lo <= mask.bit_count() <= hi:
-            continue
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = from_edges(n, edges)
-        if is_cactus(g):
-            out.setdefault(canonical_code(g).code, g)
-    return tuple(out[c] for c in sorted(out))

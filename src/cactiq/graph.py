@@ -2,20 +2,18 @@
 predicates and invariants the rest of the toolkit relies on.
 
 One iterative biconnected DFS (`_biconnected`) gives the blocks, the cut
-vertices and connectivity; block decomposition, the cactus and bundle tests
-and the choice of canonical code all rest on it.  Cacti get a near-linear
-canonical code from their vertex-block tree, encoded bottom-up from its
-centre; every other graph gets the refinement search (`_search_code`).
-The same block list gives a cactus its maximum matching in linear time, by
-peeling endblocks in DFS post-order (`_peel_matching`); only a non-cactus
-still goes to networkx's blossom matching.
+vertices and connectivity; block decomposition and the cactus test serve any
+graph.  The rest is defined on cacti only, and every path is polynomial:
+`_cactus_blocks` reads a cactus's blocks off that DFS, or raises ValueError
+saying why the graph is not a cactus.  From those blocks a cactus gets a
+near-linear canonical code from its vertex-block tree, encoded bottom-up
+from its centre, and its maximum matching in linear time, by peeling
+endblocks in DFS post-order (`_peel_matching`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 MAX_ORDER = 64
 
@@ -60,12 +58,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(order={self.order}, edges={sorted(self.edges)})"
 
-    def to_networkx(self) -> "nx.Graph":
-        g = nx.Graph()
-        g.add_nodes_from(range(self.order))
-        g.add_edges_from(self.edges)
-        return g
-
 
 @dataclass(frozen=True)
 class MatchingResult:
@@ -83,7 +75,8 @@ class BlockDecomposition:
 
 @dataclass(frozen=True)
 class CanonicalCode:
-    """Relabeling-invariant octet code; equal iff the graphs are isomorphic."""
+    """Relabeling-invariant octet code of a cactus; equal iff the cacti are
+    isomorphic."""
     code: bytes
 
     def __lt__(self, other):
@@ -192,12 +185,15 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         cut_vertices=frozenset(cuts))
 
 
-def _cactus_blocks(g: Graph):
-    """The blocks of g as vertex lists, a cycle's in cyclic order, when g is
-    a cactus; None otherwise."""
+def _cactus_blocks(g: Graph) -> list:
+    """The blocks of the cactus g as vertex lists, a cycle's in cyclic order.
+
+    Raises ValueError when g is not a cactus, saying that it is disconnected
+    or naming the vertices of a block that is neither an edge nor a cycle.
+    """
     blocks, _, connected = _biconnected(g)
     if not connected:
-        return None
+        raise ValueError("not a cactus: the graph is disconnected")
     out = []
     for b in blocks:
         if len(b) == 1:
@@ -206,7 +202,9 @@ def _cactus_blocks(g: Graph):
         # a biconnected block is a cycle exactly when |E| = |V|
         tails = [v for v, _ in b]
         if len(set(tails)) != len(b):
-            return None
+            raise ValueError(
+                f"not a cactus: the block on vertices {sorted(set(tails))} "
+                "is neither an edge nor a cycle")
         out.append(tails)
     return out
 
@@ -214,7 +212,11 @@ def _cactus_blocks(g: Graph):
 def is_cactus(g: Graph) -> bool:
     """True iff g is connected and every biconnected block is an edge or a
     cycle (equivalently: any two cycles share at most one vertex)."""
-    return _cactus_blocks(g) is not None
+    try:
+        _cactus_blocks(g)
+    except ValueError:
+        return False
+    return True
 
 
 def is_bundle(g: Graph) -> bool:
@@ -224,8 +226,6 @@ def is_bundle(g: Graph) -> bool:
     non-cactus input.
     """
     blocks = _cactus_blocks(g)
-    if blocks is None:
-        raise ValueError("is_bundle requires a cactus")
     cycle_vertex_sets = [frozenset(b) for b in blocks if len(b) >= 3]
     if len(cycle_vertex_sets) <= 1:
         return True
@@ -267,18 +267,13 @@ def _peel_matching(n: int, blocks) -> list:
 
 
 def matching_number(g: Graph) -> MatchingResult:
-    """Maximum matching of g, with a witnessing edge set.
+    """Maximum matching of the cactus g, with a witnessing edge set.
 
-    A cactus is matched in linear time by endblock peeling over the blocks of
-    one biconnected DFS (`_peel_matching`).  Any other graph (disconnected,
-    or with a block that is neither an edge nor a cycle) goes to networkx's
-    blossom matching.
+    Matched in linear time by endblock peeling over the blocks of one
+    biconnected DFS (`_peel_matching`).  Raises ValueError on non-cactus
+    input.
     """
-    blocks = _cactus_blocks(g)
-    if blocks is None:
-        pairs = nx.max_weight_matching(g.to_networkx(), maxcardinality=True)
-    else:
-        pairs = _peel_matching(g.order, blocks)
+    pairs = _peel_matching(g.order, _cactus_blocks(g))
     witness = frozenset(_norm_edge(u, v) for u, v in pairs)
     return MatchingResult(size=len(witness), witness=witness)
 
@@ -291,25 +286,6 @@ def pendant_count(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # Canonical codes
 # ---------------------------------------------------------------------------
-
-def _refined_colors(g: Graph) -> list:
-    """Iterated neighborhood refinement; color ids are isomorphism-invariant."""
-    n = g.order
-    ranks = {d: i for i, d in enumerate(sorted({g.degree(v) for v in range(n)}))}
-    colors = [ranks[g.degree(v)] for v in range(n)]
-    while True:
-        keys = [(colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-                for v in range(n)]
-        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [ranks[k] for k in keys]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
-
-
-# Cactus codes start with this byte; search codes start with the order, 1..64.
-CACTUS_TAG = b"\x00"
-
 
 def _cactus_code(n: int, blocks) -> bytes:
     """AHU code of the vertex-block incidence tree of a cactus, rooted at its
@@ -385,75 +361,17 @@ def _block_code(verts, p: int, code) -> bytes:
 
 
 def canonical_code(g: Graph) -> CanonicalCode:
-    """Relabeling-invariant code of g; equal codes mean isomorphic graphs.
+    """Relabeling-invariant code of the cactus g; equal codes mean isomorphic
+    cacti.
 
-    One biconnected DFS picks the path.  A cactus gets the tag byte and the
-    centre-rooted code of its vertex-block tree (`_cactus_code`), in time
-    near linear in the order.  Any other graph gets `_search_code`, which is
-    exponential in the worst case.  The two code spaces are disjoint.
+    It is the centre-rooted code of the vertex-block tree (`_cactus_code`)
+    over the blocks of one biconnected DFS, in time near linear in the
+    order.  Raises ValueError on non-cactus input.
     """
-    blocks = _cactus_blocks(g)
-    if blocks is not None:
-        return CanonicalCode(CACTUS_TAG + _cactus_code(g.order, blocks))
-    return _search_code(g)
-
-
-def _search_code(g: Graph) -> CanonicalCode:
-    """Order byte, then the lexicographically minimal adjacency bitstring over
-    all relabelings that respect the refinement coloring.
-
-    The search keeps a frontier of partial labelings whose emitted bits are
-    identical so far and extends greedily, so the result is the true minimum.
-    """
-    n = g.order
-    colors = _refined_colors(g)
-    target = sorted(colors)  # color required at each position
-    by_color = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-
-    frontier = [()]
-    bits = []
-    for i in range(n):
-        want = target[i]
-        best_row = None
-        nxt = []
-        for perm in frontier:
-            used = set(perm)
-            for v in by_color[want]:
-                if v in used:
-                    continue
-                row = tuple(1 if p in g.neighbors(v) else 0 for p in perm)
-                if best_row is None or row < best_row:
-                    best_row = row
-                    nxt = [perm + (v,)]
-                elif row == best_row:
-                    nxt.append(perm + (v,))
-        # dedup prefixes whose remaining search space emits identical bits:
-        # only adjacency of placed vertices to unused ones matters from here on
-        seen = set()
-        frontier = []
-        for perm in nxt:
-            used = set(perm)
-            key = (frozenset(used),
-                   tuple(frozenset(g.neighbors(p) - used) for p in perm))
-            if key not in seen:
-                seen.add(key)
-                frontier.append(perm)
-        bits.extend(best_row or ())
-
-    packed = bytearray([n])
-    acc, k = 0, 0
-    for b in bits:
-        acc = (acc << 1) | b
-        k += 1
-        if k == 8:
-            packed.append(acc)
-            acc, k = 0, 0
-    if k:
-        packed.append(acc << (8 - k))
-    return CanonicalCode(bytes(packed))
+    return CanonicalCode(_cactus_code(g.order, _cactus_blocks(g)))
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
+    """Whether the cacti a and b are isomorphic.  Raises ValueError when
+    either is not a cactus."""
     return canonical_code(a) == canonical_code(b)

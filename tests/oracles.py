@@ -9,7 +9,10 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from cactiq.graph import Graph, canonical_code, from_edges, is_connected
+import networkx as nx
+
+from cactiq.graph import (Graph, canonical_code, from_edges, is_cactus,
+                          is_connected)
 
 
 def all_labeled_graphs(n, min_edges=0, max_edges=None):
@@ -85,6 +88,107 @@ def cactus_by_definition(g: Graph) -> bool:
         if len(va & vb) > 1:
             return False
     return True
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    """g as a networkx graph on the same vertex indices."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges)
+    return h
+
+
+# ---------------------------------------------------------------------------
+# Canonical code of any graph by refinement-pruned search (exponential in
+# the worst case); an oracle for the cactus code, which shares nothing with it
+# ---------------------------------------------------------------------------
+
+def _refined_colors(g: Graph) -> list:
+    """Iterated neighborhood refinement; color ids are isomorphism-invariant."""
+    n = g.order
+    ranks = {d: i for i, d in enumerate(sorted({g.degree(v) for v in range(n)}))}
+    colors = [ranks[g.degree(v)] for v in range(n)]
+    while True:
+        keys = [(colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+                for v in range(n)]
+        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [ranks[k] for k in keys]
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
+
+
+def search_code(g: Graph) -> bytes:
+    """Order byte, then the lexicographically minimal adjacency bitstring over
+    all relabelings that respect the refinement coloring; equal codes mean
+    isomorphic graphs, for any graph.
+
+    The search keeps a frontier of partial labelings whose emitted bits are
+    identical so far and extends greedily, so the result is the true minimum.
+    """
+    n = g.order
+    colors = _refined_colors(g)
+    target = sorted(colors)  # color required at each position
+    by_color = {}
+    for v in range(n):
+        by_color.setdefault(colors[v], []).append(v)
+
+    frontier = [()]
+    bits = []
+    for i in range(n):
+        want = target[i]
+        best_row = None
+        nxt = []
+        for perm in frontier:
+            used = set(perm)
+            for v in by_color[want]:
+                if v in used:
+                    continue
+                row = tuple(1 if p in g.neighbors(v) else 0 for p in perm)
+                if best_row is None or row < best_row:
+                    best_row = row
+                    nxt = [perm + (v,)]
+                elif row == best_row:
+                    nxt.append(perm + (v,))
+        # dedup prefixes whose remaining search space emits identical bits:
+        # only adjacency of placed vertices to unused ones matters from here on
+        seen = set()
+        frontier = []
+        for perm in nxt:
+            used = set(perm)
+            key = (frozenset(used),
+                   tuple(frozenset(g.neighbors(p) - used) for p in perm))
+            if key not in seen:
+                seen.add(key)
+                frontier.append(perm)
+        bits.extend(best_row or ())
+
+    packed = bytearray([n])
+    acc, k = 0, 0
+    for b in bits:
+        acc = (acc << 1) | b
+        k += 1
+        if k == 8:
+            packed.append(acc)
+            acc, k = 0, 0
+    if k:
+        packed.append(acc << (8 - k))
+    return bytes(packed)
+
+
+def oracle_cacti(n: int) -> tuple:
+    """Exhaustive edge-subset oracle (n <= 6): every labeled graph on n
+    vertices, filtered for connected cactus, one per `search_code`, in
+    ascending search-code order.  Independent of the endblock generator and
+    of the cactus code."""
+    if n > 6:
+        raise ValueError("oracle limited to n <= 6")
+    # a cactus on n vertices has between n-1 and 3(n-1)/2 edges
+    out = {}
+    for g in all_labeled_graphs(n, n - 1, 3 * (n - 1) // 2):
+        if is_cactus(g):
+            out.setdefault(search_code(g), g)
+    return tuple(out[c] for c in sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ import pytest
 
 from cactiq import enumeration, graph6
 from cactiq.enumeration import (MAX_N, CactusFilter, class_positions,
-                                count_cacti, enumerate_cacti, oracle_cacti)
+                                count_cacti, enumerate_cacti)
 from cactiq.families import build_H
 from cactiq.graph import (are_isomorphic, canonical_code, from_edges,
                           is_cactus, matching_number, pendant_count)
 
-from oracles import cactus_counts, extensions, scanned_level
+from oracles import cactus_counts, extensions, oracle_cacti, scanned_level
 
 # counts of non-isomorphic cacti on n vertices (trees included)
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 23, 7: 63, 8: 188, 9: 596,
@@ -78,7 +78,7 @@ class TestAgainstOracle:
         want = oracle_cacti(n)
         assert len(got) == len(want)
         assert [canonical_code(g).code for g in got] == \
-            [canonical_code(g).code for g in want]
+            sorted(canonical_code(g).code for g in want)
 
 
 class TestFilters:

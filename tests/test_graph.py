@@ -4,19 +4,22 @@ import networkx as nx
 import pytest
 
 from cactiq import enumeration
-from cactiq.graph import (CACTUS_TAG, _search_code, block_decomposition,
+from cactiq.graph import (are_isomorphic, block_decomposition,
                           canonical_code, from_edges, is_bundle, is_cactus,
-                          matching_number, pendant_count)
+                          is_connected, matching_number, pendant_count)
 from cactiq.families import build_H, extremal_answer
 
 from oracles import (all_labeled_graphs, brute_isomorphic, brute_matching,
-                     cactus_by_definition, extensions)
+                     cactus_by_definition, extensions, search_code,
+                     to_networkx)
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
 S4 = from_edges(4, [(0, 1), (0, 2), (0, 3)])
 BOWTIE = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 DIAMOND = from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+K4 = from_edges(4, [(i, j) for j in range(4) for i in range(j)])
+NOT_A_CACTUS = "not a cactus"
 
 
 class TestFromEdges:
@@ -80,7 +83,7 @@ class TestBlockDecomposition:
     def test_matches_networkx(self, n):
         # every labelled graph, disconnected ones and isolated vertices included
         for g in all_labeled_graphs(n):
-            G = g.to_networkx()
+            G = to_networkx(g)
             want = {frozenset((min(u, v), max(u, v)) for u, v in comp)
                     for comp in nx.biconnected_component_edges(G)}
             got = block_decomposition(g)
@@ -126,17 +129,25 @@ class TestMatching:
             seen.update((u, v))
         assert len(res.witness) == res.size
 
+    @staticmethod
+    def check(g):
+        # a cactus against the subset oracle; anything else raises
+        if is_cactus(g):
+            assert matching_number(g).size == brute_matching(g), g
+        else:
+            with pytest.raises(ValueError, match=NOT_A_CACTUS):
+                matching_number(g)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_against_subset_oracle_exhaustive(self, n):
         for g in all_labeled_graphs(n):
-            assert matching_number(g).size == brute_matching(g), g
+            self.check(g)
 
     def test_against_subset_oracle_random_n6(self):
         rng = random.Random(11)
         pairs = [(i, j) for j in range(6) for i in range(j)]
         for _ in range(300):
-            g = from_edges(6, [e for e in pairs if rng.random() < 0.4])
-            assert matching_number(g).size == brute_matching(g), g
+            self.check(from_edges(6, [e for e in pairs if rng.random() < 0.4]))
 
 
 def _random_cactus(n, rng):
@@ -174,7 +185,7 @@ class TestCactusMatching:
     def test_against_networkx_every_cactus_to_10(self):
         for n in range(1, 11):
             for g in enumeration.enumerate_cacti(n):
-                want = nx.max_weight_matching(g.to_networkx(), maxcardinality=True)
+                want = nx.max_weight_matching(to_networkx(g), maxcardinality=True)
                 self.check(g, matching_number(g), len(want))
 
     def test_against_networkx_random_cacti_to_64(self):
@@ -182,7 +193,7 @@ class TestCactusMatching:
         for _ in range(150):
             g = _random_cactus(rng.randrange(11, 65), rng)
             assert is_cactus(g)
-            want = nx.max_weight_matching(g.to_networkx(), maxcardinality=True)
+            want = nx.max_weight_matching(to_networkx(g), maxcardinality=True)
             self.check(g, matching_number(g), len(want))
 
 
@@ -206,10 +217,15 @@ class TestCanonicalCode:
         assert canonical_code(P4) != canonical_code(S4)
 
     def test_connected_graphs_on_4(self):
-        from cactiq.graph import is_connected
-        codes = {canonical_code(g).code
-                 for g in all_labeled_graphs(4) if is_connected(g)}
-        assert len(codes) == 6
+        # P4, the star, C4 and the paw are cacti; K4 and the diamond are not
+        connected = [g for g in all_labeled_graphs(4) if is_connected(g)]
+        codes = {canonical_code(g).code for g in connected if is_cactus(g)}
+        assert len(codes) == 4
+        for g in connected:
+            if not is_cactus(g):
+                assert brute_isomorphic(g, K4) or brute_isomorphic(g, DIAMOND)
+                with pytest.raises(ValueError, match=NOT_A_CACTUS):
+                    canonical_code(g)
 
     def test_random_relabelings(self):
         rng = random.Random(3)
@@ -220,7 +236,11 @@ class TestCanonicalCode:
             perm = list(range(n))
             rng.shuffle(perm)
             h = from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
-            assert canonical_code(g) == canonical_code(h)
+            if is_cactus(g):
+                assert canonical_code(g) == canonical_code(h)
+            else:
+                with pytest.raises(ValueError, match=NOT_A_CACTUS):
+                    canonical_code(h)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_agrees_with_permutation_search(self, n):
@@ -228,15 +248,22 @@ class TestCanonicalCode:
         for g in all_labeled_graphs(n):
             if not any(brute_isomorphic(g, r) for r in reps):
                 reps.append(g)
-        codes = [canonical_code(g).code for g in reps]
-        assert len(set(codes)) == len(reps)
+        cacti = [g for g in reps if is_cactus(g)]
+        codes = [canonical_code(g).code for g in cacti]
+        assert len(set(codes)) == len(cacti) > 0
+        for g in reps:
+            if not is_cactus(g):
+                with pytest.raises(ValueError, match=NOT_A_CACTUS):
+                    canonical_code(g)
 
     def test_nonisomorphic_pairs_n6_sample(self):
-        # same degree sequence, different structure: C6 vs two triangles
-        c6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-        two = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert not brute_isomorphic(c6, two)
-        assert canonical_code(c6) != canonical_code(two)
+        # same degree sequence, different structure: C4 with pendant edges at
+        # two adjacent vertices vs at two opposite ones
+        adjacent = from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5)])
+        opposite = from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 5)])
+        assert adjacent.degree_sequence() == opposite.degree_sequence()
+        assert not brute_isomorphic(adjacent, opposite)
+        assert canonical_code(adjacent) != canonical_code(opposite)
 
 
 def _relabelled(g, rng):
@@ -248,15 +275,15 @@ def _relabelled(g, rng):
 class TestCactusCode:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_same_partition_as_search(self, n):
-        # the tree code and the refinement search split every extension
-        # candidate of order n into the same classes
+        # the tree code and the refinement search oracle split every
+        # extension candidate of order n into the same classes
         cands = [child for size in range(1, n)
                  for _, g in enumeration._level(size)
                  for child in extensions(g, n)]
         fast, slow = {}, {}
         for i, g in enumerate(cands):
             a = fast.setdefault(canonical_code(g).code, i)
-            b = slow.setdefault(_search_code(g).code, i)
+            b = slow.setdefault(search_code(g), i)
             assert a == b, g
 
     def test_extremal_maximizers_to_order_64(self):
@@ -273,10 +300,44 @@ class TestCactusCode:
         assert len(codes) == 7 * 8
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_cactus_and_non_cactus_codes_disjoint(self, n):
-        cactus, other = set(), set()
+    def test_every_non_cactus_raises(self, n):
+        others = 0
         for g in all_labeled_graphs(n):
-            code = canonical_code(g).code
-            (cactus if is_cactus(g) else other).add(code)
-            assert code.startswith(CACTUS_TAG) == is_cactus(g), g
-        assert cactus and other and not cactus & other
+            if is_cactus(g):
+                canonical_code(g)
+                continue
+            others += 1
+            with pytest.raises(ValueError, match=NOT_A_CACTUS):
+                canonical_code(g)
+        assert others
+
+
+def _hypercube(d):
+    return from_edges(1 << d, [(v, v ^ 1 << i) for v in range(1 << d)
+                               for i in range(d)])
+
+
+class TestNonCactusRejected:
+    """No super-polynomial path is left: every cactus-only entry point
+    rejects these at once, saying why."""
+
+    CASES = [
+        # Q4 is 2-connected, so its one block is all 16 vertices
+        ("q4", _hypercube(4), r"block on vertices \[0, 1, 2, .*, 15\] is"),
+        ("six_triangles", from_edges(18, [(3 * t + i, 3 * t + (i + 1) % 3)
+                                          for t in range(6) for i in range(3)]),
+         "disconnected"),
+        ("k64", from_edges(64, [(i, j) for j in range(64) for i in range(j)]),
+         r"block on vertices \[0, 1, 2, .*, 63\] is"),
+        ("diamond", DIAMOND, r"block on vertices \[0, 1, 2, 3\] is"),
+    ]
+
+    @pytest.mark.parametrize("g, why", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("call", [
+        canonical_code, matching_number, is_bundle,
+        lambda g: are_isomorphic(g, g),
+    ], ids=["canonical_code", "matching_number", "is_bundle", "are_isomorphic"])
+    def test_raises_naming_the_fault(self, call, g, why):
+        with pytest.raises(ValueError, match=NOT_A_CACTUS + ".*" + why):
+            call(g)

@@ -7,6 +7,8 @@ from cactiq import graph6
 from cactiq.cli import main
 from cactiq.graph import from_edges
 
+from oracles import to_networkx
+
 
 def random_graph(rng, n):
     pairs = [(i, j) for j in range(n) for i in range(j)]
@@ -31,7 +33,7 @@ def test_against_networkx():
     for _ in range(100):
         g = random_graph(rng, rng.randint(2, 12))
         ours = graph6.encode(g)
-        theirs = nx.to_graph6_bytes(g.to_networkx(), header=False).strip()
+        theirs = nx.to_graph6_bytes(to_networkx(g), header=False).strip()
         assert ours.encode("ascii") == theirs
         back = nx.from_graph6_bytes(ours.encode("ascii"))
         assert set(map(frozenset, back.edges())) == set(map(frozenset, g.edges))

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -377,3 +380,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == ("error: max_n must be >= 3, the order of "
                                 f"H(1, 0), got {max_n}\n")
+
+
+def test_runs_without_networkx():
+    # networkx is a test dependency only: with it blocked, the package
+    # imports and the commands that enumerate, rank and solve exactly run
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = """if True:
+        import contextlib, io, sys
+        sys.modules["networkx"] = None
+        from cactiq.cli import main
+        for argv in (["enumerate", "--n", "8"],
+                     ["verify", "--claim", "theorem32", "--n", "8"],
+                     ["charpoly", "--graph6", "C~"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            print(argv[0], code)
+    """
+    out = subprocess.run([sys.executable, "-c", script], cwd=src,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == [
+        "enumerate 0", "verify 0", "charpoly 0", ""]
