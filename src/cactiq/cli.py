@@ -11,7 +11,7 @@ import sys
 
 from . import graph6
 from .enumeration import CactusFilter, count_cacti, enumerate_cacti
-from .families import build_H, build_L
+from .families import FamilyParams, build
 from .spectra import char_poly, graph_radius, signless_laplacian
 from .verify import (CLAIMS, verify_extremal, verify_formulas,
                      verify_monotonicity)
@@ -82,8 +82,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "family":
-            g = build_H(args.s, args.k) if args.family == "H" \
-                else build_L(args.s, args.k)
+            g = build(FamilyParams(args.family, args.s, args.k))
             if args.emit == "graph6":
                 print(graph6.encode(g))
             else:

@@ -4,10 +4,13 @@ H(s, k): a hub carrying s triangles and k pendant edges (n = 2s + k + 1).
 L(s, k): a hub carrying s triangles, k - 1 pendant edges and one pendant path
 of length two (n = 2s + k + 2).
 
-Besides the constructors this module holds the exact factored characteristic
-polynomials for both families, the superseded legacy formulas kept for an
-erratum regression, and the extremal-answer calculator that maps a vertex
-count plus constraint to the predicted maximizer and its radius.
+`FamilyParams` is the one description of a member: it decides which (s, k)
+are members and what their order is.  `build` is the one constructor,
+`members` lists the members with s >= 1 up to an order, and the factored
+characteristic polynomials take their exponents from the member at (n, k).
+The module also holds the superseded legacy formulas kept for an erratum
+regression, and the extremal-answer calculator that maps a vertex count plus
+constraint to the predicted maximizer and its radius.
 """
 
 from __future__ import annotations
@@ -15,9 +18,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import count
 
 from .graph import Graph, from_edges
 from .polynomials import IntPolynomial, largest_real_root, monomial_shift
+
+
+# vertices besides the triangles' and the k pendants': the hub, plus the
+# inner vertex of L's pendant path
+_ORDER_OFFSET = {"H": 1, "L": 2}
 
 
 @dataclass(frozen=True)
@@ -28,7 +37,7 @@ class FamilyParams:
     k: int
 
     def __post_init__(self):
-        if self.family not in ("H", "L"):
+        if self.family not in _ORDER_OFFSET:
             raise ValueError(f"unknown family {self.family!r}")
         if self.s < 0 or self.k < 0:
             raise ValueError("s and k must be nonnegative")
@@ -39,52 +48,51 @@ class FamilyParams:
 
     @property
     def n(self) -> int:
-        return 2 * self.s + self.k + (1 if self.family == "H" else 2)
-
-
-def build_H(s: int, k: int) -> Graph:
-    """Hub 0, triangles {0, 2i+1, 2i+2}, pendants 2s+1..2s+k."""
-    params = FamilyParams("H", s, k)
-    n = params.n
-    edges = []
-    for i in range(s):
-        a, b = 2 * i + 1, 2 * i + 2
-        edges += [(0, a), (0, b), (a, b)]
-    for j in range(2 * s + 1, 2 * s + 1 + k):
-        edges.append((0, j))
-    return from_edges(n, edges)
-
-
-def build_L(s: int, k: int) -> Graph:
-    """Hub 0, triangles {0, 2i+1, 2i+2}, pendant path 0-(2s+1)-(2s+2),
-    then k-1 pendants."""
-    params = FamilyParams("L", s, k)
-    n = params.n
-    edges = []
-    for i in range(s):
-        a, b = 2 * i + 1, 2 * i + 2
-        edges += [(0, a), (0, b), (a, b)]
-    a, b = 2 * s + 1, 2 * s + 2
-    edges += [(0, a), (a, b)]
-    for j in range(2 * s + 3, n):
-        edges.append((0, j))
-    return from_edges(n, edges)
+        return 2 * self.s + self.k + _ORDER_OFFSET[self.family]
 
 
 def build(params: FamilyParams) -> Graph:
-    return build_H(params.s, params.k) if params.family == "H" \
-        else build_L(params.s, params.k)
+    """Hub 0, triangles {0, 2i+1, 2i+2} for i < s, for L the pendant path
+    0-(2s+1)-(2s+2), then a hub pendant on every vertex left."""
+    s, n = params.s, params.n
+    edges = []
+    for i in range(s):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a), (0, b), (a, b)]
+    rest = 2 * s + 1
+    if params.family == "L":
+        edges += [(0, rest), (rest, rest + 1)]
+        rest += 2
+    edges += [(0, j) for j in range(rest, n)]
+    return from_edges(n, edges)
+
+
+def build_H(s: int, k: int) -> Graph:
+    """H(s, k): hub 0, triangles {0, 2i+1, 2i+2}, pendants 2s+1..2s+k."""
+    return build(FamilyParams("H", s, k))
+
+
+def build_L(s: int, k: int) -> Graph:
+    """L(s, k): hub 0, triangles {0, 2i+1, 2i+2}, pendant path
+    0-(2s+1)-(2s+2), then k-1 pendants."""
+    return build(FamilyParams("L", s, k))
+
+
+def members(family: str, max_n: int):
+    """Every member of family "H" or "L" with s >= 1 and order <= max_n, in
+    (s, k) order."""
+    least_k = 0 if family == "H" else 1
+    for s in count(1):
+        first = FamilyParams(family, s, least_k)
+        if first.n > max_n:
+            return
+        for k in range(least_k, least_k + max_n - first.n + 1):
+            yield FamilyParams(family, s, k)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form characteristic polynomials
 # ---------------------------------------------------------------------------
-
-def _check_exponent(value: int, what: str) -> int:
-    if value < 0 or value % 2:
-        raise ValueError(f"exponent {what} = {value}/2 is not a nonnegative integer")
-    return value // 2
-
 
 def h_cubic(n: int, k: int) -> IntPolynomial:
     """The cubic factor for H: x^3 - (n+3)x^2 + 3n x - 2n + 2k + 2."""
@@ -98,27 +106,19 @@ def l_quintic(n: int, k: int) -> IntPolynomial:
 
 
 def _linear_factors(family: str, n: int, k: int) -> IntPolynomial:
-    """Check the parameters of family H or L at (n, k) and return the
-    (x-1)^e1 (x-3)^e3 factor shared by its exact and legacy formulas."""
-    if family == "H":
-        if k >= n:
-            raise ValueError(f"k = {k} must be < n = {n}")
-        if (n - k - 1) % 2:
-            raise ValueError(f"n - k - 1 = {n - k - 1} must be even")
-        e1 = _check_exponent(n + k - 3, "(n+k-3)")
-        e3 = _check_exponent(n - k - 3, "(n-k-3)")
-    elif family == "L":
-        if k < 1:
-            raise ValueError("L requires k >= 1")
-        if k >= n:
-            raise ValueError(f"k = {k} must be < n = {n}")
-        if (n - k) % 2:
-            raise ValueError(f"n - k = {n - k} must be even")
-        e1 = _check_exponent(n + k - 6, "(n+k-6)")
-        e3 = _check_exponent(n - k - 4, "(n-k-4)")
-    else:
+    """The (x-1)^e1 (x-3)^e3 factor shared by the exact and legacy formulas
+    of the member of family H or L with order n, k pendants and s >= 1:
+    e1 = s + k - 1 and e3 = s - 1 for H, e1 = s + k - 2 and e3 = s - 1 for L.
+    Any other (n, k) raises ValueError."""
+    if family not in _ORDER_OFFSET:
         raise ValueError(f"unknown family {family!r}")
-    return monomial_shift(1) ** e1 * monomial_shift(3) ** e3
+    twice_s = n - k - _ORDER_OFFSET[family]
+    if twice_s < 2 or twice_s % 2:
+        raise ValueError(f"{family} has no member with s >= 1 "
+                         f"at n = {n}, k = {k}")
+    p = FamilyParams(family, twice_s // 2, k)
+    e1 = p.s + p.k - (1 if family == "H" else 2)
+    return monomial_shift(1) ** e1 * monomial_shift(3) ** (p.s - 1)
 
 
 def psi_H(n: int, k: int) -> IntPolynomial:
@@ -207,48 +207,37 @@ def extremal_answer(n: int, matching: int | None = None,
     matching constraint: perfect-matching case for n = 2m, the closed form
     for n = 2m + 1, and the cubic's largest root for n >= 2m + 2.
     pendant constraint: H(s, k) when n - k is odd, L(s, k) when even.
-    no constraint: parity-based closed forms.
+    no constraint: the answer for matching number floor(n/2).
     """
     if n < 3:
         raise ValueError("n >= 3 required")
     if matching is not None and pendants is not None:
         raise ValueError("at most one constraint")
 
-    if matching is not None:
-        m = matching
-        if not 1 <= m <= n // 2:
-            raise ValueError(f"matching number {m} infeasible for n = {n}")
-        if n == 2 * m:
-            return _answer(FamilyParams("H", m - 1, 1),
-                           ClosedFormRadius(n + 1, n * n - 2 * n + 9, 2))
-        if n == 2 * m + 1:
-            return _answer(FamilyParams("H", m, 0),
-                           ClosedFormRadius(n + 2, n * n - 4 * n + 12, 2))
-        k = n - 2 * m + 1
-        return _answer(FamilyParams("H", m - 1, k),
-                       _poly_descriptor(h_cubic(n, k), n))
-
     if pendants is not None:
         k = pendants
         if not 0 <= k < n:
             raise ValueError(f"pendant count {k} infeasible for n = {n}")
         if (n - k) % 2 == 1:
-            s = (n - k - 1) // 2
-            params = FamilyParams("H", s, k)
+            params = FamilyParams("H", (n - k - 1) // 2, k)
             return _answer(params, _poly_descriptor(h_cubic(n, k), n))
         if k == 0:
             raise ValueError("no prediction for even n - k with zero pendants")
-        s = (n - k - 2) // 2
-        if s < 0:
-            raise ValueError(f"pendant count {k} infeasible for n = {n}")
-        params = FamilyParams("L", s, k)
+        params = FamilyParams("L", (n - k - 2) // 2, k)
         return _answer(params, _poly_descriptor(l_quintic(n, k), n))
 
-    if n % 2 == 1:
-        return _answer(FamilyParams("H", (n - 1) // 2, 0),
+    m = n // 2 if matching is None else matching
+    if not 1 <= m <= n // 2:
+        raise ValueError(f"matching number {m} infeasible for n = {n}")
+    if n == 2 * m:
+        return _answer(FamilyParams("H", m - 1, 1),
+                       ClosedFormRadius(n + 1, n * n - 2 * n + 9, 2))
+    if n == 2 * m + 1:
+        return _answer(FamilyParams("H", m, 0),
                        ClosedFormRadius(n + 2, n * n - 4 * n + 12, 2))
-    return _answer(FamilyParams("H", n // 2 - 1, 1),
-                   ClosedFormRadius(n + 1, n * n - 2 * n + 9, 2))
+    k = n - 2 * m + 1
+    return _answer(FamilyParams("H", m - 1, k),
+                   _poly_descriptor(h_cubic(n, k), n))
 
 
 def superseded_conjecture_bound(n: int) -> float:

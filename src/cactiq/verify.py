@@ -25,7 +25,7 @@ from itertools import islice, zip_longest
 
 from . import graph6, spectra
 from .enumeration import CactusFilter, class_positions, enumerate_cacti
-from .families import (build_H, build_L, extremal_answer, psi_H, psi_L,
+from .families import (build, extremal_answer, members, psi_H, psi_L,
                        psi_legacy, superseded_conjecture_bound)
 from .graph import (Graph, canonical_code, from_edges, is_connected,
                     block_decomposition)
@@ -118,11 +118,11 @@ def _rank_class(report: VerificationReport, n: int, filt: CactusFilter):
 
 
 def _claim_filter(claim: str, n: int, m, k) -> CactusFilter:
-    if claim == "theorem31i":
+    if claim in ("theorem31i", "conjecture11_negative"):
         if m is None:
             m = (n - 1) // 2
         if n != 2 * m + 1:
-            raise ValueError(f"theorem31i requires n = 2m + 1, got n={n}, m={m}")
+            raise ValueError(f"{claim} requires n = 2m + 1, got n={n}, m={m}")
         return CactusFilter(matching=m)
     if claim == "theorem31ii":
         if m is None:
@@ -179,13 +179,10 @@ def verify_extremal(claim: str, n: int, m: int | None = None,
 def verify_conjecture11_negative(n: int, m: int | None = None) -> VerificationReport:
     """Document that the superseded odd-case bound is exceeded by the verified
     maximum; the exceedance is the expected outcome."""
-    if m is None:
-        m = (n - 1) // 2
-    if n != 2 * m + 1:
-        raise ValueError(f"conjecture11_negative requires n = 2m + 1, got n={n}, m={m}")
+    filt = _claim_filter("conjecture11_negative", n, m, None)
     report = VerificationReport(claim="conjecture11_negative",
-                                parameters={"n": n, "m": m})
-    _, q_obs, _, _ = _rank_class(report, n, CactusFilter(matching=m))
+                                parameters={"n": n, "m": filt.matching})
+    _, q_obs, _, _ = _rank_class(report, n, filt)
     bound = superseded_conjecture_bound(n)
     report.predicted_radius = bound
     exceeded = q_obs > bound + RADIUS_TOL
@@ -200,18 +197,6 @@ def verify_conjecture11_negative(n: int, m: int | None = None) -> VerificationRe
 # Formula identities and the erratum
 # ---------------------------------------------------------------------------
 
-def _family_params(family: str, max_n: int):
-    """(s, k, n) of every valid member of family "H" or "L" up to order max_n."""
-    if family == "H":
-        for s in range(1, (max_n - 1) // 2 + 1):
-            for k in range(0, max_n - 2 * s):
-                yield s, k, 2 * s + k + 1
-    else:
-        for s in range(1, (max_n - 3) // 2 + 1):
-            for k in range(1, max_n - 2 * s - 1):
-                yield s, k, 2 * s + k + 2
-
-
 def verify_formulas(max_n: int = 24) -> VerificationReport:
     """Exact identity of both factored formulas against the determinant-free
     exact characteristic polynomial, plus the legacy-formula erratum."""
@@ -222,10 +207,10 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
     report = VerificationReport(claim="formulas", parameters={"max_n": max_n})
     failures = []
     checked = 0
-    for family, psi, build in (("H", psi_H, build_H), ("L", psi_L, build_L)):
-        for s, k, n in _family_params(family, max_n):
-            if psi(n, k) != char_poly(signless_laplacian(build(s, k))):
-                failures.append({"family": family, "s": s, "k": k})
+    for family, psi in (("H", psi_H), ("L", psi_L)):
+        for p in members(family, max_n):
+            if psi(p.n, p.k) != char_poly(signless_laplacian(build(p))):
+                failures.append({"family": family, "s": p.s, "k": p.k})
             checked += 1
 
     mismatches, legacy_failures = [], []
@@ -242,10 +227,10 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
     for n in range(5, min(max_n, 15) + 1, 2):
         check_legacy("H", psi_H, n, 0)
     # the five smallest L points with s >= 2: legacy L coincides at s = 1
-    l_points = sorted((t for t in _family_params("L", max_n) if t[0] >= 2),
-                      key=lambda t: (t[2], t[1]))[:5]
-    for s, k, n in l_points:
-        check_legacy("L", psi_L, n, k)
+    l_points = sorted((p for p in members("L", max_n) if p.s >= 2),
+                      key=lambda p: (p.n, p.k))[:5]
+    for p in l_points:
+        check_legacy("L", psi_L, p.n, p.k)
 
     report.passed = not failures and not legacy_failures
     report.counterexamples = failures + legacy_failures

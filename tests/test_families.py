@@ -1,11 +1,13 @@
+import hashlib
 import math
 
 import pytest
 
+from cactiq import graph6
 from cactiq.families import (ClosedFormRadius, FamilyParams, PolyRootRadius,
                              build, build_H, build_L, extremal_answer, h_cubic,
                              l_quintic, legacy_h_cubic, legacy_l_quintic,
-                             psi_H, psi_L, psi_legacy,
+                             members, psi_H, psi_L, psi_legacy,
                              superseded_conjecture_bound)
 from cactiq.graph import (is_bundle, is_cactus, matching_number, pendant_count)
 from cactiq.polynomials import IntPolynomial, monomial_shift
@@ -74,6 +76,34 @@ class TestConstruction:
         assert build(FamilyParams("H", 2, 1)) == build_H(2, 1)
         assert build(FamilyParams("L", 2, 1)) == build_L(2, 1)
 
+    def test_graph6_pinned(self):
+        # sha256 of "family s k graph6" lines for every H and L member up to
+        # order 64, recorded when build_H and build_L had separate loops
+        lines = [f"H {s} {k} {graph6.encode(build_H(s, k))}"
+                 for s in range(32) for k in range(64)
+                 if s + k >= 1 and 2 * s + k + 1 <= 64]
+        lines += [f"L {s} {k} {graph6.encode(build_L(s, k))}"
+                  for s in range(32) for k in range(1, 64)
+                  if 2 * s + k + 2 <= 64]
+        assert len(lines) == 2047
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "20592b985b1257fd54471976d04eed5f136fe20af66827931028d9378dc1ba91"
+
+
+@pytest.mark.parametrize("max_n", range(3, 31))
+def test_members_are_every_valid_params(max_n):
+    for family in ("H", "L"):
+        want = []
+        for s in range(1, max_n):
+            for k in range(max_n):
+                try:
+                    p = FamilyParams(family, s, k)
+                except ValueError:
+                    continue
+                if p.n <= max_n:
+                    want.append(p)
+        assert list(members(family, max_n)) == want, family
+
 
 class TestPsiH:
     def test_matches_exact_charpoly(self):
@@ -99,6 +129,16 @@ class TestPsiH:
     def test_rejects_bad_parity(self):
         with pytest.raises(ValueError):
             psi_H(6, 0)
+
+    def test_rejects_negative_k(self):
+        # H(s, -1) and H(s, -2) are no members, whatever the parity
+        for n in range(3, 20):
+            for k in (-1, -2):
+                if (n - k - 1) % 2 == 0:
+                    with pytest.raises(ValueError):
+                        psi_H(n, k)
+                    with pytest.raises(ValueError):
+                        psi_legacy("H", n, k)
 
     def test_rejects_star_exponent(self):
         # s = 0 makes the (x-3) exponent negative; the factored form does
@@ -199,6 +239,13 @@ class TestExtremalAnswer:
         assert l.params == FamilyParams("L", 2, 2)
         with pytest.raises(ValueError):
             extremal_answer(8, pendants=0)
+
+    def test_unconstrained_is_floor_half_matching(self):
+        for n in range(3, 65):
+            free, half = extremal_answer(n), extremal_answer(n, matching=n // 2)
+            assert free.params == half.params
+            assert free.descriptor == half.descriptor
+            assert free.radius == half.radius
 
     def test_radius_matches_eigensolver(self):
         for n in range(3, 10):

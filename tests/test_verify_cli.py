@@ -159,6 +159,12 @@ class TestConjectureNegative:
         with pytest.raises(ValueError):
             verify_conjecture11_negative(6)
 
+    def test_even_n_message(self, capsys):
+        assert main(["verify", "--claim", "conjecture11_negative",
+                     "--n", "6"]) == 2
+        assert capsys.readouterr().err == \
+            "error: conjecture11_negative requires n = 2m + 1, got n=6, m=2\n"
+
 
 class TestFormulas:
     def test_passes_at_default_cap(self):
@@ -166,6 +172,12 @@ class TestFormulas:
         assert r.passed
         assert r.details["identity_failures"] == 0
         assert r.details["identities_checked"] > 200
+        # the member list and legacy points of the separate H and L builders
+        assert r.details["identities_checked"] == 242
+        assert [(m["family"], m["n"], m["k"])
+                for m in r.details["legacy_mismatches"]] == \
+            [("H", n, 0) for n in range(5, 16, 2)] + \
+            [("L", 7, 1), ("L", 8, 2), ("L", 9, 1), ("L", 9, 3), ("L", 10, 2)]
         degrees = {m["first_diff_degree"] for m in r.details["legacy_mismatches"]}
         assert degrees  # every legacy point disagrees somewhere
 
