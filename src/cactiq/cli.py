@@ -18,6 +18,12 @@ from .verify import (CLAIMS, verify_extremal, verify_formulas,
 
 USAGE_ERROR = 2
 
+# The --n, --m and --k flags each verify claim reads; any other is an error.
+_CLAIM_FLAGS = {"theorem31i": ("n", "m"), "theorem31ii": ("n", "m"),
+                "theorem32": ("n",), "prop213": ("n", "k"),
+                "prop215": ("n", "m"), "conjecture11_negative": ("n", "m"),
+                "monotonicity": ()}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cactiq",
@@ -100,6 +106,10 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
+            for flag in ("n", "m", "k"):
+                if (getattr(args, flag) is not None
+                        and flag not in _CLAIM_FLAGS[args.claim]):
+                    raise ValueError(f"{args.claim} takes no --{flag}")
             if args.claim == "monotonicity":
                 report = verify_monotonicity(trials=args.trials, seed=args.seed)
             else:

@@ -4,9 +4,10 @@ Every cactus with at least two vertices has a removable endblock (a pendant
 edge, or a cycle whose vertices other than one cut vertex all have degree 2),
 so attaching pendant edges and fresh cycles at every vertex of every smaller
 cactus, with canonical-code deduplication, generates each isomorphism class
-exactly once per size.  A candidate is its parent plus one block, so its
-block list is the parent's plus that block: each parent gets one block DFS,
-each candidate is coded from its block list alone, and only the first
+exactly once per size.  A candidate is its parent plus one endblock at a
+vertex v, so its centre-rooted code differs from the parent's only on the
+path from v to the centre: each parent's vertex-block tree is peeled and
+coded once, each candidate recodes only that path, and only the first
 candidate of each class is built as a `Graph`.  Output is sorted by canonical
 code.  The matching number and pendant count of each class are computed once
 per order, on the first filtered call, and filters read them from that table;
@@ -20,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import (Graph, _cactus_blocks, _cactus_code, canonical_code,
-                    from_edges, matching_number, pendant_count)
+from .graph import (Graph, _block_code, _cactus_blocks, _peel, _vertex_code,
+                    canonical_code, from_edges, matching_number,
+                    pendant_count)
 
 MAX_N = 10
 
@@ -50,13 +52,42 @@ def _child_codes(g: Graph, n: int):
     g.order..n-1 closed into a cycle through v, or a pendant edge at v when
     there is one new vertex.
 
-    The child's blocks are g's plus the cycle [v, g.order, ..., n - 1], and
-    the cactus code depends on neither the order of the blocks nor where a
-    cycle starts, so one block DFS of g serves every child."""
-    blocks = _cactus_blocks(g)
-    path = list(range(g.order, n))
-    for v in range(g.order):
-        yield _cactus_code(n, blocks + [[v] + path])
+    The new block hangs below v with only leaves under it, so its code is
+    "[" + "()" * (n - g.order) + "]" whichever way round it is read.  One
+    peel of g's vertex-block tree (`_peel`) gives every node's code, and a
+    child differs from g only on the path from v to g's centre c, which is
+    recoded bottom-up.  Vertex depths from c share the parity of the
+    deepest, R.  If v is shallower than R, the new leaves are no deeper than
+    R and the centre stays at c.  If v is at depth R, the new leaves are at
+    R + 2 while another branch of c reaches R, so the diameter grows by 2 and
+    the centre moves to u, the node after c on the path to v: c is recoded
+    as a child of u, and u as the root."""
+    o = g.order
+    leaf = b"[" + b"()" * (n - o) + b"]"
+    if o == 1:  # the child is the one block, its centre
+        yield b"[" + b"()" * n + b"]"
+        return
+    nbrs, par, depth, code, c = _peel(o, _cactus_blocks(g))
+    deepest = max(depth[:o])
+    for v in range(o):
+        x, steps = v, []
+        while x != c:
+            steps.append((x, par[x]))
+            x = par[x]
+        steps.append((c, -1))
+        if depth[v] == deepest:
+            u = steps[-2][0]
+            steps[-2:] = [(c, u), (u, -1)]
+        cd = code.copy()
+        for x, p in steps:
+            if x >= o:
+                cd[x] = _block_code(nbrs[x], p, cd)
+            else:
+                kids = [cd[b] for b in nbrs[x] if b != p]
+                if x == v:
+                    kids.append(leaf)
+                cd[x] = _vertex_code(kids)
+        yield cd[x]
 
 
 @lru_cache(maxsize=None)

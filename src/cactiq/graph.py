@@ -287,17 +287,16 @@ def pendant_count(g: Graph) -> int:
 # Canonical codes
 # ---------------------------------------------------------------------------
 
-def _cactus_code(n: int, blocks) -> bytes:
-    """AHU code of the vertex-block incidence tree of a cactus, rooted at its
-    centre.
+def _peel(n: int, blocks):
+    """Peel the vertex-block incidence tree of a cactus down to its centre.
 
-    The tree's nodes are the n vertices and the blocks (as from
-    `_cactus_blocks`); its leaves are all vertices, so its diameter is even
-    and its centre unique.  A vertex is "(" + its sorted child codes + ")",
-    a block "[" + its child codes + "]" in cyclic order from its parent, the
-    lesser of the two directions, and a root block the least of every
-    rotation and reflection.  Each code is balanced, so the concatenations
-    are prefix-free and the code fixes the cactus up to isomorphism.
+    The tree's nodes are the n vertices and then the blocks (as from
+    `_cactus_blocks`), ids n, n + 1, ... in order; its leaves are all
+    vertices, so its diameter is even and its centre unique.  Returns
+    (nbrs, par, depth, code, centre): per node its neighbours (a vertex's
+    blocks, a block's vertices in cyclic order), its parent towards the
+    centre (-1 at the centre), its distance from the centre and its code
+    in the tree rooted there (see `_cactus_code`).
     """
     total = n + len(blocks)
     nbrs = [[] for _ in range(n)]
@@ -311,32 +310,52 @@ def _cactus_code(n: int, blocks) -> bytes:
     deg = [len(x) for x in nbrs]
 
     # Peel leaves layer by layer down to the centre.  A peeled node's one
-    # unpeeled neighbour, its parent, is what is left in its link, and its
-    # children are all peeled, so its code is known.  The tree is bipartite:
-    # a vertex's children are blocks (their codes collect in kids) and a
-    # block's are vertices (their codes are read from code).
-    code = [b""] * n
-    kids = [[] for _ in range(n)]
+    # unpeeled neighbour, its parent, is what is left in its link.
+    par = [-1] * total
+    peeled = []
     layer = [x for x in range(total) if deg[x] == 1]
     left = total
     while left > 1:
         nxt = []
         for x in layer:
-            p = link[x]
-            if x < n:
-                code[x] = _vertex_code(kids[x])
-            else:
-                kids[p].append(_block_code(nbrs[x], p, code))
+            p = par[x] = link[x]
             link[p] ^= x
             deg[p] -= 1
             if deg[p] == 1:
                 nxt.append(p)
         left -= len(layer)
+        peeled += layer
         layer = nxt
-    root = layer[0] if layer else 0
-    if root < n:
-        return _vertex_code(kids[root])
-    return _block_code(nbrs[root], -1, code)
+    centre = layer[0] if layer else 0
+    peeled.append(centre)
+
+    # Code children before parents.  The tree is bipartite: a vertex's
+    # children are blocks, a block's are vertices.
+    code = [b""] * total
+    for x in peeled:
+        p = par[x]
+        if x < n:
+            code[x] = _vertex_code([code[b] for b in nbrs[x] if b != p])
+        else:
+            code[x] = _block_code(nbrs[x], p, code)
+    depth = [0] * total
+    for x in reversed(peeled[:-1]):
+        depth[x] = depth[par[x]] + 1
+    return nbrs, par, depth, code, centre
+
+
+def _cactus_code(n: int, blocks) -> bytes:
+    """AHU code of the vertex-block incidence tree of a cactus, rooted at its
+    centre (`_peel`).
+
+    A vertex is "(" + its sorted child codes + ")", a block "[" + its child
+    codes + "]" in cyclic order from its parent, the lesser of the two
+    directions, and a root block the least of every rotation and reflection.
+    Each code is balanced, so the concatenations are prefix-free and the code
+    fixes the cactus up to isomorphism.
+    """
+    *_, code, centre = _peel(n, blocks)
+    return code[centre]
 
 
 def _vertex_code(kids) -> bytes:

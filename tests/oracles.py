@@ -8,6 +8,7 @@ library routines it checks.
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import networkx as nx
 
@@ -419,44 +420,55 @@ def fraction_gcd(p, q):
     return _frac_primitive(a) if a else []
 
 
-def _sign_at(coeffs, x):
-    """Sign of the integer polynomial at the Fraction x, from the integer
-    d^deg * f(n / d)."""
-    n, d, deg = x.numerator, x.denominator, len(coeffs) - 1
-    v = sum(c * n ** i * d ** (deg - i) for i, c in enumerate(coeffs))
-    return (v > 0) - (v < 0)
+def _signs_at(polys, x, den):
+    """Signs of integer polynomials (ascending lists) at x / den, den > 0,
+    each read off the integer den^top * f(x / den), where top is the
+    highest degree among them."""
+    top = max(len(f) for f in polys) - 1
+    terms = [x ** i * den ** (top - i) for i in range(top + 1)]
+    out = []
+    for f in polys:
+        v = sum(map(mul, f, terms))
+        out.append((v > 0) - (v < 0))
+    return out
 
 
 def fraction_largest_roots(coeffs, lo, hi, tols):
     """Largest root of the integer polynomial in (lo, hi] as a float, one
-    per tol, by bisection over Fractions on Sturm counts of
-    `fraction_sturm_sequence`: halve until one root is left in (a, b], then
-    down to width <= tol, returning a midpoint that is a root as soon as
-    one shows, else the last midpoint.  The halving path does not depend on
-    tol, so one run serves every tol."""
+    per tol, by bisection on Sturm counts of `fraction_sturm_sequence`:
+    halve until one root is left in (a, b], then down to width <= tol,
+    returning a midpoint that is a root as soon as one shows, else the last
+    midpoint.  The halving path does not depend on tol, so one run serves
+    every tol.
+
+    The ends are integers over a common denominator den, doubled at each
+    halving, so no step reduces a Fraction; a result is the correctly
+    rounded quotient of two integers, as float() of the Fraction is."""
     seq = fraction_sturm_sequence(coeffs)
 
-    def var(x):
-        s = [v for v in (_sign_at(f, x) for f in seq) if v]
+    def var(x, den):
+        s = [v for v in _signs_at(seq, x, den) if v]
         return sum(1 for u, v in zip(s, s[1:]) if u != v)
 
-    a, b = Fraction(lo), Fraction(hi)
-    va, vb = var(a), var(b)
+    lo, hi = Fraction(lo), Fraction(hi)
+    den = lcm(lo.denominator, hi.denominator)
+    a, b = int(lo * den), int(hi * den)
+    va, vb = var(a, den), var(b, den)
     assert va > vb, "no root in (lo, hi]"
     left = {tol: Fraction(tol).limit_denominator(10 ** 18) for tol in tols}
     out = {}
     while left:
         if va - vb == 1:
-            width = b - a
-            for tol in [tol for tol, t in left.items() if width <= t]:
-                out[tol] = float((a + b) / 2)
+            for tol in [tol for tol, t in left.items()
+                        if (b - a) * t.denominator <= t.numerator * den]:
+                out[tol] = (a + b) / (2 * den)
                 del left[tol]
             if not left:
                 break
-        mid = (a + b) / 2
-        if va - vb == 1 and _sign_at(coeffs, mid) == 0:
-            out.update(dict.fromkeys(left, float(mid)))
+        mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        if va - vb == 1 and _signs_at([coeffs], mid, den) == [0]:
+            out.update(dict.fromkeys(left, mid / den))
             break
-        vm = var(mid)
+        vm = var(mid, den)
         a, b, va, vb = (mid, b, vm, vb) if vm > vb else (a, mid, va, vm)
     return [out[tol] for tol in tols]

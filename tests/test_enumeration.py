@@ -7,8 +7,9 @@ from cactiq import enumeration, graph6
 from cactiq.enumeration import (MAX_N, CactusFilter, class_positions,
                                 count_cacti, enumerate_cacti)
 from cactiq.families import build_H
-from cactiq.graph import (are_isomorphic, canonical_code, from_edges,
-                          is_cactus, matching_number, pendant_count)
+from cactiq.graph import (_cactus_blocks, _cactus_code, _peel, are_isomorphic,
+                          canonical_code, from_edges, is_cactus,
+                          matching_number, pendant_count)
 
 from oracles import cactus_counts, extensions, oracle_cacti, scanned_level
 
@@ -145,12 +146,42 @@ class TestExtensions:
                             (cyc[i - 1], cyc[i]) for i in range(len(cyc))]))
                     assert list(extensions(g, n)) == want
 
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_block_list_codes_equal_canonical_code(self, n):
         for size in range(1, n):
             for _, g in enumeration._level(size):
                 assert list(enumeration._child_codes(g, n)) == \
                     [canonical_code(c).code for c in extensions(g, n)]
+
+    def test_path_recoding_equals_full_code_at_11(self):
+        # every candidate of order 11, coded in full from its block list
+        # (no child Graph is built) against the path recoding
+        for size in range(1, 11):
+            path = list(range(size, 11))
+            for _, g in enumeration._level(size):
+                blocks = _cactus_blocks(g)
+                assert list(enumeration._child_codes(g, 11)) == \
+                    [_cactus_code(11, blocks + [[v, *path]])
+                     for v in range(size)]
+
+    @pytest.mark.parametrize("order, edges, n, v, centres", [
+        (1, [], 3, 0, ("vertex", "block")),
+        (3, [(0, 1), (1, 2)], 4, 1, ("vertex", "vertex")),
+        (3, [(0, 1), (1, 2)], 4, 0, ("vertex", "block")),
+        (3, [(0, 1), (1, 2), (0, 2)], 5, 0, ("block", "vertex")),
+    ], ids=["order-1-parent", "v-is-vertex-centre", "centre-vertex-to-block",
+            "centre-block-to-vertex"])
+    def test_centre_rule(self, order, edges, n, v, centres):
+        # one case per branch of the centre rule: the parent's and the
+        # child's centre kinds show which branch the child takes
+        def kind(h):
+            centre = _peel(h.order, _cactus_blocks(h))[-1]
+            return "vertex" if centre < h.order else "block"
+        g = from_edges(order, edges)
+        child = list(extensions(g, n))[v]
+        assert (kind(g), kind(child)) == centres
+        assert list(enumeration._child_codes(g, n))[v] == \
+            canonical_code(child).code
 
     @pytest.mark.parametrize("n", range(2, MAX_N + 1))
     def test_first_found_representatives(self, n):

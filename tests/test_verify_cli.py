@@ -372,6 +372,25 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("claim, base, flag", [
+        ("theorem31i", ["--n", "7"], "k"),
+        ("theorem31ii", ["--n", "6", "--m", "2"], "k"),
+        ("prop215", ["--n", "6"], "k"),
+        ("conjecture11_negative", ["--n", "5"], "k"),
+        ("theorem32", ["--n", "5"], "k"),
+        ("theorem32", ["--n", "5"], "m"),
+        ("prop213", ["--n", "7", "--k", "2"], "m"),
+        ("monotonicity", ["--trials", "3"], "n"),
+        ("monotonicity", ["--trials", "3"], "m"),
+        ("monotonicity", ["--trials", "3"], "k"),
+    ])
+    def test_unread_flag_exit_2(self, claim, base, flag, capsys):
+        # a flag the claim does not read is refused, not dropped
+        assert main(["verify", "--claim", claim, *base, f"--{flag}", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {claim} takes no --{flag}\n"
+
     def test_missing_n_exit_2(self, capsys):
         assert main(["verify", "--claim", "theorem32"]) == 2
 
