@@ -8,24 +8,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import graph6
 from .enumeration import CactusFilter, count_cacti, enumerate_cacti
 from .families import FamilyParams, build
 from .spectra import char_poly, graph_radius, signless_laplacian
-from .verify import (CLAIMS, verify_extremal, verify_formulas,
-                     verify_monotonicity)
+from .verify import (CLAIM_FLAGS, refuse_unread_flags, verify_extremal,
+                     verify_formulas, verify_monotonicity)
 
 USAGE_ERROR = 2
 
-# The --n, --m and --k flags each verify claim reads; any other is an error.
-_CLAIM_FLAGS = {"theorem31i": ("n", "m"), "theorem31ii": ("n", "m"),
-                "theorem32": ("n",), "prop213": ("n", "k"),
-                "prop215": ("n", "m"), "conjecture11_negative": ("n", "m"),
-                "monotonicity": ()}
 
-
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it as it
+    is, so every in-process `main` call reuses it."""
     top = argparse.ArgumentParser(prog="cactiq",
                                   description="signless Laplacian spectral "
                                               "toolkit for cactus graphs")
@@ -52,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one verification claim")
     p.add_argument("--claim", required=True,
-                   choices=CLAIMS + ("monotonicity",))
+                   choices=tuple(CLAIM_FLAGS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
@@ -106,10 +104,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            for flag in ("n", "m", "k"):
-                if (getattr(args, flag) is not None
-                        and flag not in _CLAIM_FLAGS[args.claim]):
-                    raise ValueError(f"{args.claim} takes no --{flag}")
+            refuse_unread_flags(args.claim, n=args.n, m=args.m, k=args.k)
             if args.claim == "monotonicity":
                 report = verify_monotonicity(trials=args.trials, seed=args.seed)
             else:

@@ -10,16 +10,18 @@ path from v to the centre: each parent's vertex-block tree is peeled and
 coded once, each candidate recodes only that path, and only the first
 candidate of each class is built as a `Graph`.  Output is sorted by canonical
 code.  The matching number and pendant count of each class are computed once
-per order, on the first filtered call, and filters read them from that table;
-`class_positions` gives a filtered class as indices into the full list, so
-per-class tables aligned with that list (such as the spectra in `verify`) are
-read through the same filter.
+per order, on the first filtered call, and grouped into an index from each
+(matching number, pendant count) pair to its classes' positions; a filter
+picks the groups it admits.  `class_positions` gives a filtered class as
+indices into the full list, so per-class tables aligned with that list (such
+as the spectra in `verify`) are read through the same filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .graph import (Graph, _block_code, _cactus_blocks, _peel, _vertex_code,
                     canonical_code, from_edges, matching_number,
@@ -129,10 +131,21 @@ def _invariants(n: int) -> tuple:
                  for g in _all_cacti(n))
 
 
+@lru_cache(maxsize=None)
+def _groups(n: int) -> tuple:
+    """((matching number, pendant count), positions) for every pair that
+    occurs in `_invariants(n)`, the positions ascending."""
+    groups = {}
+    for i, inv in enumerate(_invariants(n)):
+        groups.setdefault(inv, []).append(i)
+    return tuple((inv, tuple(pos)) for inv, pos in groups.items())
+
+
 def class_positions(n: int, filt: CactusFilter | None = None):
     """Indices into the full class list of order n (`enumerate_cacti(n)`) of
     the classes meeting the filter, ascending: a range when there is no
-    filter, otherwise a tuple.
+    filter, otherwise a tuple, the union of the order's groups (`_groups`)
+    that the filter admits.
 
     An infeasible filter yields an empty sequence.
     """
@@ -143,7 +156,8 @@ def class_positions(n: int, filt: CactusFilter | None = None):
         return ()
     if filt == CactusFilter():
         return range(len(_all_cacti(n)))
-    return tuple(i for i, inv in enumerate(_invariants(n)) if filt.admits(*inv))
+    return tuple(sorted(chain.from_iterable(
+        pos for inv, pos in _groups(n) if filt.admits(*inv))))
 
 
 def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:

@@ -35,20 +35,19 @@ def _decode_order(data: bytes):
 
 
 def encode(g: Graph) -> str:
-    """graph6 string for g (labeled; not canonicalized)."""
+    """graph6 string for g (labeled; not canonicalized).
+
+    Edge (i, j), i < j, is bit j(j - 1)/2 + i of the column-major upper
+    triangle.  One int holds every bit, the first one most significant,
+    padded with zeros to whole 6-bit chunks, and is then cut into them."""
     n = g.order
-    out = bytearray(_encode_order(n))
-    acc, k = 0, 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
-            k += 1
-            if k == 6:
-                out.append(acc + 63)
-                acc, k = 0, 0
-    if k:
-        out.append((acc << (6 - k)) + 63)
-    return out.decode("ascii")
+    width = -(-n * (n - 1) // 12) * 6
+    top = width - 1
+    acc = 0
+    for i, j in g.edges:
+        acc |= 1 << (top - j * (j - 1) // 2 - i)
+    body = bytes(((acc >> s) & 63) + 63 for s in range(width - 6, -1, -6))
+    return (_encode_order(n) + body).decode("ascii")
 
 
 def decode(text: str) -> Graph:

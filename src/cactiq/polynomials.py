@@ -290,13 +290,20 @@ def count_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, seq=None) -> int:
             - _evaluate(seq, hi.numerator, hi.denominator)[0])
 
 
-def root_bound(p: IntPolynomial) -> Fraction:
-    """Cauchy bound: all real roots lie in [-B, B]."""
+def root_bound(p: IntPolynomial) -> int:
+    """A power of two B with every root z of p, real or complex, in |z| < B.
+
+    Fujiwara's bound 2 max_k |c_(d-k) / c_d|^(1/k), rounded up through bit
+    lengths: |c_(d-k) / c_d| < 2^(bitlen|c_(d-k)| - bitlen|c_d| + 1), so
+    B = 2^(e + 1) with e = max(0, max_k ceil((bitlen|c_(d-k)| - bitlen|c_d|
+    + 1) / k)).  Integer window ends start isolation on denominator 1.
+    """
     if p.degree < 1:
         raise ValueError("constant polynomial has no root bound")
-    lead = abs(p.leading)
-    m = max(abs(c) for c in p.coeffs[:-1]) if p.degree else 0
-    return 1 + Fraction(m, lead)
+    d, lead = p.degree, abs(p.leading).bit_length()
+    e = max(-((lead - 1 - abs(p.coeffs[d - k]).bit_length()) // k)
+            for k in range(1, d + 1))
+    return 2 ** (max(e, 0) + 1)
 
 
 # Bisection runs on an integer grid: a bracket (a/den, b/den] is carried as
@@ -333,8 +340,8 @@ def isolate_largest_root(p: IntPolynomial, lo=None, hi=None, seq=None):
         raise ValueError("cannot isolate roots of a constant polynomial")
     if lo is None or hi is None:
         bound = root_bound(p)
-    a, b, den = _grid(Fraction(lo) if lo is not None else -bound - 1,
-                      Fraction(hi) if hi is not None else bound)
+    a, b, den = _grid(Fraction(lo) if lo is not None else Fraction(-bound),
+                      Fraction(hi) if hi is not None else Fraction(bound))
     if seq is None:
         seq = sturm_sequence(p)
     va, a_is_root = _evaluate(seq, a, den)
@@ -425,10 +432,14 @@ def _poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact three-way comparison of the largest real roots of p and q.
 
-    Returns -1, 0 or 1.  Both polynomials must have at least one real root.
+    Returns -1, 0 or 1.  Both polynomials must have at least one real root;
+    equal polynomials are a tie once p's root is isolated.
     """
-    sp, sq = sturm_sequence(p), sturm_sequence(q)
+    sp = sturm_sequence(p)
     ip = isolate_largest_root(p, seq=sp)
+    if ip is not None and p == q:
+        return 0
+    sq = sturm_sequence(q)
     iq = isolate_largest_root(q, seq=sq)
     if ip is None or iq is None:
         raise ValueError("both polynomials must have a real root")

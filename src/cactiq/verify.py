@@ -39,8 +39,24 @@ RADIUS_TOL = 1e-9
 EXACT_ESCALATION_GAP = 1e-7
 MONOTONE_MARGIN = 1e-10
 
-CLAIMS = ("theorem31i", "theorem31ii", "theorem32", "prop213", "prop215",
-          "conjecture11_negative")
+# The --n, --m and --k parameters each claim reads, in the order of the CLI's
+# --claim choices; passing a claim any other is an error, not a no-op.
+CLAIM_FLAGS = {"theorem31i": ("n", "m"), "theorem31ii": ("n", "m"),
+               "theorem32": ("n",), "prop213": ("n", "k"),
+               "prop215": ("n", "m"), "conjecture11_negative": ("n", "m"),
+               "monotonicity": ()}
+
+
+def refuse_unread_flags(claim: str, **flags) -> None:
+    """Raise ValueError naming the first of the given n, m, k values that is
+    set although the claim does not read it; an unknown claim is left to
+    the claim's own dispatch."""
+    reads = CLAIM_FLAGS.get(claim)
+    if reads is None:
+        return
+    for flag, value in flags.items():
+        if value is not None and flag not in reads:
+            raise ValueError(f"{claim} takes no --{flag}")
 
 
 @dataclass
@@ -148,7 +164,9 @@ def _claim_filter(claim: str, n: int, m, k) -> CactusFilter:
 def verify_extremal(claim: str, n: int, m: int | None = None,
                     k: int | None = None) -> VerificationReport:
     """Enumerate the constrained class, find its true unique maximizer, and
-    check it against the predicted family member and radius."""
+    check it against the predicted family member and radius.  An m or k the
+    claim does not read raises ValueError."""
+    refuse_unread_flags(claim, m=m, k=k)
     if claim == "conjecture11_negative":
         return verify_conjecture11_negative(n, m)
     filt = _claim_filter(claim, n, m, k)

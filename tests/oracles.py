@@ -7,13 +7,15 @@ library routines it checks.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
 import networkx as nx
 
+from cactiq.enumeration import enumerate_cacti
 from cactiq.graph import (Graph, canonical_code, from_edges, is_cactus,
-                          is_connected)
+                          is_connected, matching_number, pendant_count)
 
 
 def all_labeled_graphs(n, min_edges=0, max_edges=None):
@@ -221,6 +223,43 @@ def scanned_level(n, smaller):
             for child in extensions(g, n):
                 bucket.setdefault(canonical_code(child).code, child)
     return tuple(bucket.items())
+
+
+def has_edge_graph6(g: Graph) -> str:
+    """graph6 string for g by one `has_edge` test per vertex pair, column by
+    column, shifted into 6-bit chunks as it goes."""
+    n = g.order
+    if n <= 62:
+        out = bytearray([n + 63])
+    else:
+        out = bytearray([126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)])
+    acc, k = 0, 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
+            k += 1
+            if k == 6:
+                out.append(acc + 63)
+                acc, k = 0, 0
+    if k:
+        out.append((acc << (6 - k)) + 63)
+    return out.decode("ascii")
+
+
+@lru_cache(maxsize=None)
+def _scanned_invariants(n: int) -> tuple:
+    return tuple((matching_number(g).size, pendant_count(g))
+                 for g in enumerate_cacti(n))
+
+
+def scanned_positions(n: int, filt) -> tuple:
+    """Positions in `enumerate_cacti(n)` of the classes meeting a filter
+    that sets at least one constraint, by testing every class's matching
+    number and pendant count in turn; () for an infeasible filter."""
+    if not filt.feasible(n):
+        return ()
+    return tuple(i for i, (m, k) in enumerate(_scanned_invariants(n))
+                 if filt.matching in (None, m) and filt.pendants in (None, k))
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +470,70 @@ def _signs_at(polys, x, den):
         v = sum(map(mul, f, terms))
         out.append((v > 0) - (v < 0))
     return out
+
+
+def cauchy_bound(coeffs) -> Fraction:
+    """Cauchy's bound 1 + max_i |c_i| / |c_d|: every real root of the
+    integer polynomial lies in [-B, B]."""
+    return 1 + Fraction(max(map(abs, coeffs[:-1])), abs(coeffs[-1]))
+
+
+def fraction_count_roots(coeffs, lo, hi, seq=None) -> int:
+    """Distinct real roots of the integer polynomial in (lo, hi], by sign
+    variations of `fraction_sturm_sequence` at the two ends."""
+    seq = seq or fraction_sturm_sequence(coeffs)
+
+    def var(x):
+        x = Fraction(x)
+        s = [v for v in _signs_at(seq, x.numerator, x.denominator) if v]
+        return sum(1 for u, v in zip(s, s[1:]) if u != v)
+
+    return var(lo) - var(hi)
+
+
+@lru_cache(maxsize=None)
+def fraction_isolate_largest(coeffs: tuple):
+    """(lo, hi, chain): (lo, hi] holds the largest real root of the integer
+    polynomial and no other root, by Fraction bisection from the Cauchy
+    bound on Sturm counts of `chain`, its `fraction_sturm_sequence`; None
+    when there is no real root."""
+    seq = fraction_sturm_sequence(coeffs)
+    hi = cauchy_bound(coeffs)
+    lo = -hi - 1
+    if not fraction_count_roots(coeffs, lo, hi, seq):
+        return None
+    while fraction_count_roots(coeffs, lo, hi, seq) > 1:
+        mid = (lo + hi) / 2
+        if fraction_count_roots(coeffs, mid, hi, seq):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, seq
+
+
+def fraction_compare_largest_roots(p: tuple, q: tuple) -> int:
+    """-1, 0 or 1 as the largest real root of the integer polynomial p lies
+    below, at or above that of q (both have a real root).  Each is isolated
+    by `fraction_isolate_largest`; while the brackets overlap, a root of the
+    Fraction gcd inside both is a tie, otherwise both are halved until they
+    are disjoint."""
+    a, b, sp = fraction_isolate_largest(p)
+    c, d, sq = fraction_isolate_largest(q)
+    if max(a, c) < min(b, d):
+        g = fraction_gcd(p, q)
+        if (len(g) > 1 and fraction_count_roots(g, a, b)
+                and fraction_count_roots(g, c, d)):
+            return 0
+    for _ in range(2000):
+        if b <= c:
+            return -1
+        if d <= a:
+            return 1
+        mid = (a + b) / 2
+        a, b = (mid, b) if fraction_count_roots(p, mid, b, sp) else (a, mid)
+        mid = (c + d) / 2
+        c, d = (mid, d) if fraction_count_roots(q, mid, d, sq) else (c, mid)
+    raise AssertionError("largest roots not separated")
 
 
 def fraction_largest_roots(coeffs, lo, hi, tols):

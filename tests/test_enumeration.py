@@ -11,7 +11,8 @@ from cactiq.graph import (_cactus_blocks, _cactus_code, _peel, are_isomorphic,
                           canonical_code, from_edges, is_cactus,
                           matching_number, pendant_count)
 
-from oracles import cactus_counts, extensions, oracle_cacti, scanned_level
+from oracles import (cactus_counts, extensions, oracle_cacti, scanned_level,
+                     scanned_positions)
 
 # counts of non-isomorphic cacti on n vertices (trees included)
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 23, 7: 63, 8: 188, 9: 596,
@@ -117,6 +118,23 @@ class TestFilters:
             assert all(matching_number(classes[i]).size == filt.matching
                        or pendant_count(classes[i]) == filt.pendants
                        for i in positions)
+
+    @pytest.mark.parametrize("n", range(1, MAX_N + 1))
+    def test_positions_equal_a_scan_of_every_class(self, n):
+        # matching values -1..n/2+1 and pendant values -1..n+1, alone and in
+        # every pair, feasible or not, against a scan of every class
+        ms, ks = range(-1, n // 2 + 2), range(-1, n + 2)
+        filters = ([CactusFilter(matching=m) for m in ms]
+                   + [CactusFilter(pendants=k) for k in ks]
+                   + [CactusFilter(matching=m, pendants=k) for m in ms for k in ks])
+        infeasible = 0
+        for filt in filters:
+            positions = class_positions(n, filt)
+            assert type(positions) is tuple
+            assert positions == scanned_positions(n, filt), filt
+            infeasible += not filt.feasible(n)
+        feasible = n // 2 + (n + 1) + (n // 2) * (n + 1)  # m in 1..n/2, k in 0..n
+        assert infeasible == len(filters) - feasible > 0
 
     # Over every feasible value a filter picks each class exactly once.
     @pytest.mark.parametrize("n", range(2, MAX_N + 1))

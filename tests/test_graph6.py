@@ -5,9 +5,11 @@ import pytest
 
 from cactiq import graph6
 from cactiq.cli import main
-from cactiq.graph import from_edges
+from cactiq.enumeration import MAX_N, enumerate_cacti
+from cactiq.families import build, members
+from cactiq.graph import MAX_ORDER, from_edges
 
-from oracles import to_networkx
+from oracles import has_edge_graph6, to_networkx
 
 
 def random_graph(rng, n):
@@ -37,6 +39,35 @@ def test_against_networkx():
         assert ours.encode("ascii") == theirs
         back = nx.from_graph6_bytes(ours.encode("ascii"))
         assert set(map(frozenset, back.edges())) == set(map(frozenset, g.edges))
+
+
+class TestEncodeAgainstHasEdgeLoop:
+    def test_every_class(self):
+        count = 0
+        for n in range(1, MAX_N + 1):
+            for g in enumerate_cacti(n):
+                assert graph6.encode(g) == has_edge_graph6(g), g
+                count += 1
+        assert count == 2866
+
+    def test_every_family_member(self):
+        count = 0
+        for family in ("H", "L"):
+            for p in members(family, MAX_ORDER):
+                g = build(p)
+                assert graph6.encode(g) == has_edge_graph6(g), p
+                count += 1
+        assert count == 992 + 930
+
+    def test_random_graphs(self):
+        rng = random.Random(3)
+        orders = set()
+        for _ in range(200):
+            n = rng.randint(1, MAX_ORDER)
+            g = random_graph(rng, n)
+            assert graph6.encode(g) == has_edge_graph6(g), g
+            orders.add(n)
+        assert {1, 62, 63, 64} <= orders  # both order prefixes
 
 
 def test_bad_input():

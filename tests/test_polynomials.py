@@ -10,10 +10,12 @@ from cactiq.families import PolyRootRadius, extremal_answer
 from cactiq.polynomials import (IntPolynomial, _poly_gcd, compare_largest_roots,
                                 count_roots, isolate_largest_root,
                                 largest_real_root, monomial_shift, refine_root,
-                                sturm_sequence)
+                                root_bound, sturm_sequence)
 from cactiq.spectra import char_poly, radii, signless_laplacian
 from cactiq.verify import EXACT_ESCALATION_GAP
-from oracles import fraction_gcd, fraction_largest_roots, fraction_sturm_sequence
+from oracles import (cauchy_bound, fraction_compare_largest_roots,
+                     fraction_count_roots, fraction_gcd,
+                     fraction_largest_roots, fraction_sturm_sequence)
 
 
 def test_construction_strips_trailing_zeros():
@@ -108,6 +110,54 @@ def test_count_roots_counts_distinct_roots_at_multiple_roots():
         assert count_roots(p, lo, hi) == want, (roots, lo, hi)
 
 
+def _assert_bounds_every_real_root(p):
+    """Every real root r of p has |r| < root_bound(p), a power of two: the
+    Fraction chain counts no root in [B, C] or [-C, -B], where C exceeds
+    both B and the Cauchy bound."""
+    bound = root_bound(p)
+    assert bound >= 2 and bound & (bound - 1) == 0
+    top = max(cauchy_bound(p.coeffs), bound) + 1
+    seq = fraction_sturm_sequence(p.coeffs)
+    assert p(bound) != 0, p
+    assert fraction_count_roots(p.coeffs, bound, top, seq) == 0, p
+    assert fraction_count_roots(p.coeffs, -top, -bound, seq) == 0, p
+
+
+class TestRootBound:
+    def test_random_integer_polynomials(self):
+        rng = random.Random(5)
+        non_monic = wide = 0
+        for t in range(500):
+            bits = rng.choice((3, 20, 80))
+            if t % 2:
+                # real roots near the bound: a scaled product of linear factors
+                p = IntPolynomial((rng.choice((-1, 1)) * rng.randint(1, 2 ** bits),))
+                for _ in range(rng.randint(1, 6)):
+                    p = p * IntPolynomial((rng.randint(-2 ** bits, 2 ** bits),
+                                           rng.choice((-3, -1, 1, 2, 7))))
+            else:
+                coeffs = [rng.choice((0, 1)) * rng.randint(-2 ** bits, 2 ** bits)
+                          for _ in range(rng.randint(1, 8))]
+                coeffs.append(rng.choice((-1, 1)) * rng.randint(1, 2 ** rng.choice((1, bits))))
+                p = IntPolynomial(coeffs)
+            non_monic += abs(p.leading) != 1
+            wide += max(map(abs, p.coeffs)) >= 2 ** 79
+            _assert_bounds_every_real_root(p)
+        assert non_monic > 300 and wide > 50
+
+    def test_class_characteristic_polynomials(self):
+        count = 0
+        for n in range(1, 9):
+            for g in enumerate_cacti(n):
+                _assert_bounds_every_real_root(char_poly(signless_laplacian(g)))
+                count += 1
+        assert count == 291
+
+    def test_constant_polynomial_rejected(self):
+        with pytest.raises(ValueError):
+            root_bound(IntPolynomial((5,)))
+
+
 def test_isolate_largest_root_degenerate_windows():
     p = monomial_shift(4)
     # a root on the left end of an empty window is still bracketed
@@ -174,7 +224,7 @@ class TestCompareLargestRoots:
             raise AssertionError("gcd taken although the brackets separate")
 
         monkeypatch.setattr(polynomials, "_poly_gcd", no_gcd)
-        # the first isolating brackets are (7/4, 4] and (10.8..., 11.6...]
+        # the first isolating brackets are (1, 2] and (10, 12]
         p = monomial_shift(1) * monomial_shift(2)
         q = monomial_shift(10) * monomial_shift(11)
         ip, iq = isolate_largest_root(p), isolate_largest_root(q)
@@ -191,7 +241,7 @@ class TestCompareLargestRoots:
 
         gcd = polynomials._poly_gcd
         monkeypatch.setattr(polynomials, "_poly_gcd", counting)
-        # the first brackets of x - 2 and x - 3 are (-4, 3] and (-5, 4]
+        # the first brackets of x - 2 and x - 3 are both (-8, 8]
         assert compare_largest_roots(monomial_shift(2), monomial_shift(3)) == -1
         assert len(calls) == 1
         shared = IntPolynomial((8, -7, 1))
@@ -222,6 +272,38 @@ class TestCompareLargestRoots:
         assert max(ip[0], iq[0]) < min(ip[1], iq[1])
         assert compare_largest_roots(p, q) == -1
         assert compare_largest_roots(q, p) == 1
+
+    def test_equal_polynomials_tie_after_one_isolation(self, monkeypatch):
+        calls = []
+
+        def counting(p, lo=None, hi=None, seq=None):
+            calls.append(p)
+            return isolate(p, lo, hi, seq)
+
+        isolate = polynomials.isolate_largest_root
+        monkeypatch.setattr(polynomials, "isolate_largest_root", counting)
+        p = monomial_shift(1) * monomial_shift(3)
+        assert compare_largest_roots(p, IntPolynomial(p.coeffs)) == 0
+        assert calls == [p]
+        with pytest.raises(ValueError, match="real root"):
+            compare_largest_roots(IntPolynomial((1, 0, 1)), IntPolynomial((1, 0, 1)))
+        with pytest.raises(ValueError, match="real root"):
+            compare_largest_roots(p, IntPolynomial((1, 0, 1)))
+
+    def test_class_polynomial_pairs_match_fraction_oracle(self):
+        # every pair of class polynomials for n <= 7, each in both orders,
+        # a polynomial paired with itself included
+        polys = [char_poly(signless_laplacian(g))
+                 for n in range(1, 8) for g in enumerate_cacti(n)]
+        assert len(polys) == 103
+        ties = 0
+        for i, p in enumerate(polys):
+            for q in polys[i:]:
+                want = fraction_compare_largest_roots(p.coeffs, q.coeffs)
+                assert compare_largest_roots(p, q) == want, (p, q)
+                assert compare_largest_roots(q, p) == -want, (p, q)
+                ties += want == 0
+        assert ties > len(polys)
 
     def test_gives_up_after_max_steps(self, monkeypatch):
         monkeypatch.setattr(polynomials, "MAX_SEPARATION_STEPS", 0)

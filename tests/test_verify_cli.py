@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cactiq import graph6, spectra, verify
+from cactiq import cli, graph6, spectra, verify
 from cactiq.cli import main
 from cactiq.enumeration import CactusFilter, enumerate_cacti
 from cactiq.spectra import graph_radius
@@ -68,6 +68,21 @@ class TestVerifyExtremal:
             verify_extremal("theorem31i", 6, m=2)
         with pytest.raises(ValueError):
             verify_extremal("prop215", 7, m=3)
+
+    @pytest.mark.parametrize("claim, n, m, k, flag", [
+        ("theorem32", 5, 1, 3, "m"),
+        ("theorem32", 5, None, 3, "k"),
+        ("prop213", 7, 2, 2, "m"),
+        ("conjecture11_negative", 7, None, 2, "k"),
+        ("theorem31i", 7, None, 2, "k"),
+        ("theorem31ii", 8, 3, 1, "k"),
+        ("prop215", 6, None, 1, "k"),
+    ])
+    def test_unread_parameter_refused(self, claim, n, m, k, flag):
+        # a parameter the claim does not read is refused, not dropped from
+        # the report's parameters
+        with pytest.raises(ValueError, match=f"^{claim} takes no --{flag}$"):
+            verify_extremal(claim, n, m=m, k=k)
 
     def test_report_json_shape(self):
         r = verify_extremal("theorem31i", 5, m=2)
@@ -390,6 +405,40 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {claim} takes no --{flag}\n"
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_argv_list_byte_identical(self, capsys):
+        # the reused parser and the per-order caches leave no trace between
+        # calls: a second pass in the same process prints the same bytes
+        argvs = [["enumerate", "--n", "6", "--matching", "2"],
+                 ["enumerate", "--n", "6", "--pendants", "3", "--format", "count"],
+                 ["verify", "--claim", "theorem31i", "--n", "7"],
+                 ["verify", "--claim", "theorem32", "--n", "5", "--m", "1"],
+                 ["verify", "--claim", "nonsense", "--n", "5"],
+                 ["enumerate", "--n", "6", "--format", "dot"],
+                 ["verify", "--claim", "prop213", "--n", "8", "--k", "2"],
+                 ["family", "--family", "L", "--s", "2", "--k", "1"],
+                 ["charpoly", "--graph6", "Bw"],
+                 ["radius", "--graph6", "Bx"],
+                 ["check-formulas", "--max-n", "7"]]
+
+        def run_all():
+            out = []
+            for argv in argvs:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                out.append((captured.out, captured.err, code))
+            return out
+
+        first = run_all()
+        assert run_all() == first
+        assert [code for *_, code in first] == [0, 0, 0, 2, 2, 2, 0, 0, 0, 2, 0]
+        assert "invalid choice: 'nonsense'" in first[4][1]
 
     def test_missing_n_exit_2(self, capsys):
         assert main(["verify", "--claim", "theorem32"]) == 2
