@@ -125,18 +125,11 @@ def _all_cacti(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _invariants(n: int) -> tuple:
-    """(matching number, pendant count) of every class of `_all_cacti(n)`, in
-    the same order."""
-    return tuple((matching_number(g).size, pendant_count(g))
-                 for g in _all_cacti(n))
-
-
-@lru_cache(maxsize=None)
-def _groups(n: int) -> tuple:
     """((matching number, pendant count), positions) for every pair that
-    occurs in `_invariants(n)`, the positions ascending."""
+    occurs among the classes of `_all_cacti(n)`, the positions ascending."""
     groups = {}
-    for i, inv in enumerate(_invariants(n)):
+    for i, g in enumerate(_all_cacti(n)):
+        inv = (matching_number(g).size, pendant_count(g))
         groups.setdefault(inv, []).append(i)
     return tuple((inv, tuple(pos)) for inv, pos in groups.items())
 
@@ -144,7 +137,7 @@ def _groups(n: int) -> tuple:
 def class_positions(n: int, filt: CactusFilter | None = None):
     """Indices into the full class list of order n (`enumerate_cacti(n)`) of
     the classes meeting the filter, ascending: a range when there is no
-    filter, otherwise a tuple, the union of the order's groups (`_groups`)
+    filter, otherwise a tuple, the union of the order's groups (`_invariants`)
     that the filter admits.
 
     An infeasible filter yields an empty sequence.
@@ -157,7 +150,7 @@ def class_positions(n: int, filt: CactusFilter | None = None):
     if filt == CactusFilter():
         return range(len(_all_cacti(n)))
     return tuple(sorted(chain.from_iterable(
-        pos for inv, pos in _groups(n) if filt.admits(*inv))))
+        pos for inv, pos in _invariants(n) if filt.admits(*inv))))
 
 
 def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:

@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -218,7 +219,10 @@ class TestInvariantTable:
         cached = [enumeration._invariants(n) for n in orders]
         enumeration._invariants.cache_clear()
         assert [enumeration._invariants(n) for n in orders] == cached
-        assert all(len(t) == KNOWN_COUNTS[n] for n, t in zip(orders, cached))
+        # the groups' positions are each class of the order exactly once
+        assert all(sorted(chain.from_iterable(pos for _, pos in t))
+                   == list(range(KNOWN_COUNTS[n]))
+                   for n, t in zip(orders, cached))
 
     def test_unfiltered_enumeration_builds_no_table(self):
         enumeration._invariants.cache_clear()
