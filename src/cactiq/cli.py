@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="numeric spectral radius of Q")
     p.add_argument("--graph6", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("verify", help="run one verification claim")
     p.add_argument("--claim", required=True,
@@ -54,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--out", default=None, help="append JSONL report here")
 
     p = sub.add_parser("check-formulas", help="exact formula identities")
@@ -100,13 +99,15 @@ def main(argv=None) -> int:
 
         if args.command == "radius":
             g = graph6.decode(args.graph6)
-            print(repr(graph_radius(g, tol=args.tol).radius))
+            print(repr(graph_radius(g).radius))
             return 0
 
         if args.command == "verify":
-            refuse_unread_flags(args.claim, n=args.n, m=args.m, k=args.k)
+            run = {"trials": args.trials, "seed": args.seed}
+            refuse_unread_flags(args.claim, n=args.n, m=args.m, k=args.k, **run)
             if args.claim == "monotonicity":
-                report = verify_monotonicity(trials=args.trials, seed=args.seed)
+                report = verify_monotonicity(
+                    **{f: v for f, v in run.items() if v is not None})
             else:
                 if args.n is None:
                     raise ValueError(f"--n is required for {args.claim}")

@@ -15,7 +15,6 @@ constraint to the predicted maximizer and its radius.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import count
@@ -53,18 +52,22 @@ class FamilyParams:
 
 def build(params: FamilyParams) -> Graph:
     """Hub 0, triangles {0, 2i+1, 2i+2} for i < s, for L the pendant path
-    0-(2s+1)-(2s+2), then a hub pendant on every vertex left."""
+    0-(2s+1)-(2s+2), then a hub pendant on every vertex left.  The edges
+    reach `from_edges` lazily, so its order check comes before any of them
+    is made."""
+    return from_edges(params.n, _edges(params))
+
+
+def _edges(params: FamilyParams):
     s, n = params.s, params.n
-    edges = []
     for i in range(s):
         a, b = 2 * i + 1, 2 * i + 2
-        edges += [(0, a), (0, b), (a, b)]
+        yield from ((0, a), (0, b), (a, b))
     rest = 2 * s + 1
     if params.family == "L":
-        edges += [(0, rest), (rest, rest + 1)]
+        yield from ((0, rest), (rest, rest + 1))
         rest += 2
-    edges += [(0, j) for j in range(rest, n)]
-    return from_edges(n, edges)
+    yield from ((0, j) for j in range(rest, n))
 
 
 def build_H(s: int, k: int) -> Graph:
@@ -162,9 +165,6 @@ class ClosedFormRadius:
     def value(self) -> float:
         return (self.a + math.sqrt(self.b)) / self.c
 
-    def to_json(self) -> str:
-        return json.dumps({"closed_form": [self.a, self.b, self.c]})
-
 
 @dataclass(frozen=True)
 class PolyRootRadius:
@@ -174,10 +174,6 @@ class PolyRootRadius:
 
     def value(self, tol: float = 1e-12) -> float:
         return largest_real_root(self.poly, self.bracket, tol=tol)
-
-    def to_json(self) -> str:
-        return json.dumps({"poly": [str(c) for c in self.poly.coeffs],
-                           "bracket": [self.bracket[0], self.bracket[1]]})
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __call__(self, x):
         """Evaluate by Horner's rule; works for int, Fraction and float."""
         acc = 0 * x
@@ -152,9 +149,6 @@ def _coerce(p) -> IntPolynomial:
     if isinstance(p, int):
         return IntPolynomial((p,))
     raise TypeError(f"cannot coerce {p!r} to IntPolynomial")
-
-
-X = IntPolynomial((0, 1))
 
 
 def monomial_shift(c: int) -> IntPolynomial:

@@ -11,7 +11,6 @@ at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,8 @@ import numpy as np
 from .graph import Graph
 from .polynomials import IntPolynomial
 
-DEFAULT_TOL = 1e-12
+# Largest eigenpair residual accepted, relative to max(1, |radius|).
+RESIDUAL_GATE = 1e-10
 
 
 class DenseSymMatrix:
@@ -66,14 +66,12 @@ def _q_stack(graphs) -> np.ndarray:
     return stack
 
 
-def _top_eigenpairs(stack: np.ndarray, tol: float):
+def _top_eigenpairs(stack: np.ndarray):
     """Largest eigenvalue, its sign-fixed unit eigenvector and its residual
     for every matrix of a symmetric (N, n, n) stack, as three arrays.
 
-    The residual gate is max(tol, 1e-10) relative to max(1, |radius|); a tol
-    that is negative, nan or infinite raises ValueError."""
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    A residual above RESIDUAL_GATE relative to max(1, |radius|) raises
+    RuntimeError."""
     try:
         # eigh: the values-only solver's top eigenvalue differs in the last bits
         w, vecs = np.linalg.eigh(stack)
@@ -83,12 +81,19 @@ def _top_eigenpairs(stack: np.ndarray, tol: float):
     vec = np.where(vec.sum(axis=1, keepdims=True) < 0, -vec, vec)
     residual = np.linalg.norm((stack @ vec[:, :, None])[:, :, 0]
                               - radius[:, None] * vec, axis=1)
-    bad = np.flatnonzero(residual > max(tol, 1e-10)
+    bad = np.flatnonzero(residual > RESIDUAL_GATE
                          * np.maximum(1.0, np.abs(radius)))
     if bad.size:
         raise RuntimeError(f"eigensolver residual {residual[bad[0]]} above "
                            f"tolerance at index {bad[0]}")
     return radius, vec, residual
+
+
+def _one_result(stack: np.ndarray) -> SpectralResult:
+    """The SpectralResult of a one-matrix (1, n, n) stack."""
+    radius, vec, residual = _top_eigenpairs(stack)
+    return SpectralResult(radius=float(radius[0]), perron=tuple(vec[0].tolist()),
+                          residual=float(residual[0]))
 
 
 def signless_laplacian(g: Graph) -> DenseSymMatrix:
@@ -97,7 +102,7 @@ def signless_laplacian(g: Graph) -> DenseSymMatrix:
     return DenseSymMatrix(q, int_rows=tuple(map(tuple, q.astype(int).tolist())))
 
 
-def spectral_radius(m: DenseSymMatrix, tol: float = DEFAULT_TOL) -> SpectralResult:
+def spectral_radius(m: DenseSymMatrix) -> SpectralResult:
     """Largest eigenvalue of a symmetric matrix and its eigenvector.
 
     For matrices built from connected graphs the returned vector is the Perron
@@ -107,14 +112,13 @@ def spectral_radius(m: DenseSymMatrix, tol: float = DEFAULT_TOL) -> SpectralResu
     """
     if not m.is_symmetric():
         raise ValueError("spectral_radius requires a symmetric matrix")
-    radius, vec, residual = _top_eigenpairs(m.data[None], tol)
-    return SpectralResult(radius=float(radius[0]), perron=tuple(vec[0].tolist()),
-                          residual=float(residual[0]))
+    return _one_result(m.data[None])
 
 
-def graph_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Convenience: spectral radius of Q(g)."""
-    return spectral_radius(signless_laplacian(g), tol=tol)
+def graph_radius(g: Graph) -> SpectralResult:
+    """Spectral radius and Perron vector of Q(g), solved from its one-graph
+    stack; Q of a Graph is symmetric by construction."""
+    return _one_result(_q_stack([g]))
 
 
 # Graphs per stacked eigensolve in `eigenpairs`, so that Q and the
@@ -123,11 +127,11 @@ def graph_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
 RADII_SLICE = 256
 
 
-def eigenpairs(graphs, tol: float = DEFAULT_TOL):
+def eigenpairs(graphs):
     """Spectral radius and Perron vector of Q(g) for each graph in a sequence
     of same-order graphs, as an (N,) array and an (N, n) array of rows, from
     one stacked eigensolve per RADII_SLICE graphs; row i equals
-    graph_radius(graphs[i], tol) exactly."""
+    graph_radius(graphs[i]) exactly."""
     n = graphs[0].order if graphs else 0
     if any(g.order != n for g in graphs):
         raise ValueError("a stack of Q matrices needs graphs of one order")
@@ -135,15 +139,22 @@ def eigenpairs(graphs, tol: float = DEFAULT_TOL):
     for i in range(0, len(graphs), RADII_SLICE):
         part = graphs[i:i + RADII_SLICE]
         radius[i:i + len(part)], perron[i:i + len(part)], _ = \
-            _top_eigenpairs(_q_stack(part), tol)
+            _top_eigenpairs(_q_stack(part))
     return radius, perron
 
 
 def radii(graphs) -> list:
-    """Spectral radius of Q(g) for each graph in a sequence of same-order
-    graphs, the radius column of `eigenpairs`; each equals
+    """Spectral radius of Q(g) for each graph in a sequence of graphs of any
+    orders, in input order, from one `eigenpairs` call per order; each equals
     graph_radius(g).radius exactly."""
-    return eigenpairs(graphs)[0].tolist()
+    by_order = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.order, []).append(i)
+    out = [0.0] * len(graphs)
+    for idx in by_order.values():
+        for i, r in zip(idx, eigenpairs([graphs[i] for i in idx])[0].tolist()):
+            out[i] = r
+    return out
 
 
 def char_poly_int_rows(rows) -> IntPolynomial:

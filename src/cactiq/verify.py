@@ -11,8 +11,8 @@ and Perron vector of every class of `enumerate_cacti(n)`, solved once in
 stacked calls and held until `cache_clear`.  A filtered class reads its radii
 at its `class_positions`.  The monotonicity runs read each drawn graph's
 radius and Perron vector from the same tables, queue the surgery results and
-solve them RADII_SLICE instances at a time, stacked by order, before checking
-them in trial and property order.
+solve them RADII_SLICE instances at a time in one `spectra.radii` call, before
+checking them in trial and property order.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from . import graph6, spectra
 from .enumeration import CactusFilter, class_positions, enumerate_cacti
 from .families import (build, extremal_answer, members, psi_H, psi_L,
                        psi_legacy, superseded_conjecture_bound)
-from .graph import (Graph, canonical_code, from_edges, is_connected,
-                    block_decomposition)
+from .graph import Graph, block_decomposition, canonical_code, from_edges
 from .polynomials import compare_largest_roots
 # graph_radius is not called here; perfbench's layer-trace self-test reads it
 # as cactiq.verify.graph_radius
@@ -39,16 +38,17 @@ RADIUS_TOL = 1e-9
 EXACT_ESCALATION_GAP = 1e-7
 MONOTONE_MARGIN = 1e-10
 
-# The --n, --m and --k parameters each claim reads, in the order of the CLI's
-# --claim choices; passing a claim any other is an error, not a no-op.
+# The --n, --m, --k, --trials and --seed parameters each claim reads, in the
+# order of the CLI's --claim choices; passing a claim any other is an error,
+# not a no-op.
 CLAIM_FLAGS = {"theorem31i": ("n", "m"), "theorem31ii": ("n", "m"),
                "theorem32": ("n",), "prop213": ("n", "k"),
                "prop215": ("n", "m"), "conjecture11_negative": ("n", "m"),
-               "monotonicity": ()}
+               "monotonicity": ("trials", "seed")}
 
 
 def refuse_unread_flags(claim: str, **flags) -> None:
-    """Raise ValueError naming the first of the given n, m, k values that is
+    """Raise ValueError naming the first of the given flag values that is
     set although the claim does not read it; an unknown claim is left to
     the claim's own dispatch."""
     reads = CLAIM_FLAGS.get(claim)
@@ -321,17 +321,21 @@ def _delete_vertex(g: Graph, v: int) -> Graph:
 
 
 def _draw_subgraph_instance(rng: random.Random):
-    """A (G, radius of G, H) triple with H a proper connected subgraph of G."""
+    """A (G, radius of G, H) triple with H a proper connected subgraph of G.
+
+    H drops either one edge of a cycle, the first in a shuffled edge order
+    (deleting an edge leaves a cactus connected iff the edge lies on a
+    cycle, a block of more than two edges), or one non-cut vertex."""
     while True:
         g, q0, _ = _random_cactus(rng)
+        blocks = block_decomposition(g)
         if rng.random() < 0.5 and g.size > g.order - 1:
             edges = sorted(g.edges)
             rng.shuffle(edges)
-            for e in edges:
-                h = from_edges(g.order, [x for x in edges if x != e])
-                if is_connected(h):
-                    return g, q0, h
-        cuts = block_decomposition(g).cut_vertices
+            on_cycle = {e for b in blocks.blocks if len(b) > 2 for e in b}
+            e = next(e for e in edges if e in on_cycle)
+            return g, q0, from_edges(g.order, [x for x in edges if x != e])
+        cuts = blocks.cut_vertices
         options = [v for v in range(g.order) if v not in cuts]
         if g.order >= 3 and options:
             return g, q0, _delete_vertex(g, rng.choice(options))
@@ -339,44 +343,26 @@ def _draw_subgraph_instance(rng: random.Random):
 
 def _instances(rng: random.Random, trials: int):
     """(property, trial, G, radius of G, surgery result) for the three
-    properties of each trial in turn, drawn lazily from rng.  A result is
-    held as its (order, edges) pair, a fraction of its `Graph`'s memory,
-    until its batch is solved."""
+    properties of each trial in turn, drawn lazily from rng."""
     for t in range(trials):
         g, q0, plan = _draw_shift_instance(rng)
-        h = shift_neighbors(g, plan)
-        yield "neighbor_shift", t, g, q0, (h.order, h.edges)
+        yield "neighbor_shift", t, g, q0, shift_neighbors(g, plan)
         g, q0, (u, v) = _draw_contract_instance(rng)
-        h = contract_pend(g, u, v)
-        yield "contract_pend", t, g, q0, (h.order, h.edges)
+        yield "contract_pend", t, g, q0, contract_pend(g, u, v)
         g, q0, h = _draw_subgraph_instance(rng)
-        yield "proper_subgraph", t, g, q0, (h.order, h.edges)
-
-
-def _radii_by_order(shapes) -> list:
-    """Q-radius of the graph of each (order, edges) pair, from one
-    `spectra.radii` call per order."""
-    by_order = {}
-    for i, (n, _) in enumerate(shapes):
-        by_order.setdefault(n, []).append(i)
-    out = [0.0] * len(shapes)
-    for n, idx in by_order.items():
-        graphs = [Graph(n, shapes[i][1]) for i in idx]
-        for i, r in zip(idx, spectra.radii(graphs)):
-            out[i] = r
-    return out
+        yield "proper_subgraph", t, g, q0, h
 
 
 def _violations(batch) -> list:
     """Violation records of a batch of instances, in batch order."""
     out = []
-    after = _radii_by_order([h for *_, h in batch])
+    after = spectra.radii([h for *_, h in batch])
     for (prop, t, g, q0, h), q1 in zip(batch, after):
         if prop == "proper_subgraph":
             if q0 - q1 <= MONOTONE_MARGIN:
                 out.append({"property": prop, "trial": t,
                             "graph": graph6.encode(g),
-                            "sub": graph6.encode(Graph(*h)),
+                            "sub": graph6.encode(h),
                             "whole": q0, "part": q1})
         elif q1 - q0 <= MONOTONE_MARGIN:
             out.append({"property": prop, "trial": t,
@@ -389,8 +375,8 @@ def verify_monotonicity(trials: int = 200, seed: int = 42) -> VerificationReport
     shift, contraction-plus-pendant, and proper-subgraph comparison.
 
     Each drawn graph's radius comes from its order's class table; the surgery
-    results are solved RADII_SLICE instances at a time, stacked by order, and
-    checked in trial and property order."""
+    results are solved RADII_SLICE instances at a time and checked in trial
+    and property order."""
     if trials < 1:
         raise ValueError("trials >= 1 required")
     report = VerificationReport(claim="monotonicity",

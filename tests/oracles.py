@@ -14,8 +14,9 @@ from operator import mul
 import networkx as nx
 
 from cactiq.enumeration import enumerate_cacti
-from cactiq.graph import (Graph, canonical_code, from_edges, is_cactus,
-                          is_connected, matching_number, pendant_count)
+from cactiq.graph import (Graph, block_decomposition, canonical_code,
+                          from_edges, is_cactus, is_connected,
+                          matching_number, pendant_count)
 
 
 def all_labeled_graphs(n, min_edges=0, max_edges=None):
@@ -575,3 +576,24 @@ def fraction_largest_roots(coeffs, lo, hi, tols):
         vm = var(mid, den)
         a, b, va, vb = (mid, b, vm, vb) if vm > vb else (a, mid, va, vm)
     return [out[tol] for tol in tols]
+
+
+def subgraph_instance_by_trial(rng):
+    """The proper-subgraph draw of `verify._draw_subgraph_instance`, finding
+    its edge by trial: delete each edge of the shuffled list in turn, build
+    the rest and keep the first that is still connected.  The graph draw
+    and the vertex branch are the library's own."""
+    from cactiq import verify
+    while True:
+        g, q0, _ = verify._random_cactus(rng)
+        if rng.random() < 0.5 and g.size > g.order - 1:
+            edges = sorted(g.edges)
+            rng.shuffle(edges)
+            for e in edges:
+                h = from_edges(g.order, [x for x in edges if x != e])
+                if is_connected(h):
+                    return g, q0, h
+        cuts = block_decomposition(g).cut_vertices
+        options = [v for v in range(g.order) if v not in cuts]
+        if g.order >= 3 and options:
+            return g, q0, verify._delete_vertex(g, rng.choice(options))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -75,6 +76,18 @@ class TestConstruction:
     def test_build_dispatch(self):
         assert build(FamilyParams("H", 2, 1)) == build_H(2, 1)
         assert build(FamilyParams("L", 2, 1)) == build_L(2, 1)
+
+    @pytest.mark.parametrize("family, k", [("H", 0), ("L", 1)])
+    def test_order_guard_before_edges(self, family, k):
+        # an order past the maximum is refused before any edge is made
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds supported maximum"):
+                build(FamilyParams(family, 10 ** 6, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_graph6_pinned(self):
         # sha256 of "family s k graph6" lines for every H and L member up to
@@ -262,12 +275,10 @@ class TestExtremalAnswer:
             extremal_answer(5, matching=3)
 
     def test_descriptor_json(self):
-        import json
         ans = extremal_answer(5, matching=2)
-        assert json.loads(ans.descriptor.to_json()) == {"closed_form": [7, 17, 2]}
+        assert ans.descriptor == ClosedFormRadius(7, 17, 2)
         ans = extremal_answer(8, matching=3)
-        d = json.loads(ans.descriptor.to_json())
-        assert d["poly"] == ["-8", "24", "-11", "1"]
+        assert ans.descriptor.poly.coeffs == (-8, 24, -11, 1)
 
 
 def test_superseded_bound_below_true_radius_at_5():

@@ -6,7 +6,7 @@ import pytest
 
 from cactiq import spectra
 from cactiq.enumeration import enumerate_cacti
-from cactiq.families import build_H, build_L
+from cactiq.families import build_H, build_L, extremal_answer
 from cactiq.graph import from_edges, is_connected
 from cactiq.polynomials import IntPolynomial, count_roots
 from cactiq.spectra import (DenseSymMatrix, _top_eigenpairs, char_poly,
@@ -61,18 +61,14 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(DenseSymMatrix.from_int_rows([[0, 1], [0, 0]]))
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
-    def test_rejects_non_finite_or_negative_tol(self, tol):
-        # nan or inf would switch the residual check off
-        with pytest.raises(ValueError, match="tol"):
-            graph_radius(C3, tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            spectral_radius(signless_laplacian(C3), tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            eigenpairs([C3], tol=tol)
-
-    def test_zero_tol_uses_the_floor(self):
-        assert graph_radius(C3, tol=0.0) == graph_radius(C3)
+    def test_graph_radius_equals_matrix_solve(self):
+        # every class to n = 10 and every extremal maximizer to order 64:
+        # the solve from the graph equals the solve from its checked matrix
+        graphs = [g for n in range(1, 11) for g in enumerate_cacti(n)]
+        graphs += [extremal_answer(n).maximizer for n in range(3, 65)]
+        assert len(graphs) == 2928
+        for g in graphs:
+            assert graph_radius(g) == spectral_radius(signless_laplacian(g))
 
     def test_perron_positive_and_unit(self):
         rng = random.Random(13)
@@ -105,13 +101,21 @@ class TestRadii:
     @pytest.mark.parametrize("size", [1, 64, 256, 500])
     def test_slices_equal_whole_stack(self, monkeypatch, n, size):
         graphs = enumerate_cacti(n)
-        whole = _top_eigenpairs(spectra._q_stack(graphs), 1e-12)[0].tolist()
+        whole = _top_eigenpairs(spectra._q_stack(graphs))[0].tolist()
         monkeypatch.setattr(spectra, "RADII_SLICE", size)
         assert radii(graphs) == whole
 
+    def test_mixed_orders_equal_graph_radius(self):
+        # radii groups by order itself; one graph_radius per graph is the
+        # oracle
+        graphs = [g for n in range(1, 11) for g in enumerate_cacti(n)]
+        random.Random(5).shuffle(graphs)
+        assert radii(graphs) == [graph_radius(g).radius for g in graphs]
+
     def test_rejects_mixed_orders(self):
-        with pytest.raises(ValueError):
-            radii([C3, S4])
+        # eigenpairs returns its Perron vectors as one (N, n) array
+        with pytest.raises(ValueError, match="one order"):
+            eigenpairs([C3, S4])
 
     def test_empty(self):
         assert radii([]) == []
@@ -129,7 +133,7 @@ class TestRadii:
 
     def test_eigenpairs_slices_equal_whole_stack(self, monkeypatch):
         graphs = enumerate_cacti(9)
-        whole = _top_eigenpairs(spectra._q_stack(graphs), 1e-12)
+        whole = _top_eigenpairs(spectra._q_stack(graphs))
         monkeypatch.setattr(spectra, "RADII_SLICE", 100)
         radius, perron = eigenpairs(graphs)
         assert radius.tolist() == whole[0].tolist()
@@ -146,7 +150,7 @@ class TestRadii:
         bad = good.copy()
         bad[0, 2] = 0.0
         with pytest.raises(RuntimeError, match="at index 1$"):
-            _top_eigenpairs(np.stack([good, bad]), 1e-12)
+            _top_eigenpairs(np.stack([good, bad]))
 
 
 class TestCharPoly:
@@ -172,7 +176,7 @@ class TestCharPoly:
         rng = random.Random(17)
         for _ in range(20):
             g = random_connected(rng, rng.randint(1, 7))
-            assert char_poly(signless_laplacian(g)).is_monic()
+            assert char_poly(signless_laplacian(g)).leading == 1
 
 
 def assert_equals_oracle(rows):

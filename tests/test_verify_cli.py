@@ -16,6 +16,7 @@ from cactiq.transforms import contract_pend, shift_neighbors
 from cactiq.verify import (rank_certified, verify_conjecture11_negative,
                            verify_extremal, verify_formulas,
                            verify_monotonicity)
+from oracles import subgraph_instance_by_trial
 
 
 class TestVerifyExtremal:
@@ -248,9 +249,9 @@ class TestMonotonicity:
         calls = []
         solve = spectra._top_eigenpairs
 
-        def counting(stack, tol):
+        def counting(stack):
             calls.append(len(stack))
-            return solve(stack, tol)
+            return solve(stack)
 
         monkeypatch.setattr(spectra, "_top_eigenpairs", counting)
         verify._class_spectra.cache_clear()
@@ -285,6 +286,15 @@ class TestMonotonicity:
                          "whole": graph_radius(g).radius,
                          "part": graph_radius(h).radius})
         assert got == want
+
+    def test_subgraph_draw_equals_edge_trial_oracle(self):
+        # the cycle-edge pick against building and testing each edge in turn:
+        # the same instance and the same rng stream afterwards
+        for seed in range(2000):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert verify._draw_subgraph_instance(rng) == \
+                subgraph_instance_by_trial(ref)
+            assert rng.getstate() == ref.getstate()
 
     def test_small_run_passes(self):
         r = verify_monotonicity(trials=30, seed=7)
@@ -347,16 +357,15 @@ class TestCli:
         got = float(capsys.readouterr().out.strip())
         assert got == pytest.approx((7 + math.sqrt(17)) / 2, abs=1e-10)
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-12"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-12", "0"])
     def test_radius_bad_tol_exit_2(self, tol, capsys):
-        assert main(["radius", "--graph6", "Bw", f"--tol={tol}"]) == 2
+        # the residual gate is fixed, so any --tol is an argparse usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--graph6", "Bw", f"--tol={tol}"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: tol must be finite and >= 0")
-
-    def test_radius_zero_tol(self, capsys):
-        assert main(["radius", "--graph6", "Bw", "--tol", "0"]) == 0
-        assert float(capsys.readouterr().out) == pytest.approx(4, abs=1e-12)
+        assert f"error: unrecognized arguments: --tol={tol}" in captured.err
 
     def test_charpoly_subcommand(self, capsys):
         assert main(["charpoly", "--graph6", "Bw"]) == 0  # triangle
@@ -398,6 +407,13 @@ class TestCli:
         ("monotonicity", ["--trials", "3"], "n"),
         ("monotonicity", ["--trials", "3"], "m"),
         ("monotonicity", ["--trials", "3"], "k"),
+        ("theorem31i", ["--n", "7"], "trials"),
+        ("theorem31ii", ["--n", "6", "--m", "2"], "seed"),
+        ("prop215", ["--n", "6"], "trials"),
+        ("conjecture11_negative", ["--n", "5"], "seed"),
+        ("theorem32", ["--n", "5", "--seed", "3"], "trials"),
+        ("theorem32", ["--n", "5"], "seed"),
+        ("prop213", ["--n", "8", "--k", "2"], "seed"),
     ])
     def test_unread_flag_exit_2(self, claim, base, flag, capsys):
         # a flag the claim does not read is refused, not dropped
