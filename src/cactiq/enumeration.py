@@ -8,24 +8,28 @@ exactly once per size.  A candidate is its parent plus one endblock at a
 vertex v, so its centre-rooted code differs from the parent's only on the
 path from v to the centre: each parent's vertex-block tree is peeled and
 coded once, each candidate recodes only that path, and only the first
-candidate of each class is built as a `Graph`.  Output is sorted by canonical
-code.  The matching number and pendant count of each class are computed once
-per order, on the first filtered call, and grouped into an index from each
-(matching number, pendant count) pair to its classes' positions; a filter
-picks the groups it admits.  `class_positions` gives a filtered class as
-indices into the full list, so per-class tables aligned with that list (such
-as the spectra in `verify`) are read through the same filter.
+candidate of each class is built as a `Graph`.
+
+Each order has one table, a `Level`, held by the one cache `_level(n)`: the
+classes in discovery order, which the next order extends, and the same
+classes sorted by canonical code, the order of every output.  The index from
+each (matching number, pendant count) pair to its classes' positions and the
+Q-radius and Perron vector of every class are computed on first use and kept
+in the table.  A filter selects the union of the groups it admits, so a
+filter that no class meets selects nothing.  `classes(n)` is the guarded way
+in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 from .graph import (Graph, _block_code, _cactus_blocks, _peel, _vertex_code,
                     canonical_code, from_edges, matching_number,
                     pendant_count)
+from .spectra import eigenpairs
 
 MAX_N = 10
 
@@ -35,11 +39,6 @@ class CactusFilter:
     """Optional matching-number and pendant-count constraints."""
     matching: int | None = None
     pendants: int | None = None
-
-    def feasible(self, n: int) -> bool:
-        """Whether some graph on n vertices could meet both constraints."""
-        return ((self.matching is None or 1 <= self.matching <= n // 2)
-                and (self.pendants is None or 0 <= self.pendants <= n))
 
     def admits(self, matching: int, pendants: int) -> bool:
         """Whether a class with this matching number and pendant count
@@ -92,11 +91,49 @@ def _child_codes(g: Graph, n: int):
         yield cd[x]
 
 
+class Level:
+    """The cactus classes of one order.
+
+    `found` holds them in discovery order, which the next order's scan
+    extends; `graphs` holds the same graphs sorted by canonical code.  The
+    codes are used for the sort and then dropped."""
+
+    def __init__(self, bucket: dict):
+        self.found = tuple(bucket.values())
+        self.graphs = tuple(bucket[code] for code in sorted(bucket))
+
+    @cached_property
+    def groups(self) -> dict:
+        """(matching number, pendant count) -> the positions in `graphs` of
+        the classes with that pair, ascending, for every pair that occurs."""
+        groups = {}
+        for i, g in enumerate(self.graphs):
+            inv = (matching_number(g).size, pendant_count(g))
+            groups.setdefault(inv, []).append(i)
+        return groups
+
+    @cached_property
+    def spectra(self) -> tuple:
+        """Q-radius and Perron vector of every class of `graphs`, in the same
+        order: an (N,) and an (N, n) float array from one stacked
+        `spectra.eigenpairs` solve of the order."""
+        return eigenpairs(self.graphs)
+
+    def positions(self, filt: CactusFilter | None = None):
+        """Positions in `graphs` of the classes meeting the filter, ascending:
+        a range when there is no filter, otherwise a tuple, the union of the
+        groups the filter admits."""
+        if filt in (None, CactusFilter()):
+            return range(len(self.graphs))
+        return tuple(sorted(chain.from_iterable(
+            pos for inv, pos in self.groups.items() if filt.admits(*inv))))
+
+
 @lru_cache(maxsize=None)
-def _level(n: int) -> tuple:
-    """(code, graph) for every cactus class on n vertices, in discovery order:
-    the first extension found in each class, scanning the smaller levels in
-    order and in their own discovery order, is its representative.
+def _level(n: int) -> Level:
+    """The table of order n.  A class's representative is the first extension
+    found in it, scanning the smaller levels in order and each in its own
+    discovery order.
 
     Candidates are coded by `_child_codes`; a `Graph` is built only for the
     first of each class, as the parent's edges plus the new path and its two
@@ -104,70 +141,35 @@ def _level(n: int) -> tuple:
     edge tuples are shared with the parent and need no validation."""
     if n == 1:
         g = from_edges(1, [])
-        return ((canonical_code(g).code, g),)
+        return Level({canonical_code(g).code: g})
     bucket = {}
     for size in range(1, n):
-        for _, g in _level(size):
+        for g in _level(size).found:
             edges = g.edges.union(zip(range(size, n - 1), range(size + 1, n)))
             for v, code in enumerate(_child_codes(g, n)):
                 if code not in bucket:
                     bucket[code] = Graph(n, edges | {(v, size), (v, n - 1)})
-    return tuple(bucket.items())
+    return Level(bucket)
 
 
-@lru_cache(maxsize=None)
-def _all_cacti(n: int) -> tuple:
-    """All non-isomorphic cacti on exactly n vertices, sorted by code."""
-    if n > MAX_N:
-        raise ValueError(f"n = {n} exceeds the enumeration guard {MAX_N}")
-    return tuple(g for _, g in sorted(_level(n), key=lambda item: item[0]))
-
-
-@lru_cache(maxsize=None)
-def _invariants(n: int) -> tuple:
-    """((matching number, pendant count), positions) for every pair that
-    occurs among the classes of `_all_cacti(n)`, the positions ascending."""
-    groups = {}
-    for i, g in enumerate(_all_cacti(n)):
-        inv = (matching_number(g).size, pendant_count(g))
-        groups.setdefault(inv, []).append(i)
-    return tuple((inv, tuple(pos)) for inv, pos in groups.items())
-
-
-def class_positions(n: int, filt: CactusFilter | None = None):
-    """Indices into the full class list of order n (`enumerate_cacti(n)`) of
-    the classes meeting the filter, ascending: a range when there is no
-    filter, otherwise a tuple, the union of the order's groups (`_invariants`)
-    that the filter admits.
-
-    An infeasible filter yields an empty sequence.
-    """
+def classes(n: int) -> Level:
+    """The table of order n, within the enumeration guard."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    filt = filt or CactusFilter()
-    if not filt.feasible(n):
-        return ()
-    if filt == CactusFilter():
-        return range(len(_all_cacti(n)))
-    return tuple(sorted(chain.from_iterable(
-        pos for inv, pos in _invariants(n) if filt.admits(*inv))))
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the enumeration guard {MAX_N}")
+    return _level(n)
 
 
 def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:
     """One representative per isomorphism class of cacti on n vertices meeting
-    the filter, in ascending canonical-code order.
-
-    An infeasible filter yields an empty sequence.
-    """
-    positions = class_positions(n, filt)
-    if not positions:
-        return ()
-    classes = _all_cacti(n)
-    if len(positions) == len(classes):
-        return classes
-    return tuple(classes[i] for i in positions)
+    the filter, in ascending canonical-code order."""
+    level = classes(n)
+    positions = level.positions(filt)
+    if len(positions) == len(level.graphs):
+        return level.graphs
+    return tuple(level.graphs[i] for i in positions)
 
 
 def count_cacti(n: int, filt: CactusFilter | None = None) -> int:
-    return len(enumerate_cacti(n, filt))
-
+    return len(classes(n).positions(filt))

@@ -79,9 +79,6 @@ class CanonicalCode:
     isomorphic."""
     code: bytes
 
-    def __lt__(self, other):
-        return self.code < other.code
-
 
 def _norm_edge(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)

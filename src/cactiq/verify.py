@@ -6,13 +6,13 @@ line.  Numeric acceptance is at 1e-9; every candidate whose radius lies within
 1e-7 of a class maximum is ranked by exact largest-root comparison of the
 characteristic polynomials.
 
-Numeric radii come from one table per order (`_class_spectra`): the radius
-and Perron vector of every class of `enumerate_cacti(n)`, solved once in
-stacked calls and held until `cache_clear`.  A filtered class reads its radii
-at its `class_positions`.  The monotonicity runs read each drawn graph's
-radius and Perron vector from the same tables, queue the surgery results and
-solve them RADII_SLICE instances at a time in one `spectra.radii` call, before
-checking them in trial and property order.
+Numeric radii come from the order's class table (`enumeration.classes`),
+which holds the radius and Perron vector of every class, solved once in
+stacked calls.  A filtered class reads its radii at the table's positions for
+the filter.  The monotonicity runs read each drawn graph's radius and Perron
+vector from the same tables, queue the surgery results and solve them
+RADII_SLICE instances at a time in one `spectra.radii` call, before checking
+them in trial and property order.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 from itertools import islice, zip_longest
 
 from . import graph6, spectra
-from .enumeration import CactusFilter, class_positions, enumerate_cacti
+from .enumeration import CactusFilter, classes
 from .families import (build, extremal_answer, members, psi_H, psi_L,
                        psi_legacy, superseded_conjecture_bound)
 from .graph import Graph, block_decomposition, canonical_code, from_edges
@@ -102,23 +102,13 @@ def rank_certified(graphs, radii):
     return best, second, gap, tie
 
 
-@lru_cache(maxsize=None)
-def _class_spectra(n: int) -> tuple:
-    """Q-radius and Perron vector of every class of `enumerate_cacti(n)`, in
-    the same order: an (N,) and an (N, n) float array from one stacked
-    `spectra.eigenpairs` solve of the order."""
-    return spectra.eigenpairs(enumerate_cacti(n))
-
-
 def _class_radii(n: int, filt: CactusFilter):
     """The classes of order n meeting the filter and their Q-radii, read from
     the order's table at the classes' positions."""
-    positions = list(class_positions(n, filt))
-    if not positions:
-        return [], []
-    classes = enumerate_cacti(n)
-    return ([classes[i] for i in positions],
-            _class_spectra(n)[0][positions].tolist())
+    level = classes(n)
+    positions = list(level.positions(filt))
+    return ([level.graphs[i] for i in positions],
+            level.spectra[0][positions].tolist())
 
 
 def _rank_class(report: VerificationReport, n: int, filt: CactusFilter):
@@ -198,6 +188,8 @@ def verify_conjecture11_negative(n: int, m: int | None = None) -> VerificationRe
     """Document that the superseded odd-case bound is exceeded by the verified
     maximum; the exceedance is the expected outcome."""
     filt = _claim_filter("conjecture11_negative", n, m, None)
+    if n < 3:
+        raise ValueError("n >= 3 required")
     report = VerificationReport(claim="conjecture11_negative",
                                 parameters={"n": n, "m": filt.matching})
     _, q_obs, _, _ = _rank_class(report, n, filt)
@@ -270,11 +262,10 @@ def _first_coeff_diff(a, b):
 def _random_cactus(rng: random.Random, lo: int = 3, hi: int = 8):
     """A class of a random order in lo..hi, with its Q-radius and Perron
     vector read from the order's table."""
-    n = rng.randint(lo, hi)
-    pool = enumerate_cacti(n)
-    i = rng.randrange(len(pool))
-    radius, perron = _class_spectra(n)
-    return pool[i], float(radius[i]), perron[i]
+    level = classes(rng.randint(lo, hi))
+    i = rng.randrange(len(level.graphs))
+    radius, perron = level.spectra
+    return level.graphs[i], float(radius[i]), perron[i]
 
 
 def _draw_shift_instance(rng: random.Random):

@@ -213,17 +213,17 @@ def extensions(g: Graph, n: int):
         yield Graph(n, path | {(v, k), (v, n - 1)})
 
 
-def scanned_level(n, smaller):
-    """(code, graph) for every cactus class on n vertices, the first
-    extension found in each class first: every candidate is built by
-    `extensions` and coded by a full `canonical_code`, scanning
-    smaller(1), ..., smaller(n - 1) in their own order."""
+def scanned_level(n, smaller) -> dict:
+    """code -> graph for every cactus class on n vertices, in discovery
+    order, the first extension found in each class its graph: every
+    candidate is built by `extensions` and coded by a full `canonical_code`,
+    scanning the graphs of smaller(1), ..., smaller(n - 1) in their order."""
     bucket = {}
     for size in range(1, n):
-        for _, g in smaller(size):
+        for g in smaller(size):
             for child in extensions(g, n):
                 bucket.setdefault(canonical_code(child).code, child)
-    return tuple(bucket.items())
+    return bucket
 
 
 def has_edge_graph6(g: Graph) -> str:
@@ -256,9 +256,7 @@ def _scanned_invariants(n: int) -> tuple:
 def scanned_positions(n: int, filt) -> tuple:
     """Positions in `enumerate_cacti(n)` of the classes meeting a filter
     that sets at least one constraint, by testing every class's matching
-    number and pendant count in turn; () for an infeasible filter."""
-    if not filt.feasible(n):
-        return ()
+    number and pendant count in turn."""
     return tuple(i for i, (m, k) in enumerate(_scanned_invariants(n))
                  if filt.matching in (None, m) and filt.pendants in (None, k))
 

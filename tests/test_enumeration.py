@@ -2,11 +2,12 @@ import hashlib
 from collections import Counter
 from itertools import chain
 
+import numpy as np
 import pytest
 
 from cactiq import enumeration, graph6
-from cactiq.enumeration import (MAX_N, CactusFilter, class_positions,
-                                count_cacti, enumerate_cacti)
+from cactiq.enumeration import (MAX_N, CactusFilter, classes, count_cacti,
+                                enumerate_cacti)
 from cactiq.families import build_H
 from cactiq.graph import (_cactus_blocks, _cactus_code, _peel, are_isomorphic,
                           canonical_code, from_edges, is_cactus,
@@ -38,7 +39,8 @@ class TestCounts:
 
     def test_level_past_guard_matches_counting_oracle(self):
         # _level has no guard; n = 11 runs in about a second
-        assert len(enumeration._level(MAX_N + 1)) == cactus_counts(MAX_N + 1)[-1]
+        assert len(enumeration._level(MAX_N + 1).graphs) == \
+            cactus_counts(MAX_N + 1)[-1]
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -104,38 +106,36 @@ class TestFilters:
     def test_infeasible_filter_empty(self):
         assert enumerate_cacti(5, CactusFilter(matching=9)) == ()
         assert enumerate_cacti(5, CactusFilter(pendants=7)) == ()
-        assert class_positions(5, CactusFilter(matching=9)) == ()
+        assert classes(5).positions(CactusFilter(matching=9)) == ()
 
     @pytest.mark.parametrize("n", [1, 6, 9])
     def test_positions_index_the_full_list(self, n):
-        classes = enumerate_cacti(n)
-        assert class_positions(n) == range(len(classes))
+        graphs = enumerate_cacti(n)
+        assert classes(n).positions() == range(len(graphs))
         for filt in ([CactusFilter(matching=m) for m in range(1, n // 2 + 1)]
                      + [CactusFilter(pendants=k) for k in range(n + 1)]):
-            positions = class_positions(n, filt)
+            positions = classes(n).positions(filt)
             assert list(positions) == sorted(set(positions))
-            assert tuple(classes[i] for i in positions) == \
+            assert tuple(graphs[i] for i in positions) == \
                 enumerate_cacti(n, filt)
-            assert all(matching_number(classes[i]).size == filt.matching
-                       or pendant_count(classes[i]) == filt.pendants
+            assert all(matching_number(graphs[i]).size == filt.matching
+                       or pendant_count(graphs[i]) == filt.pendants
                        for i in positions)
 
     @pytest.mark.parametrize("n", range(1, MAX_N + 1))
     def test_positions_equal_a_scan_of_every_class(self, n):
         # matching values -1..n/2+1 and pendant values -1..n+1, alone and in
-        # every pair, feasible or not, against a scan of every class
+        # every pair, possible or not, against a scan of every class; the
+        # count reads the same positions
         ms, ks = range(-1, n // 2 + 2), range(-1, n + 2)
         filters = ([CactusFilter(matching=m) for m in ms]
                    + [CactusFilter(pendants=k) for k in ks]
                    + [CactusFilter(matching=m, pendants=k) for m in ms for k in ks])
-        infeasible = 0
         for filt in filters:
-            positions = class_positions(n, filt)
+            positions = classes(n).positions(filt)
             assert type(positions) is tuple
             assert positions == scanned_positions(n, filt), filt
-            infeasible += not filt.feasible(n)
-        feasible = n // 2 + (n + 1) + (n // 2) * (n + 1)  # m in 1..n/2, k in 0..n
-        assert infeasible == len(filters) - feasible > 0
+            assert count_cacti(n, filt) == len(positions)
 
     # Over every feasible value a filter picks each class exactly once.
     @pytest.mark.parametrize("n", range(2, MAX_N + 1))
@@ -157,7 +157,7 @@ class TestExtensions:
     def test_children_equal_from_edges_build(self):
         for n in range(2, 9):
             for size in range(1, n):
-                for _, g in enumeration._level(size):
+                for g in enumeration._level(size).found:
                     want = []
                     for v in range(g.order):
                         cyc = [v] + list(range(g.order, n))
@@ -168,7 +168,7 @@ class TestExtensions:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_block_list_codes_equal_canonical_code(self, n):
         for size in range(1, n):
-            for _, g in enumeration._level(size):
+            for g in enumeration._level(size).found:
                 assert list(enumeration._child_codes(g, n)) == \
                     [canonical_code(c).code for c in extensions(g, n)]
 
@@ -177,7 +177,7 @@ class TestExtensions:
         # (no child Graph is built) against the path recoding
         for size in range(1, 11):
             path = list(range(size, 11))
-            for _, g in enumeration._level(size):
+            for g in enumeration._level(size).found:
                 blocks = _cactus_blocks(g)
                 assert list(enumeration._child_codes(g, 11)) == \
                     [_cactus_code(11, blocks + [[v, *path]])
@@ -206,26 +206,35 @@ class TestExtensions:
     def test_first_found_representatives(self, n):
         # each level against a scan that builds and fully codes every
         # candidate of the smaller levels, checked at their own n
-        want = scanned_level(n, enumeration._level)
-        assert enumeration._level(n) == want
+        want = scanned_level(n, lambda size: enumeration._level(size).found)
+        level = enumeration._level(n)
+        assert level.found == tuple(want.values())
+        assert level.graphs == tuple(want[code] for code in sorted(want))
         assert len(want) == KNOWN_COUNTS[n]
 
 
 class TestInvariantTable:
     def test_rebuilt_table_equals_cached(self):
-        orders = range(2, 11)
-        for n in orders:
-            enumerate_cacti(n, CactusFilter(pendants=0))
-        cached = [enumeration._invariants(n) for n in orders]
-        enumeration._invariants.cache_clear()
-        assert [enumeration._invariants(n) for n in orders] == cached
-        # the groups' positions are each class of the order exactly once
-        assert all(sorted(chain.from_iterable(pos for _, pos in t))
-                   == list(range(KNOWN_COUNTS[n]))
-                   for n, t in zip(orders, cached))
+        orders = range(1, 11)
+        cached = [enumeration._level(n) for n in orders]
+        for level in cached:
+            _ = level.groups, level.spectra  # fill both cached parts
+        enumeration._level.cache_clear()
+        for n, old in zip(orders, cached):
+            new = enumeration._level(n)
+            assert new is not old
+            assert (new.found, new.graphs) == (old.found, old.graphs)
+            assert new.groups == old.groups
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(new.spectra, old.spectra))
+            # the groups' positions are each class of the order exactly once
+            assert sorted(chain.from_iterable(new.groups.values())) == \
+                list(range(KNOWN_COUNTS[n]))
 
     def test_unfiltered_enumeration_builds_no_table(self):
-        enumeration._invariants.cache_clear()
+        enumeration._level.cache_clear()
         enumerate_cacti(7)
         count_cacti(8)
-        assert enumeration._invariants.cache_info().currsize == 0
+        for n in (7, 8):
+            filled = vars(enumeration._level(n))
+            assert "groups" not in filled and "spectra" not in filled

@@ -278,7 +278,7 @@ class TestCactusCode:
         # the tree code and the refinement search oracle split every
         # extension candidate of order n into the same classes
         cands = [child for size in range(1, n)
-                 for _, g in enumeration._level(size)
+                 for g in enumeration._level(size).found
                  for child in extensions(g, n)]
         fast, slow = {}, {}
         for i, g in enumerate(cands):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cactiq import cli, graph6, spectra, verify
+from cactiq import cli, enumeration, graph6, spectra, verify
 from cactiq.cli import main
 from cactiq.enumeration import CactusFilter, enumerate_cacti
 from cactiq.spectra import graph_radius
@@ -205,6 +205,28 @@ class TestFormulas:
 class TestClassSpectra:
     """The per-order table against one `graph_radius` solve per graph."""
 
+    def test_each_order_solved_once(self, monkeypatch):
+        # every extremal claim at n = 5..8, cold: one stacked solve per order,
+        # of the order's whole class list
+        solved = []
+        solve = enumeration.eigenpairs
+
+        def counting(graphs):
+            solved.append((graphs[0].order, len(graphs)))
+            return solve(graphs)
+
+        monkeypatch.setattr(enumeration, "eigenpairs", counting)
+        enumeration._level.cache_clear()
+        for n in range(5, 9):
+            for claim, kw in _class_claims(n):
+                try:
+                    verify_extremal(claim, n, **kw)
+                except ValueError:  # no predicted answer
+                    pass
+            if n % 2:
+                verify_conjecture11_negative(n)
+        assert solved == [(n, len(enumerate_cacti(n))) for n in range(5, 9)]
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_class_radii_equal_graph_radius(self, n):
         want = {id(g): graph_radius(g).radius for g in enumerate_cacti(n)}
@@ -218,7 +240,7 @@ class TestClassSpectra:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_perron_rows_equal_graph_radius(self, n):
-        _, perron = verify._class_spectra(n)
+        _, perron = enumeration.classes(n).spectra
         assert [tuple(row) for row in perron.tolist()] == \
             [graph_radius(g).perron for g in enumerate_cacti(n)]
 
@@ -240,7 +262,7 @@ class TestMonotonicity:
     @pytest.mark.parametrize("trials, seed", sorted(MONOTONICITY_PINS))
     def test_pinned_reports(self, trials, seed):
         first = _sha(verify_monotonicity(trials, seed))
-        verify._class_spectra.cache_clear()
+        enumeration._level.cache_clear()
         assert _sha(verify_monotonicity(trials, seed)) == first
         assert first == MONOTONICITY_PINS[trials, seed]
 
@@ -254,7 +276,7 @@ class TestMonotonicity:
             return solve(stack)
 
         monkeypatch.setattr(spectra, "_top_eigenpairs", counting)
-        verify._class_spectra.cache_clear()
+        enumeration._level.cache_clear()
         verify_monotonicity(200, 42)
         assert len(calls) < 30
         # six order tables (n = 3..8) plus the surgery results, no stack
@@ -334,6 +356,23 @@ class TestCli:
     def test_enumerate_k2_under_two_pendants(self, capsys):
         assert main(["enumerate", "--n", "2", "--pendants", "2"]) == 0
         assert capsys.readouterr().out == "A_\n"
+
+    def test_enumerate_k1_under_matching_zero(self, capsys):
+        assert main(["enumerate", "--n", "1", "--matching", "0"]) == 0
+        assert capsys.readouterr().out == "@\n"
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "11", "--matching", "9"],
+        ["--n", "11", "--pendants", "2"],
+        ["--n", "1000", "--pendants", "2000", "--format", "count"],
+    ])
+    def test_enumerate_past_guard_exit_2(self, args, capsys):
+        # whether or not some class could meet the filter
+        assert main(["enumerate", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: n = {args[1]} exceeds the enumeration guard 10\n"
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_prop213_all_pendants_exit_2(self, n, capsys):
@@ -463,7 +502,7 @@ class TestCli:
         assert main(["verify", "--claim", "conjecture11_negative", "--n", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: no cacti match {'n': 1, 'm': 0}\n"
+        assert captured.err == "error: n >= 3 required\n"
 
     def test_check_formulas_cli(self, capsys):
         assert main(["check-formulas", "--max-n", "9"]) == 0
