@@ -168,12 +168,13 @@ class ClosedFormRadius:
 
 @dataclass(frozen=True)
 class PolyRootRadius:
-    """Radius defined as the largest real root of a polynomial in a bracket."""
+    """Radius defined as the largest real root of a polynomial in a bracket,
+    refined to the root layer's one width, `polynomials.REFINE_WIDTH`."""
     poly: IntPolynomial
     bracket: tuple
 
-    def value(self, tol: float = 1e-12) -> float:
-        return largest_real_root(self.poly, self.bracket, tol=tol)
+    def value(self) -> float:
+        return largest_real_root(self.poly, self.bracket)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ bracket produced here is a rigorous statement, not a floating-point one.
 Sturm chains come from a primitive remainder sequence in Z[x]
 (pseudo-division, then the primitive part) and are divided through by
 gcd(p, p') exactly, so they count distinct roots, multiple ones included.
+A polynomial keeps its chain and unwindowed largest-root bracket once made.
 Isolation and comparison share one halving step, which carries a bracket as
 integer numerators over a common denominator, evaluates the Sturm chain once,
-at the midpoint, and carries the end sign variations.  Refinement of an
-isolated root bisects on the same grid by the sign of the chain's first,
-square-free member alone.  Brackets are handed out as `fractions.Fraction`.
+at the midpoint, and carries the end sign variations.  Refinement bisects on
+the same grid to REFINE_WIDTH by the sign of the chain's first, square-free
+member alone.  Brackets are handed out as `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ class IntPolynomial:
 
     The zero polynomial is represented by an empty coefficient tuple and has
     degree -1.  Trailing zero coefficients are stripped on construction.
+    Equality and hashing read the coefficients only, not the root layer's
+    lazily filled slots.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_sturm", "_top")
 
     def __init__(self, coeffs):
         cs = list(coeffs)
@@ -37,6 +40,7 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._sturm = self._top = None
 
     @property
     def degree(self) -> int:
@@ -50,13 +54,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule; works for int, Fraction and float."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -238,6 +235,13 @@ def sturm_sequence(p: IntPolynomial):
     return seq
 
 
+def _chain(p: IntPolynomial):
+    """The Sturm chain of p, computed on first use and kept on p."""
+    if p._sturm is None:
+        p._sturm = sturm_sequence(p)
+    return p._sturm
+
+
 def _powers(den: int, k: int) -> list:
     """[1, den, ..., den^(k-1)]."""
     powers = [1]
@@ -273,13 +277,12 @@ def _evaluate(seq, num: int, den: int):
     return variations, root
 
 
-def count_roots(p: IntPolynomial, lo: Fraction, hi: Fraction, seq=None) -> int:
+def count_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)
     if hi <= lo:
         return 0
-    if seq is None:
-        seq = sturm_sequence(p)
+    seq = _chain(p)
     return (_evaluate(seq, lo.numerator, lo.denominator)[0]
             - _evaluate(seq, hi.numerator, hi.denominator)[0])
 
@@ -323,21 +326,28 @@ def _halve(seq, a: int, b: int, den: int, va: int, vb: int):
     return 2 * a, mid, 2 * den, va, vm
 
 
-def isolate_largest_root(p: IntPolynomial, lo=None, hi=None, seq=None):
+def isolate_largest_root(p: IntPolynomial, lo=None, hi=None):
     """Return Fractions (a, b) with exactly one root of p in (a, b], that root
     being the largest real root of p inside [lo, hi].
 
-    Returns None when p has no real root in the window.  `seq`, when given,
-    is the Sturm chain of p.
+    Returns None when p has no real root in the window.  A missing end is
+    read off the root bound; with no window at all the result is kept on p.
     """
     if p.degree < 1:
         raise ValueError("cannot isolate roots of a constant polynomial")
+    if lo is None and hi is None:
+        if p._top is None:
+            p._top = _isolate(p, None, None) or ()  # () records no real root
+        return p._top or None
+    return _isolate(p, lo, hi)
+
+
+def _isolate(p: IntPolynomial, lo, hi):
     if lo is None or hi is None:
         bound = root_bound(p)
     a, b, den = _grid(Fraction(lo) if lo is not None else Fraction(-bound),
                       Fraction(hi) if hi is not None else Fraction(bound))
-    if seq is None:
-        seq = sturm_sequence(p)
+    seq = _chain(p)
     va, a_is_root = _evaluate(seq, a, den)
     vb = _evaluate(seq, b, den)[0]
     if b <= a or va == vb:
@@ -351,34 +361,26 @@ def isolate_largest_root(p: IntPolynomial, lo=None, hi=None, seq=None):
     return Fraction(a, den), Fraction(b, den)
 
 
-def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float = 1e-12,
-                seq=None):
-    """Shrink an isolating interval (lo, hi] down to width <= tol by bisection,
-    then return the midpoint as a float.  Sturm counts check that (lo, hi]
-    isolates one root; each halving then reads one sign.  `seq`, when given,
-    is the Sturm chain of p.
+REFINE_WIDTH = Fraction(1e-12).limit_denominator(10 ** 18)
 
-    tol is read as the nearest fraction with denominator <= 10^18, which must
-    be positive: a tolerance below about 5e-19 rounds to 0 and raises
-    ValueError, as a non-positive one does.
+
+def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
+    """Shrink an isolating interval (lo, hi] down to width <= REFINE_WIDTH by
+    bisection, then return the midpoint as a float.  Sturm counts check that
+    (lo, hi] isolates one root; each halving then reads one sign.
     """
-    if seq is None:
-        seq = sturm_sequence(p)
+    seq = _chain(p)
     a, b, den = _grid(Fraction(lo), Fraction(hi))
     va, vb = _evaluate(seq, a, den)[0], _evaluate(seq, b, den)[0]
     if b <= a or va - vb != 1:
         raise ValueError("interval does not isolate exactly one root")
-    t = Fraction(tol).limit_denominator(10 ** 18)
-    if t <= 0:
-        raise ValueError(f"tolerance {tol!r} rounds to {t} at denominators "
-                         "up to 10^18; it must be positive")
     # The first member f = p / gcd(p, p') is square-free, so its one root r
     # in (a, b] is simple and f changes sign there and nowhere else in the
     # bracket: the midpoint's sign against b's picks the half, as the Sturm
     # counts would.  At r = b (sign 0 there) the right half is always kept.
     f = seq[0]
     sb = _scaled_value(f, b, _powers(den, len(f)))
-    while (b - a) * t.denominator > t.numerator * den:
+    while (b - a) * REFINE_WIDTH.denominator > REFINE_WIDTH.numerator * den:
         mid, den = a + b, 2 * den
         sm = _scaled_value(f, mid, _powers(den, len(f)))
         if not sm:
@@ -390,21 +392,17 @@ def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float = 1e-12
     return (a + b) / (2 * den)  # ints divide to the correctly rounded float
 
 
-def largest_real_root(p: IntPolynomial, bracket, tol: float = 1e-12) -> float:
+def largest_real_root(p: IntPolynomial, bracket) -> float:
     """Largest real root of p inside the bracket, certified by Sturm counting
-    before bisection refinement.
+    before bisection refinement (see `refine_root`).
 
-    Raises ValueError when p has no root in the bracket or tol is not
-    positive (see `refine_root`).
+    Raises ValueError when p is constant or has no root in the bracket.
     """
-    if p.degree < 1:
-        raise ValueError("nonconstant polynomial required")
     lo, hi = bracket
-    seq = sturm_sequence(p)
-    iso = isolate_largest_root(p, lo, hi, seq)
+    iso = isolate_largest_root(p, lo, hi)
     if iso is None:
         raise ValueError(f"no real root of {p.pretty()} in [{lo}, {hi}]")
-    return refine_root(p, iso[0], iso[1], tol, seq)
+    return refine_root(p, *iso)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +425,14 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact three-way comparison of the largest real roots of p and q.
 
     Returns -1, 0 or 1.  Both polynomials must have at least one real root;
-    equal polynomials are a tie once p's root is isolated.
+    equal polynomials are a tie once p's root is isolated.  Each isolation is
+    kept on its polynomial, so ranking one polynomial against many isolates
+    it once.
     """
-    sp = sturm_sequence(p)
-    ip = isolate_largest_root(p, seq=sp)
+    ip = isolate_largest_root(p)
     if ip is not None and p == q:
         return 0
-    sq = sturm_sequence(q)
-    iq = isolate_largest_root(q, seq=sq)
+    iq = isolate_largest_root(q)
     if ip is None or iq is None:
         raise ValueError("both polynomials must have a real root")
     (alo, ahi), (blo, bhi) = ip, iq
@@ -448,10 +446,9 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     # each is also a root of the other polynomial, so they are equal.  Every
     # exact tie shows here, so the bisection below only has to separate.
     g = _poly_gcd(p, q)
-    if g.degree >= 1:
-        sg = sturm_sequence(g)
-        if count_roots(g, alo, ahi, sg) and count_roots(g, blo, bhi, sg):
-            return 0
+    if g.degree >= 1 and count_roots(g, alo, ahi) and count_roots(g, blo, bhi):
+        return 0
+    sp, sq = _chain(p), _chain(q)
     a, b, da = _grid(alo, ahi)
     c, d, dc = _grid(blo, bhi)
     va, vb = _evaluate(sp, a, da)[0], _evaluate(sp, b, da)[0]

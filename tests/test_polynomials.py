@@ -18,6 +18,11 @@ from oracles import (cauchy_bound, fraction_compare_largest_roots,
                      fraction_largest_roots, fraction_sturm_sequence)
 
 
+def _value(p, x):
+    """p(x) as a Fraction, summed term by term."""
+    return sum(c * Fraction(x) ** i for i, c in enumerate(p.coeffs))
+
+
 def test_construction_strips_trailing_zeros():
     p = IntPolynomial([1, 2, 0, 0])
     assert p.coeffs == (1, 2)
@@ -37,7 +42,7 @@ def test_arithmetic():
     assert p.coeffs == (3, -4, 1)
     assert (p + 1).coeffs == (4, -4, 1)
     assert (monomial_shift(1) ** 3).coeffs == (-1, 3, -3, 1)
-    assert p(3) == 0 and p(Fraction(1, 2)) == Fraction(5, 4)
+    assert _value(p, 3) == 0 and _value(p, Fraction(1, 2)) == Fraction(5, 4)
 
 
 def test_json_round_trip():
@@ -92,7 +97,7 @@ def test_isolate_multiple_root_at_window_end():
     # 2x(x + 4)(x + 2)^2(x^2 + x + 5): every member of the undivided Sturm
     # chain vanishes at the double root -2
     p = IntPolynomial([0, 160, 232, 152, 66, 18, 2])
-    assert p(-2) == 0 and p.derivative()(-2) == 0
+    assert _value(p, -2) == 0 and _value(p.derivative(), -2) == 0
     lo, hi = isolate_largest_root(p, -16, -2)
     assert lo < -2 <= hi
     assert count_roots(p, lo, hi) == 1
@@ -118,7 +123,7 @@ def _assert_bounds_every_real_root(p):
     assert bound >= 2 and bound & (bound - 1) == 0
     top = max(cauchy_bound(p.coeffs), bound) + 1
     seq = fraction_sturm_sequence(p.coeffs)
-    assert p(bound) != 0, p
+    assert _value(p, bound) != 0, p
     assert fraction_count_roots(p.coeffs, bound, top, seq) == 0, p
     assert fraction_count_roots(p.coeffs, -top, -bound, seq) == 0, p
 
@@ -168,8 +173,10 @@ def test_isolate_largest_root_degenerate_windows():
 class TestRefineRoot:
     def test_isolating_interval_within_tol(self):
         p = IntPolynomial((-2, 0, 1))  # roots -sqrt(2), sqrt(2)
-        for tol in (1e-3, 1e-9, 1e-12):
-            assert abs(refine_root(p, 1, 2, tol) - math.sqrt(2)) <= tol
+        assert polynomials.REFINE_WIDTH == Fraction(1e-12).limit_denominator(10 ** 18)
+        got = refine_root(p, 1, 2)
+        assert abs(got - math.sqrt(2)) <= 1e-12
+        assert [got] == fraction_largest_roots(p.coeffs, 1, 2, (1e-12,))
 
     def test_exact_dyadic_root(self):
         assert refine_root(monomial_shift(4), 0, 8) == 4.0
@@ -185,9 +192,8 @@ class TestRefineRoot:
     ])
     def test_roots_on_ends_and_midpoints_match_fraction_bisection(
             self, p, lo, hi):
-        tols = (0.5, 1e-3, 1e-12)
-        want = fraction_largest_roots(p.coeffs, lo, hi, tols)
-        assert [refine_root(p, lo, hi, tol) for tol in tols] == want
+        want = fraction_largest_roots(p.coeffs, lo, hi, (1e-12,))
+        assert [refine_root(p, lo, hi)] == want
 
     @pytest.mark.parametrize("lo, hi", [(6, 8), (0, 4), (5, 5), (8, 0)])
     def test_no_root_rejected(self, lo, hi):
@@ -197,21 +203,6 @@ class TestRefineRoot:
     def test_two_roots_rejected(self):
         with pytest.raises(ValueError):
             refine_root(monomial_shift(1) * monomial_shift(3), 0, 4)
-
-    @pytest.mark.parametrize("tol", [0, 0.0, -1e-12, 1e-20])
-    def test_tolerance_that_rounds_to_zero_rejected(self, tol):
-        # 1e-20 rounds to 0 at denominators up to 10^18; bisection to width
-        # <= 0 would never stop
-        p = IntPolynomial((-2, 0, 1))
-        with pytest.raises(ValueError, match="must be positive"):
-            largest_real_root(p, (0, 10), tol=tol)
-        with pytest.raises(ValueError, match="must be positive"):
-            refine_root(p, 1, 2, tol)
-
-    def test_smallest_tolerances_still_accepted(self):
-        p = IntPolynomial((-2, 0, 1))
-        for tol in (1e-18, 6e-19):
-            assert largest_real_root(p, (0, 10), tol=tol) == math.sqrt(2)
 
 
 class TestCompareLargestRoots:
@@ -276,9 +267,9 @@ class TestCompareLargestRoots:
     def test_equal_polynomials_tie_after_one_isolation(self, monkeypatch):
         calls = []
 
-        def counting(p, lo=None, hi=None, seq=None):
+        def counting(p, lo=None, hi=None):
             calls.append(p)
-            return isolate(p, lo, hi, seq)
+            return isolate(p, lo, hi)
 
         isolate = polynomials.isolate_largest_root
         monkeypatch.setattr(polynomials, "isolate_largest_root", counting)
@@ -393,11 +384,9 @@ def _extremal_descriptors():
 def test_refined_floats_match_fraction_bisection():
     # every cubic and quintic descriptor of the extremal answers to n = 64,
     # refined bit for bit as Fraction bisection does it
-    tols = (1e-9, 1e-12, 1e-15)
     count = 0
     for d in _extremal_descriptors():
-        want = fraction_largest_roots(d.poly.coeffs, *d.bracket, tols)
-        got = [largest_real_root(d.poly, d.bracket, tol=tol) for tol in tols]
-        assert got == want, d
+        want = fraction_largest_roots(d.poly.coeffs, *d.bracket, (1e-12,))
+        assert [largest_real_root(d.poly, d.bracket)] == want, d
         count += 1
     assert count == 2046

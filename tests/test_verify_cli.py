@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cactiq import cli, enumeration, graph6, spectra, verify
+from cactiq import cli, enumeration, graph6, polynomials, spectra, verify
 from cactiq.cli import main
 from cactiq.enumeration import CactusFilter, enumerate_cacti
 from cactiq.spectra import graph_radius
@@ -135,6 +135,41 @@ class TestRankCertified:
         monkeypatch.setattr(verify, "compare_largest_roots", counting)
         assert _class_reports(8) == baseline
         assert calls
+
+    def test_every_member_ranked_exactly_isolates_each_once(
+            self, monkeypatch, capsys):
+        # with the gap at 100 every member of every class is ranked exactly;
+        # the CLI must print the default gap's bytes, and each ranked
+        # candidate's largest root is isolated from the root bound once
+        def run_all():
+            for n in range(3, 8):
+                claims = ([["theorem31i"], ["conjecture11_negative"]] if n % 2
+                          else [["prop215"]])
+                claims += [["theorem31ii", "--m", str(m)]
+                           for m in range(1, (n - 2) // 2 + 1)]
+                claims += [["prop213", "--k", str(k)] for k in range(n)]
+                for claim in claims + [["theorem32"]]:
+                    code = main(["verify", "--n", str(n), "--claim", *claim])
+                    print("exit", code)
+            return capsys.readouterr()
+
+        baseline = run_all()
+        bounds, ranked = [], []
+
+        def counting_bound(p):
+            bounds.append(p)
+            return root_bound(p)
+
+        def counting_rank(graphs, radii):
+            ranked.append(len(graphs) if len(graphs) > 1 else 0)
+            return rank(graphs, radii)
+
+        root_bound, rank = polynomials.root_bound, verify.rank_certified
+        monkeypatch.setattr(polynomials, "root_bound", counting_bound)
+        monkeypatch.setattr(verify, "rank_certified", counting_rank)
+        monkeypatch.setattr(verify, "EXACT_ESCALATION_GAP", 100)
+        assert run_all() == baseline
+        assert len(bounds) == sum(ranked) == 348
 
     def test_true_maximizer_third_in_float_order(self):
         # float noise puts the true maximizer behind two rivals inside the
