@@ -10,12 +10,11 @@ from .graph import (Graph, MatchingResult, BlockDecomposition, CanonicalCode,
                     from_edges, is_cactus, is_bundle, matching_number,
                     pendant_count, canonical_code, are_isomorphic)
 from .polynomials import IntPolynomial, largest_real_root, compare_largest_roots
-from .spectra import (DenseSymMatrix, SpectralResult, signless_laplacian,
-                      spectral_radius, graph_radius, eigenpairs, radii,
-                      char_poly)
-from .quotient import (IndexPartition, QuotientMatrix, BlockSpec,
-                       SpectrumMultiset, quotient_matrix, is_equitable,
-                       build_from_spec, structured_spectrum)
+from .spectra import (SpectralResult, signless_laplacian, spectral_radius,
+                      graph_radius, eigenpairs, radii, char_poly)
+from .quotient import (IndexPartition, BlockSpec, SpectrumMultiset,
+                       quotient_matrix, is_equitable, build_from_spec,
+                       structured_spectrum)
 from .families import (FamilyParams, ExtremalAnswer, build_H, build_L,
                        psi_H, psi_L, psi_legacy, extremal_answer)
 from .transforms import ShiftPlan, shift_neighbors, contract_pend

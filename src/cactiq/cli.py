@@ -64,11 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_report(report, out_path) -> int:
+    """Append the report line to out_path, if given, then print it; a file
+    that cannot be written is a usage error, and no report is printed."""
     line = report.to_json()
-    print(line)
     if out_path:
-        with open(out_path, "a", encoding="ascii") as fh:
-            fh.write(line + "\n")
+        try:
+            with open(out_path, "a", encoding="ascii") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot append to {out_path}: {exc.strerror}") from exc
+    print(line)
     return 0 if report.passed else 1
 
 

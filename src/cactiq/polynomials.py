@@ -330,8 +330,9 @@ def isolate_largest_root(p: IntPolynomial, lo=None, hi=None):
     """Return Fractions (a, b) with exactly one root of p in (a, b], that root
     being the largest real root of p inside [lo, hi].
 
-    Returns None when p has no real root in the window.  A missing end is
-    read off the root bound; with no window at all the result is kept on p.
+    Returns None when p has no real root in the window, or when hi < lo.  A
+    missing end is read off the root bound; with no window at all the result
+    is kept on p.
     """
     if p.degree < 1:
         raise ValueError("cannot isolate roots of a constant polynomial")
@@ -351,7 +352,7 @@ def _isolate(p: IntPolynomial, lo, hi):
     va, a_is_root = _evaluate(seq, a, den)
     vb = _evaluate(seq, b, den)[0]
     if b <= a or va == vb:
-        if lo is None or not a_is_root:
+        if lo is None or not a_is_root or b < a:  # b < a: an empty window
             return None
         # root on the left end of a user window: bracket it in (a - 1/2, a]
         a, b, den, vb = 2 * a - den, 2 * a, 2 * den, va

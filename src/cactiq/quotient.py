@@ -2,6 +2,12 @@
 decomposition for block matrices of the form M_ii = l_i*J + p_i*I,
 M_ij = s_ij*J: the spectrum is the quotient spectrum plus each p_i with
 multiplicity n_i - 1.
+
+Matrices and their quotients are plain numpy arrays: `quotient_matrix` and
+`is_equitable` take any square array-like, `quotient_matrix` returns a float
+array, and `build_from_spec` returns an int array for integer parameters.
+Numeric eigenvalues that lie within CLUSTER_TOL are merged into one
+eigenvalue with multiplicity.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import IntPolynomial
-from .spectra import DenseSymMatrix, char_poly_int_rows
+from .spectra import char_poly
 
 CLUSTER_TOL = 1e-6
 
@@ -35,19 +41,6 @@ class IndexPartition:
     @property
     def order(self) -> int:
         return sum(len(b) for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """The t x t matrix of average block row sums."""
-    entries: tuple
-
-    @property
-    def t(self) -> int:
-        return len(self.entries)
-
-    def as_array(self):
-        return np.array(self.entries, dtype=float)
 
 
 class BlockSpec:
@@ -102,12 +95,13 @@ class SpectrumMultiset:
     pairs: tuple
 
     @classmethod
-    def from_values(cls, values, tol: float = CLUSTER_TOL) -> "SpectrumMultiset":
-        """Cluster nearby numeric eigenvalues into (value, multiplicity) pairs."""
+    def from_values(cls, values) -> "SpectrumMultiset":
+        """Cluster numeric eigenvalues within CLUSTER_TOL of their cluster's
+        running mean into (value, multiplicity) pairs."""
         vals = sorted(float(v) for v in values)
         pairs = []
         for v in vals:
-            if pairs and v - pairs[-1][0] <= tol:
+            if pairs and v - pairs[-1][0] <= CLUSTER_TOL:
                 lam, mult = pairs[-1]
                 pairs[-1] = ((lam * mult + v) / (mult + 1), mult + 1)
             else:
@@ -130,60 +124,45 @@ class SpectrumMultiset:
                 and all(abs(x - y) <= tol for x, y in zip(a, b)))
 
 
-def quotient_matrix(m: DenseSymMatrix, part: IndexPartition) -> QuotientMatrix:
-    """B(M): entry (i,j) is the sum of block M_ij divided by its row count.
+def quotient_matrix(m, part: IndexPartition) -> np.ndarray:
+    """B(M) as a t x t float array: entry (i, j) is the sum of block M_ij
+    divided by its row count.
 
     Defined unconditionally; equitability is a separate predicate.
     """
-    if part.order != m.order:
-        raise ValueError(f"partition covers {part.order} indices, matrix has {m.order}")
-    entries = []
-    for bi in part.blocks:
-        row = []
-        for bj in part.blocks:
-            total = float(m.data[np.ix_(bi, bj)].sum())
-            row.append(total / len(bi))
-        entries.append(tuple(row))
-    return QuotientMatrix(entries=tuple(entries))
+    m = _covered(m, part)
+    return np.array([[m[np.ix_(bi, bj)].sum() / len(bi) for bj in part.blocks]
+                     for bi in part.blocks])
 
 
-def is_equitable(m: DenseSymMatrix, part: IndexPartition) -> bool:
-    """True iff every block M_ij has constant row sums."""
-    if part.order != m.order:
-        raise ValueError(f"partition covers {part.order} indices, matrix has {m.order}")
+def is_equitable(m, part: IndexPartition) -> bool:
+    """True iff every block M_ij of the array M has constant row sums."""
+    m = _covered(m, part)
     for bi in part.blocks:
         for bj in part.blocks:
-            sums = m.data[np.ix_(bi, bj)].sum(axis=1)
+            sums = m[np.ix_(bi, bj)].sum(axis=1)
             if not np.allclose(sums, sums[0], atol=1e-9):
                 return False
     return True
 
 
-def build_from_spec(spec: BlockSpec) -> DenseSymMatrix:
-    """Expand a BlockSpec into the explicit dense matrix."""
-    n = spec.order
-    offsets = []
-    off = 0
-    for sz in spec.sizes:
-        offsets.append(off)
-        off += sz
-    rows = [[0.0] * n for _ in range(n)]
-    for i, ni in enumerate(spec.sizes):
-        oi = offsets[i]
-        for a in range(ni):
-            for b in range(ni):
-                rows[oi + a][oi + b] = spec.l[i] + (spec.p[i] if a == b else 0)
-        for j, nj in enumerate(spec.sizes):
-            if i == j:
-                continue
-            oj = offsets[j]
-            for a in range(ni):
-                for b in range(nj):
-                    rows[oi + a][oj + b] = spec.s[i][j]
-    if spec.is_integer():
-        return DenseSymMatrix.from_int_rows(
-            [[int(x) for x in row] for row in rows])
-    return DenseSymMatrix(rows)
+def _covered(m, part: IndexPartition) -> np.ndarray:
+    """m as a float array, checked to have one row per index of part."""
+    m = np.asarray(m, dtype=float)
+    if part.order != len(m):
+        raise ValueError(f"partition covers {part.order} indices, matrix has {len(m)}")
+    return m
+
+
+def build_from_spec(spec: BlockSpec) -> np.ndarray:
+    """Expand a BlockSpec into the explicit dense matrix: an int array when
+    every parameter is an integer, else a float array."""
+    dtype = int if spec.is_integer() else float
+    table = np.array(spec.s, dtype=dtype)
+    np.fill_diagonal(table, np.array(spec.l, dtype=dtype))
+    block = np.repeat(np.arange(spec.t), spec.sizes)
+    return (table[np.ix_(block, block)]
+            + np.diag(np.array(spec.p, dtype=dtype)[block]))
 
 
 def natural_partition(spec: BlockSpec) -> IndexPartition:
@@ -223,16 +202,16 @@ def quotient_char_poly(spec: BlockSpec) -> IntPolynomial:
     if not spec.is_integer():
         raise ValueError("exact quotient requires integer parameters")
     rows = [[int(x) for x in row] for row in spec_quotient_rows(spec)]
-    return char_poly_int_rows(rows)
+    return char_poly(rows)
 
 
-def structured_spectrum(spec: BlockSpec, tol: float = CLUSTER_TOL) -> SpectrumMultiset:
+def structured_spectrum(spec: BlockSpec) -> SpectrumMultiset:
     """Full spectrum of the structured matrix: quotient eigenvalues united
     with each p_i at multiplicity n_i - 1."""
     values = list(quotient_eigenvalues(spec))
     for p_i, n_i in zip(spec.p, spec.sizes):
         values.extend([float(p_i)] * (n_i - 1))
-    out = SpectrumMultiset.from_values(values, tol=tol)
+    out = SpectrumMultiset.from_values(values)
     if out.total != spec.order:
         raise AssertionError("multiplicities do not sum to the order")
     return out

@@ -1,7 +1,10 @@
 """Signless Laplacian matrices, numeric spectral radii with Perron vectors,
 and exact integer characteristic polynomials.
 
-The numeric path is one stacked call of LAPACK's symmetric eigensolver
+Every matrix is a plain numpy array: Q(G) is an (n, n) int array,
+`spectral_radius` takes any square symmetric array-like, and `char_poly`,
+the one exact entry point, takes an int array or a list of int rows.  The
+numeric path is one stacked call of LAPACK's symmetric eigensolver
 (tridiagonalization + implicit-shift QR) per list of same-order matrices; the
 exact path takes the power sums tr(A^k) from matrix rows packed into
 arbitrary-precision integers and turns them into coefficients by Newton's
@@ -20,31 +23,6 @@ from .polynomials import IntPolynomial
 
 # Largest eigenpair residual accepted, relative to max(1, |radius|).
 RESIDUAL_GATE = 1e-10
-
-
-class DenseSymMatrix:
-    """Dense symmetric matrix, optionally carrying an exact integer view."""
-
-    __slots__ = ("order", "data", "int_rows")
-
-    def __init__(self, data, int_rows=None):
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        self.order = arr.shape[0]
-        self.data = arr
-        self.data.setflags(write=False)
-        self.int_rows = int_rows  # tuple of int tuples; see from_int_rows
-
-    @classmethod
-    def from_int_rows(cls, rows) -> "DenseSymMatrix":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        return cls(rows, int_rows=rows)
-
-    def is_symmetric(self) -> bool:
-        if self.int_rows is not None:
-            return self.int_rows == tuple(zip(*self.int_rows))
-        return bool(np.allclose(self.data, self.data.T, atol=1e-12))
 
 
 @dataclass(frozen=True)
@@ -96,23 +74,23 @@ def _one_result(stack: np.ndarray) -> SpectralResult:
                           residual=float(residual[0]))
 
 
-def signless_laplacian(g: Graph) -> DenseSymMatrix:
-    """Q(G): degree diagonal plus adjacency matrix."""
-    q = _q_stack([g])[0]
-    return DenseSymMatrix(q, int_rows=tuple(map(tuple, q.astype(int).tolist())))
+def signless_laplacian(g: Graph) -> np.ndarray:
+    """Q(G), degree diagonal plus adjacency matrix, as an (n, n) int array."""
+    return _q_stack([g])[0].astype(int)
 
 
-def spectral_radius(m: DenseSymMatrix) -> SpectralResult:
+def spectral_radius(m) -> SpectralResult:
     """Largest eigenvalue of a symmetric matrix and its eigenvector.
 
-    For matrices built from connected graphs the returned vector is the Perron
-    vector: strictly positive and unit-norm.  Raises ValueError on
-    non-symmetric input; numeric failure surfaces as RuntimeError carrying the
-    residual seen.
+    Takes any square array-like.  For matrices built from connected graphs the
+    returned vector is the Perron vector: strictly positive and unit-norm.
+    Raises ValueError unless m is square and exactly symmetric; numeric
+    failure surfaces as RuntimeError carrying the residual seen.
     """
-    if not m.is_symmetric():
-        raise ValueError("spectral_radius requires a symmetric matrix")
-    return _one_result(m.data[None])
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or not np.array_equal(a, a.T):
+        raise ValueError("spectral_radius requires a square symmetric matrix")
+    return _one_result(a[None])
 
 
 def graph_radius(g: Graph) -> SpectralResult:
@@ -157,11 +135,13 @@ def radii(graphs) -> list:
     return out
 
 
-def char_poly_int_rows(rows) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - A) of a square integer matrix,
-    from the power sums s_k = tr(A^k) and Newton's identities
+def char_poly(m) -> IntPolynomial:
+    """Exact characteristic polynomial det(xI - A) of a square integer matrix
+    A, given as an int array or a list of int rows, from the power sums
+    s_k = tr(A^k) and Newton's identities
     k c_k = -(c_(k-1) s_1 + ... + c_0 s_k), where c_k is the coefficient of
-    x^(n-k); every division is exact.
+    x^(n-k); every division is exact.  Raises ValueError on a non-square or
+    non-integer matrix.
 
     Each row of A^k is packed into one integer, entry j in a w-bit slot j, so
     one step A^k = A A^(k-1) is one big-int multiply-add per nonzero of A.
@@ -169,8 +149,15 @@ def char_poly_int_rows(rows) -> IntPolynomial:
     2^(w-1) to every slot before reading one keeps signed entries apart.
     Works for any square integer matrix, symmetric or not.
     """
-    n = len(rows)
-    sparse = [[(j, a) for j, a in enumerate(row) if a != 0] for row in rows]
+    arr = np.asarray(m)
+    if arr.shape == (0,):  # [] is the 0 x 0 matrix
+        arr = arr.astype(int).reshape(0, 0)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"char_poly requires a square matrix, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise ValueError("char_poly requires exact integer entries")
+    n = len(arr)
+    sparse = [[(j, a) for j, a in enumerate(row) if a != 0] for row in arr.tolist()]
     r = max((sum(abs(a) for _, a in row) for row in sparse), default=0)
     w = n * max(r, 1).bit_length() + 2
     half, mask = 1 << (w - 1), (1 << w) - 1
@@ -186,13 +173,3 @@ def char_poly_int_rows(rows) -> IntPolynomial:
             raise ArithmeticError("Newton identity sum not divisible")
         coeffs.append(-(t // k))
     return IntPolynomial(coeffs[::-1])
-
-
-def char_poly(m: DenseSymMatrix) -> IntPolynomial:
-    """Exact monic characteristic polynomial of a matrix with integer entries.
-
-    Rejects matrices without an exact-integer view.
-    """
-    if m.int_rows is None:
-        raise ValueError("char_poly requires exact integer entries")
-    return char_poly_int_rows(m.int_rows)

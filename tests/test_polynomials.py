@@ -165,9 +165,14 @@ class TestRootBound:
 
 def test_isolate_largest_root_degenerate_windows():
     p = monomial_shift(4)
-    # a root on the left end of an empty window is still bracketed
+    # a root on the left end of a one-point window is still bracketed
     assert isolate_largest_root(p, lo=4, hi=4) == (Fraction(7, 2), 4)
     assert isolate_largest_root(p, lo=5, hi=3) is None
+    # a root on the left end of an empty window is not
+    assert isolate_largest_root(p, lo=4, hi=2) is None
+    with pytest.raises(ValueError, match=r"no real root of x - 4 in \[4, 2\]"):
+        largest_real_root(p, (4, 2))
+    assert largest_real_root(p, (4, 4)) == pytest.approx(4, abs=1e-12)
 
 
 class TestRefineRoot:

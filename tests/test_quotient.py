@@ -46,15 +46,20 @@ class TestIndexPartition:
 class TestQuotientMatrix:
     def test_c3_single_block(self):
         b = quotient_matrix(Q_C3, IndexPartition([(0, 1, 2)]))
-        assert b.entries == ((4.0,),)
+        assert b.tolist() == [[4.0]]
 
     def test_c3_split(self):
         b = quotient_matrix(Q_C3, IndexPartition([(0,), (1, 2)]))
-        assert b.entries == ((2.0, 2.0), (1.0, 3.0))
+        assert b.tolist() == [[2.0, 2.0], [1.0, 3.0]]
 
     def test_p3_split_not_equitable_but_defined(self):
         b = quotient_matrix(Q_P3, IndexPartition([(0,), (1, 2)]))
-        assert b.entries == ((1.0, 1.0), (0.5, 2.5))
+        assert b.tolist() == [[1.0, 1.0], [0.5, 2.5]]
+
+    def test_returns_float_array(self):
+        b = quotient_matrix(Q_C3.tolist(), IndexPartition([(0,), (1, 2)]))
+        assert isinstance(b, np.ndarray) and b.dtype == float
+        assert b.shape == (2, 2)
 
     def test_wrong_cover_rejected(self):
         with pytest.raises(ValueError):
@@ -84,11 +89,23 @@ class TestBlockSpec:
 
     def test_build_j2_plus_i2(self):
         m = build_from_spec(BlockSpec([2], [1], [1], [[0]]))
-        assert m.int_rows == ((2, 1), (1, 2))
+        assert m.tolist() == [[2, 1], [1, 2]]
 
     def test_build_c3_from_blocks(self):
         spec = BlockSpec([1, 2], [0, 1], [2, 1], [[0, 1], [1, 0]])
-        assert build_from_spec(spec).int_rows == Q_C3.int_rows
+        assert build_from_spec(spec).tolist() == Q_C3.tolist()
+
+    def test_build_integer_spec_has_integer_dtype(self):
+        spec = random_spec(random.Random(3))
+        assert build_from_spec(spec).dtype.kind == "i"
+        # integer-valued floats count as integer parameters
+        m = build_from_spec(BlockSpec([2], [1.0], [1.0], [[0.0]]))
+        assert m.dtype.kind == "i" and m.tolist() == [[2, 1], [1, 2]]
+
+    def test_build_fractional_spec_is_float(self):
+        m = build_from_spec(BlockSpec([1, 2], [0, 0.5], [2, 1], [[0, 1], [1, 0]]))
+        assert m.dtype == float
+        assert m.tolist() == [[2.0, 1.0, 1.0], [1.0, 1.5, 0.5], [1.0, 0.5, 1.5]]
 
 
 class TestStructuredSpectrum:
@@ -101,7 +118,7 @@ class TestStructuredSpectrum:
         for _ in range(100):
             spec = random_spec(rng)
             dense = build_from_spec(spec)
-            want = SpectrumMultiset.from_values(np.linalg.eigvalsh(dense.data))
+            want = SpectrumMultiset.from_values(np.linalg.eigvalsh(dense))
             got = structured_spectrum(spec)
             assert got.close_to(want, tol=1e-8), spec.to_json()
 
@@ -113,11 +130,11 @@ class TestStructuredSpectrum:
             dense = build_from_spec(spec)
             part = natural_partition(spec)
             assert is_equitable(dense, part)
-            b = quotient_matrix(dense, part).as_array()
+            b = quotient_matrix(dense, part)
             d = np.sqrt(np.array(spec.sizes, dtype=float))
             sym = b * (d[:, None] / d[None, :])
             quotient_eigs = np.linalg.eigvalsh((sym + sym.T) / 2)
-            dense_eigs = np.linalg.eigvalsh(dense.data)
+            dense_eigs = np.linalg.eigvalsh(dense)
             for lam in quotient_eigs:
                 assert min(abs(dense_eigs - lam)) < 1e-8
 
@@ -169,8 +186,8 @@ class TestQuotientCharPoly:
             for k in range(1, 10):
                 for spec, g in ((hub_spec(s, k), build_H(s, k)),
                                 (path_spec(s, k), build_L(s, k))):
-                    assert build_from_spec(spec).int_rows == \
-                        signless_laplacian(g).int_rows
+                    assert build_from_spec(spec).tolist() == \
+                        signless_laplacian(g).tolist()
                     self.assert_exact(spec)
 
     def test_random_signed_specs(self):
@@ -199,7 +216,7 @@ class TestTwoStageChain:
         # quotient spectrum embeds: its char poly divides nothing here, but
         # each root must be an eigenvalue of the dense matrix
         roots = np.roots(list(reversed(p.coeffs)))
-        dense_eigs = np.linalg.eigvalsh(dense.data)
+        dense_eigs = np.linalg.eigvalsh(dense)
         for r in roots.real:
             assert min(abs(dense_eigs - r)) < 1e-8
 
@@ -207,7 +224,7 @@ class TestTwoStageChain:
 def test_bowtie_block_spec_matches_eigensolver():
     spec = hub_spec(2, 0)
     dense = build_from_spec(spec)
-    assert dense.int_rows == signless_laplacian(build_H(2, 0)).int_rows
+    assert dense.tolist() == signless_laplacian(build_H(2, 0)).tolist()
     got = structured_spectrum(spec)
-    want = SpectrumMultiset.from_values(np.linalg.eigvalsh(dense.data))
+    want = SpectrumMultiset.from_values(np.linalg.eigvalsh(dense))
     assert got.close_to(want, tol=1e-8)

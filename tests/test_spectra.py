@@ -9,9 +9,9 @@ from cactiq.enumeration import enumerate_cacti
 from cactiq.families import build_H, build_L, extremal_answer
 from cactiq.graph import from_edges, is_connected
 from cactiq.polynomials import IntPolynomial, count_roots
-from cactiq.spectra import (DenseSymMatrix, _top_eigenpairs, char_poly,
-                            char_poly_int_rows, eigenpairs, graph_radius,
-                            radii, signless_laplacian, spectral_radius)
+from cactiq.spectra import (_top_eigenpairs, char_poly, eigenpairs,
+                            graph_radius, radii, signless_laplacian,
+                            spectral_radius)
 from oracles import faddeev_leverrier
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -32,13 +32,17 @@ def random_connected(rng, n):
 class TestSignlessLaplacian:
     def test_c3(self):
         m = signless_laplacian(C3)
-        assert m.int_rows == ((2, 1, 1), (1, 2, 1), (1, 1, 2))
+        assert m.tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
 
     def test_p3(self):
-        assert signless_laplacian(P3).int_rows == ((1, 1, 0), (1, 2, 1), (0, 1, 1))
+        assert signless_laplacian(P3).tolist() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
 
     def test_k1(self):
-        assert signless_laplacian(K1).int_rows == ((0,),)
+        assert signless_laplacian(K1).tolist() == [[0]]
+
+    def test_int_array(self):
+        m = signless_laplacian(S4)
+        assert isinstance(m, np.ndarray) and m.dtype.kind == "i"
 
 
 class TestSpectralRadius:
@@ -55,11 +59,25 @@ class TestSpectralRadius:
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
-            spectral_radius(DenseSymMatrix([[0.0, 1.0], [0.0, 0.0]]))
+            spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_symmetric_int_view(self):
         with pytest.raises(ValueError):
-            spectral_radius(DenseSymMatrix.from_int_rows([[0, 1], [0, 0]]))
+            spectral_radius(np.array([[0, 1], [0, 0]]))
+
+    def test_rejects_inexact_float_symmetry(self):
+        # within numpy's default allclose rtol, but not exactly symmetric
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_radius([[1.0, 1.0 + 1e-9], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("m", [np.zeros((2, 3)), [[1, 2, 3]], [1.0, 2.0],
+                                   np.zeros((1, 2, 2))])
+    def test_rejects_non_square(self, m):
+        with pytest.raises(ValueError, match="square"):
+            spectral_radius(m)
+
+    def test_accepts_symmetric_list(self):
+        assert spectral_radius([[2, 1], [1, 2]]).radius == pytest.approx(3, abs=1e-12)
 
     def test_graph_radius_equals_matrix_solve(self):
         # every class to n = 10 and every extremal maximizer to order 64:
@@ -170,7 +188,23 @@ class TestCharPoly:
 
     def test_rejects_float_matrix(self):
         with pytest.raises(ValueError):
-            char_poly(DenseSymMatrix([[0.5, 0], [0, 0.5]]))
+            char_poly(np.array([[0.5, 0], [0, 0.5]]))
+
+    @pytest.mark.parametrize("m", [[[1], [2]], [[1, 2, 3]], [1, 2],
+                                   np.zeros((2, 2, 2), dtype=int)])
+    def test_rejects_non_square(self, m):
+        with pytest.raises(ValueError, match="square"):
+            char_poly(m)
+
+    @pytest.mark.parametrize("m", [np.array([[0.5]]), np.array([[2.0]]),
+                                   [[1, 0.5], [0.5, 1]]])
+    def test_rejects_non_integer(self, m):
+        with pytest.raises(ValueError, match="integer"):
+            char_poly(m)
+
+    def test_list_rows_equal_array(self):
+        rows = [[2, -1, 0], [3, 0, 7], [0, 5, -4]]
+        assert char_poly(rows) == char_poly(np.array(rows))
 
     def test_monic(self):
         rng = random.Random(17)
@@ -180,19 +214,19 @@ class TestCharPoly:
 
 
 def assert_equals_oracle(rows):
-    assert char_poly_int_rows(rows).coeffs == tuple(faddeev_leverrier(rows))
+    assert char_poly(rows).coeffs == tuple(faddeev_leverrier(rows))
 
 
 class TestCharPolyOracle:
     """Packed power sums against the Faddeev-LeVerrier recurrence."""
 
     def test_empty_matrix(self):
-        assert char_poly_int_rows([]) == IntPolynomial([1])
+        assert char_poly([]) == IntPolynomial([1])
 
     def test_every_cactus_to_n9(self):
         for n in range(1, 10):
             for g in enumerate_cacti(n):
-                assert_equals_oracle(signless_laplacian(g).int_rows)
+                assert_equals_oracle(signless_laplacian(g).tolist())
 
     def test_family_members(self):
         # every H(s, k) and L(s, k) to order 24, the check-formulas range,
@@ -203,7 +237,7 @@ class TestCharPolyOracle:
         members += [("H", 31, 1), ("H", 0, 63), ("L", 30, 2), ("L", 20, 21)]
         for family, s, k in members:
             g = build_H(s, k) if family == "H" else build_L(s, k)
-            assert_equals_oracle(signless_laplacian(g).int_rows)
+            assert_equals_oracle(signless_laplacian(g).tolist())
 
     @pytest.mark.parametrize("bound", [1, 5, 10 ** 6])
     def test_random_signed_non_symmetric(self, bound):
@@ -220,13 +254,13 @@ class TestCharPolyOracle:
         # r J: every absolute row sum is n r, so the slots are sized for
         # (n r)^n, and every entry of A^n is (n r)^n / n; x^(n-1) (x - n r)
         want = IntPolynomial((-n * r, 1)) * IntPolynomial((0, 1)) ** (n - 1)
-        assert char_poly_int_rows([[r] * n for _ in range(n)]) == want
+        assert char_poly([[r] * n for _ in range(n)]) == want
         # D (r J) D with D = diag(+-1) has the same spectrum and signed entries
         signs = [(-1) ** (i * (i + 1) // 2) for i in range(n)]
-        assert char_poly_int_rows([[r * a * b for b in signs]
-                                   for a in signs]) == want
+        assert char_poly([[r * a * b for b in signs]
+                          for a in signs]) == want
         # -r J: x^(n-1) (x + n r)
-        assert char_poly_int_rows([[-r] * n for _ in range(n)]) == \
+        assert char_poly([[-r] * n for _ in range(n)]) == \
             IntPolynomial((n * r, 1)) * IntPolynomial((0, 1)) ** (n - 1)
 
 
@@ -237,7 +271,7 @@ def assert_charpoly_roots_match_eigensolver(g):
     from fractions import Fraction
     m = signless_laplacian(g)
     p = char_poly(m)
-    numeric = sorted(np.linalg.eigvalsh(m.data))
+    numeric = sorted(np.linalg.eigvalsh(m))
     clusters = []
     for v in numeric:
         if clusters and v - clusters[-1][-1] <= 1e-4:
@@ -285,7 +319,7 @@ class TestSpectrumConsistency:
             g = random_connected(rng, rng.randint(2, 8))
             m = signless_laplacian(g)
             trace = sum(g.degree(v) for v in range(g.order))
-            assert sum(np.linalg.eigvalsh(m.data)) == pytest.approx(trace, abs=1e-8)
+            assert sum(np.linalg.eigvalsh(m)) == pytest.approx(trace, abs=1e-8)
             p = char_poly(m)
             assert p.coeffs[g.order - 1] == -trace
 
@@ -296,7 +330,7 @@ class TestSpectrumConsistency:
             p = char_poly(signless_laplacian(g))
             from fractions import Fraction
             assert count_roots(p, -10 * g.order, Fraction(-1, 10 ** 9)) == 0
-            assert min(np.linalg.eigvalsh(signless_laplacian(g).data)) >= -1e-9
+            assert min(np.linalg.eigvalsh(signless_laplacian(g))) >= -1e-9
 
 
 class TestSubgraphMonotonicity:

@@ -459,6 +459,17 @@ class TestCli:
         assert len(lines) == 2 and lines[0] == lines[1]
         assert json.loads(lines[0])["passed"] is True
 
+    def test_verify_unwritable_out_exit_2(self, tmp_path, capsys):
+        # the report is not printed when it cannot be appended to the file
+        out = tmp_path / "missing" / "r.jsonl"
+        assert main(["verify", "--claim", "theorem32", "--n", "5",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot append to {out}: " \
+            "No such file or directory\n"
+        assert not out.parent.exists()
+
     def test_verify_monotonicity_cli(self, capsys):
         assert main(["verify", "--claim", "monotonicity",
                      "--trials", "5", "--seed", "1"]) == 0
