@@ -36,9 +36,16 @@ MAX_N = 10
 
 @dataclass(frozen=True)
 class CactusFilter:
-    """Optional matching-number and pendant-count constraints."""
+    """Optional matching-number and pendant-count constraints; a negative
+    one raises ValueError naming it."""
     matching: int | None = None
     pendants: int | None = None
+
+    def __post_init__(self):
+        for name in ("matching", "pendants"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
     def admits(self, matching: int, pendants: int) -> bool:
         """Whether a class with this matching number and pendant count

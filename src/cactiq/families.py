@@ -9,8 +9,9 @@ are members and what their order is.  `build` is the one constructor,
 `members` lists the members with s >= 1 up to an order, and the factored
 characteristic polynomials take their exponents from the member at (n, k).
 The module also holds the superseded legacy formulas kept for an erratum
-regression, and the extremal-answer calculator that maps a vertex count plus
-constraint to the predicted maximizer and its radius.
+regression, and `extremal_answer`, which maps a vertex count plus constraint
+to the predicted maximizer, its member and its radius: a closed form when
+n = 2m or n = 2m + 1, else the largest root of the H cubic or L quintic.
 """
 
 from __future__ import annotations
@@ -156,44 +157,16 @@ def psi_legacy(family: str, n: int, k: int) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClosedFormRadius:
-    """Radius of the form (a + sqrt(b)) / c with integer a, b, c."""
-    a: int
-    b: int
-    c: int
-
-    def value(self) -> float:
-        return (self.a + math.sqrt(self.b)) / self.c
-
-
-@dataclass(frozen=True)
-class PolyRootRadius:
-    """Radius defined as the largest real root of a polynomial in a bracket,
-    refined to the root layer's one width, `polynomials.REFINE_WIDTH`."""
-    poly: IntPolynomial
-    bracket: tuple
-
-    def value(self) -> float:
-        return largest_real_root(self.poly, self.bracket)
-
-
-@dataclass(frozen=True)
 class ExtremalAnswer:
-    """Predicted maximizer plus its radius, symbolically and numerically."""
+    """Predicted maximizer, its member of H or L, and its radius."""
     maximizer: Graph
     params: FamilyParams
-    descriptor: object  # ClosedFormRadius | PolyRootRadius
     radius: float
 
 
-def _poly_descriptor(poly: IntPolynomial, n: int) -> PolyRootRadius:
-    # all signless Laplacian eigenvalues lie in [0, 2(n-1)]
-    return PolyRootRadius(poly=poly, bracket=(0.0, float(2 * n)))
-
-
-def _answer(params: FamilyParams, descriptor) -> ExtremalAnswer:
+def _answer(params: FamilyParams, radius: float) -> ExtremalAnswer:
     return ExtremalAnswer(maximizer=build(params), params=params,
-                          descriptor=descriptor, radius=descriptor.value())
+                          radius=radius)
 
 
 def extremal_answer(n: int, matching: int | None = None,
@@ -210,6 +183,8 @@ def extremal_answer(n: int, matching: int | None = None,
         raise ValueError("n >= 3 required")
     if matching is not None and pendants is not None:
         raise ValueError("at most one constraint")
+    # all signless Laplacian eigenvalues lie in [0, 2(n-1)]
+    bracket = (0.0, float(2 * n))
 
     if pendants is not None:
         k = pendants
@@ -217,24 +192,24 @@ def extremal_answer(n: int, matching: int | None = None,
             raise ValueError(f"pendant count {k} infeasible for n = {n}")
         if (n - k) % 2 == 1:
             params = FamilyParams("H", (n - k - 1) // 2, k)
-            return _answer(params, _poly_descriptor(h_cubic(n, k), n))
+            return _answer(params, largest_real_root(h_cubic(n, k), bracket))
         if k == 0:
             raise ValueError("no prediction for even n - k with zero pendants")
         params = FamilyParams("L", (n - k - 2) // 2, k)
-        return _answer(params, _poly_descriptor(l_quintic(n, k), n))
+        return _answer(params, largest_real_root(l_quintic(n, k), bracket))
 
     m = n // 2 if matching is None else matching
     if not 1 <= m <= n // 2:
         raise ValueError(f"matching number {m} infeasible for n = {n}")
     if n == 2 * m:
         return _answer(FamilyParams("H", m - 1, 1),
-                       ClosedFormRadius(n + 1, n * n - 2 * n + 9, 2))
+                       (n + 1 + math.sqrt(n * n - 2 * n + 9)) / 2)
     if n == 2 * m + 1:
         return _answer(FamilyParams("H", m, 0),
-                       ClosedFormRadius(n + 2, n * n - 4 * n + 12, 2))
+                       (n + 2 + math.sqrt(n * n - 4 * n + 12)) / 2)
     k = n - 2 * m + 1
     return _answer(FamilyParams("H", m - 1, k),
-                   _poly_descriptor(h_cubic(n, k), n))
+                   largest_real_root(h_cubic(n, k), bracket))
 
 
 def superseded_conjecture_bound(n: int) -> float:

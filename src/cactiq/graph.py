@@ -38,9 +38,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def degree_sequence(self) -> tuple:
-        return tuple(sorted(len(s) for s in self._adj))
-
     @property
     def size(self) -> int:
         return len(self.edges)

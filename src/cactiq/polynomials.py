@@ -132,13 +132,6 @@ class IntPolynomial:
     def to_json(self) -> str:
         return json.dumps([str(c) for c in self.coeffs])
 
-    @classmethod
-    def from_json(cls, text: str) -> "IntPolynomial":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON array of coefficient strings")
-        return cls(int(c) for c in data)
-
 
 def _coerce(p) -> IntPolynomial:
     if isinstance(p, IntPolynomial):

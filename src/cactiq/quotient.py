@@ -8,11 +8,16 @@ Matrices and their quotients are plain numpy arrays: `quotient_matrix` and
 array, and `build_from_spec` returns an int array for integer parameters.
 Numeric eigenvalues that lie within CLUSTER_TOL are merged into one
 eigenvalue with multiplicity.
+
+A `BlockSpec` is the block form's sizes and parameters, `structured_spectrum`
+gives its spectrum as a `SpectrumMultiset` of (value, multiplicity) pairs,
+and `quotient_char_poly` gives its quotient's exact characteristic
+polynomial.  `IndexPartition` is any ordered partition of 0..n-1, the
+argument of `quotient_matrix` and `is_equitable`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,16 +83,6 @@ class BlockSpec:
         vals = list(self.l) + list(self.p) + [x for row in self.s for x in row]
         return all(float(v).is_integer() for v in vals)
 
-    def to_json(self) -> str:
-        return json.dumps({"sizes": list(self.sizes), "l": list(self.l),
-                           "p": list(self.p), "s": [list(r) for r in self.s]},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BlockSpec":
-        d = json.loads(text)
-        return cls(d["sizes"], d["l"], d["p"], d["s"])
-
 
 @dataclass(frozen=True)
 class SpectrumMultiset:
@@ -117,11 +112,6 @@ class SpectrumMultiset:
         for lam, mult in self.pairs:
             out.extend([lam] * mult)
         return out
-
-    def close_to(self, other: "SpectrumMultiset", tol: float = 1e-8) -> bool:
-        a, b = self.values(), other.values()
-        return (len(a) == len(b)
-                and all(abs(x - y) <= tol for x, y in zip(a, b)))
 
 
 def quotient_matrix(m, part: IndexPartition) -> np.ndarray:
@@ -163,15 +153,6 @@ def build_from_spec(spec: BlockSpec) -> np.ndarray:
     block = np.repeat(np.arange(spec.t), spec.sizes)
     return (table[np.ix_(block, block)]
             + np.diag(np.array(spec.p, dtype=dtype)[block]))
-
-
-def natural_partition(spec: BlockSpec) -> IndexPartition:
-    """The partition into the spec's consecutive blocks (always equitable)."""
-    blocks, off = [], 0
-    for sz in spec.sizes:
-        blocks.append(tuple(range(off, off + sz)))
-        off += sz
-    return IndexPartition(blocks)
 
 
 def spec_quotient_rows(spec: BlockSpec):

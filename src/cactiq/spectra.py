@@ -2,9 +2,9 @@
 and exact integer characteristic polynomials.
 
 Every matrix is a plain numpy array: Q(G) is an (n, n) int array,
-`spectral_radius` takes any square symmetric array-like, and `char_poly`,
-the one exact entry point, takes an int array or a list of int rows.  The
-numeric path is one stacked call of LAPACK's symmetric eigensolver
+`spectral_radius` takes any nonempty square symmetric array-like, and
+`char_poly`, the one exact entry point, takes an int array or a list of int
+rows.  The numeric path is one stacked call of LAPACK's symmetric eigensolver
 (tridiagonalization + implicit-shift QR) per list of same-order matrices; the
 exact path takes the power sums tr(A^k) from matrix rows packed into
 arbitrary-precision integers and turns them into coefficients by Newton's
@@ -84,12 +84,13 @@ def spectral_radius(m) -> SpectralResult:
 
     Takes any square array-like.  For matrices built from connected graphs the
     returned vector is the Perron vector: strictly positive and unit-norm.
-    Raises ValueError unless m is square and exactly symmetric; numeric
-    failure surfaces as RuntimeError carrying the residual seen.
+    Raises ValueError unless m is nonempty, square and exactly symmetric;
+    numeric failure surfaces as RuntimeError carrying the residual seen.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or not np.array_equal(a, a.T):
-        raise ValueError("spectral_radius requires a square symmetric matrix")
+    if a.ndim != 2 or not a.size or not np.array_equal(a, a.T):
+        raise ValueError("spectral_radius requires a nonempty square "
+                         "symmetric matrix")
     return _one_result(a[None])
 
 

@@ -108,6 +108,13 @@ class TestFilters:
         assert enumerate_cacti(5, CactusFilter(pendants=7)) == ()
         assert classes(5).positions(CactusFilter(matching=9)) == ()
 
+    def test_negative_filter_rejected(self):
+        with pytest.raises(ValueError, match="matching must be nonnegative"):
+            CactusFilter(matching=-1)
+        with pytest.raises(ValueError, match="pendants must be nonnegative"):
+            CactusFilter(matching=2, pendants=-2)
+        assert CactusFilter(matching=0, pendants=0).admits(0, 0)
+
     @pytest.mark.parametrize("n", [1, 6, 9])
     def test_positions_index_the_full_list(self, n):
         graphs = enumerate_cacti(n)
@@ -124,10 +131,14 @@ class TestFilters:
 
     @pytest.mark.parametrize("n", range(1, MAX_N + 1))
     def test_positions_equal_a_scan_of_every_class(self, n):
-        # matching values -1..n/2+1 and pendant values -1..n+1, alone and in
+        # matching values 0..n/2+1 and pendant values 0..n+1, alone and in
         # every pair, possible or not, against a scan of every class; the
-        # count reads the same positions
-        ms, ks = range(-1, n // 2 + 2), range(-1, n + 2)
+        # count reads the same positions.  A value of -1 is refused.
+        ms, ks = range(0, n // 2 + 2), range(0, n + 2)
+        for bad in ({"matching": -1}, {"pendants": -1},
+                    {"matching": -1, "pendants": -1}):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                CactusFilter(**bad)
         filters = ([CactusFilter(matching=m) for m in ms]
                    + [CactusFilter(pendants=k) for k in ks]
                    + [CactusFilter(matching=m, pendants=k) for m in ms for k in ks])

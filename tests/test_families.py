@@ -5,13 +5,12 @@ import tracemalloc
 import pytest
 
 from cactiq import graph6
-from cactiq.families import (ClosedFormRadius, FamilyParams, PolyRootRadius,
-                             build, build_H, build_L, extremal_answer, h_cubic,
-                             l_quintic, legacy_h_cubic, legacy_l_quintic,
-                             members, psi_H, psi_L, psi_legacy,
-                             superseded_conjecture_bound)
+from cactiq.families import (FamilyParams, build, build_H, build_L,
+                             extremal_answer, h_cubic, l_quintic,
+                             legacy_h_cubic, legacy_l_quintic, members, psi_H,
+                             psi_L, psi_legacy, superseded_conjecture_bound)
 from cactiq.graph import (is_bundle, is_cactus, matching_number, pendant_count)
-from cactiq.polynomials import IntPolynomial, monomial_shift
+from cactiq.polynomials import IntPolynomial, largest_real_root, monomial_shift
 from cactiq.spectra import char_poly, graph_radius, signless_laplacian
 
 
@@ -34,7 +33,8 @@ class TestConstruction:
         assert g.degree(0) == 4
         g = build_H(3, 2)
         assert g.order == 9
-        assert sorted(g.degree_sequence()) == [1, 1, 2, 2, 2, 2, 2, 2, 8]
+        assert sorted(g.degree(v) for v in range(g.order)) == \
+            [1, 1, 2, 2, 2, 2, 2, 2, 8]
 
     def test_h_star(self):
         g = build_H(0, 3)
@@ -221,14 +221,14 @@ class TestExtremalAnswer:
     def test_odd_matching_closed_form(self):
         ans = extremal_answer(5, matching=2)
         assert ans.params == FamilyParams("H", 2, 0)
-        assert isinstance(ans.descriptor, ClosedFormRadius)
         assert ans.radius == pytest.approx((7 + math.sqrt(17)) / 2, abs=1e-12)
+        assert ans.radius == (7 + math.sqrt(17)) / 2
 
     def test_large_n_cubic(self):
         ans = extremal_answer(8, matching=3)
         assert ans.params == FamilyParams("H", 2, 3)
-        assert isinstance(ans.descriptor, PolyRootRadius)
-        assert ans.descriptor.poly == IntPolynomial((-8, 24, -11, 1))
+        assert h_cubic(8, 3) == IntPolynomial((-8, 24, -11, 1))
+        assert ans.radius == largest_real_root(h_cubic(8, 3), (0.0, 16.0))
         assert ans.radius == pytest.approx(
             graph_radius(build_H(2, 3)).radius, abs=1e-9)
 
@@ -257,7 +257,6 @@ class TestExtremalAnswer:
         for n in range(3, 65):
             free, half = extremal_answer(n), extremal_answer(n, matching=n // 2)
             assert free.params == half.params
-            assert free.descriptor == half.descriptor
             assert free.radius == half.radius
 
     def test_radius_matches_eigensolver(self):
@@ -274,11 +273,23 @@ class TestExtremalAnswer:
         with pytest.raises(ValueError):
             extremal_answer(5, matching=3)
 
-    def test_descriptor_json(self):
-        ans = extremal_answer(5, matching=2)
-        assert ans.descriptor == ClosedFormRadius(7, 17, 2)
-        ans = extremal_answer(8, matching=3)
-        assert ans.descriptor.poly.coeffs == (-8, 24, -11, 1)
+
+def test_radii_pinned():
+    # sha256 of "n constraint repr(radius)" lines for n = 3..64 under no
+    # constraint, every matching number and every pendant count with a
+    # prediction, recorded while each radius came from a descriptor object
+    lines = []
+    for n in range(3, 65):
+        cases = [("none", {})]
+        cases += [(f"matching={m}", {"matching": m})
+                  for m in range(1, n // 2 + 1)]
+        cases += [(f"pendants={k}", {"pendants": k})
+                  for k in range(n) if (n - k) % 2 or k]
+        lines += [f"{n} {name} {extremal_answer(n, **c).radius!r}"
+                  for name, c in cases]
+    assert len(lines) == 3131
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "a7d4074d0993abc4959fbe2fbae6290748c0d1c8b21d459f88f9a55729e59c9c"
 
 
 def test_superseded_bound_below_true_radius_at_5():

@@ -25,7 +25,7 @@ NOT_A_CACTUS = "not a cactus"
 class TestFromEdges:
     def test_path(self):
         assert P4.order == 4 and P4.size == 3
-        assert P4.degree_sequence() == (1, 1, 2, 2)
+        assert sorted(P4.degree(v) for v in range(4)) == [1, 1, 2, 2]
 
     def test_cycle(self):
         assert C3.size == 3
@@ -261,7 +261,8 @@ class TestCanonicalCode:
         # two adjacent vertices vs at two opposite ones
         adjacent = from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5)])
         opposite = from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 5)])
-        assert adjacent.degree_sequence() == opposite.degree_sequence()
+        assert sorted(adjacent.degree(v) for v in range(6)) == \
+            sorted(opposite.degree(v) for v in range(6))
         assert not brute_isomorphic(adjacent, opposite)
         assert canonical_code(adjacent) != canonical_code(opposite)
 

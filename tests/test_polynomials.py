@@ -6,7 +6,7 @@ import pytest
 
 from cactiq import graph6, polynomials
 from cactiq.enumeration import enumerate_cacti
-from cactiq.families import PolyRootRadius, extremal_answer
+from cactiq.families import h_cubic, l_quintic
 from cactiq.polynomials import (IntPolynomial, _poly_gcd, compare_largest_roots,
                                 count_roots, isolate_largest_root,
                                 largest_real_root, monomial_shift, refine_root,
@@ -43,11 +43,6 @@ def test_arithmetic():
     assert (p + 1).coeffs == (4, -4, 1)
     assert (monomial_shift(1) ** 3).coeffs == (-1, 3, -3, 1)
     assert _value(p, 3) == 0 and _value(p, Fraction(1, 2)) == Fraction(5, 4)
-
-
-def test_json_round_trip():
-    p = IntPolynomial((-(10 ** 30), 0, 7, 1))
-    assert IntPolynomial.from_json(p.to_json()) == p
 
 
 def test_count_roots():
@@ -371,27 +366,28 @@ class TestIntegerChains:
         assert _poly_gcd(IntPolynomial(()), IntPolynomial(())).is_zero()
 
 
-def _extremal_descriptors():
+def _extremal_polys():
+    """The distinct (cubic or quintic, bracket) pairs whose largest roots are
+    the extremal answers' radii to n = 64: h_cubic(n, n - 2m + 1) for a
+    matching number m with n >= 2m + 2, h_cubic(n, k) for a pendant count k
+    with n - k odd, and l_quintic(n, k) for k >= 1 with n - k even."""
     seen = set()
     for n in range(3, 65):
-        constraints = [{}] + [{"matching": m} for m in range(1, n // 2 + 1)]
-        constraints += [{"pendants": k} for k in range(n)]
-        for c in constraints:
-            try:
-                d = extremal_answer(n, **c).descriptor
-            except ValueError:
-                continue
-            if isinstance(d, PolyRootRadius) and (d.poly, d.bracket) not in seen:
-                seen.add((d.poly, d.bracket))
-                yield d
+        polys = [h_cubic(n, n - 2 * m + 1) for m in range(1, (n - 2) // 2 + 1)]
+        polys += [h_cubic(n, k) if (n - k) % 2 else l_quintic(n, k)
+                  for k in range(1 - n % 2, n)]
+        for p in polys:
+            if (p, n) not in seen:
+                seen.add((p, n))
+                yield p, (0.0, float(2 * n))
 
 
 def test_refined_floats_match_fraction_bisection():
-    # every cubic and quintic descriptor of the extremal answers to n = 64,
+    # every cubic and quintic radius of the extremal answers to n = 64,
     # refined bit for bit as Fraction bisection does it
     count = 0
-    for d in _extremal_descriptors():
-        want = fraction_largest_roots(d.poly.coeffs, *d.bracket, (1e-12,))
-        assert [largest_real_root(d.poly, d.bracket)] == want, d
+    for p, bracket in _extremal_polys():
+        want = fraction_largest_roots(p.coeffs, *bracket, (1e-12,))
+        assert [largest_real_root(p, bracket)] == want, p
         count += 1
     assert count == 2046

@@ -6,9 +6,9 @@ import pytest
 from cactiq.families import build_H, build_L
 from cactiq.graph import from_edges
 from cactiq.quotient import (BlockSpec, IndexPartition, SpectrumMultiset,
-                             build_from_spec, is_equitable, natural_partition,
-                             quotient_char_poly, quotient_matrix,
-                             spec_quotient_rows, structured_spectrum)
+                             build_from_spec, is_equitable, quotient_char_poly,
+                             quotient_matrix, spec_quotient_rows,
+                             structured_spectrum)
 from cactiq.polynomials import IntPolynomial
 from cactiq.spectra import char_poly, signless_laplacian
 from oracles import faddeev_leverrier
@@ -82,11 +82,6 @@ class TestBlockSpec:
         with pytest.raises(ValueError, match="symmetric"):
             BlockSpec([1, 2], [0, 1], [2, 1], [[0, 1], [2, 0]])
 
-    def test_json_round_trip(self):
-        spec = random_spec(random.Random(1))
-        again = BlockSpec.from_json(spec.to_json())
-        assert again.sizes == spec.sizes and again.s == spec.s
-
     def test_build_j2_plus_i2(self):
         m = build_from_spec(BlockSpec([2], [1], [1], [[0]]))
         assert m.tolist() == [[2, 1], [1, 2]]
@@ -120,7 +115,9 @@ class TestStructuredSpectrum:
             dense = build_from_spec(spec)
             want = SpectrumMultiset.from_values(np.linalg.eigvalsh(dense))
             got = structured_spectrum(spec)
-            assert got.close_to(want, tol=1e-8), spec.to_json()
+            np.testing.assert_allclose(
+                got.values(), want.values(), rtol=0, atol=1e-8,
+                err_msg=str((spec.sizes, spec.l, spec.p, spec.s)))
 
     def test_quotient_eigenvalues_embed(self):
         # every eigenvalue of an equitable quotient is an eigenvalue of M
@@ -128,7 +125,8 @@ class TestStructuredSpectrum:
         for _ in range(100):
             spec = random_spec(rng)
             dense = build_from_spec(spec)
-            part = natural_partition(spec)
+            ends = np.cumsum((0,) + spec.sizes)
+            part = IndexPartition(map(range, ends[:-1], ends[1:]))
             assert is_equitable(dense, part)
             b = quotient_matrix(dense, part)
             d = np.sqrt(np.array(spec.sizes, dtype=float))
@@ -207,7 +205,8 @@ class TestTwoStageChain:
         vals = list(np.linalg.eigvals(np.array(b2, dtype=float)).real)
         vals += [1.0] * ((n + k - 3) // 2) + [3.0] * ((n - k - 3) // 2)
         want = SpectrumMultiset.from_values(vals)
-        assert structured_spectrum(spec).close_to(want, tol=1e-7)
+        np.testing.assert_allclose(structured_spectrum(spec).values(),
+                                   want.values(), rtol=0, atol=1e-7)
 
     def test_exact_quotient_char_poly(self):
         spec = hub_spec(2, 0)
@@ -227,4 +226,4 @@ def test_bowtie_block_spec_matches_eigensolver():
     assert dense.tolist() == signless_laplacian(build_H(2, 0)).tolist()
     got = structured_spectrum(spec)
     want = SpectrumMultiset.from_values(np.linalg.eigvalsh(dense))
-    assert got.close_to(want, tol=1e-8)
+    np.testing.assert_allclose(got.values(), want.values(), rtol=0, atol=1e-8)

@@ -76,6 +76,10 @@ class TestSpectralRadius:
         with pytest.raises(ValueError, match="square"):
             spectral_radius(m)
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            spectral_radius(np.zeros((0, 0)))
+
     def test_accepts_symmetric_list(self):
         assert spectral_radius([[2, 1], [1, 2]]).radius == pytest.approx(3, abs=1e-12)
 

@@ -409,6 +409,26 @@ class TestCli:
         assert captured.err == \
             f"error: n = {args[1]} exceeds the enumeration guard 10\n"
 
+    @pytest.mark.parametrize("args, flag, value", [
+        (["--matching", "-1"], "matching", -1),
+        (["--pendants", "-2", "--format", "count"], "pendants", -2),
+    ])
+    def test_enumerate_negative_filter_exit_2(self, args, flag, value, capsys):
+        assert main(["enumerate", "--n", "5", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: {flag} must be nonnegative, got {value}\n"
+
+    @pytest.mark.parametrize("claim, flag", [
+        ("theorem31i", "--m"), ("theorem31ii", "--m"), ("prop215", "--m"),
+        ("conjecture11_negative", "--m"), ("prop213", "--k"),
+    ])
+    def test_verify_negative_flag_exit_2(self, claim, flag, capsys):
+        assert main(["verify", "--claim", claim, "--n", "8", flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("n", [3, 6])
     def test_prop213_all_pendants_exit_2(self, n, capsys):
         # the filter admits k = n, but no cactus of order >= 3 has n pendants
