@@ -1,5 +1,6 @@
-"""Labeled simple graphs on dense integer indices, with the structural
-predicates and invariants the rest of the toolkit relies on.
+"""Labeled simple graphs on dense integer indices, each held as its edge set
+(a traversal derives adjacency from it once, `Graph.adjacency`), with the
+structural predicates and invariants the rest of the toolkit relies on.
 
 One iterative biconnected DFS (`_biconnected`) gives the blocks, the cut
 vertices and connectivity; block decomposition and the cactus test serve any
@@ -13,44 +14,40 @@ endblocks in DFS post-order (`_peel_matching`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 MAX_ORDER = 64
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
-    """Immutable simple undirected graph on vertices 0..order-1."""
+    """Immutable simple undirected graph on vertices 0..order-1: a frozenset
+    of (u, v) int pairs, u < v.  `from_edges` is the checked way in."""
+    order: int
+    edges: frozenset
 
-    __slots__ = ("order", "edges", "_adj")
-
-    def __init__(self, order: int, edges: frozenset):
-        self.order = order
-        self.edges = edges
-        adj = [set() for _ in range(order)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
+    def adjacency(self) -> list:
+        """Each vertex's neighbours, as one list per vertex."""
+        adj = [[] for _ in range(self.order)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
 
     def neighbors(self, v: int) -> frozenset:
-        return self._adj[v]
+        return frozenset(b if a == v else a for a, b in self.edges
+                         if v in (a, b))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return sum(v in e for e in self.edges)
 
     @property
     def size(self) -> int:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
-
-    def __eq__(self, other):
-        return (isinstance(other, Graph)
-                and self.order == other.order and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.order, self.edges))
+        return _norm_edge(u, v) in self.edges
 
     def __repr__(self):
         return f"Graph(order={self.order}, edges={sorted(self.edges)})"
@@ -84,14 +81,25 @@ def _norm_edge(u: int, v: int) -> tuple:
 def from_edges(order: int, pairs) -> Graph:
     """Build a Graph from vertex pairs, collapsing duplicates.
 
-    Rejects loops and out-of-range indices, naming the offender.
+    Every index must be an integer (a NumPy integer becomes a Python int).
+    Rejects anything else, loops and out-of-range indices, naming the
+    offender.
     """
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {order!r}") from None
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds supported maximum {MAX_ORDER}")
     edges = set()
-    for u, v in pairs:
+    for pair in pairs:
+        try:
+            u, v = map(operator.index, pair)
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {pair!r} is not a pair of integer vertex "
+                             "indices") from None
         if u == v:
             raise ValueError(f"loop edge ({u}, {v}) is not allowed")
         for w in (u, v):
@@ -104,11 +112,12 @@ def from_edges(order: int, pairs) -> Graph:
 def is_connected(g: Graph) -> bool:
     if g.order == 0:
         return False
+    adj = g.adjacency()
     seen = {0}
     stack = [0]
     while stack:
         v = stack.pop()
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -126,7 +135,7 @@ def _biconnected(g: Graph):
     belong to no block.
     """
     n = g.order
-    adj = g._adj
+    adj = g.adjacency()
     disc = [0] * n  # discovery time from 1; 0 = not yet seen
     low = [0] * n
     blocks, cuts, edges = [], set(), []
@@ -274,7 +283,7 @@ def matching_number(g: Graph) -> MatchingResult:
 
 def pendant_count(g: Graph) -> int:
     """Number of degree-1 vertices."""
-    return sum(1 for v in range(g.order) if g.degree(v) == 1)
+    return sum(len(nbrs) == 1 for nbrs in g.adjacency())
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,11 @@ def is_equitable(m, part: IndexPartition) -> bool:
 
 
 def _covered(m, part: IndexPartition) -> np.ndarray:
-    """m as a float array, checked to have one row per index of part."""
+    """m as a float array, checked to be square with one row per index of
+    part."""
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"quotient requires a square matrix, got shape {m.shape}")
     if part.order != len(m):
         raise ValueError(f"partition covers {part.order} indices, matrix has {len(m)}")
     return m

@@ -48,8 +48,8 @@ def _top_eigenpairs(stack: np.ndarray):
     """Largest eigenvalue, its sign-fixed unit eigenvector and its residual
     for every matrix of a symmetric (N, n, n) stack, as three arrays.
 
-    A residual above RESIDUAL_GATE relative to max(1, |radius|) raises
-    RuntimeError."""
+    A residual above RESIDUAL_GATE relative to max(1, |radius|), or a
+    radius or residual that is not finite, raises RuntimeError."""
     try:
         # eigh: the values-only solver's top eigenvalue differs in the last bits
         w, vecs = np.linalg.eigh(stack)
@@ -59,8 +59,9 @@ def _top_eigenpairs(stack: np.ndarray):
     vec = np.where(vec.sum(axis=1, keepdims=True) < 0, -vec, vec)
     residual = np.linalg.norm((stack @ vec[:, :, None])[:, :, 0]
                               - radius[:, None] * vec, axis=1)
-    bad = np.flatnonzero(residual > RESIDUAL_GATE
-                         * np.maximum(1.0, np.abs(radius)))
+    # written so that a NaN residual or an infinite radius fails the gate
+    bad = np.flatnonzero(~(np.isfinite(radius) & (
+        residual <= RESIDUAL_GATE * np.maximum(1.0, np.abs(radius)))))
     if bad.size:
         raise RuntimeError(f"eigensolver residual {residual[bad[0]]} above "
                            f"tolerance at index {bad[0]}")
@@ -84,13 +85,15 @@ def spectral_radius(m) -> SpectralResult:
 
     Takes any square array-like.  For matrices built from connected graphs the
     returned vector is the Perron vector: strictly positive and unit-norm.
-    Raises ValueError unless m is nonempty, square and exactly symmetric;
-    numeric failure surfaces as RuntimeError carrying the residual seen.
+    Raises ValueError unless m is nonempty, square, exactly symmetric and
+    finite; numeric failure surfaces as RuntimeError carrying the residual
+    seen.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or not a.size or not np.array_equal(a, a.T):
+    if (a.ndim != 2 or not a.size or not np.isfinite(a).all()
+            or not np.array_equal(a, a.T)):
         raise ValueError("spectral_radius requires a nonempty square "
-                         "symmetric matrix")
+                         "symmetric matrix of finite entries")
     return _one_result(a[None])
 
 

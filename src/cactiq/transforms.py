@@ -29,12 +29,13 @@ def validate_plan(g: Graph, plan: ShiftPlan) -> None:
         raise ValueError(f"source and target coincide at vertex {plan.u}")
     if not plan.moved:
         raise ValueError("at least one neighbor must be moved")
+    at_v, at_u = g.neighbors(plan.v), g.neighbors(plan.u)
     for w in sorted(plan.moved):
         if w == plan.u:
             raise ValueError(f"moved vertex {w} is the target vertex")
-        if w not in g.neighbors(plan.v):
+        if w not in at_v:
             raise ValueError(f"vertex {w} is not a neighbor of {plan.v}")
-        if w in g.neighbors(plan.u):
+        if w in at_u:
             raise ValueError(f"vertex {w} is already adjacent to {plan.u}")
 
 

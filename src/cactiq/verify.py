@@ -275,13 +275,14 @@ def _draw_shift_instance(rng: random.Random):
     while True:
         g, q0, x = _random_cactus(rng)
         x = x.tolist()
+        adj = [set(a) for a in g.adjacency()]
         verts = list(range(g.order))
         rng.shuffle(verts)
         for v in verts:
             us = [u for u in range(g.order) if u != v and x[v] <= x[u] + 1e-12]
             rng.shuffle(us)
             for u in us:
-                cands = sorted(g.neighbors(v) - g.neighbors(u) - {u})
+                cands = sorted(adj[v] - adj[u] - {u})
                 if not cands:
                     continue
                 take = rng.randint(1, len(cands))
@@ -294,12 +295,11 @@ def _draw_contract_instance(rng: random.Random):
     share no neighbor."""
     while True:
         g, q0, _ = _random_cactus(rng)
+        adj = [set(a) for a in g.adjacency()]
         edges = sorted(g.edges)
         rng.shuffle(edges)
         for u, v in edges:
-            if g.degree(u) == 1 or g.degree(v) == 1:
-                continue
-            if g.neighbors(u) & g.neighbors(v):
+            if len(adj[u]) == 1 or len(adj[v]) == 1 or adj[u] & adj[v]:
                 continue
             return g, q0, (u, v)
 

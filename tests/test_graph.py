@@ -1,17 +1,19 @@
+import dataclasses
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from cactiq import enumeration
-from cactiq.graph import (are_isomorphic, block_decomposition,
+from cactiq import enumeration, graph6
+from cactiq.graph import (Graph, are_isomorphic, block_decomposition,
                           canonical_code, from_edges, is_bundle, is_cactus,
                           is_connected, matching_number, pendant_count)
 from cactiq.families import build_H, extremal_answer
 
 from oracles import (all_labeled_graphs, brute_isomorphic, brute_matching,
-                     cactus_by_definition, extensions, search_code,
-                     to_networkx)
+                     cactus_by_definition, extensions, has_edge_graph6,
+                     search_code, to_networkx)
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -42,6 +44,40 @@ class TestFromEdges:
     def test_duplicates_collapse(self):
         g = from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.size == 1
+
+    def test_graph_is_its_order_and_edges(self):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["order", "edges"]
+        assert P4 == Graph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+        assert hash(P4) == hash((4, P4.edges))
+        assert [sorted(a) for a in BOWTIE.adjacency()] == \
+            [[1, 2, 3, 4], [0, 2], [0, 1], [0, 4], [0, 3]]
+        assert BOWTIE.neighbors(0) == {1, 2, 3, 4} and BOWTIE.degree(3) == 2
+        assert BOWTIE.has_edge(4, 3) and not BOWTIE.has_edge(1, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            P4.order = 5
+
+    @pytest.mark.parametrize("n", [12, 20, 64])
+    def test_numpy_indices_become_ints(self, n):
+        # NumPy int64 indices once went through unchanged: graph6 then
+        # encoded the n = 12 cycle as KxCGGC@?G?o@ and overflowed at n = 20
+        idx = np.arange(n, dtype=np.int64)
+        g = from_edges(np.int64(n), zip(idx, np.roll(idx, -1)))
+        assert g == from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        assert all(type(x) is int for e in g.edges for x in (g.order, *e))
+        assert graph6.encode(g) == has_edge_graph6(g)
+        if n == 12:
+            assert graph6.encode(g) == "KhCGGC@?G?o@"
+
+    @pytest.mark.parametrize("order, pairs, bad", [
+        (3, [(0, 1.0), (1, 2)], r"edge \(0, 1\.0\) is not a pair"),
+        (3, [(0, 1), ("1", 2)], r"edge \('1', 2\) is not a pair"),
+        (3, [(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair"),
+        (3, [0], "edge 0 is not a pair"),
+        (3.0, [(0, 1)], "order must be an integer, got 3.0"),
+    ])
+    def test_non_integer_index_rejected(self, order, pairs, bad):
+        with pytest.raises(ValueError, match=bad):
+            from_edges(order, pairs)
 
     def test_handshake(self):
         rng = random.Random(7)

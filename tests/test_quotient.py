@@ -65,6 +65,14 @@ class TestQuotientMatrix:
         with pytest.raises(ValueError):
             quotient_matrix(Q_C3, IndexPartition([(0,), (1,)]))
 
+    @pytest.mark.parametrize("m", [[[1, 0, 0], [0, 1, 0]], [1, 0], [[[1]], [[0]]]])
+    def test_non_square_rejected(self, m):
+        # a 2 x 3 matrix once gave a 2 x 2 "quotient" and passed as equitable
+        part = IndexPartition([(0,), (1,)])
+        for f in (quotient_matrix, is_equitable):
+            with pytest.raises(ValueError, match="square"):
+                f(m, part)
+
 
 class TestIsEquitable:
     def test_c3(self):

@@ -80,6 +80,25 @@ class TestSpectralRadius:
         with pytest.raises(ValueError, match="nonempty"):
             spectral_radius(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("m", [[[math.inf]], [[1, math.inf], [math.inf, 1]],
+                                   [[math.nan]], [[1, math.nan], [math.nan, 1]]])
+    def test_rejects_non_finite(self, m):
+        # a NaN residual once compared false with the gate, so [[inf]] gave
+        # radius inf and the second matrix radius nan without an error
+        with pytest.raises(ValueError, match="finite"):
+            spectral_radius(m)
+
+    def test_overflowing_radius_fails_the_gate(self):
+        # finite entries, but the top eigenvalue overflows to inf
+        with pytest.raises(RuntimeError, match="residual"):
+            spectral_radius([[1e308, 1e308], [1e308, 1e308]])
+
+    @pytest.mark.parametrize("fill", [math.inf, math.nan])
+    def test_non_finite_stack_fails_the_gate(self, fill):
+        good = np.array([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(RuntimeError, match="at index 1$"):
+            _top_eigenpairs(np.stack([good, np.full((2, 2), fill)]))
+
     def test_accepts_symmetric_list(self):
         assert spectral_radius([[2, 1], [1, 2]]).radius == pytest.approx(3, abs=1e-12)
 

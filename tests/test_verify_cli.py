@@ -368,11 +368,46 @@ class TestMonotonicity:
             verify_monotonicity(trials=0)
 
 
+def _report_argvs():
+    """Every verify claim but monotonicity at n = 3..10, with --m in
+    0..n//2 and --k in 0..n for the claims that read them, then
+    check-formulas at its default order."""
+    for n in range(3, 11):
+        for claim, flags in verify.CLAIM_FLAGS.items():
+            if claim == "monotonicity":
+                continue
+            argv = ["verify", "--claim", claim, "--n", str(n)]
+            if "m" in flags:
+                yield from (argv + ["--m", str(m)] for m in range(n // 2 + 1))
+            elif "k" in flags:
+                yield from (argv + ["--k", str(k)] for k in range(n + 1))
+            else:
+                yield argv
+    yield ["check-formulas", "--max-n", "24"]
+
+
+# sha256 over (argv, exit code, stdout, stderr) of every `_report_argvs` call,
+# recorded before `Graph` dropped its per-vertex adjacency
+REPORTS_PIN = "f77a919d5045e4e07556ec8a59e9d6adb0b696e3321b90f7d155aeb6c4427d2c"
+
+
+def _reports_sha(capsys):
+    digest = hashlib.sha256()
+    for argv in _report_argvs():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+    return digest.hexdigest()
+
+
 class TestReportDeterminism:
     def test_byte_identical_reports(self):
         a = verify_extremal("theorem31ii", 8, m=3).to_json()
         b = verify_extremal("theorem31ii", 8, m=3).to_json()
         assert a == b
+
+    def test_pinned_cli_reports(self, capsys):
+        assert _reports_sha(capsys) == REPORTS_PIN
 
 
 class TestCli:
