@@ -78,6 +78,15 @@ def _norm_edge(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
 
 
+def as_index(value, what: str) -> int:
+    """value as a Python int through `operator.index`, so a bool or a NumPy
+    integer converts; anything else raises ValueError naming what and value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def from_edges(order: int, pairs) -> Graph:
     """Build a Graph from vertex pairs, collapsing duplicates.
 
@@ -85,10 +94,7 @@ def from_edges(order: int, pairs) -> Graph:
     Rejects anything else, loops and out-of-range indices, naming the
     offender.
     """
-    try:
-        order = operator.index(order)
-    except TypeError:
-        raise ValueError(f"order must be an integer, got {order!r}") from None
+    order = as_index(order, "order")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if order > MAX_ORDER:

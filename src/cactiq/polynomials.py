@@ -3,10 +3,13 @@
 All coefficients are arbitrary-precision Python integers, stored in ascending
 degree order, and the root layer runs in integer arithmetic only, so every
 bracket produced here is a rigorous statement, not a floating-point one.
+A polynomial multiplies and raises to powers; it neither adds, subtracts nor
+negates, and it meets only other polynomials, never a bare integer.
 Sturm chains come from a primitive remainder sequence in Z[x]
 (pseudo-division, then the primitive part) and are divided through by
 gcd(p, p') exactly, so they count distinct roots, multiple ones included.
 A polynomial keeps its chain and unwindowed largest-root bracket once made.
+Isolation takes a whole window or none, which is then the root bound's.
 Isolation and comparison share one halving step, which carries a bracket as
 integer numerators over a common denominator, evaluates the Sturm chain once,
 at the midpoint, and carries the end sign variations.  Refinement bisects on
@@ -17,6 +20,7 @@ member alone.  Brackets are handed out as `fractions.Fraction`.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -26,6 +30,8 @@ class IntPolynomial:
 
     The zero polynomial is represented by an empty coefficient tuple and has
     degree -1.  Trailing zero coefficients are stripped on construction.
+    Each coefficient goes through `operator.index`, so a bool or a NumPy
+    integer becomes a Python int and anything else raises TypeError.
     Equality and hashing read the coefficients only, not the root layer's
     lazily filled slots.
     """
@@ -33,10 +39,7 @@ class IntPolynomial:
     __slots__ = ("coeffs", "_sturm", "_top")
 
     def __init__(self, coeffs):
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"non-integer coefficient {c!r}")
+        cs = [_coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -61,21 +64,9 @@ class IntPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return IntPolynomial(x + y for x, y in zip(a, b))
-
-    def __neg__(self):
-        return IntPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
     def __mul__(self, other):
-        other = _coerce(other)
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return IntPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -85,9 +76,6 @@ class IntPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
-    __radd__ = __add__
 
     def __pow__(self, k: int):
         if k < 0:
@@ -133,12 +121,11 @@ class IntPolynomial:
         return json.dumps([str(c) for c in self.coeffs])
 
 
-def _coerce(p) -> IntPolynomial:
-    if isinstance(p, IntPolynomial):
-        return p
-    if isinstance(p, int):
-        return IntPolynomial((p,))
-    raise TypeError(f"cannot coerce {p!r} to IntPolynomial")
+def _coefficient(c) -> int:
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise TypeError(f"non-integer coefficient {c!r}") from None
 
 
 def monomial_shift(c: int) -> IntPolynomial:
@@ -323,31 +310,29 @@ def isolate_largest_root(p: IntPolynomial, lo=None, hi=None):
     """Return Fractions (a, b) with exactly one root of p in (a, b], that root
     being the largest real root of p inside [lo, hi].
 
-    Returns None when p has no real root in the window, or when hi < lo.  A
-    missing end is read off the root bound; with no window at all the result
-    is kept on p.
+    Returns None when p has no real root in the window, or when hi < lo.  The
+    window takes both ends or neither; with none it is the root bound's
+    (-B, B), and the result is kept on p.
     """
     if p.degree < 1:
         raise ValueError("cannot isolate roots of a constant polynomial")
     if lo is None and hi is None:
         if p._top is None:
-            p._top = _isolate(p, None, None) or ()  # () records no real root
+            bound = root_bound(p)
+            p._top = _isolate(p, -bound, bound) or ()  # () records no real root
         return p._top or None
     return _isolate(p, lo, hi)
 
 
 def _isolate(p: IntPolynomial, lo, hi):
-    if lo is None or hi is None:
-        bound = root_bound(p)
-    a, b, den = _grid(Fraction(lo) if lo is not None else Fraction(-bound),
-                      Fraction(hi) if hi is not None else Fraction(bound))
+    a, b, den = _grid(Fraction(lo), Fraction(hi))
     seq = _chain(p)
     va, a_is_root = _evaluate(seq, a, den)
     vb = _evaluate(seq, b, den)[0]
     if b <= a or va == vb:
-        if lo is None or not a_is_root or b < a:  # b < a: an empty window
+        if not a_is_root or b < a:  # b < a: an empty window
             return None
-        # root on the left end of a user window: bracket it in (a - 1/2, a]
+        # a root on the window's left end (never -B): bracket it in (a - 1/2, a]
         a, b, den, vb = 2 * a - den, 2 * a, 2 * den, va
         va = _evaluate(seq, a, den)[0]
     while va - vb > 1:

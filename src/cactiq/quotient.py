@@ -18,10 +18,13 @@ argument of `quotient_matrix` and `is_equitable`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
+from .graph import as_index
 from .polynomials import IntPolynomial
 from .spectra import char_poly
 
@@ -30,11 +33,13 @@ CLUSTER_TOL = 1e-6
 
 @dataclass(frozen=True)
 class IndexPartition:
-    """Ordered partition of 0..n-1 into nonempty disjoint blocks."""
+    """Ordered partition of 0..n-1 into nonempty disjoint blocks of integer
+    indices (see `graph.as_index`)."""
     blocks: tuple
 
     def __init__(self, blocks):
-        blocks = tuple(tuple(int(i) for i in b) for b in blocks)
+        blocks = tuple(tuple(as_index(i, "partition index") for i in b)
+                       for b in blocks)
         if any(not b for b in blocks):
             raise ValueError("empty partition block")
         flat = [i for b in blocks for i in b]
@@ -49,13 +54,13 @@ class IndexPartition:
 
 
 class BlockSpec:
-    """Structured symmetric block matrix: sizes n_i, diagonal parameters
-    (l_i, p_i), off-diagonal parameters s_ij = s_ji."""
+    """Structured symmetric block matrix: integer sizes n_i, diagonal
+    parameters (l_i, p_i), off-diagonal parameters s_ij = s_ji, all finite."""
 
     __slots__ = ("sizes", "l", "p", "s")
 
     def __init__(self, sizes, l, p, s):
-        self.sizes = tuple(int(x) for x in sizes)
+        self.sizes = tuple(as_index(x, "block size") for x in sizes)
         t = len(self.sizes)
         self.l = tuple(l)
         self.p = tuple(p)
@@ -66,6 +71,12 @@ class BlockSpec:
             raise ValueError("parameter lists must match block count")
         if len(self.s) != t or any(len(row) != t for row in self.s):
             raise ValueError("s must be a t x t table")
+        try:
+            finite = all(map(math.isfinite, chain(self.l, self.p, *self.s)))
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("block parameters must fit a float") from None
+        if not finite:
+            raise ValueError("block parameters must be finite")
         for i in range(t):
             for j in range(t):
                 if self.s[i][j] != self.s[j][i]:

@@ -8,20 +8,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, from_edges, is_connected
+from .graph import Graph, as_index, from_edges, is_connected
 
 
 @dataclass(frozen=True)
 class ShiftPlan:
-    """Move the neighbors in `moved` from vertex v to vertex u."""
+    """Move the neighbors in `moved` from vertex v to vertex u.  Every vertex
+    must be an integer (see `graph.as_index`); anything else raises
+    ValueError."""
     v: int
     u: int
     moved: frozenset
 
     def __init__(self, v: int, u: int, moved):
-        object.__setattr__(self, "v", int(v))
-        object.__setattr__(self, "u", int(u))
-        object.__setattr__(self, "moved", frozenset(int(w) for w in moved))
+        object.__setattr__(self, "v", as_index(v, "source vertex"))
+        object.__setattr__(self, "u", as_index(u, "target vertex"))
+        object.__setattr__(self, "moved", frozenset(
+            as_index(w, "moved vertex") for w in moved))
 
 
 def validate_plan(g: Graph, plan: ShiftPlan) -> None:

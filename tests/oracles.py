@@ -536,16 +536,15 @@ def fraction_compare_largest_roots(p: tuple, q: tuple) -> int:
     raise AssertionError("largest roots not separated")
 
 
-def fraction_largest_roots(coeffs, lo, hi, tols):
-    """Largest root of the integer polynomial in (lo, hi] as a float, one
-    per tol, by bisection on Sturm counts of `fraction_sturm_sequence`:
-    halve until one root is left in (a, b], then down to width <= tol,
-    returning a midpoint that is a root as soon as one shows, else the last
-    midpoint.  The halving path does not depend on tol, so one run serves
-    every tol.
+def fraction_largest_root(coeffs, lo, hi):
+    """Largest root of the integer polynomial in (lo, hi] as a float, by
+    bisection on Sturm counts of `fraction_sturm_sequence`: halve until one
+    root is left in (a, b], then down to width <= 1e-12 (as the Fraction
+    nearest it with denominator at most 10^18), returning a midpoint that is
+    a root as soon as one shows, else the last midpoint.
 
     The ends are integers over a common denominator den, doubled at each
-    halving, so no step reduces a Fraction; a result is the correctly
+    halving, so no step reduces a Fraction; the result is the correctly
     rounded quotient of two integers, as float() of the Fraction is."""
     seq = fraction_sturm_sequence(coeffs)
 
@@ -558,23 +557,15 @@ def fraction_largest_roots(coeffs, lo, hi, tols):
     a, b = int(lo * den), int(hi * den)
     va, vb = var(a, den), var(b, den)
     assert va > vb, "no root in (lo, hi]"
-    left = {tol: Fraction(tol).limit_denominator(10 ** 18) for tol in tols}
-    out = {}
-    while left:
-        if va - vb == 1:
-            for tol in [tol for tol, t in left.items()
-                        if (b - a) * t.denominator <= t.numerator * den]:
-                out[tol] = (a + b) / (2 * den)
-                del left[tol]
-            if not left:
-                break
+    width = Fraction(1e-12).limit_denominator(10 ** 18)
+    while True:
+        if va - vb == 1 and (b - a) * width.denominator <= width.numerator * den:
+            return (a + b) / (2 * den)
         mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
         if va - vb == 1 and _signs_at([coeffs], mid, den) == [0]:
-            out.update(dict.fromkeys(left, mid / den))
-            break
+            return mid / den
         vm = var(mid, den)
         a, b, va, vb = (mid, b, vm, vb) if vm > vb else (a, mid, va, vm)
-    return [out[tol] for tol in tols]
 
 
 def subgraph_instance_by_trial(rng):

@@ -35,13 +35,11 @@ class TestCounts:
         assert cactus_counts(16) == HARARY_UHLENBECK
 
     def test_enumeration_matches_counting_oracle(self):
-        assert [count_cacti(n) for n in range(1, MAX_N + 1)] == \
-            cactus_counts(MAX_N)
+        assert [count_cacti(n) for n in range(1, 11)] == cactus_counts(10)
 
     def test_level_past_guard_matches_counting_oracle(self):
         # _level has no guard; n = 11 runs in about a second
-        assert len(enumeration._level(MAX_N + 1).graphs) == \
-            cactus_counts(MAX_N + 1)[-1]
+        assert len(enumeration._level(11).graphs) == cactus_counts(11)[-1]
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -130,7 +128,7 @@ class TestFilters:
                        or pendant_count(graphs[i]) == filt.pendants
                        for i in positions)
 
-    @pytest.mark.parametrize("n", range(1, MAX_N + 1))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_positions_equal_a_scan_of_every_class(self, n):
         # matching values 0..n/2+1 and pendant values 0..n+1, alone and in
         # every pair, possible or not, against a scan of every class; the
@@ -150,14 +148,14 @@ class TestFilters:
             assert count_cacti(n, filt) == len(positions)
 
     # Over every feasible value a filter picks each class exactly once.
-    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_matching_partition_identity(self, n):
         picked = Counter(g for m in range(1, n // 2 + 1)
                          for g in enumerate_cacti(n, CactusFilter(matching=m)))
         assert picked == Counter(enumerate_cacti(n))
         assert sum(picked.values()) == KNOWN_COUNTS[n]
 
-    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_pendant_partition_identity(self, n):
         picked = Counter(g for k in range(0, n + 1)
                          for g in enumerate_cacti(n, CactusFilter(pendants=k)))
@@ -214,7 +212,7 @@ class TestExtensions:
         assert list(enumeration._child_codes(g, n))[v] == \
             canonical_code(child).code
 
-    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_first_found_representatives(self, n):
         # each level against a scan that builds and fully codes every
         # candidate of the smaller levels, checked at their own n

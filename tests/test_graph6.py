@@ -5,7 +5,7 @@ import pytest
 
 from cactiq import graph6
 from cactiq.cli import main
-from cactiq.enumeration import MAX_N, enumerate_cacti
+from cactiq.enumeration import enumerate_cacti
 from cactiq.families import build, members
 from cactiq.graph import MAX_ORDER, from_edges
 
@@ -44,7 +44,7 @@ def test_against_networkx():
 class TestEncodeAgainstHasEdgeLoop:
     def test_every_class(self):
         count = 0
-        for n in range(1, MAX_N + 1):
+        for n in range(1, 11):
             for g in enumerate_cacti(n):
                 assert graph6.encode(g) == has_edge_graph6(g), g
                 count += 1

@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cactiq import graph6, polynomials
@@ -15,7 +17,7 @@ from cactiq.spectra import char_poly, radii, signless_laplacian
 from cactiq.verify import EXACT_ESCALATION_GAP
 from oracles import (cauchy_bound, fraction_compare_largest_roots,
                      fraction_count_roots, fraction_gcd,
-                     fraction_largest_roots, fraction_sturm_sequence)
+                     fraction_largest_root, fraction_sturm_sequence)
 
 
 def _value(p, x):
@@ -32,17 +34,47 @@ def test_construction_strips_trailing_zeros():
 
 
 def test_rejects_non_integers():
-    with pytest.raises(TypeError):
-        IntPolynomial([1.5])
+    for bad in (1.5, Fraction(1), "1", None, np.float64(2)):
+        with pytest.raises(TypeError,
+                           match=re.escape(f"non-integer coefficient {bad!r}")):
+            IntPolynomial([1, bad])
+
+
+def test_bool_and_numpy_coefficients_become_ints():
+    for coeffs in ([True, 1], [np.int64(1), np.uint8(1)], np.array([1, 1])):
+        p = IntPolynomial(coeffs)
+        assert p.coeffs == (1, 1)
+        assert all(type(c) is int for c in p.coeffs)
+        assert p.to_json() == '["1", "1"]'
+    assert IntPolynomial([np.int64(2) ** 40, 1]) * IntPolynomial([2 ** 40, 1]) \
+        == IntPolynomial([2 ** 80, 2 ** 41, 1])
 
 
 def test_arithmetic():
-    x = IntPolynomial((0, 1))
-    p = (x - 1) * (x - 3)
+    p = monomial_shift(1) * monomial_shift(3)
     assert p.coeffs == (3, -4, 1)
-    assert (p + 1).coeffs == (4, -4, 1)
     assert (monomial_shift(1) ** 3).coeffs == (-1, 3, -3, 1)
     assert _value(p, 3) == 0 and _value(p, Fraction(1, 2)) == Fraction(5, 4)
+
+
+def test_only_products_and_powers():
+    # a polynomial multiplies polynomials and takes powers; it neither adds
+    # nor negates, and meets no bare integer
+    p, q = monomial_shift(1), monomial_shift(3)
+    for op in (lambda: p + q, lambda: p + 1, lambda: 1 + p, lambda: p - q,
+               lambda: p - 1, lambda: -p, lambda: 2 * p, lambda: p * 2):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_isolation_window_takes_both_ends_or_neither():
+    p = monomial_shift(1) * monomial_shift(3)
+    with pytest.raises(TypeError):
+        isolate_largest_root(p, lo=0)
+    with pytest.raises(TypeError):
+        isolate_largest_root(p, hi=5)
+    bound = root_bound(p)
+    assert isolate_largest_root(p) == isolate_largest_root(p, -bound, bound)
 
 
 def test_count_roots():
@@ -176,7 +208,7 @@ class TestRefineRoot:
         assert polynomials.REFINE_WIDTH == Fraction(1e-12).limit_denominator(10 ** 18)
         got = refine_root(p, 1, 2)
         assert abs(got - math.sqrt(2)) <= 1e-12
-        assert [got] == fraction_largest_roots(p.coeffs, 1, 2, (1e-12,))
+        assert got == fraction_largest_root(p.coeffs, 1, 2)
 
     def test_exact_dyadic_root(self):
         assert refine_root(monomial_shift(4), 0, 8) == 4.0
@@ -192,8 +224,8 @@ class TestRefineRoot:
     ])
     def test_roots_on_ends_and_midpoints_match_fraction_bisection(
             self, p, lo, hi):
-        want = fraction_largest_roots(p.coeffs, lo, hi, (1e-12,))
-        assert [refine_root(p, lo, hi)] == want
+        want = fraction_largest_root(p.coeffs, lo, hi)
+        assert refine_root(p, lo, hi) == want
 
     @pytest.mark.parametrize("lo, hi", [(6, 8), (0, 4), (5, 5), (8, 0)])
     def test_no_root_rejected(self, lo, hi):
@@ -362,7 +394,8 @@ class TestIntegerChains:
     def test_gcd_with_zero(self):
         p = IntPolynomial((-6, 4, 2))
         assert _poly_gcd(p, IntPolynomial(())).coeffs == (-3, 2, 1)
-        assert _poly_gcd(IntPolynomial(()), -p).coeffs == (3, -2, -1)
+        assert _poly_gcd(IntPolynomial(()), IntPolynomial((6, -4, -2))).coeffs \
+            == (3, -2, -1)
         assert _poly_gcd(IntPolynomial(()), IntPolynomial(())).is_zero()
 
 
@@ -387,7 +420,7 @@ def test_refined_floats_match_fraction_bisection():
     # refined bit for bit as Fraction bisection does it
     count = 0
     for p, bracket in _extremal_polys():
-        want = fraction_largest_roots(p.coeffs, *bracket, (1e-12,))
-        assert [largest_real_root(p, bracket)] == want, p
+        want = fraction_largest_root(p.coeffs, *bracket)
+        assert largest_real_root(p, bracket) == want, p
         count += 1
     assert count == 2046

@@ -42,6 +42,19 @@ class TestIndexPartition:
         with pytest.raises(ValueError):
             IndexPartition([(0, 1), ()])
 
+    def test_indices_become_ints(self):
+        part = IndexPartition([np.array([0]), (True, np.int64(2))])
+        assert part.blocks == ((0,), (1, 2))
+        assert all(type(i) is int for b in part.blocks for i in b)
+
+    @pytest.mark.parametrize("blocks, bad", [
+        ([[0.7], [1.2]], "partition index must be an integer, got 0.7"),
+        ([[0], ["1"]], "partition index must be an integer, got '1'"),
+    ])
+    def test_non_integer_index_rejected(self, blocks, bad):
+        with pytest.raises(ValueError, match=bad):
+            IndexPartition(blocks)
+
 
 class TestQuotientMatrix:
     def test_c3_single_block(self):
@@ -89,6 +102,38 @@ class TestBlockSpec:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
             BlockSpec([1, 2], [0, 1], [2, 1], [[0, 1], [2, 0]])
+
+    def test_sizes_become_ints(self):
+        spec = BlockSpec([np.int64(1), True], [0, 1], [2, 1], [[0, 1], [1, 0]])
+        assert spec.sizes == (1, 1)
+        assert all(type(n) is int for n in spec.sizes)
+
+    @pytest.mark.parametrize("size, bad", [
+        (1.9, "block size must be an integer, got 1.9"),
+        ("2", "block size must be an integer, got '2'"),
+    ])
+    def test_non_integer_size_rejected(self, size, bad):
+        with pytest.raises(ValueError, match=bad):
+            BlockSpec([size, 2], [0, 1], [2, 1], [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("l, p, s", [
+        ([2, 1], [np.nan, 0], [[0, 1], [1, 0]]),
+        ([np.inf, 1], [0, 0], [[0, 1], [1, 0]]),
+        ([2, 1], [0, -np.inf], [[0, 1], [1, 0]]),
+        ([2, 1], [0, 0], [[0, np.inf], [np.inf, 0]]),
+        ([2, 1], [0, 0], [[np.nan, 1], [1, 0]]),
+    ])
+    def test_non_finite_parameter_rejected(self, l, p, s):
+        with pytest.raises(ValueError, match="must be finite"):
+            BlockSpec([2, 1], l, p, s)
+
+    @pytest.mark.parametrize("l, s", [
+        ([10 ** 400, 1], [[0, 1], [1, 0]]),
+        ([2, 1], [[0, -10 ** 400], [-10 ** 400, 0]]),
+    ])
+    def test_parameter_beyond_float_rejected(self, l, s):
+        with pytest.raises(ValueError, match="must fit a float"):
+            BlockSpec([2, 1], l, [0, 0], s)
 
     def test_build_j2_plus_i2(self):
         m = build_from_spec(BlockSpec([2], [1], [1], [[0]]))

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cactiq.graph import are_isomorphic, from_edges, is_connected
@@ -55,6 +56,23 @@ class TestShift:
         g = from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
             shift_neighbors(g, ShiftPlan(v=0, u=2, moved=[1]))
+
+    def test_plan_vertices_become_ints(self):
+        plan = ShiftPlan(v=np.int64(2), u=True, moved=np.array([3]))
+        assert (plan.v, plan.u, plan.moved) == (2, 1, frozenset({3}))
+        assert all(type(w) is int for w in (plan.v, plan.u, *plan.moved))
+        assert shift_neighbors(P4, plan) == shift_neighbors(
+            P4, ShiftPlan(v=2, u=1, moved=[3]))
+
+    @pytest.mark.parametrize("v, u, moved, bad", [
+        (2.7, 1, [3], "source vertex must be an integer, got 2.7"),
+        (2, 0.2, [3], "target vertex must be an integer, got 0.2"),
+        (2, 1, [3.9], "moved vertex must be an integer, got 3.9"),
+        (2, 1, ["3"], "moved vertex must be an integer, got '3'"),
+    ])
+    def test_non_integer_vertex_rejected(self, v, u, moved, bad):
+        with pytest.raises(ValueError, match=bad):
+            ShiftPlan(v=v, u=u, moved=moved)
 
     def test_radius_increases_when_target_dominates(self):
         # when the Perron weight of u is at least that of v, shifting
