@@ -5,16 +5,21 @@ Every matrix is a plain numpy array: Q(G) is an (n, n) int array,
 `spectral_radius` takes any nonempty square symmetric array-like, and
 `char_poly`, the one exact entry point, takes an int array or a list of int
 rows.  The numeric path is one stacked call of LAPACK's symmetric eigensolver
-(tridiagonalization + implicit-shift QR) per list of same-order matrices; the
-exact path takes the power sums tr(A^k) from matrix rows packed into
-arbitrary-precision integers and turns them into coefficients by Newton's
-identities, so the characteristic polynomial carries no floating-point error
-at all.
+(tridiagonalization + implicit-shift QR) per list of same-order matrices.
+The exact path takes the power sums tr(A^k) modulo a few pairwise-coprime
+moduli, all advanced by one float64 matrix product per step whose every
+value is an integer below 2^53, rebuilds each sum by the Chinese remainder
+theorem under a Schur bound on |tr A^k|, and turns the sums into
+coefficients by Newton's identities over Z, so the characteristic
+polynomial carries no floating-point error at all.  It takes matrices with
+n * max|a| <= WORD_LIMIT = 2^26; Q of a graph on n <= 64 vertices has
+n * max|a| <= 64 * 63.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -139,19 +144,52 @@ def radii(graphs) -> list:
     return out
 
 
+# Largest n * max|a| that `char_poly` accepts.  It keeps every modulus at
+# least 2^52 / WORD_LIMIT = 2^26, so even at the limit the moduli needed
+# number about n.
+WORD_LIMIT = 1 << 26
+
+
+def _moduli(top: int, bound: int):
+    """Pairwise-coprime moduli counting down from `top`, just enough that
+    their product exceeds 2 * bound, and their CRT weights: the weight of m
+    is 1 mod m and 0 mod every other modulus."""
+    moduli, prod = [], 1
+    while prod <= 2 * bound:
+        if gcd(top, prod) == 1:
+            moduli.append(top)
+            prod *= top
+        top -= 1
+    weights = [prod // m * pow(prod // m, -1, m) for m in moduli]
+    return moduli, weights, prod
+
+
 def char_poly(m) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - A) of a square integer matrix
     A, given as an int array or a list of int rows, from the power sums
     s_k = tr(A^k) and Newton's identities
     k c_k = -(c_(k-1) s_1 + ... + c_0 s_k), where c_k is the coefficient of
-    x^(n-k); every division is exact.  Raises ValueError on a non-square or
-    non-integer matrix.
+    x^(n-k); every division is exact.  Works for any square integer matrix,
+    symmetric or not, with n * max|a| <= WORD_LIMIT = 2^26.  Raises
+    ValueError on a non-square or non-integer matrix and on one past that
+    limit.
 
-    Each row of A^k is packed into one integer, entry j in a w-bit slot j, so
-    one step A^k = A A^(k-1) is one big-int multiply-add per nonzero of A.
-    With r the largest absolute row sum, |(A^k)_ij| <= r^n < 2^(w-2); adding
-    2^(w-1) to every slot before reading one keeps signed entries apart.
-    Works for any square integer matrix, symmetric or not.
+    The power sums come from residues in machine words.  A^k is held modulo
+    P pairwise-coprime moduli m <= 2^52 / (n max|a|) as one (P n, n) float64
+    array X, starting from A reduced, so one step is one product X @ A and
+    one reduction y - floor(y / m) m.  Division is
+    correctly rounded, so floor(y / m) is the true floor or one more, and
+    every residue r has |r| <= m.  Then every entry and partial sum of X @ A
+    is an integer of magnitude at most n m max|a| <= 2^52, and so is every
+    trace: float64 holds them exactly whatever order BLAS sums in, with or
+    without FMA.  Each s_k is rebuilt from its P traces by the Chinese
+    remainder theorem, as the residue of least magnitude modulo the product
+    M of the moduli.  That is s_k itself once M > 2 |s_k|, and P is chosen
+    with M > 2 F^n, F = isqrt(||A||_F^2) + 1.  For k >= 2 Schur's
+    inequality sum |lambda|^2 <= ||A||_F^2 gives
+    |tr A^k| <= sum |lambda|^k <= ||A||_F^k <= F^n.  For k = 1,
+    |tr A| <= sqrt(n) ||A||_F <= F^n, since F >= 2 unless A = 0.  Coprime
+    moduli are all the theorem needs; none has to be prime.
     """
     arr = np.asarray(m)
     if arr.shape == (0,):  # [] is the 0 x 0 matrix
@@ -161,17 +199,32 @@ def char_poly(m) -> IntPolynomial:
     if arr.dtype.kind not in "iu":
         raise ValueError("char_poly requires exact integer entries")
     n = len(arr)
-    sparse = [[(j, a) for j, a in enumerate(row) if a != 0] for row in arr.tolist()]
-    r = max((sum(abs(a) for _, a in row) for row in sparse), default=0)
-    w = n * max(r, 1).bit_length() + 2
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    bias = sum(half << (i * w) for i in range(n))
-    packed = [1 << (i * w) for i in range(n)]  # the rows of A^0 = I
+    if not n:
+        return IntPolynomial([1])
+    # Python ints: np.abs overflows on the int64 entry -2^63
+    amax = max(int(arr.max()), -int(arr.min()))
+    if n * amax > WORD_LIMIT:
+        raise ValueError(f"char_poly requires n * max|a| <= 2^26, "
+                         f"got {n} * {amax}")
+    a = arr.astype(float)
+    frobenius = int((a * a).sum())  # at most (n max|a|)^2 <= 2^52: exact
+    moduli, weights, prod = _moduli((1 << 52) // (n * max(amax, 1)),
+                                    (isqrt(frobenius) + 1) ** n)
+    col = np.repeat(np.array(moduli, dtype=float), n)[:, None]
+    x = np.tile(a, (len(moduli), 1))  # A^1, reduced by the first pass
+    traces = []
+    for k in range(n):
+        if k:
+            x = x @ a
+        q = x / col
+        np.floor(q, out=q)
+        q *= col
+        x -= q  # in place: two new arrays a step, not four
+        traces.append(x.reshape(-1, n * n)[:, ::n + 1].sum(axis=1))
     coeffs, sums = [1], []  # c_0 .. c_(k-1) and s_1 .. s_k
-    for k in range(1, n + 1):
-        packed = [sum(a * packed[j] for j, a in row) for row in sparse]
-        sums.append(sum(((p + bias) >> (i * w) & mask) - half
-                        for i, p in enumerate(packed)))
+    for k, row in enumerate(np.array(traces).tolist(), 1):
+        r = sum(int(t) * w for t, w in zip(row, weights)) % prod
+        sums.append(r - prod if 2 * r > prod else r)
         t = sum(c * s for c, s in zip(reversed(coeffs), sums))
         if t % k:
             raise ArithmeticError("Newton identity sum not divisible")

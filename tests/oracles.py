@@ -12,11 +12,13 @@ from math import gcd, lcm
 from operator import mul
 
 import networkx as nx
+import numpy as np
 
 from cactiq.enumeration import enumerate_cacti
 from cactiq.graph import (Graph, block_decomposition, canonical_code,
                           from_edges, is_cactus, is_connected,
                           matching_number, pendant_count)
+from cactiq.polynomials import IntPolynomial
 
 
 def all_labeled_graphs(n, min_edges=0, max_edges=None):
@@ -370,17 +372,57 @@ def cactus_counts(top):
 # Exact characteristic polynomials
 # ---------------------------------------------------------------------------
 
+def packed_char_poly(m) -> IntPolynomial:
+    """det(xI - A) of a square integer matrix A from power sums over rows
+    packed into big integers, then Newton's identities; the algorithm
+    `spectra.char_poly` ran before it moved to residues of machine words.
+
+    Each row of A^k is packed into one integer, entry j in a w-bit slot j, so
+    one step A^k = A A^(k-1) is one big-int multiply-add per nonzero of A.
+    With r the largest absolute row sum, |(A^k)_ij| <= r^n < 2^(w-2); adding
+    2^(w-1) to every slot before reading one keeps signed entries apart.
+    """
+    arr = np.asarray(m)
+    if arr.shape == (0,):  # [] is the 0 x 0 matrix
+        arr = arr.astype(int).reshape(0, 0)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"char_poly requires a square matrix, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise ValueError("char_poly requires exact integer entries")
+    n = len(arr)
+    sparse = [[(j, a) for j, a in enumerate(row) if a != 0] for row in arr.tolist()]
+    r = max((sum(abs(a) for _, a in row) for row in sparse), default=0)
+    w = n * max(r, 1).bit_length() + 2
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = sum(half << (i * w) for i in range(n))
+    packed = [1 << (i * w) for i in range(n)]  # the rows of A^0 = I
+    coeffs, sums = [1], []  # c_0 .. c_(k-1) and s_1 .. s_k
+    for k in range(1, n + 1):
+        packed = [sum(a * packed[j] for j, a in row) for row in sparse]
+        sums.append(sum(((p + bias) >> (i * w) & mask) - half
+                        for i, p in enumerate(packed)))
+        t = sum(c * s for c, s in zip(reversed(coeffs), sums))
+        if t % k:
+            raise ArithmeticError("Newton identity sum not divisible")
+        coeffs.append(-(t // k))
+    return IntPolynomial(coeffs[::-1])
+
+
 def faddeev_leverrier(rows):
     """Coefficients of det(xI - A), constant term first, by the
     Faddeev-LeVerrier recurrence on full integer matrices:
-    M_k = A M_(k-1) + c_(n-k+1) I with c_(n-k) = -tr(A M_(k-1)) / k."""
+    M_k = A M_(k-1) + c_(n-k+1) I with c_(n-k) = -tr(A M_(k-1)) / k.
+    Each row of A M is built as a sum of scaled rows of M."""
     n = len(rows)
     sparse = [[(j, a) for j, a in enumerate(row) if a != 0] for row in rows]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        AM = [[sum(a * M[j][col] for j, a in sparse[i]) for col in range(n)]
+        # row i of A M is the sum of the rows a M[j] over the nonzeros a_ij
+        AM = [[sum(col) for col in zip([0] * n, *(
+                   M[j] if a == 1 else [a * x for x in M[j]]
+                   for j, a in sparse[i]))]
               for i in range(n)]
         tr = sum(AM[i][i] for i in range(n))
         if tr % k:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cactiq.polynomials import IntPolynomial, count_roots
 from cactiq.spectra import (_top_eigenpairs, char_poly, eigenpairs,
                             graph_radius, radii, signless_laplacian,
                             spectral_radius)
-from oracles import faddeev_leverrier
+from oracles import faddeev_leverrier, packed_char_poly
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
@@ -241,7 +242,8 @@ def assert_equals_oracle(rows):
 
 
 class TestCharPolyOracle:
-    """Packed power sums against the Faddeev-LeVerrier recurrence."""
+    """Residue power sums against the Faddeev-LeVerrier recurrence and
+    against power sums over rows packed into big integers."""
 
     def test_empty_matrix(self):
         assert char_poly([]) == IntPolynomial([1])
@@ -285,6 +287,78 @@ class TestCharPolyOracle:
         # -r J: x^(n-1) (x + n r)
         assert char_poly([[-r] * n for _ in range(n)]) == \
             IntPolynomial((n * r, 1)) * IntPolynomial((0, 1)) ** (n - 1)
+
+    def test_packed_every_class_to_n10(self):
+        for n in range(1, 11):
+            for g in enumerate_cacti(n):
+                q = signless_laplacian(g)
+                assert char_poly(q) == packed_char_poly(q)
+
+    def test_packed_family_members(self):
+        # every H(s, k) and L(s, k) to order 32; CI sweeps them to order 64
+        members = [build_H(s, k) for s in range(16) for k in range(32 - 2 * s)
+                   if s or k]
+        members += [build_L(s, k) for s in range(15) for k in range(1, 31 - 2 * s)]
+        assert max(g.order for g in members) == 32
+        for g in members:
+            q = signless_laplacian(g)
+            assert char_poly(q) == packed_char_poly(q)
+
+
+WORD_LIMIT_MESSAGE = re.escape("char_poly requires n * max|a| <= 2^26")
+
+
+class TestCharPolyWordLimit:
+    """char_poly takes n * max|a| <= 2^26, so every float it holds is an
+    integer below 2^53."""
+
+    @pytest.mark.parametrize("n", [1, 10, 64])
+    def test_largest_accepted_entry(self, n):
+        top = spectra.WORD_LIMIT // n
+        rng = random.Random(n)
+        rows = [[rng.randint(-top, top) if rng.random() < 0.125 else 0
+                 for _ in range(n)] for _ in range(n)]
+        rows[0][-1], rows[-1][0] = -top, top
+        assert char_poly(rows) == packed_char_poly(rows)
+        # top J meets the Schur bound: tr (top J)^k = (n top)^k = ||top J||_F^k
+        assert char_poly([[top] * n] * n) == \
+            IntPolynomial((-n * top, 1)) * IntPolynomial((0, 1)) ** (n - 1)
+        for i, j, a in [(0, -1, -top - 1), (-1, 0, top + 1)]:
+            past = [row[:] for row in rows]
+            past[i][j] = a
+            with pytest.raises(ValueError, match=WORD_LIMIT_MESSAGE):
+                char_poly(past)
+
+    @pytest.mark.parametrize("m", [
+        np.array([[-2 ** 63]]),
+        np.array([[1, 0], [-2 ** 63, 1]], dtype=np.int64),
+        np.array([[2 ** 63]], dtype=np.uint64),
+        np.array([[0, 2 ** 64 - 1], [0, 0]], dtype=np.uint64)])
+    def test_extreme_words_refused(self, m):
+        # np.abs(-2^63) overflows back to -2^63, which no check may read as
+        # a small entry
+        with pytest.raises(ValueError, match=WORD_LIMIT_MESSAGE):
+            char_poly(m)
+
+    @pytest.mark.parametrize("top, bound", [
+        (2 ** 26, 1), (2 ** 26, 2 ** 25), (2 ** 26, 2 ** 25 + 1),
+        (2 ** 26, 10 ** 400), (2 ** 42, 3 ** 200)])
+    def test_moduli_cover_twice_the_bound(self, top, bound):
+        moduli, weights, prod = spectra._moduli(top, bound)
+        assert prod == math.prod(moduli) > 2 * bound >= prod // moduli[-1]
+        assert all(m <= top for m in moduli)
+        assert all(math.gcd(a, b) == 1
+                   for i, a in enumerate(moduli) for b in moduli[:i])
+        for i, w in enumerate(weights):
+            assert [w % m for m in moduli] == [int(i == j)
+                                               for j in range(len(moduli))]
+
+    @pytest.mark.parametrize("rows", [
+        [[0] * 5 for _ in range(5)],
+        [[0, 3, -1, 7], [0, 0, 2, -5], [0, 0, 0, 4], [0, 0, 0, 0]],
+        [[-7]]])
+    def test_zero_nilpotent_and_negative(self, rows):
+        assert char_poly(rows) == packed_char_poly(rows)
 
 
 def assert_charpoly_roots_match_eigensolver(g):
