@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 
 from .graph import (Graph, _block_code, _cactus_blocks, _peel, _vertex_code,
-                    canonical_code, from_edges, matching_number,
+                    as_index, canonical_code, from_edges, matching_number,
                     pendant_count)
 from .spectra import eigenpairs
 
@@ -36,16 +36,21 @@ MAX_N = 10
 
 @dataclass(frozen=True)
 class CactusFilter:
-    """Optional matching-number and pendant-count constraints; a negative
-    one raises ValueError naming it."""
+    """Optional matching-number and pendant-count constraints.  Each must be
+    an integer (see `graph.as_index`); a negative one or any other value
+    raises ValueError naming it."""
     matching: int | None = None
     pendants: int | None = None
 
     def __post_init__(self):
         for name in ("matching", "pendants"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is None:
+                continue
+            value = as_index(value, name)
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+            object.__setattr__(self, name, value)
 
     def admits(self, matching: int, pendants: int) -> bool:
         """Whether a class with this matching number and pendant count

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-from .graph import Graph, from_edges
+from .graph import Graph, as_index, from_edges
 from .polynomials import IntPolynomial, largest_real_root, monomial_shift
 
 
@@ -31,7 +31,8 @@ _ORDER_OFFSET = {"H": 1, "L": 2}
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Validated (family, s, k) with the derived vertex count."""
+    """Validated (family, s, k) with the derived vertex count; s and k must
+    be integers (see `graph.as_index`)."""
     family: str  # "H" or "L"
     s: int
     k: int
@@ -39,6 +40,8 @@ class FamilyParams:
     def __post_init__(self):
         if self.family not in _ORDER_OFFSET:
             raise ValueError(f"unknown family {self.family!r}")
+        object.__setattr__(self, "s", as_index(self.s, "s"))
+        object.__setattr__(self, "k", as_index(self.k, "k"))
         if self.s < 0 or self.k < 0:
             raise ValueError("s and k must be nonnegative")
         if self.family == "H" and self.s + self.k < 1:
@@ -178,7 +181,13 @@ def extremal_answer(n: int, matching: int | None = None,
     for n = 2m + 1, and the cubic's largest root for n >= 2m + 2.
     pendant constraint: H(s, k) when n - k is odd, L(s, k) when even.
     no constraint: the answer for matching number floor(n/2).
+    n and a given constraint must be integers (see `graph.as_index`).
     """
+    n = as_index(n, "n")
+    if matching is not None:
+        matching = as_index(matching, "matching")
+    if pendants is not None:
+        pendants = as_index(pendants, "pendants")
     if n < 3:
         raise ValueError("n >= 3 required")
     if matching is not None and pendants is not None:

@@ -52,7 +52,11 @@ def encode(g: Graph) -> str:
 
 def decode(text: str) -> Graph:
     """Parse a graph6 string back into a Graph."""
-    data = text.strip().encode("ascii")
+    try:
+        data = text.strip().encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ValueError(
+            f"invalid graph6 character {exc.object[exc.start]!r}") from None
     n, pos = _decode_order(data)
     if n < 1:
         raise ValueError("graph6 order must be >= 1")

@@ -9,7 +9,8 @@ Sturm chains come from a primitive remainder sequence in Z[x]
 (pseudo-division, then the primitive part) and are divided through by
 gcd(p, p') exactly, so they count distinct roots, multiple ones included.
 A polynomial keeps its chain and unwindowed largest-root bracket once made.
-Isolation takes a whole window or none, which is then the root bound's.
+Isolation takes a whole window (lo, hi], half-open like every bracket, or
+none, which is then the root bound's (-B, B].
 Isolation and comparison share one halving step, which carries a bracket as
 integer numerators over a common denominator, evaluates the Sturm chain once,
 at the midpoint, and carries the end sign variations.  Refinement bisects on
@@ -94,26 +95,6 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
-
-    def pretty(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                t = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                t = f"{mag}x" if i == 1 else f"{mag}x^{i}"
-            terms.append(("-" if c < 0 else "+", t))
-        sign, head = terms[0]
-        s = ("-" if sign == "-" else "") + head
-        for sign, t in terms[1:]:
-            s += f" {sign} {t}"
-        return s
 
     # -- serialization: JSON array of decimal coefficient strings -----------
 
@@ -239,22 +220,19 @@ def _scaled_value(coeffs, num: int, powers) -> int:
     return acc
 
 
-def _evaluate(seq, num: int, den: int):
+def _evaluate(seq, num: int, den: int) -> int:
     """Sign variations along the chain at num / den (den > 0), zeros
-    skipped, and whether num / den is a root of the first member, which has
-    the roots of p.  A member f of degree d is evaluated as
-    den^d * f(num / den) in integers, which has the sign of f(num / den)."""
+    skipped.  A member f of degree d is evaluated as den^d * f(num / den)
+    in integers, which has the sign of f(num / den)."""
     powers = _powers(den, len(seq[0]))
-    variations, last, root = 0, 0, False
+    variations, last = 0, 0
     for coeffs in seq:
         acc = _scaled_value(coeffs, num, powers)
         if acc:
             if last and (acc < 0) != (last < 0):
                 variations += 1
             last = acc
-        elif coeffs is seq[0]:
-            root = True
-    return variations, root
+    return variations
 
 
 def count_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
@@ -263,8 +241,8 @@ def count_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     if hi <= lo:
         return 0
     seq = _chain(p)
-    return (_evaluate(seq, lo.numerator, lo.denominator)[0]
-            - _evaluate(seq, hi.numerator, hi.denominator)[0])
+    return (_evaluate(seq, lo.numerator, lo.denominator)
+            - _evaluate(seq, hi.numerator, hi.denominator))
 
 
 def root_bound(p: IntPolynomial) -> int:
@@ -300,7 +278,7 @@ def _halve(seq, a: int, b: int, den: int, va: int, vb: int):
     (a + b) / 2den and return the half that holds the largest root in the
     interval, as numerators over 2den with its end variations."""
     mid = a + b
-    vm = _evaluate(seq, mid, 2 * den)[0]
+    vm = _evaluate(seq, mid, 2 * den)
     if vm > vb:
         return mid, 2 * b, 2 * den, vm, vb
     return 2 * a, mid, 2 * den, va, vm
@@ -308,11 +286,11 @@ def _halve(seq, a: int, b: int, den: int, va: int, vb: int):
 
 def isolate_largest_root(p: IntPolynomial, lo=None, hi=None):
     """Return Fractions (a, b) with exactly one root of p in (a, b], that root
-    being the largest real root of p inside [lo, hi].
+    being the largest real root of p in the window (lo, hi].
 
-    Returns None when p has no real root in the window, or when hi < lo.  The
+    Returns None when p has no real root in (lo, hi], as when hi <= lo.  The
     window takes both ends or neither; with none it is the root bound's
-    (-B, B), and the result is kept on p.
+    (-B, B], which holds every real root, and the result is kept on p.
     """
     if p.degree < 1:
         raise ValueError("cannot isolate roots of a constant polynomial")
@@ -327,14 +305,9 @@ def isolate_largest_root(p: IntPolynomial, lo=None, hi=None):
 def _isolate(p: IntPolynomial, lo, hi):
     a, b, den = _grid(Fraction(lo), Fraction(hi))
     seq = _chain(p)
-    va, a_is_root = _evaluate(seq, a, den)
-    vb = _evaluate(seq, b, den)[0]
+    va, vb = _evaluate(seq, a, den), _evaluate(seq, b, den)
     if b <= a or va == vb:
-        if not a_is_root or b < a:  # b < a: an empty window
-            return None
-        # a root on the window's left end (never -B): bracket it in (a - 1/2, a]
-        a, b, den, vb = 2 * a - den, 2 * a, 2 * den, va
-        va = _evaluate(seq, a, den)[0]
+        return None
     while va - vb > 1:
         a, b, den, va, vb = _halve(seq, a, b, den, va, vb)
     return Fraction(a, den), Fraction(b, den)
@@ -350,7 +323,7 @@ def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
     """
     seq = _chain(p)
     a, b, den = _grid(Fraction(lo), Fraction(hi))
-    va, vb = _evaluate(seq, a, den)[0], _evaluate(seq, b, den)[0]
+    va, vb = _evaluate(seq, a, den), _evaluate(seq, b, den)
     if b <= a or va - vb != 1:
         raise ValueError("interval does not isolate exactly one root")
     # The first member f = p / gcd(p, p') is square-free, so its one root r
@@ -372,15 +345,15 @@ def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
 
 
 def largest_real_root(p: IntPolynomial, bracket) -> float:
-    """Largest real root of p inside the bracket, certified by Sturm counting
-    before bisection refinement (see `refine_root`).
+    """Largest real root of p in the bracket (lo, hi], certified by Sturm
+    counting before bisection refinement (see `refine_root`).
 
-    Raises ValueError when p is constant or has no root in the bracket.
+    Raises ValueError when p is constant or has no root in (lo, hi].
     """
     lo, hi = bracket
     iso = isolate_largest_root(p, lo, hi)
     if iso is None:
-        raise ValueError(f"no real root of {p.pretty()} in [{lo}, {hi}]")
+        raise ValueError(f"no real root of {p.to_json()} in ({lo}, {hi}]")
     return refine_root(p, *iso)
 
 
@@ -430,8 +403,8 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     sp, sq = _chain(p), _chain(q)
     a, b, da = _grid(alo, ahi)
     c, d, dc = _grid(blo, bhi)
-    va, vb = _evaluate(sp, a, da)[0], _evaluate(sp, b, da)[0]
-    wc, wd = _evaluate(sq, c, dc)[0], _evaluate(sq, d, dc)[0]
+    va, vb = _evaluate(sp, a, da), _evaluate(sp, b, da)
+    wc, wd = _evaluate(sq, c, dc), _evaluate(sq, d, dc)
     for _ in range(MAX_SEPARATION_STEPS):
         a, b, da, va, vb = _halve(sp, a, b, da, va, vb)
         c, d, dc, wc, wd = _halve(sq, c, d, dc, wc, wd)

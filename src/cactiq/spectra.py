@@ -35,7 +35,6 @@ class SpectralResult:
     """Largest eigenvalue with its (sign-fixed) unit eigenvector."""
     radius: float
     perron: tuple
-    residual: float
 
 
 def _q_stack(graphs) -> np.ndarray:
@@ -50,8 +49,8 @@ def _q_stack(graphs) -> np.ndarray:
 
 
 def _top_eigenpairs(stack: np.ndarray):
-    """Largest eigenvalue, its sign-fixed unit eigenvector and its residual
-    for every matrix of a symmetric (N, n, n) stack, as three arrays.
+    """Largest eigenvalue and its sign-fixed unit eigenvector for every
+    matrix of a symmetric (N, n, n) stack, as two arrays.
 
     A residual above RESIDUAL_GATE relative to max(1, |radius|), or a
     radius or residual that is not finite, raises RuntimeError."""
@@ -70,14 +69,13 @@ def _top_eigenpairs(stack: np.ndarray):
     if bad.size:
         raise RuntimeError(f"eigensolver residual {residual[bad[0]]} above "
                            f"tolerance at index {bad[0]}")
-    return radius, vec, residual
+    return radius, vec
 
 
 def _one_result(stack: np.ndarray) -> SpectralResult:
     """The SpectralResult of a one-matrix (1, n, n) stack."""
-    radius, vec, residual = _top_eigenpairs(stack)
-    return SpectralResult(radius=float(radius[0]), perron=tuple(vec[0].tolist()),
-                          residual=float(residual[0]))
+    radius, vec = _top_eigenpairs(stack)
+    return SpectralResult(radius=float(radius[0]), perron=tuple(vec[0].tolist()))
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:
@@ -125,7 +123,7 @@ def eigenpairs(graphs):
     radius, perron = np.empty(len(graphs)), np.empty((len(graphs), n))
     for i in range(0, len(graphs), RADII_SLICE):
         part = graphs[i:i + RADII_SLICE]
-        radius[i:i + len(part)], perron[i:i + len(part)], _ = \
+        radius[i:i + len(part)], perron[i:i + len(part)] = \
             _top_eigenpairs(_q_stack(part))
     return radius, perron
 

@@ -114,6 +114,16 @@ class TestFilters:
             CactusFilter(matching=2, pendants=-2)
         assert CactusFilter(matching=0, pendants=0).admits(0, 0)
 
+    def test_filter_fields_are_integers(self):
+        assert CactusFilter(np.int64(2), True) == CactusFilter(2, 1)
+        assert type(CactusFilter(np.int64(2)).matching) is int
+        assert count_cacti(5, CactusFilter(matching=np.int32(1))) == 1
+        for field, bad in (("matching", 1.5), ("pendants", "2"),
+                           ("pendants", 2.0)):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be an integer, got {bad!r}$"):
+                CactusFilter(**{field: bad})
+
     @pytest.mark.parametrize("n", [1, 6, 9])
     def test_positions_index_the_full_list(self, n):
         graphs = enumerate_cacti(n)

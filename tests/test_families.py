@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cactiq import graph6
@@ -26,6 +27,16 @@ class TestConstruction:
             FamilyParams("L", 1, 0)
         with pytest.raises(ValueError):
             FamilyParams("X", 1, 1)
+
+    def test_params_are_integers(self):
+        p = FamilyParams("L", np.int64(1), True)
+        assert p == FamilyParams("L", 1, 1) and type(p.s) is type(p.k) is int
+        assert p.n == 5 and build(p) == build_L(1, 1)
+        for s, k, field, bad in ((1.5, 0, "s", 1.5), (1, "2", "k", "2"),
+                                 (1, 2.0, "k", 2.0)):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be an integer, got {bad!r}$"):
+                FamilyParams("H", s, k)
 
     def test_h_shapes(self):
         g = build_H(2, 0)  # bowtie
@@ -252,6 +263,17 @@ class TestExtremalAnswer:
         assert l.params == FamilyParams("L", 2, 2)
         with pytest.raises(ValueError):
             extremal_answer(8, pendants=0)
+
+    def test_arguments_are_integers(self):
+        want = extremal_answer(8, matching=3)
+        assert extremal_answer(np.int64(8), matching=np.int8(3)) == want
+        assert extremal_answer(9, pendants=True) == extremal_answer(9, pendants=1)
+        for kwargs, field, bad in (({"n": 5.5}, "n", 5.5),
+                                   ({"n": 8, "matching": 3.0}, "matching", 3.0),
+                                   ({"n": 9, "pendants": "2"}, "pendants", "2")):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be an integer, got {bad!r}$"):
+                extremal_answer(**kwargs)
 
     def test_unconstrained_is_floor_half_matching(self):
         for n in range(3, 65):

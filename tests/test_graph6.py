@@ -89,6 +89,14 @@ def test_non_canonical_input_rejected(text, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, bad", [("\u00e9", "\u00e9"), ("B\u2603", "\u2603")])
+def test_non_ascii_input_names_the_character(text, bad, capsys):
+    with pytest.raises(ValueError, match=f"^invalid graph6 character '{bad}'$"):
+        graph6.decode(text)
+    assert main(["radius", "--graph6", text]) == 2
+    assert capsys.readouterr().err == f"error: invalid graph6 character '{bad}'\n"
+
+
 def test_long_form_order_prefix():
     g = from_edges(63, [(i, i + 1) for i in range(62)])
     text = graph6.encode(g)

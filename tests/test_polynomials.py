@@ -110,7 +110,11 @@ def test_no_root_in_bracket():
 
 
 def test_root_at_bracket_endpoint():
-    assert largest_real_root(monomial_shift(4), (4, 10)) == pytest.approx(4, abs=1e-12)
+    # brackets are half-open: a root on the right end is in, one on the
+    # left end is out
+    assert largest_real_root(monomial_shift(4), (3, 4)) == pytest.approx(4, abs=1e-12)
+    with pytest.raises(ValueError, match=r'no real root of \["-4", "1"\] in \(4, 10\]'):
+        largest_real_root(monomial_shift(4), (4, 10))
 
 
 def test_isolate_largest_root():
@@ -192,14 +196,16 @@ class TestRootBound:
 
 def test_isolate_largest_root_degenerate_windows():
     p = monomial_shift(4)
-    # a root on the left end of a one-point window is still bracketed
-    assert isolate_largest_root(p, lo=4, hi=4) == (Fraction(7, 2), 4)
+    # the window (lo, hi] never holds its left end, so a root there is not
+    # bracketed, and a window with hi <= lo is empty
+    assert isolate_largest_root(p, lo=4, hi=4) is None
+    assert isolate_largest_root(p, lo=4, hi=10) is None
     assert isolate_largest_root(p, lo=5, hi=3) is None
-    # a root on the left end of an empty window is not
     assert isolate_largest_root(p, lo=4, hi=2) is None
-    with pytest.raises(ValueError, match=r"no real root of x - 4 in \[4, 2\]"):
+    with pytest.raises(ValueError, match=r'no real root of \["-4", "1"\] in \(4, 2\]'):
         largest_real_root(p, (4, 2))
-    assert largest_real_root(p, (4, 4)) == pytest.approx(4, abs=1e-12)
+    with pytest.raises(ValueError, match=r'no real root of \["-4", "1"\] in \(4, 4\]'):
+        largest_real_root(p, (4, 4))
 
 
 class TestRefineRoot:
