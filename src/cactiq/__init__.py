@@ -17,7 +17,7 @@ from .quotient import (IndexPartition, BlockSpec, SpectrumMultiset,
                        structured_spectrum)
 from .families import (FamilyParams, ExtremalAnswer, build_H, build_L,
                        psi_H, psi_L, psi_legacy, extremal_answer)
-from .transforms import ShiftPlan, shift_neighbors, contract_pend
+from .transforms import shift_neighbors, contract_pend
 from .enumeration import CactusFilter, enumerate_cacti, count_cacti
 from .verify import (VerificationReport, verify_extremal, verify_formulas,
                      verify_monotonicity)

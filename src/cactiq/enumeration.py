@@ -165,7 +165,9 @@ def _level(n: int) -> Level:
 
 
 def classes(n: int) -> Level:
-    """The table of order n, within the enumeration guard."""
+    """The table of order n, within the enumeration guard.  n must be an
+    integer (see `graph.as_index`)."""
+    n = as_index(n, "n")
     if n < 1:
         raise ValueError("n >= 1 required")
     if n > MAX_N:

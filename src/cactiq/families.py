@@ -87,7 +87,8 @@ def build_L(s: int, k: int) -> Graph:
 
 def members(family: str, max_n: int):
     """Every member of family "H" or "L" with s >= 1 and order <= max_n, in
-    (s, k) order."""
+    (s, k) order.  max_n must be an integer (see `graph.as_index`)."""
+    max_n = as_index(max_n, "max_n")
     least_k = 0 if family == "H" else 1
     for s in count(1):
         first = FamilyParams(family, s, least_k)
@@ -112,11 +113,13 @@ def l_quintic(n: int, k: int) -> IntPolynomial:
                           -(12 * n - 2 * k - 10), 6 * n + 4, -(n + 5), 1))
 
 
-def _linear_factors(family: str, n: int, k: int) -> IntPolynomial:
-    """The (x-1)^e1 (x-3)^e3 factor shared by the exact and legacy formulas
-    of the member of family H or L with order n, k pendants and s >= 1:
+def _closed_form(family: str, core, n: int, k: int) -> IntPolynomial:
+    """(x-1)^e1 (x-3)^e3 times core(n, k), the factored formula shape of the
+    member of family H or L with order n, k pendants and s >= 1:
     e1 = s + k - 1 and e3 = s - 1 for H, e1 = s + k - 2 and e3 = s - 1 for L.
-    Any other (n, k) raises ValueError."""
+    n and k must be integers (see `graph.as_index`); any other (n, k) raises
+    ValueError."""
+    n, k = as_index(n, "n"), as_index(k, "k")
     if family not in _ORDER_OFFSET:
         raise ValueError(f"unknown family {family!r}")
     twice_s = n - k - _ORDER_OFFSET[family]
@@ -125,18 +128,19 @@ def _linear_factors(family: str, n: int, k: int) -> IntPolynomial:
                          f"at n = {n}, k = {k}")
     p = FamilyParams(family, twice_s // 2, k)
     e1 = p.s + p.k - (1 if family == "H" else 2)
-    return monomial_shift(1) ** e1 * monomial_shift(3) ** (p.s - 1)
+    return (monomial_shift(1) ** e1 * monomial_shift(3) ** (p.s - 1)
+            * core(n, k))
 
 
 def psi_H(n: int, k: int) -> IntPolynomial:
     """Characteristic polynomial of Q(H(s, k)) with n = 2s + k + 1, expanded:
     (x-1)^((n+k-3)/2) (x-3)^((n-k-3)/2) times the cubic factor."""
-    return _linear_factors("H", n, k) * h_cubic(n, k)
+    return _closed_form("H", h_cubic, n, k)
 
 
 def psi_L(n: int, k: int) -> IntPolynomial:
     """Characteristic polynomial of Q(L(s, k)) with n = 2s + k + 2, expanded."""
-    return _linear_factors("L", n, k) * l_quintic(n, k)
+    return _closed_form("L", l_quintic, n, k)
 
 
 def legacy_h_cubic(n: int, k: int) -> IntPolynomial:
@@ -152,7 +156,7 @@ def psi_legacy(family: str, n: int, k: int) -> IntPolynomial:
     """Superseded published formulas, kept only so tests can pin down the
     documented erratum (they disagree with psi_H/psi_L for n >= 5)."""
     core = legacy_h_cubic if family == "H" else legacy_l_quintic
-    return _linear_factors(family, n, k) * core(n, k)
+    return _closed_form(family, core, n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Labeled simple graphs on dense integer indices, each held as its edge set
-(a traversal derives adjacency from it once, `Graph.adjacency`), with the
-structural predicates and invariants the rest of the toolkit relies on.
+"""Labeled simple graphs on dense integer indices, each held as its edge set,
+with the structural predicates and invariants the rest of the toolkit relies
+on.  Adjacency is read through `edges` or `Graph.adjacency` only: a
+traversal derives the neighbour lists once and reads them.
 
 One iterative biconnected DFS (`_biconnected`) gives the blocks, the cut
 vertices and connectivity; block decomposition and the cactus test serve any
@@ -34,13 +35,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return adj
-
-    def neighbors(self, v: int) -> frozenset:
-        return frozenset(b if a == v else a for a, b in self.edges
-                         if v in (a, b))
-
-    def degree(self, v: int) -> int:
-        return sum(v in e for e in self.edges)
 
     @property
     def size(self) -> int:

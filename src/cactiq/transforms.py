@@ -1,60 +1,54 @@
-"""The two radius-increasing graph surgeries: shifting a set of neighbors from
-one vertex to another, and contracting a non-pendant edge while adding a fresh
-pendant edge.  Both strictly increase the signless Laplacian spectral radius
-under their respective hypotheses; the property tests check exactly that.
+"""The two radius-increasing graph surgeries: shifting neighbors of v to u,
+and contracting a non-pendant edge uv while adding a fresh pendant edge.
+Both strictly increase the signless Laplacian spectral radius under their
+respective hypotheses; the property tests check exactly that.
+
+Each takes its vertices directly, integers in 0..order-1 (see
+`graph.as_index`) checked before anything is indexed, requires a connected
+graph and checks its other hypotheses on one `Graph.adjacency()`; a violation
+raises ValueError naming it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Graph, as_index, from_edges, is_connected
+from .graph import Graph, _norm_edge, as_index, from_edges, is_connected
 
 
-@dataclass(frozen=True)
-class ShiftPlan:
-    """Move the neighbors in `moved` from vertex v to vertex u.  Every vertex
-    must be an integer (see `graph.as_index`); anything else raises
-    ValueError."""
-    v: int
-    u: int
-    moved: frozenset
-
-    def __init__(self, v: int, u: int, moved):
-        object.__setattr__(self, "v", as_index(v, "source vertex"))
-        object.__setattr__(self, "u", as_index(u, "target vertex"))
-        object.__setattr__(self, "moved", frozenset(
-            as_index(w, "moved vertex") for w in moved))
+def _vertex(g: Graph, value, what: str) -> int:
+    """value as a vertex of g, or ValueError naming what."""
+    v = as_index(value, what)
+    if not 0 <= v < g.order:
+        raise ValueError(f"{what} must be in 0..{g.order - 1}, got {v}")
+    return v
 
 
-def validate_plan(g: Graph, plan: ShiftPlan) -> None:
-    if plan.u == plan.v:
-        raise ValueError(f"source and target coincide at vertex {plan.u}")
-    if not plan.moved:
-        raise ValueError("at least one neighbor must be moved")
-    at_v, at_u = g.neighbors(plan.v), g.neighbors(plan.u)
-    for w in sorted(plan.moved):
-        if w == plan.u:
-            raise ValueError(f"moved vertex {w} is the target vertex")
-        if w not in at_v:
-            raise ValueError(f"vertex {w} is not a neighbor of {plan.v}")
-        if w in at_u:
-            raise ValueError(f"vertex {w} is already adjacent to {plan.u}")
+def shift_neighbors(g: Graph, v: int, u: int, moved) -> Graph:
+    """Delete edges v-w and add edges u-w for every w in moved.
 
-
-def shift_neighbors(g: Graph, plan: ShiftPlan) -> Graph:
-    """Delete edges v-w and add edges u-w for every w in the plan.
-
-    Vertex and edge counts are preserved.  Rejects plans that would create
+    Vertex and edge counts are preserved.  Rejects shifts that would create
     multi-edges or move nothing; g must be connected.
     """
+    v = _vertex(g, v, "source vertex")
+    u = _vertex(g, u, "target vertex")
+    moved = {_vertex(g, w, "moved vertex") for w in moved}
     if not is_connected(g):
         raise ValueError("shift_neighbors requires a connected graph")
-    validate_plan(g, plan)
+    if u == v:
+        raise ValueError(f"source and target coincide at vertex {u}")
+    if not moved:
+        raise ValueError("at least one neighbor must be moved")
+    adj = g.adjacency()
+    for w in sorted(moved):
+        if w == u:
+            raise ValueError(f"moved vertex {w} is the target vertex")
+        if w not in adj[v]:
+            raise ValueError(f"vertex {w} is not a neighbor of {v}")
+        if w in adj[u]:
+            raise ValueError(f"vertex {w} is already adjacent to {u}")
     edges = set(g.edges)
-    for w in plan.moved:
-        edges.discard((min(plan.v, w), max(plan.v, w)))
-        edges.add((min(plan.u, w), max(plan.u, w)))
+    for w in moved:
+        edges.discard(_norm_edge(v, w))
+        edges.add(_norm_edge(u, w))
     return from_edges(g.order, edges)
 
 
@@ -65,22 +59,20 @@ def contract_pend(g: Graph, u: int, v: int) -> Graph:
     The merged vertex keeps index min(u, v); the freed index max(u, v) becomes
     the new pendant, so the vertex count is unchanged.
     """
+    u = _vertex(g, u, "vertex u")
+    v = _vertex(g, v, "vertex v")
     if not is_connected(g):
         raise ValueError("contract_pend requires a connected graph")
-    if not g.has_edge(u, v):
+    adj = g.adjacency()
+    if v not in adj[u]:
         raise ValueError(f"({u}, {v}) is not an edge")
-    if g.degree(u) == 1 or g.degree(v) == 1:
+    if len(adj[u]) == 1 or len(adj[v]) == 1:
         raise ValueError(f"({u}, {v}) is a pendant edge")
-    common = (g.neighbors(u) & g.neighbors(v))
+    common = set(adj[u]).intersection(adj[v])
     if common:
         raise ValueError(f"endpoints share neighbors {sorted(common)}")
-    keep, free = min(u, v), max(u, v)
-    edges = []
-    for a, b in g.edges:
-        if {a, b} == {u, v}:
-            continue
-        a2 = keep if a == free else a
-        b2 = keep if b == free else b
-        edges.append((a2, b2))
+    keep, free = _norm_edge(u, v)
+    edges = [_norm_edge(keep if a == free else a, keep if b == free else b)
+             for a, b in g.edges if (a, b) != (keep, free)]
     edges.append((keep, free))
     return from_edges(g.order, edges)

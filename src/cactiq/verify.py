@@ -27,12 +27,13 @@ from . import graph6, spectra
 from .enumeration import CactusFilter, classes
 from .families import (build, extremal_answer, members, psi_H, psi_L,
                        psi_legacy, superseded_conjecture_bound)
-from .graph import Graph, block_decomposition, canonical_code, from_edges
+from .graph import (Graph, as_index, block_decomposition, canonical_code,
+                    from_edges)
 from .polynomials import compare_largest_roots
 # graph_radius is not called here; perfbench's layer-trace self-test reads it
 # as cactiq.verify.graph_radius
 from .spectra import char_poly, graph_radius, signless_laplacian  # noqa: F401
-from .transforms import ShiftPlan, contract_pend, shift_neighbors
+from .transforms import contract_pend, shift_neighbors
 
 RADIUS_TOL = 1e-9
 EXACT_ESCALATION_GAP = 1e-7
@@ -209,7 +210,9 @@ def verify_conjecture11_negative(n: int, m: int | None = None) -> VerificationRe
 
 def verify_formulas(max_n: int = 24) -> VerificationReport:
     """Exact identity of both factored formulas against the determinant-free
-    exact characteristic polynomial, plus the legacy-formula erratum."""
+    exact characteristic polynomial, plus the legacy-formula erratum.  max_n
+    must be an integer (see `graph.as_index`)."""
+    max_n = as_index(max_n, "max_n")
     if max_n > 24:
         raise ValueError("max_n capped at 24")
     if max_n < 3:
@@ -269,9 +272,9 @@ def _random_cactus(rng: random.Random, lo: int = 3, hi: int = 8):
 
 
 def _draw_shift_instance(rng: random.Random):
-    """A (graph, radius, plan) triple meeting the neighbor-shift hypotheses,
-    including the Perron-label condition x_v <= x_u; invalid draws are
-    redrawn."""
+    """A (graph, radius, (v, u, moved)) triple meeting the neighbor-shift
+    hypotheses, including the Perron-label condition x_v <= x_u; invalid
+    draws are redrawn."""
     while True:
         g, q0, x = _random_cactus(rng)
         x = x.tolist()
@@ -287,7 +290,7 @@ def _draw_shift_instance(rng: random.Random):
                     continue
                 take = rng.randint(1, len(cands))
                 moved = rng.sample(cands, take)
-                return g, q0, ShiftPlan(v=v, u=u, moved=moved)
+                return g, q0, (v, u, moved)
 
 
 def _draw_contract_instance(rng: random.Random):
@@ -337,7 +340,7 @@ def _instances(rng: random.Random, trials: int):
     properties of each trial in turn, drawn lazily from rng."""
     for t in range(trials):
         g, q0, plan = _draw_shift_instance(rng)
-        yield "neighbor_shift", t, g, q0, shift_neighbors(g, plan)
+        yield "neighbor_shift", t, g, q0, shift_neighbors(g, *plan)
         g, q0, (u, v) = _draw_contract_instance(rng)
         yield "contract_pend", t, g, q0, contract_pend(g, u, v)
         g, q0, h = _draw_subgraph_instance(rng)
@@ -367,7 +370,9 @@ def verify_monotonicity(trials: int = 200, seed: int = 42) -> VerificationReport
 
     Each drawn graph's radius comes from its order's class table; the surgery
     results are solved RADII_SLICE instances at a time and checked in trial
-    and property order."""
+    and property order.  trials and seed must be integers (see
+    `graph.as_index`)."""
+    trials, seed = as_index(trials, "trials"), as_index(seed, "seed")
     if trials < 1:
         raise ValueError("trials >= 1 required")
     report = VerificationReport(claim="monotonicity",

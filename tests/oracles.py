@@ -57,8 +57,7 @@ def brute_isomorphic(a: Graph, b: Graph) -> bool:
     """Permutation-search isomorphism test."""
     if a.order != b.order or a.size != b.size:
         return False
-    if (sorted(a.degree(v) for v in range(a.order))
-            != sorted(b.degree(v) for v in range(b.order))):
+    if sorted(map(len, a.adjacency())) != sorted(map(len, b.adjacency())):
         return False
     for perm in itertools.permutations(range(a.order)):
         if all((perm[u], perm[v]) in b.edges or (perm[v], perm[u]) in b.edges
@@ -110,14 +109,14 @@ def to_networkx(g: Graph) -> nx.Graph:
 # the worst case); an oracle for the cactus code, which shares nothing with it
 # ---------------------------------------------------------------------------
 
-def _refined_colors(g: Graph) -> list:
-    """Iterated neighborhood refinement; color ids are isomorphism-invariant."""
-    n = g.order
-    ranks = {d: i for i, d in enumerate(sorted({g.degree(v) for v in range(n)}))}
-    colors = [ranks[g.degree(v)] for v in range(n)]
+def _refined_colors(adj) -> list:
+    """Iterated neighborhood refinement of the graph with neighbour sets
+    adj; color ids are isomorphism-invariant."""
+    ranks = {d: i for i, d in enumerate(sorted({len(a) for a in adj}))}
+    colors = [ranks[len(a)] for a in adj]
     while True:
-        keys = [(colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-                for v in range(n)]
+        keys = [(colors[v], tuple(sorted(colors[w] for w in a)))
+                for v, a in enumerate(adj)]
         ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
         new = [ranks[k] for k in keys]
         if len(set(new)) == len(set(colors)):
@@ -134,7 +133,8 @@ def search_code(g: Graph) -> bytes:
     identical so far and extends greedily, so the result is the true minimum.
     """
     n = g.order
-    colors = _refined_colors(g)
+    adj = [set(a) for a in g.adjacency()]
+    colors = _refined_colors(adj)
     target = sorted(colors)  # color required at each position
     by_color = {}
     for v in range(n):
@@ -151,7 +151,7 @@ def search_code(g: Graph) -> bytes:
             for v in by_color[want]:
                 if v in used:
                     continue
-                row = tuple(1 if p in g.neighbors(v) else 0 for p in perm)
+                row = tuple(1 if p in adj[v] else 0 for p in perm)
                 if best_row is None or row < best_row:
                     best_row = row
                     nxt = [perm + (v,)]
@@ -164,7 +164,7 @@ def search_code(g: Graph) -> bytes:
         for perm in nxt:
             used = set(perm)
             key = (frozenset(used),
-                   tuple(frozenset(g.neighbors(p) - used) for p in perm))
+                   tuple(frozenset(adj[p] - used) for p in perm))
             if key not in seen:
                 seen.add(key)
                 frontier.append(perm)

@@ -124,6 +124,15 @@ class TestFilters:
                                match=f"^{field} must be an integer, got {bad!r}$"):
                 CactusFilter(**{field: bad})
 
+    @pytest.mark.parametrize("call", [classes, enumerate_cacti, count_cacti])
+    @pytest.mark.parametrize("bad", [5.0, "5", 5.5])
+    def test_order_is_an_integer(self, call, bad):
+        # a float order once raised TypeError from inside the enumeration
+        assert call(np.int64(5)) == call(5)
+        with pytest.raises(ValueError,
+                           match=f"^n must be an integer, got {bad!r}$"):
+            call(bad)
+
     @pytest.mark.parametrize("n", [1, 6, 9])
     def test_positions_index_the_full_list(self, n):
         graphs = enumerate_cacti(n)

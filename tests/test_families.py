@@ -41,10 +41,10 @@ class TestConstruction:
     def test_h_shapes(self):
         g = build_H(2, 0)  # bowtie
         assert g.order == 5 and g.size == 6
-        assert g.degree(0) == 4
+        assert len(g.adjacency()[0]) == 4
         g = build_H(3, 2)
         assert g.order == 9
-        assert sorted(g.degree(v) for v in range(g.order)) == \
+        assert sorted(map(len, g.adjacency())) == \
             [1, 1, 2, 2, 2, 2, 2, 2, 8]
 
     def test_h_star(self):
@@ -55,7 +55,7 @@ class TestConstruction:
     def test_l_shapes(self):
         g = build_L(2, 1)  # bowtie plus a pendant path of length 2
         assert g.order == 7 and g.size == 8
-        assert g.degree(0) == 5
+        assert len(g.adjacency()[0]) == 5
         assert pendant_count(g) == 1
         g = build_L(1, 3)
         assert g.order == 7
@@ -127,6 +127,28 @@ def test_members_are_every_valid_params(max_n):
                 if p.n <= max_n:
                     want.append(p)
         assert list(members(family, max_n)) == want, family
+
+
+@pytest.mark.parametrize("call, args, field, bad", [
+    (lambda *a: list(members(*a)), ("H", 5.5), "max_n", 5.5),
+    (lambda *a: list(members(*a)), ("L", "9"), "max_n", "9"),
+    (psi_H, (5.0, 0), "n", 5.0),
+    # k once surfaced as "s must be an integer, got 2.0"
+    (psi_H, (5, 0.0), "k", 0.0),
+    (psi_L, (7, 1.5), "k", 1.5),
+    (lambda *a: psi_legacy("L", *a), ("7", 1), "n", "7"),
+    (lambda *a: psi_legacy("H", *a), (5, 0.0), "k", 0.0),
+])
+def test_orders_and_pendants_are_integers(call, args, field, bad):
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got {bad!r}$"):
+        call(*args)
+
+
+def test_integer_like_orders_and_pendants_accepted():
+    assert psi_H(np.int64(5), False) == psi_H(5, 0)
+    assert psi_legacy("L", np.int32(7), True) == psi_legacy("L", 7, 1)
+    assert list(members("L", np.int64(9))) == list(members("L", 9))
 
 
 class TestPsiH:

@@ -414,7 +414,7 @@ class TestSpectrumConsistency:
         for _ in range(60):
             g = random_connected(rng, rng.randint(2, 8))
             m = signless_laplacian(g)
-            trace = sum(g.degree(v) for v in range(g.order))
+            trace = sum(map(len, g.adjacency()))
             assert sum(np.linalg.eigvalsh(m)) == pytest.approx(trace, abs=1e-8)
             p = char_poly(m)
             assert p.coeffs[g.order - 1] == -trace

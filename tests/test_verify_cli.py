@@ -237,6 +237,21 @@ class TestFormulas:
             verify_formulas(25)
 
 
+@pytest.mark.parametrize("call, args, field, bad", [
+    # a float max_n or trials once raised TypeError, and a float seed ran
+    # and was reported as given
+    (verify_formulas, (10.0,), "max_n", 10.0),
+    (verify_formulas, ("10",), "max_n", "10"),
+    (verify_monotonicity, (10.0, 1), "trials", 10.0),
+    (verify_monotonicity, (10, 1.5), "seed", 1.5),
+    (verify_monotonicity, (10, None), "seed", None),
+])
+def test_sizes_and_seed_are_integers(call, args, field, bad):
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got {bad!r}$"):
+        call(*args)
+
+
 class TestClassSpectra:
     """The per-order table against one `graph_radius` solve per graph."""
 
@@ -331,7 +346,7 @@ class TestMonotonicity:
             want.append({"property": "neighbor_shift", "trial": t,
                          "graph": graph6.encode(g),
                          "before": graph_radius(g).radius,
-                         "after": graph_radius(shift_neighbors(g, plan)).radius})
+                         "after": graph_radius(shift_neighbors(g, *plan)).radius})
             g, _, (u, v) = verify._draw_contract_instance(rng)
             want.append({"property": "contract_pend", "trial": t,
                          "graph": graph6.encode(g),
