@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
 
 from .graph import Graph, as_index, from_edges
 from .polynomials import IntPolynomial, largest_real_root, monomial_shift
@@ -87,15 +86,17 @@ def build_L(s: int, k: int) -> Graph:
 
 def members(family: str, max_n: int):
     """Every member of family "H" or "L" with s >= 1 and order <= max_n, in
-    (s, k) order.  max_n must be an integer (see `graph.as_index`)."""
+    (s, k) order, made lazily; max_n and the family are checked at the
+    call.  max_n must be an integer (see `graph.as_index`)."""
     max_n = as_index(max_n, "max_n")
+    if family not in _ORDER_OFFSET:
+        raise ValueError(f"unknown family {family!r}")
+    # the order 2s + k + offset is at most max_n
+    top = max_n - _ORDER_OFFSET[family]
     least_k = 0 if family == "H" else 1
-    for s in count(1):
-        first = FamilyParams(family, s, least_k)
-        if first.n > max_n:
-            return
-        for k in range(least_k, least_k + max_n - first.n + 1):
-            yield FamilyParams(family, s, k)
+    return (FamilyParams(family, s, k)
+            for s in range(1, (top - least_k) // 2 + 1)
+            for k in range(least_k, top - 2 * s + 1))
 
 
 # ---------------------------------------------------------------------------

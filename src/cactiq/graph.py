@@ -110,9 +110,13 @@ def from_edges(order: int, pairs) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.order == 0:
+    return _connected(g.adjacency())
+
+
+def _connected(adj) -> bool:
+    """Whether the graph with adjacency lists adj is nonempty and connected."""
+    if not adj:
         return False
-    adj = g.adjacency()
     seen = {0}
     stack = [0]
     while stack:
@@ -121,7 +125,7 @@ def is_connected(g: Graph) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == g.order
+    return len(seen) == len(adj)
 
 
 def _biconnected(g: Graph):

@@ -2,15 +2,17 @@
 and exact integer characteristic polynomials.
 
 Every matrix is a plain numpy array: Q(G) is an (n, n) int array,
-`spectral_radius` takes any nonempty square symmetric array-like, and
-`char_poly`, the one exact entry point, takes an int array or a list of int
-rows.  The numeric path is one stacked call of LAPACK's symmetric eigensolver
-(tridiagonalization + implicit-shift QR) per list of same-order matrices.
-The exact path takes the power sums tr(A^k) modulo a few pairwise-coprime
-moduli, all advanced by one float64 matrix product per step whose every
-value is an integer below 2^53, rebuilds each sum by the Chinese remainder
-theorem under a Schur bound on |tr A^k|, and turns the sums into
-coefficients by Newton's identities over Z, so the characteristic
+`spectral_radius` takes any nonempty square symmetric array-like, and the
+exact path, `char_polys`, takes a stack of same-order int matrices;
+`char_poly` is its one-matrix call.  The numeric path is one stacked call of
+LAPACK's symmetric eigensolver (tridiagonalization + implicit-shift QR) per
+list of same-order matrices.  The exact path advances the powers of every
+matrix of the stack by one batched float64 matrix product per step whose
+every value is an integer of magnitude at most 2^52: the powers themselves
+while that bound allows, then their residues modulo a few pairwise-coprime
+moduli shared by the stack.  It rebuilds each power sum tr(A^k) by the
+Chinese remainder theorem under a Schur bound on |tr A^k| and turns the sums
+into coefficients by Newton's identities over Z, so the characteristic
 polynomial carries no floating-point error at all.  It takes matrices with
 n * max|a| <= WORD_LIMIT = 2^26; Q of a graph on n <= 64 vertices has
 n * max|a| <= 64 * 63.
@@ -142,7 +144,7 @@ def radii(graphs) -> list:
     return out
 
 
-# Largest n * max|a| that `char_poly` accepts.  It keeps every modulus at
+# Largest n * max|a| that `char_polys` accepts.  It keeps every modulus at
 # least 2^52 / WORD_LIMIT = 2^26, so even at the limit the moduli needed
 # number about n.
 WORD_LIMIT = 1 << 26
@@ -162,69 +164,156 @@ def _moduli(top: int, bound: int):
     return moduli, weights, prod
 
 
-def char_poly(m) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - A) of a square integer matrix
-    A, given as an int array or a list of int rows, from the power sums
-    s_k = tr(A^k) and Newton's identities
-    k c_k = -(c_(k-1) s_1 + ... + c_0 s_k), where c_k is the coefficient of
-    x^(n-k); every division is exact.  Works for any square integer matrix,
-    symmetric or not, with n * max|a| <= WORD_LIMIT = 2^26.  Raises
-    ValueError on a non-square or non-integer matrix and on one past that
-    limit.
+def _traces(x: np.ndarray, n: int) -> np.ndarray:
+    """The trace of every n x n block of an (N, P n, n) stack, as (N, P)."""
+    return x.reshape(len(x), -1, n * n)[:, :, ::n + 1].sum(axis=2)
 
-    The power sums come from residues in machine words.  A^k is held modulo
-    P pairwise-coprime moduli m <= 2^52 / (n max|a|) as one (P n, n) float64
-    array X, starting from A reduced, so one step is one product X @ A and
-    one reduction y - floor(y / m) m.  Division is
+
+def _exact_traces(a: np.ndarray, weight: int):
+    """tr A^k of every matrix of the (N, n, n) stack a for k = 1, 2, ...
+    while the powers stay exact, as (N, 1) arrays, and the last power
+    taken: the next product is taken only while max|A^k| * weight
+    <= 2^52."""
+    n = a.shape[-1]
+    x, traces = a, [_traces(a, n)]
+    while len(traces) < n and int(np.abs(x).max()) * weight <= 1 << 52:
+        x = x @ a
+        traces.append(_traces(x, n))
+    return x, traces
+
+
+def _reduce(x: np.ndarray, q: np.ndarray, col: np.ndarray) -> None:
+    """x - floor(x / m) m in place, m the modulus of each row in col; q is
+    scratch of x's shape."""
+    np.divide(x, col, out=q)
+    np.floor(q, out=q)
+    q *= col
+    x -= q
+
+
+def _power_sums(a: np.ndarray, weight: int, moduli, weights, prod) -> list:
+    """s_k = tr A^k for k = 1 .. n of every matrix of the (N, n, n) stack
+    a, one list of ints per matrix: exact while `_exact_traces` allows,
+    then rebuilt by CRT from residue traces.  Two (N, P n, n) buffers take
+    turns as the product and the scratch."""
+    n = a.shape[-1]
+    x, traces = _exact_traces(a, weight)
+    sums = [[int(t) for t in row]
+            for row in np.concatenate(traces, axis=1).tolist()]
+    if len(traces) == n:
+        return sums
+    col = np.repeat(np.array(moduli, dtype=float), n)[:, None]
+    x = np.repeat(x[:, None], len(moduli), axis=1).reshape(len(a), -1, n)
+    q = np.empty_like(x)
+    _reduce(x, q, col)
+    residues = []
+    for _ in range(n - len(traces)):
+        np.matmul(x, a, out=q)
+        x, q = q, x
+        _reduce(x, q, col)
+        residues.append(_traces(x, n))
+    for head, rows in zip(sums, np.stack(residues, axis=1).tolist()):
+        for row in rows:
+            r = sum(int(t) * w for t, w in zip(row, weights)) % prod
+            head.append(r - prod if 2 * r > prod else r)
+    return sums
+
+
+def _newton(sums) -> IntPolynomial:
+    """det(xI - A) from the power sums s_1 .. s_n of A by Newton's
+    identities k c_k = -(c_(k-1) s_1 + ... + c_0 s_k), where c_k is the
+    coefficient of x^(n-k); every division is exact."""
+    coeffs = [1]  # c_0 .. c_(k-1)
+    for k in range(1, len(sums) + 1):
+        t = sum(c * s for c, s in zip(reversed(coeffs), sums))
+        if t % k:
+            raise ArithmeticError("Newton identity sum not divisible")
+        coeffs.append(-(t // k))
+    return IntPolynomial(coeffs[::-1])
+
+
+def char_polys(mats) -> list:
+    """Exact characteristic polynomial det(xI - A) of every matrix of a
+    stack of same-order square integer matrices, given as an (N, n, n) int
+    array or a sequence of (n, n) int arrays or lists of int rows; `[]` is
+    the empty stack.  Returns one IntPolynomial per matrix, in stack order.
+    Works for any integer matrices, symmetric or not, with
+    n * max|a| <= WORD_LIMIT = 2^26.  Raises ValueError on input that is
+    not a stack of square matrices, on non-integer entries and on a matrix
+    past that limit.
+
+    Each polynomial comes from the power sums s_k = tr(A^k) by Newton's
+    identities.  The whole stack is advanced together, one batched product
+    X @ A per power, in two phases.
+
+    Exact phase.  X holds A^k itself.  With w the largest sum of |a_ij|
+    over one matrix of the stack, every entry and partial sum of X @ A is
+    at most max|X| ||A||_1 <= max|X| w in magnitude, ||A||_1 the largest
+    column sum of |A|, and every partial sum of its trace at most
+    sum_(i,l) |x_il| |a_li| <= max|X| w.  So while max|X| w <= 2^52 the
+    next power and its trace are integers of magnitude at most 2^52, which
+    float64 holds exactly whatever order BLAS sums in, with or without FMA.
+    For Q of every cactus on n <= 12 vertices the phase runs to A^n, so a
+    step is one product and one trace.
+
+    Residue phase, from the first product that could pass 2^52.  A^k is
+    held modulo P pairwise-coprime moduli m <= 2^52 / (n max|a|) as one
+    (N, P n, n) float64 array X, starting from A^k reduced, so one step is
+    one product X @ A and one reduction y - floor(y / m) m.  Division is
     correctly rounded, so floor(y / m) is the true floor or one more, and
-    every residue r has |r| <= m.  Then every entry and partial sum of X @ A
-    is an integer of magnitude at most n m max|a| <= 2^52, and so is every
-    trace: float64 holds them exactly whatever order BLAS sums in, with or
-    without FMA.  Each s_k is rebuilt from its P traces by the Chinese
+    every residue r has |r| <= m.  Then every entry and partial sum of
+    X @ A is an integer of magnitude at most n m max|a| <= 2^52, and so is
+    every trace.  Each s_k is rebuilt from its P traces by the Chinese
     remainder theorem, as the residue of least magnitude modulo the product
     M of the moduli.  That is s_k itself once M > 2 |s_k|, and P is chosen
-    with M > 2 F^n, F = isqrt(||A||_F^2) + 1.  For k >= 2 Schur's
-    inequality sum |lambda|^2 <= ||A||_F^2 gives
+    with M > 2 F^n, F = isqrt(||A||_F^2) + 1 for the largest Frobenius
+    norm of the stack.  For k >= 2 Schur's inequality
+    sum |lambda|^2 <= ||A||_F^2 gives
     |tr A^k| <= sum |lambda|^k <= ||A||_F^k <= F^n.  For k = 1,
     |tr A| <= sqrt(n) ||A||_F <= F^n, since F >= 2 unless A = 0.  Coprime
-    moduli are all the theorem needs; none has to be prime.
+    moduli are all the theorem needs; none has to be prime.  The stack is
+    solved RADII_SLICE // P matrices at a time, so the residues held at
+    once do not grow with it.
+    """
+    a = np.asarray(mats)
+    if a.shape == (0,):  # [] is the empty stack
+        return []
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"char_polys requires a stack of square matrices, "
+                         f"got shape {a.shape}")
+    if a.dtype.kind not in "iu":
+        raise ValueError("char_poly requires exact integer entries")
+    count, n = a.shape[:2]
+    if not count * n:
+        return [IntPolynomial([1]) for _ in range(count)]
+    # Python ints: np.abs overflows on the int64 entry -2^63
+    amax = max(int(a.max()), -int(a.min()))
+    if n * amax > WORD_LIMIT:
+        raise ValueError(f"char_poly requires n * max|a| <= 2^26, "
+                         f"got {n} * {amax}")
+    a = a.astype(float)
+    # at most n^2 max|a| and (n max|a|)^2 <= 2^52: exact
+    weight = int(np.abs(a).sum(axis=(1, 2)).max())
+    frobenius = int((a * a).sum(axis=(1, 2)).max())
+    moduli, weights, prod = _moduli((1 << 52) // (n * max(amax, 1)),
+                                    (isqrt(frobenius) + 1) ** n)
+    polys, step = [], max(1, RADII_SLICE // len(moduli))
+    for i in range(0, count, step):
+        polys += map(_newton, _power_sums(a[i:i + step], weight, moduli,
+                                          weights, prod))
+    return polys
+
+
+def char_poly(m) -> IntPolynomial:
+    """Exact characteristic polynomial det(xI - A) of one square integer
+    matrix A, given as an int array or a list of int rows; `[]` is the
+    0 x 0 matrix.  It is `char_polys` of the one-matrix stack, so the same
+    limit n * max|a| <= WORD_LIMIT = 2^26 holds.  Raises ValueError on a
+    non-square or non-integer matrix and on one past that limit.
     """
     arr = np.asarray(m)
     if arr.shape == (0,):  # [] is the 0 x 0 matrix
         arr = arr.astype(int).reshape(0, 0)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"char_poly requires a square matrix, got shape {arr.shape}")
-    if arr.dtype.kind not in "iu":
-        raise ValueError("char_poly requires exact integer entries")
-    n = len(arr)
-    if not n:
-        return IntPolynomial([1])
-    # Python ints: np.abs overflows on the int64 entry -2^63
-    amax = max(int(arr.max()), -int(arr.min()))
-    if n * amax > WORD_LIMIT:
-        raise ValueError(f"char_poly requires n * max|a| <= 2^26, "
-                         f"got {n} * {amax}")
-    a = arr.astype(float)
-    frobenius = int((a * a).sum())  # at most (n max|a|)^2 <= 2^52: exact
-    moduli, weights, prod = _moduli((1 << 52) // (n * max(amax, 1)),
-                                    (isqrt(frobenius) + 1) ** n)
-    col = np.repeat(np.array(moduli, dtype=float), n)[:, None]
-    x = np.tile(a, (len(moduli), 1))  # A^1, reduced by the first pass
-    traces = []
-    for k in range(n):
-        if k:
-            x = x @ a
-        q = x / col
-        np.floor(q, out=q)
-        q *= col
-        x -= q  # in place: two new arrays a step, not four
-        traces.append(x.reshape(-1, n * n)[:, ::n + 1].sum(axis=1))
-    coeffs, sums = [1], []  # c_0 .. c_(k-1) and s_1 .. s_k
-    for k, row in enumerate(np.array(traces).tolist(), 1):
-        r = sum(int(t) * w for t, w in zip(row, weights)) % prod
-        sums.append(r - prod if 2 * r > prod else r)
-        t = sum(c * s for c, s in zip(reversed(coeffs), sums))
-        if t % k:
-            raise ArithmeticError("Newton identity sum not divisible")
-        coeffs.append(-(t // k))
-    return IntPolynomial(coeffs[::-1])
+    return char_polys(arr[None])[0]

@@ -4,14 +4,14 @@ Both strictly increase the signless Laplacian spectral radius under their
 respective hypotheses; the property tests check exactly that.
 
 Each takes its vertices directly, integers in 0..order-1 (see
-`graph.as_index`) checked before anything is indexed, requires a connected
-graph and checks its other hypotheses on one `Graph.adjacency()`; a violation
-raises ValueError naming it.
+`graph.as_index`) checked before anything is indexed, and checks that the
+graph is connected and its other hypotheses on one `Graph.adjacency()`; a
+violation raises ValueError naming it.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, _norm_edge, as_index, from_edges, is_connected
+from .graph import Graph, _connected, _norm_edge, as_index, from_edges
 
 
 def _vertex(g: Graph, value, what: str) -> int:
@@ -31,13 +31,13 @@ def shift_neighbors(g: Graph, v: int, u: int, moved) -> Graph:
     v = _vertex(g, v, "source vertex")
     u = _vertex(g, u, "target vertex")
     moved = {_vertex(g, w, "moved vertex") for w in moved}
-    if not is_connected(g):
+    adj = g.adjacency()
+    if not _connected(adj):
         raise ValueError("shift_neighbors requires a connected graph")
     if u == v:
         raise ValueError(f"source and target coincide at vertex {u}")
     if not moved:
         raise ValueError("at least one neighbor must be moved")
-    adj = g.adjacency()
     for w in sorted(moved):
         if w == u:
             raise ValueError(f"moved vertex {w} is the target vertex")
@@ -61,9 +61,9 @@ def contract_pend(g: Graph, u: int, v: int) -> Graph:
     """
     u = _vertex(g, u, "vertex u")
     v = _vertex(g, v, "vertex v")
-    if not is_connected(g):
-        raise ValueError("contract_pend requires a connected graph")
     adj = g.adjacency()
+    if not _connected(adj):
+        raise ValueError("contract_pend requires a connected graph")
     if v not in adj[u]:
         raise ValueError(f"({u}, {v}) is not an edge")
     if len(adj[u]) == 1 or len(adj[v]) == 1:

@@ -32,7 +32,7 @@ from .graph import (Graph, as_index, block_decomposition, canonical_code,
 from .polynomials import compare_largest_roots
 # graph_radius is not called here; perfbench's layer-trace self-test reads it
 # as cactiq.verify.graph_radius
-from .spectra import char_poly, graph_radius, signless_laplacian  # noqa: F401
+from .spectra import char_polys, graph_radius, signless_laplacian  # noqa: F401
 from .transforms import contract_pend, shift_neighbors
 
 RADIUS_TOL = 1e-9
@@ -94,7 +94,8 @@ def rank_certified(graphs, radii):
     near = [i for i in order if radii[best] - radii[i] < EXACT_ESCALATION_GAP]
     tie = False
     if len(near) > 1:
-        polys = {i: char_poly(signless_laplacian(graphs[i])) for i in near}
+        polys = dict(zip(near, char_polys(
+            [signless_laplacian(graphs[i]) for i in near])))
         near.sort(key=cmp_to_key(
             lambda a, b: compare_largest_roots(polys[b], polys[a])))
         best, second = near[0], near[1]
@@ -210,21 +211,26 @@ def verify_conjecture11_negative(n: int, m: int | None = None) -> VerificationRe
 
 def verify_formulas(max_n: int = 24) -> VerificationReport:
     """Exact identity of both factored formulas against the determinant-free
-    exact characteristic polynomial, plus the legacy-formula erratum.  max_n
-    must be an integer (see `graph.as_index`)."""
+    exact characteristic polynomial, plus the legacy-formula erratum.  The
+    members of each order are solved in one `spectra.char_polys` call;
+    failures are listed in (family, s, k) order.  max_n must be an integer
+    (see `graph.as_index`)."""
     max_n = as_index(max_n, "max_n")
     if max_n > 24:
         raise ValueError("max_n capped at 24")
     if max_n < 3:
         raise ValueError(f"max_n must be >= 3, the order of H(1, 0), got {max_n}")
     report = VerificationReport(claim="formulas", parameters={"max_n": max_n})
-    failures = []
-    checked = 0
-    for family, psi in (("H", psi_H), ("L", psi_L)):
-        for p in members(family, max_n):
-            if psi(p.n, p.k) != char_poly(signless_laplacian(build(p))):
-                failures.append({"family": family, "s": p.s, "k": p.k})
-            checked += 1
+    points = [(psi, p) for family, psi in (("H", psi_H), ("L", psi_L))
+              for p in members(family, max_n)]
+    failed = set()
+    for n in {p.n for _, p in points}:
+        group = [(psi, p) for psi, p in points if p.n == n]
+        polys = char_polys([signless_laplacian(build(p)) for _, p in group])
+        failed.update(p for (psi, p), poly in zip(group, polys)
+                      if psi(p.n, p.k) != poly)
+    failures = [{"family": p.family, "s": p.s, "k": p.k}
+                for _, p in points if p in failed]
 
     mismatches, legacy_failures = [], []
     def check_legacy(family, psi, n, k):
@@ -247,7 +253,7 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
 
     report.passed = not failures and not legacy_failures
     report.counterexamples = failures + legacy_failures
-    report.details = {"identities_checked": checked,
+    report.details = {"identities_checked": len(points),
                       "identity_failures": len(failures),
                       "legacy_mismatches": mismatches}
     return report

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,16 @@ def test_orders_and_pendants_are_integers(call, args, field, bad):
     with pytest.raises(ValueError,
                        match=f"^{field} must be an integer, got {bad!r}$"):
         call(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("H", 5.5), "max_n must be an integer, got 5.5"),
+    (("X", 5), "unknown family 'X'"),
+    (("L", None), "max_n must be an integer, got None")])
+def test_members_checks_at_the_call(args, message):
+    # no next() is taken: the call itself refuses
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        members(*args)
 
 
 def test_integer_like_orders_and_pendants_accepted():

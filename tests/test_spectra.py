@@ -10,9 +10,9 @@ from cactiq.enumeration import enumerate_cacti
 from cactiq.families import build_H, build_L, extremal_answer
 from cactiq.graph import from_edges, is_connected
 from cactiq.polynomials import IntPolynomial, count_roots
-from cactiq.spectra import (_top_eigenpairs, char_poly, eigenpairs,
-                            graph_radius, radii, signless_laplacian,
-                            spectral_radius)
+from cactiq.spectra import (_exact_traces, _top_eigenpairs, char_poly,
+                            char_polys, eigenpairs, graph_radius, radii,
+                            signless_laplacian, spectral_radius)
 from oracles import faddeev_leverrier, packed_char_poly
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -442,3 +442,121 @@ class TestSubgraphMonotonicity:
                 continue
             assert graph_radius(g).radius - graph_radius(h).radius > 1e-10
             done += 1
+
+
+def exact_powers(stack) -> int:
+    """How many powers A, A^2, ... char_polys keeps exact for this stack."""
+    a = np.asarray(stack, dtype=float)
+    return len(_exact_traces(a, int(np.abs(a).sum(axis=(1, 2)).max()))[1])
+
+
+def limit_matrix(n, seed):
+    """A sparse signed n x n matrix with n * max|a| at WORD_LIMIT."""
+    top = spectra.WORD_LIMIT // n
+    rng = random.Random(seed)
+    rows = [[rng.randint(-top, top) if rng.random() < 0.25 else 0
+             for _ in range(n)] for _ in range(n)]
+    rows[0][-1], rows[-1][0] = -top, top
+    return rows
+
+
+class TestCharPolys:
+    """The stacked exact path against the one-matrix call and both oracles."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_class_in_one_call(self, n):
+        qs = [signless_laplacian(g) for g in enumerate_cacti(n)]
+        got = char_polys(qs)
+        assert got == char_polys(np.array(qs))
+        assert got == [char_poly(q) for q in qs] == \
+            [packed_char_poly(q) for q in qs]
+
+    def test_mixed_stack_shares_moduli(self, monkeypatch):
+        taken, moduli = [], spectra._moduli
+
+        def spy(top, bound):
+            taken.append(moduli(top, bound))
+            return taken[-1]
+
+        monkeypatch.setattr(spectra, "_moduli", spy)
+        stack = [[[0] * 8 for _ in range(8)], limit_matrix(8, 5)]
+        want = [char_poly(rows) for rows in stack]
+        alone = [len(m) for m, _, _ in taken]
+        # alone, the zero matrix needs one modulus and the other several
+        assert alone[0] == 1 < alone[1]
+        assert char_polys(stack) == want == \
+            [IntPolynomial(faddeev_leverrier(rows)) for rows in stack]
+        assert len(taken[-1][0]) == alone[1]
+
+    @pytest.mark.parametrize("stack, want", [
+        ([], []), (np.zeros((0, 4, 4), dtype=int), []),
+        (np.zeros((3, 0, 0), dtype=int), [IntPolynomial([1])] * 3),
+        ([np.zeros((0, 0), dtype=int)], [IntPolynomial([1])])])
+    def test_empty_stacks(self, stack, want):
+        assert char_polys(stack) == want
+
+    def test_cactus_powers_stay_exact(self):
+        # Q of every cactus to order 10, and the family members to order 12,
+        # keep every power exact; so does 2^25 J at n = 2, where
+        # max|A| * sum |a| is 2^52 exactly
+        for n in range(2, 11):
+            qs = [signless_laplacian(g) for g in enumerate_cacti(n)]
+            assert exact_powers(qs) == n
+        members = [build_H(s, 12 - 1 - 2 * s) for s in range(6)]
+        members += [build_L(s, 12 - 2 - 2 * s) for s in range(5)]
+        qs = [signless_laplacian(g) for g in members]
+        assert exact_powers(qs) == 12
+        assert char_polys(qs) == [IntPolynomial(faddeev_leverrier(q.tolist()))
+                                  for q in qs]
+        top = [[1 << 25] * 2] * 2
+        assert exact_powers([top]) == 2
+        assert char_polys([top]) == [IntPolynomial((-1 << 26, 1)) *
+                                     IntPolynomial((0, 1))]
+
+    @pytest.mark.parametrize("d, exact", [(1 << 13, 4), ((1 << 13) + 1, 3)])
+    def test_exact_phase_ends_at_2_to_52(self, d, exact):
+        # diag(d, 0, 0, 0): the product to A^4 is exact while d^4 <= 2^52
+        rows = [[d if i == j == 0 else 0 for j in range(4)] for i in range(4)]
+        assert exact_powers([rows]) == exact
+        assert char_polys([rows]) == [char_poly(rows)] == \
+            [IntPolynomial(faddeev_leverrier(rows))]
+
+    @pytest.mark.parametrize("n", [3, 10, 24])
+    def test_reduced_from_the_first_product_that_can_pass(self, n):
+        # A A never passes 2^52 under the word limit, since
+        # (n max|a|)^2 <= 2^52; at the limit every later product is reduced
+        stack = [limit_matrix(n, seed) for seed in range(3)]
+        stack.append([[spectra.WORD_LIMIT // n] * n] * n)
+        assert exact_powers(stack) == 2
+        assert char_polys(stack) == \
+            [IntPolynomial(faddeev_leverrier(rows)) for rows in stack]
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_slices_give_the_same_polys(self, monkeypatch, size):
+        stack = [limit_matrix(6, seed) for seed in range(7)]
+        want = char_polys(stack)
+        monkeypatch.setattr(spectra, "RADII_SLICE", size)
+        assert char_polys(stack) == want
+
+    @pytest.mark.parametrize("stack", [
+        np.eye(3, dtype=int), [[1, 2], [3, 4]], np.zeros((2, 3, 4), dtype=int),
+        np.zeros((2, 2, 2, 2), dtype=int), [1, 2]])
+    def test_rejects_non_stack(self, stack):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            char_polys(stack)
+
+    def test_rejects_ragged_stack(self):
+        with pytest.raises(ValueError):
+            char_polys([np.eye(2, dtype=int), np.eye(3, dtype=int)])
+
+    @pytest.mark.parametrize("stack", [
+        np.zeros((2, 2, 2)), [[[1, 0], [0, 0.5]]], np.zeros((0, 3, 3))])
+    def test_rejects_non_integer(self, stack):
+        with pytest.raises(ValueError, match="integer"):
+            char_polys(stack)
+
+    def test_rejects_past_the_limit(self):
+        past = limit_matrix(8, 1)
+        past[0][-1] -= 1
+        with pytest.raises(ValueError, match=WORD_LIMIT_MESSAGE):
+            char_polys([[[0] * 8] * 8, past])

@@ -203,3 +203,20 @@ def test_surgeries_match_networkx(n):
                     else:
                         with pytest.raises(ValueError):
                             shift_neighbors(g, v, u, [w])
+
+
+@pytest.mark.parametrize("surgery, args", [
+    (shift_neighbors, (P4, 2, 1, [3])), (contract_pend, (C4, 0, 1)),
+    # a disconnected graph is refused on the same one adjacency
+    (shift_neighbors, (from_edges(4, [(0, 1), (2, 3)]), 0, 2, [1])),
+    (contract_pend, (from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)]), 1, 2))])
+def test_surgeries_derive_adjacency_once(monkeypatch, surgery, args):
+    calls = []
+    adjacency = type(P4).adjacency
+    monkeypatch.setattr(type(P4), "adjacency",
+                        lambda g: calls.append(g) or adjacency(g))
+    try:
+        surgery(*args)
+    except ValueError as exc:
+        assert "connected" in str(exc)
+    assert calls == [args[0]]

@@ -236,6 +236,24 @@ class TestFormulas:
         with pytest.raises(ValueError):
             verify_formulas(25)
 
+    def test_failures_in_family_s_k_order(self, monkeypatch):
+        # members are solved one order at a time, yet failures keep the
+        # (family, s, k) order of the member lists
+        wrong = polynomials.IntPolynomial([1])
+        psi_H, psi_L = verify.psi_H, verify.psi_L
+        monkeypatch.setattr(verify, "psi_H", lambda n, k: wrong if k % 3 == 1
+                            else psi_H(n, k))
+        monkeypatch.setattr(verify, "psi_L", lambda n, k: wrong if n % 4 == 1
+                            else psi_L(n, k))
+        want = [{"family": p.family, "s": p.s, "k": p.k}
+                for family, bad in (("H", lambda p: p.k % 3 == 1),
+                                    ("L", lambda p: p.n % 4 == 1))
+                for p in verify.members(family, 12) if bad(p)]
+        r = verify_formulas(12)
+        assert not r.passed
+        assert r.counterexamples == want
+        assert r.details["identity_failures"] == len(want) == 14
+
 
 @pytest.mark.parametrize("call, args, field, bad", [
     # a float max_n or trials once raised TypeError, and a float seed ran
