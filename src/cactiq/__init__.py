@@ -6,9 +6,9 @@ their closed-form spectra, radius-monotone graph surgeries, cactus
 enumeration, and the verification harness behind the `cactiq` CLI.
 """
 
-from .graph import (Graph, MatchingResult, BlockDecomposition, CanonicalCode,
-                    from_edges, is_cactus, is_bundle, matching_number,
-                    pendant_count, canonical_code, are_isomorphic)
+from .graph import (Graph, BlockDecomposition, CanonicalCode, from_edges,
+                    is_cactus, is_bundle, matching_number, pendant_count,
+                    canonical_code, are_isomorphic)
 from .polynomials import IntPolynomial, largest_real_root, compare_largest_roots
 from .spectra import (SpectralResult, signless_laplacian, spectral_radius,
                       graph_radius, eigenpairs, radii, char_poly, char_polys)

@@ -31,7 +31,7 @@ from .graph import (Graph, _block_code, _cactus_blocks, _peel, _vertex_code,
                     pendant_count)
 from .spectra import eigenpairs
 
-MAX_N = 10
+MAX_N = 13
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class Level:
         the classes with that pair, ascending, for every pair that occurs."""
         groups = {}
         for i, g in enumerate(self.graphs):
-            inv = (matching_number(g).size, pendant_count(g))
+            inv = (matching_number(g), pendant_count(g))
             groups.setdefault(inv, []).append(i)
         return groups
 

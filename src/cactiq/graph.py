@@ -9,7 +9,7 @@ graph.  The rest is defined on cacti only, and every path is polynomial:
 `_cactus_blocks` reads a cactus's blocks off that DFS, or raises ValueError
 saying why the graph is not a cactus.  From those blocks a cactus gets a
 near-linear canonical code from its vertex-block tree, encoded bottom-up
-from its centre, and its maximum matching in linear time, by peeling
+from its centre, and its matching number in linear time, by peeling
 endblocks in DFS post-order (`_peel_matching`).
 """
 
@@ -45,13 +45,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(order={self.order}, edges={sorted(self.edges)})"
-
-
-@dataclass(frozen=True)
-class MatchingResult:
-    """A maximum matching: its size and a witnessing edge set."""
-    size: int
-    witness: frozenset
 
 
 @dataclass(frozen=True)
@@ -240,49 +233,43 @@ def is_bundle(g: Graph) -> bool:
     return len(common) == 1
 
 
-def _peel_matching(n: int, blocks) -> list:
-    """A maximum matching of the cactus on n vertices with these blocks (as
-    from `_cactus_blocks`), as vertex pairs.
+def _peel_matching(n: int, blocks) -> int:
+    """The matching number of the cactus on n vertices with these blocks (as
+    from `_cactus_blocks`).
 
     The blocks come in DFS post-order, so when a block is reached every block
     below its non-attachment vertices is done and each of them is either free
     or matched; its attachment vertex a is its first vertex.  The free ones
     split into runs of consecutive vertices round the block (an edge block is
-    one run of length 1), and each run is matched along itself.  An odd run
-    that touches a takes a as well while a is free: matching a now gains an
-    edge, while leaving it free gains at most one later.
+    one run of length 1), and each run is matched along itself, adding half
+    its length, rounded down.  An odd run that touches a takes a as well
+    while a is free, adding one more: matching a now gains an edge, while
+    leaving it free gains at most one later.
     """
     free = [True] * n
-    pairs = []
+    size = 0
     for b in blocks:
-        a, first, last = b[0], b[1], b[-1]
-        runs, run = [], []
+        runs = [0]  # run lengths, split at each matched vertex
         for v in b[1:]:
             if free[v]:
-                run.append(v)
-            elif run:
-                runs.append(run)
-                run = []
-        if run:
-            runs.append(run)
-        for run in runs:
-            if len(run) % 2 and free[a] and (run[0] == first or run[-1] == last):
-                free[a] = False
-                run = [a] + run if run[0] == first else run + [a]
-            pairs += zip(run[::2], run[1::2])
-    return pairs
+                runs[-1] += 1
+            else:
+                runs.append(0)
+        size += sum(r // 2 for r in runs)
+        if free[b[0]] and (runs[0] % 2 or runs[-1] % 2):
+            free[b[0]] = False
+            size += 1
+    return size
 
 
-def matching_number(g: Graph) -> MatchingResult:
-    """Maximum matching of the cactus g, with a witnessing edge set.
+def matching_number(g: Graph) -> int:
+    """The matching number of the cactus g, the size of a maximum matching.
 
-    Matched in linear time by endblock peeling over the blocks of one
+    Counted in linear time by endblock peeling over the blocks of one
     biconnected DFS (`_peel_matching`).  Raises ValueError on non-cactus
     input.
     """
-    pairs = _peel_matching(g.order, _cactus_blocks(g))
-    witness = frozenset(_norm_edge(u, v) for u, v in pairs)
-    return MatchingResult(size=len(witness), witness=witness)
+    return _peel_matching(g.order, _cactus_blocks(g))
 
 
 def pendant_count(g: Graph) -> int:

@@ -22,6 +22,8 @@ def _encode_order(n: int) -> bytes:
 def _decode_order(data: bytes):
     if not data:
         raise ValueError("empty graph6 string")
+    if not 63 <= data[0] <= 126:
+        raise ValueError("invalid byte in graph6 order prefix")
     if data[0] != 126:
         return data[0] - 63, 1
     if len(data) < 4:

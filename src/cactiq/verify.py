@@ -268,10 +268,10 @@ def _first_coeff_diff(a, b):
 # Monotonicity property suites
 # ---------------------------------------------------------------------------
 
-def _random_cactus(rng: random.Random, lo: int = 3, hi: int = 8):
-    """A class of a random order in lo..hi, with its Q-radius and Perron
+def _random_cactus(rng: random.Random):
+    """A class of a random order in 3..8, with its Q-radius and Perron
     vector read from the order's table."""
-    level = classes(rng.randint(lo, hi))
+    level = classes(rng.randint(3, 8))
     i = rng.randrange(len(level.graphs))
     radius, perron = level.spectra
     return level.graphs[i], float(radius[i]), perron[i]
@@ -325,20 +325,19 @@ def _draw_subgraph_instance(rng: random.Random):
 
     H drops either one edge of a cycle, the first in a shuffled edge order
     (deleting an edge leaves a cactus connected iff the edge lies on a
-    cycle, a block of more than two edges), or one non-cut vertex."""
-    while True:
-        g, q0, _ = _random_cactus(rng)
-        blocks = block_decomposition(g)
-        if rng.random() < 0.5 and g.size > g.order - 1:
-            edges = sorted(g.edges)
-            rng.shuffle(edges)
-            on_cycle = {e for b in blocks.blocks if len(b) > 2 for e in b}
-            e = next(e for e in edges if e in on_cycle)
-            return g, q0, from_edges(g.order, [x for x in edges if x != e])
-        cuts = blocks.cut_vertices
-        options = [v for v in range(g.order) if v not in cuts]
-        if g.order >= 3 and options:
-            return g, q0, _delete_vertex(g, rng.choice(options))
+    cycle, a block of more than two edges), or one non-cut vertex, which a
+    connected graph on two or more vertices always has."""
+    g, q0, _ = _random_cactus(rng)
+    blocks = block_decomposition(g)
+    if rng.random() < 0.5 and g.size > g.order - 1:
+        edges = sorted(g.edges)
+        rng.shuffle(edges)
+        on_cycle = {e for b in blocks.blocks if len(b) > 2 for e in b}
+        e = next(e for e in edges if e in on_cycle)
+        return g, q0, from_edges(g.order, [x for x in edges if x != e])
+    cuts = blocks.cut_vertices
+    options = [v for v in range(g.order) if v not in cuts]
+    return g, q0, _delete_vertex(g, rng.choice(options))
 
 
 def _instances(rng: random.Random, trials: int):

@@ -252,7 +252,7 @@ def has_edge_graph6(g: Graph) -> str:
 
 @lru_cache(maxsize=None)
 def _scanned_invariants(n: int) -> tuple:
-    return tuple((matching_number(g).size, pendant_count(g))
+    return tuple((matching_number(g), pendant_count(g))
                  for g in enumerate_cacti(n))
 
 

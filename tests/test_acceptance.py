@@ -167,7 +167,7 @@ def _matching_agrees(g) -> bool:
     """A cactus's matching number equals the subset oracle's; any other
     graph is rejected."""
     if is_cactus(g):
-        return matching_number(g).size == brute_matching(g)
+        return matching_number(g) == brute_matching(g)
     try:
         matching_number(g)
     except ValueError:

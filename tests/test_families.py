@@ -80,10 +80,10 @@ class TestConstruction:
             for k in range(0, 64):
                 if s + k >= 1 and 2 * s + k + 1 <= 64:
                     want = s + min(k, 1)
-                    assert matching_number(build_H(s, k)).size == want
+                    assert matching_number(build_H(s, k)) == want
                 if k >= 1 and 2 * s + k + 2 <= 64:
                     want = s + 1 + (1 if k >= 2 else 0)
-                    assert matching_number(build_L(s, k)).size == want
+                    assert matching_number(build_L(s, k)) == want
 
     def test_build_dispatch(self):
         assert build(FamilyParams("H", 2, 1)) == build_H(2, 1)

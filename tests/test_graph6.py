@@ -97,6 +97,18 @@ def test_non_ascii_input_names_the_character(text, bad, capsys):
     assert capsys.readouterr().err == f"error: invalid graph6 character '{bad}'\n"
 
 
+@pytest.mark.parametrize("text", [chr(127) + "?" * 336, ">" + "?" * 5],
+                         ids=["byte-127", "byte-62"])
+def test_order_byte_outside_short_form_rejected(text, capsys):
+    # the short form is 63..126 only; 127 would read as order 64, 62 as -1
+    with pytest.raises(ValueError,
+                       match="^invalid byte in graph6 order prefix$"):
+        graph6.decode(text)
+    assert main(["radius", "--graph6", text]) == 2
+    assert capsys.readouterr().err == \
+        "error: invalid byte in graph6 order prefix\n"
+
+
 def test_long_form_order_prefix():
     g = from_edges(63, [(i, i + 1) for i in range(62)])
     text = graph6.encode(g)

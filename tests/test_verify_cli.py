@@ -465,8 +465,8 @@ class TestCli:
         assert capsys.readouterr().out == "@\n"
 
     @pytest.mark.parametrize("args", [
-        ["--n", "11", "--matching", "9"],
-        ["--n", "11", "--pendants", "2"],
+        ["--n", "14", "--matching", "9"],
+        ["--n", "14", "--pendants", "2"],
         ["--n", "1000", "--pendants", "2000", "--format", "count"],
     ])
     def test_enumerate_past_guard_exit_2(self, args, capsys):
@@ -475,7 +475,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == \
-            f"error: n = {args[1]} exceeds the enumeration guard 10\n"
+            f"error: n = {args[1]} exceeds the enumeration guard 13\n"
 
     @pytest.mark.parametrize("args, flag, value", [
         (["--matching", "-1"], "matching", -1),
