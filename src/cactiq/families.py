@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .graph import Graph, as_index, from_edges
-from .polynomials import IntPolynomial, largest_real_root, monomial_shift
+from .polynomials import IntPolynomial, _convolve, largest_real_root
 
 
 # vertices besides the triangles' and the k pendants': the hub, plus the
@@ -114,10 +114,16 @@ def l_quintic(n: int, k: int) -> IntPolynomial:
                           -(12 * n - 2 * k - 10), 6 * n + 4, -(n + 5), 1))
 
 
+def _binomial_power(c: int, e: int) -> list:
+    """The ascending coefficients of (x - c)^e, by the binomial theorem."""
+    return [math.comb(e, i) * (-c) ** (e - i) for i in range(e + 1)]
+
+
 def _closed_form(family: str, core, n: int, k: int) -> IntPolynomial:
     """(x-1)^e1 (x-3)^e3 times core(n, k), the factored formula shape of the
     member of family H or L with order n, k pendants and s >= 1:
     e1 = s + k - 1 and e3 = s - 1 for H, e1 = s + k - 2 and e3 = s - 1 for L.
+    Both powers are expanded by binomials and convolved once with the core.
     n and k must be integers (see `graph.as_index`); any other (n, k) raises
     ValueError."""
     n, k = as_index(n, "n"), as_index(k, "k")
@@ -129,8 +135,8 @@ def _closed_form(family: str, core, n: int, k: int) -> IntPolynomial:
                          f"at n = {n}, k = {k}")
     p = FamilyParams(family, twice_s // 2, k)
     e1 = p.s + p.k - (1 if family == "H" else 2)
-    return (monomial_shift(1) ** e1 * monomial_shift(3) ** (p.s - 1)
-            * core(n, k))
+    factor = _convolve(_binomial_power(1, e1), _binomial_power(3, p.s - 1))
+    return IntPolynomial(_convolve(factor, core(n, k).coeffs))
 
 
 def psi_H(n: int, k: int) -> IntPolynomial:

@@ -68,15 +68,7 @@ class IntPolynomial:
     def __mul__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(_convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -100,6 +92,19 @@ class IntPolynomial:
 
     def to_json(self) -> str:
         return json.dumps([str(c) for c in self.coeffs])
+
+
+def _convolve(a, b) -> list:
+    """The ascending coefficients of the product of the polynomials with
+    ascending coefficients a and b; empty when either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _coefficient(c) -> int:

@@ -18,7 +18,7 @@ from cactiq.enumeration import enumerate_cacti
 from cactiq.graph import (Graph, block_decomposition, canonical_code,
                           from_edges, is_cactus, is_connected,
                           matching_number, pendant_count)
-from cactiq.polynomials import IntPolynomial
+from cactiq.polynomials import IntPolynomial, monomial_shift
 
 
 def all_labeled_graphs(n, min_edges=0, max_edges=None):
@@ -433,6 +433,18 @@ def faddeev_leverrier(rows):
             AM[i][i] += c
         M = AM
     return coeffs
+
+
+def product_closed_form(family: str, core, n: int, k: int) -> IntPolynomial:
+    """(x-1)^e1 (x-3)^e3 times core(n, k) for the member of family "H" or
+    "L" with order n, k pendants and s >= 1, each power by repeated
+    `IntPolynomial` products, the form `families._closed_form` expanded
+    before it took binomials: e1 = s + k - 1 for H and s + k - 2 for L,
+    e3 = s - 1."""
+    offset = {"H": 1, "L": 2}[family]
+    s = (n - k - offset) // 2
+    return (monomial_shift(1) ** (s + k - offset)
+            * monomial_shift(3) ** (s - 1) * core(n, k))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from cactiq import enumeration, graph6
 from cactiq.enumeration import (MAX_N, CactusFilter, classes, count_cacti,
                                 enumerate_cacti)
 from cactiq.families import build_H
-from cactiq.graph import (_cactus_blocks, _cactus_code, _peel, are_isomorphic,
-                          canonical_code, from_edges, is_cactus,
-                          matching_number, pendant_count)
+from cactiq.graph import (_cactus_blocks, _cactus_code, _peel, _peel_matching,
+                          are_isomorphic, canonical_code, from_edges,
+                          is_cactus, matching_number, pendant_count)
 
 from oracles import (cactus_counts, extensions, oracle_cacti, scanned_level,
                      scanned_positions)
@@ -198,8 +198,10 @@ class TestExtensions:
     def test_block_list_codes_equal_canonical_code(self, n):
         for size in range(1, n):
             for g in enumeration._level(size).found:
-                assert list(enumeration._child_codes(g, n)) == \
-                    [canonical_code(c).code for c in extensions(g, n)]
+                assert list(enumeration._child_codes(
+                    size, _cactus_blocks(g), n, range(size))) == \
+                    list(enumerate(canonical_code(c).code
+                                   for c in extensions(g, n)))
 
     def test_path_recoding_equals_full_code_at_11(self):
         # every candidate of order 11, coded in full from its block list
@@ -208,8 +210,9 @@ class TestExtensions:
             path = list(range(size, 11))
             for g in enumeration._level(size).found:
                 blocks = _cactus_blocks(g)
-                assert list(enumeration._child_codes(g, 11)) == \
-                    [_cactus_code(11, blocks + [[v, *path]])
+                assert list(enumeration._child_codes(
+                    size, blocks, 11, range(size))) == \
+                    [(v, _cactus_code(11, blocks + [[v, *path]]))
                      for v in range(size)]
 
     @pytest.mark.parametrize("order, edges, n, v, centres", [
@@ -228,8 +231,33 @@ class TestExtensions:
         g = from_edges(order, edges)
         child = list(extensions(g, n))[v]
         assert (kind(g), kind(child)) == centres
-        assert list(enumeration._child_codes(g, n))[v] == \
+        assert dict(enumeration._child_codes(
+            order, _cactus_blocks(g), n, range(order)))[v] == \
             canonical_code(child).code
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_dropped_points_give_classes_already_seen(self, n):
+        # a scan that fully codes every candidate in the order of `_level`:
+        # each point `_attach_points` drops, from the path blocks or from
+        # the DFS blocks alike, gives a code seen before it
+        seen, dropped = set(), 0
+        for size in range(1, n):
+            level = enumeration._level(size)
+            for g, path in zip(level.found, level.paths):
+                points = enumeration._attach_points(
+                    size, enumeration._path_blocks(size, path), n - size)
+                assert points == enumeration._attach_points(
+                    size, _cactus_blocks(g), n - size)
+                assert points == sorted(set(points))
+                for v, child in enumerate(extensions(g, n)):
+                    code = canonical_code(child).code
+                    if v not in points:
+                        assert code in seen, (g, v)
+                        dropped += 1
+                    seen.add(code)
+        assert len(seen) == KNOWN_COUNTS[n]
+        # of 1, 3, 9, ..., 2153 and 7517 candidates
+        assert dropped == [0, 1, 4, 10, 28, 75, 245, 835, 3098][n - 2]
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_first_found_representatives(self, n):
@@ -240,6 +268,22 @@ class TestExtensions:
         assert level.found == tuple(want.values())
         assert level.graphs == tuple(want[code] for code in sorted(want))
         assert len(want) == KNOWN_COUNTS[n]
+
+
+class TestPaths:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_path_blocks_are_the_blocks(self, n):
+        # each class's path blocks are its DFS blocks as vertex sets, each
+        # a closed walk of its edges in the order given, and the matching
+        # peel over them counts its matching number
+        level = enumeration._level(n)
+        for g, path in zip(level.found, level.paths):
+            blocks = enumeration._path_blocks(n, path)
+            assert Counter(map(frozenset, blocks)) == \
+                Counter(map(frozenset, _cactus_blocks(g)))
+            assert all(g.has_edge(b[i - 1], b[i])
+                       for b in blocks for i in range(len(b)))
+            assert _peel_matching(n, blocks) == matching_number(g)
 
 
 class TestInvariantTable:
@@ -260,10 +304,10 @@ class TestInvariantTable:
             assert sorted(chain.from_iterable(new.groups.values())) == \
                 list(range(KNOWN_COUNTS[n]))
 
-    def test_cold_tables_hold_edge_sets_only(self):
-        # a class is its edge set: orders 1..10 built cold allocate 2.7 MB at
-        # peak, against 9.2 MB while every Graph also held one neighbour
-        # frozenset per vertex
+    def test_cold_tables_hold_edge_sets_and_paths_only(self):
+        # a class is its edge set and its build path: orders 1..10 built
+        # cold allocate 2.9 MB at peak, against 9.2 MB while every Graph also
+        # held one neighbour frozenset per vertex
         enumeration._level.cache_clear()
         tracemalloc.start()
         try:

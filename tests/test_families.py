@@ -15,6 +15,8 @@ from cactiq.graph import (is_bundle, is_cactus, matching_number, pendant_count)
 from cactiq.polynomials import IntPolynomial, largest_real_root, monomial_shift
 from cactiq.spectra import char_poly, graph_radius, signless_laplacian
 
+from oracles import product_closed_form
+
 
 def exact_poly(g):
     return char_poly(signless_laplacian(g))
@@ -226,6 +228,23 @@ class TestPsiL:
     def test_rejects_bad_parity(self):
         with pytest.raises(ValueError):
             psi_L(6, 1)
+
+
+class TestBinomialExpansion:
+    def test_equals_product_form_to_order_64(self):
+        # each closed form, current and legacy, of every member of order
+        # <= 64 against the same shape expanded by repeated products
+        cores = {"H": (psi_H, h_cubic, legacy_h_cubic),
+                 "L": (psi_L, l_quintic, legacy_l_quintic)}
+        checked = 0
+        for family, (psi, core, legacy) in cores.items():
+            for p in members(family, 64):
+                assert psi(p.n, p.k) == \
+                    product_closed_form(family, core, p.n, p.k), p
+                assert psi_legacy(family, p.n, p.k) == \
+                    product_closed_form(family, legacy, p.n, p.k), p
+                checked += 1
+        assert checked == 1922
 
 
 class TestLegacyErratum:
