@@ -7,8 +7,7 @@ cactus, with canonical-code deduplication, generates each isomorphism class
 exactly once per size.  A candidate is its parent plus one endblock at a
 vertex v, so its centre-rooted code differs from the parent's only on the
 path from v to the centre: each parent's vertex-block tree is peeled and
-coded once, each candidate recodes only that path, and only the first
-candidate of each class is built as a `Graph`.
+coded once, and each candidate recodes only that path.
 
 Most candidates need no code, by two rules that `_attach_points` applies
 to the parent's blocks (the cheap half of McKay's canonical-parent idea,
@@ -19,18 +18,21 @@ the same class, and smaller parents are scanned first.  Reflecting a lone
 big endblock about its cut vertex, or rotating a one-block parent, maps
 candidates onto earlier ones of the same parent.  Each dropped candidate's
 class was found before it, so every class keeps its first-found
-representative.  A class also keeps its build path, one byte pair
-(v, size) per block, from which its blocks are read (`_path_blocks`), so no
-class is searched for its blocks.
+representative.
+
+A class is held as its build path only, one byte pair (v, size) per block.
+Its blocks (`_path_blocks`), its matching number and pendant count, and
+its `Graph` (`_path_graph`) are all read off the path, so no class is
+searched for its blocks and no `Graph` is built until one is asked for.
 
 Each order has one table, a `Level`, held by the one cache `_level(n)`: the
-classes in discovery order with their paths, which the next order extends,
-and the same classes sorted by canonical code, the order of every output.
-The index from each (matching number, pendant count) pair to its classes'
-positions and the Q-radius and Perron vector of every class are computed on
-first use and kept in the table.  A filter selects the union of the groups
-it admits, so a filter that no class meets selects nothing.  `classes(n)` is
-the guarded way in.
+paths in discovery order, which the next order extends, and the order of
+the same classes by canonical code, the order of every output.  The Graphs
+in that order, the index from each (matching number, pendant count) pair to
+its classes' positions, and the Q-radius and Perron vector of every class
+are computed on first use and kept in the table.  A filter selects the
+union of the groups it admits, so a filter that no class meets selects
+nothing.  `classes(n)` is the guarded way in.
 """
 
 from __future__ import annotations
@@ -40,11 +42,16 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 
-from .graph import (Graph, _block_code, _peel, _peel_matching, _vertex_code,
-                    as_index, canonical_code, from_edges, pendant_count)
+from .graph import (MAX_ORDER, Graph, _block_code, _peel, _peel_matching,
+                    _vertex_code, as_index)
 from .spectra import eigenpairs
 
 MAX_N = 13
+
+# the edge (u, v), u < v, as one tuple, _EDGES[u][v], shared by every Graph
+# that `_path_graph` builds; _STEPS[u] is the edge (u, u + 1)
+_EDGES = [[(u, v) for v in range(MAX_ORDER)] for u in range(MAX_ORDER)]
+_STEPS = [row[u + 1] for u, row in enumerate(_EDGES[:-1])]
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,16 @@ class CactusFilter:
                 and (self.pendants is None or pendants == self.pendants))
 
 
+def _block_counts(o: int, blocks) -> list:
+    """The number of blocks at each vertex of a cactus of order o with
+    these blocks."""
+    count = [0] * o
+    for b in blocks:
+        for v in b:
+            count[v] += 1
+    return count
+
+
 def _attach_points(o: int, blocks, k: int) -> list:
     """The vertices v of a parent of order o with these blocks (vertex lists,
     a cycle's in cyclic order) at which a new block with k more vertices can
@@ -89,10 +106,7 @@ def _attach_points(o: int, blocks, k: int) -> list:
     alike, so only v = 0."""
     if len(blocks) < 2:
         return [] if blocks and len(blocks[0]) > k + 1 else [0]
-    count = [0] * o  # the number of blocks at each vertex
-    for b in blocks:
-        for v in b:
-            count[v] += 1
+    count = _block_counts(o, blocks)
     big = None
     for b in blocks:
         if len(b) <= k + 1:
@@ -167,32 +181,55 @@ def _path_blocks(n: int, path: bytes) -> list:
     return blocks
 
 
+def _path_graph(n: int, path: bytes) -> Graph:
+    """The Graph of the class of order n built along path: each pair
+    (v, size) adds the vertices size, ..., end - 1 as a path closed into a
+    cycle through v, end being the next pair's size or n for the last, or
+    the pendant edge (v, size) when end = size + 1.  Every edge is already
+    normalised, as v < size, and is taken from `_EDGES` (the path's through
+    `_STEPS`), so the Graphs share their edge tuples."""
+    edges = []
+    for v, size, end in zip(path[::2], path[1::2], (*path[3::2], n)):
+        edges += _STEPS[size:end - 1]
+        edges += _EDGES[v][size], _EDGES[v][end - 1]
+    return Graph(n, frozenset(edges))
+
+
 class Level:
-    """The cactus classes of one order.
+    """The cactus classes of one order, each held as its build path.
 
-    `found` holds them in discovery order, which the next order's scan
-    extends, and `paths` holds each one's build path beside it (see
-    `_level`); `graphs` holds the same graphs sorted by canonical code.  The
-    codes are used for the sort and then dropped."""
+    `paths` holds them in discovery order, which the next order's scan
+    extends (see `_level`).  `graphs` holds the same classes sorted by
+    canonical code, each built from its path on first use; the codes are
+    used for that order and then dropped."""
 
-    def __init__(self, bucket: dict, paths: list):
+    def __init__(self, n: int, bucket: dict):
         codes = list(bucket)
+        self._n = n
         # the discovery index of the class at each position of `graphs`
         self._order = array("I", sorted(range(len(codes)),
                                         key=codes.__getitem__))
-        self.found = tuple(bucket.values())
-        self.paths = tuple(paths)
-        self.graphs = tuple(self.found[i] for i in self._order)
+        self.paths = tuple(bucket.values())
+
+    @cached_property
+    def graphs(self) -> tuple:
+        """Every class's Graph, in canonical-code order."""
+        return tuple(_path_graph(self._n, self.paths[i]) for i in self._order)
 
     @cached_property
     def groups(self) -> dict:
         """(matching number, pendant count) -> the positions in `graphs` of
         the classes with that pair, ascending, for every pair that occurs.
-        The matching number is peeled off each class's path blocks."""
-        groups = {}
-        for pos, (g, i) in enumerate(zip(self.graphs, self._order)):
-            blocks = _path_blocks(g.order, self.paths[i])
-            inv = (_peel_matching(g.order, blocks), pendant_count(g))
+        Both are read off each class's path blocks: the matching number by
+        the peel, and the pendants as the vertices in exactly one block,
+        that block an edge."""
+        n, groups = self._n, {}
+        for pos, i in enumerate(self._order):
+            blocks = _path_blocks(n, self.paths[i])
+            count = _block_counts(n, blocks)
+            pendants = sum(count[v] == 1
+                           for b in blocks if len(b) == 2 for v in b)
+            inv = (_peel_matching(n, blocks), pendants)
             groups.setdefault(inv, []).append(pos)
         return groups
 
@@ -206,9 +243,9 @@ class Level:
     def positions(self, filt: CactusFilter | None = None):
         """Positions in `graphs` of the classes meeting the filter, ascending:
         a range when there is no filter, otherwise a tuple, the union of the
-        groups the filter admits."""
+        groups the filter admits.  No Graph is built."""
         if filt in (None, CactusFilter()):
-            return range(len(self.graphs))
+            return range(len(self.paths))
         return tuple(sorted(chain.from_iterable(
             pos for inv, pos in self.groups.items() if filt.admits(*inv))))
 
@@ -228,27 +265,21 @@ def _level(n: int) -> Level:
     candidate of every class is coded and the representatives are those of
     a scan that codes every candidate.  A parent with no point is not
     peeled.  Of the 7,517 candidates of order 10, 4,419 are coded; of the
-    391,567 of order 13, 203,397.  A `Graph` is built only for the first of
-    each class, as the parent's edges plus the new path and its two closing
-    edges (v, size) and (v, n - 1), all already normalised, so the edge
-    tuples are shared with the parent and need no validation."""
-    if n == 1:
-        g = from_edges(1, [])
-        return Level({canonical_code(g).code: g}, [b""])
-    bucket, paths = {}, []
+    391,567 of order 13, 203,397.  Only the path of each class is kept; no
+    `Graph` is built."""
+    if n == 1:  # K1: its code and its empty path
+        return Level(1, {b"()": b""})
+    bucket = {}
     for size in range(1, n):
-        level = _level(size)
-        for g, path in zip(level.found, level.paths):
+        for path in _level(size).paths:
             blocks = _path_blocks(size, path)
             points = _attach_points(size, blocks, n - size)
             if not points:
                 continue
-            edges = g.edges.union(zip(range(size, n - 1), range(size + 1, n)))
             for v, code in _child_codes(size, blocks, n, points):
                 if code not in bucket:
-                    bucket[code] = Graph(n, edges | {(v, size), (v, n - 1)})
-                    paths.append(path + bytes((v, size)))
-    return Level(bucket, paths)
+                    bucket[code] = path + bytes((v, size))
+    return Level(n, bucket)
 
 
 def classes(n: int) -> Level:
@@ -264,12 +295,16 @@ def classes(n: int) -> Level:
 
 def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:
     """One representative per isomorphism class of cacti on n vertices meeting
-    the filter, in ascending canonical-code order."""
+    the filter, in ascending canonical-code order.  A filtered list builds
+    only its own Graphs, unless the order's are built already."""
     level = classes(n)
     positions = level.positions(filt)
-    if len(positions) == len(level.graphs):
+    if len(positions) == len(level.paths):
         return level.graphs
-    return tuple(level.graphs[i] for i in positions)
+    if "graphs" in vars(level):  # built already, for a full list or spectra
+        return tuple(level.graphs[i] for i in positions)
+    return tuple(_path_graph(n, level.paths[level._order[i]])
+                 for i in positions)
 
 
 def count_cacti(n: int, filt: CactusFilter | None = None) -> int:

@@ -26,6 +26,13 @@ HARARY_UHLENBECK = [1, 1, 2, 4, 9, 23, 63, 188, 596, 1979, 6804, 24118,
                     87379, 322652, 1209808, 4596158]
 
 
+def found(n):
+    """The Graphs of the classes of order n in discovery order, each built
+    from its path."""
+    return [enumeration._path_graph(n, path)
+            for path in enumeration._level(n).paths]
+
+
 class TestCounts:
     @pytest.mark.parametrize("n,want", sorted(KNOWN_COUNTS.items()))
     def test_known_sequence(self, n, want):
@@ -186,7 +193,7 @@ class TestExtensions:
     def test_children_equal_from_edges_build(self):
         for n in range(2, 9):
             for size in range(1, n):
-                for g in enumeration._level(size).found:
+                for g in found(size):
                     want = []
                     for v in range(g.order):
                         cyc = [v] + list(range(g.order, n))
@@ -197,7 +204,7 @@ class TestExtensions:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_block_list_codes_equal_canonical_code(self, n):
         for size in range(1, n):
-            for g in enumeration._level(size).found:
+            for g in found(size):
                 assert list(enumeration._child_codes(
                     size, _cactus_blocks(g), n, range(size))) == \
                     list(enumerate(canonical_code(c).code
@@ -208,7 +215,7 @@ class TestExtensions:
         # (no child Graph is built) against the path recoding
         for size in range(1, 11):
             path = list(range(size, 11))
-            for g in enumeration._level(size).found:
+            for g in found(size):
                 blocks = _cactus_blocks(g)
                 assert list(enumeration._child_codes(
                     size, blocks, 11, range(size))) == \
@@ -242,8 +249,7 @@ class TestExtensions:
         # the DFS blocks alike, gives a code seen before it
         seen, dropped = set(), 0
         for size in range(1, n):
-            level = enumeration._level(size)
-            for g, path in zip(level.found, level.paths):
+            for g, path in zip(found(size), enumeration._level(size).paths):
                 points = enumeration._attach_points(
                     size, enumeration._path_blocks(size, path), n - size)
                 assert points == enumeration._attach_points(
@@ -261,12 +267,13 @@ class TestExtensions:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_first_found_representatives(self, n):
-        # each level against a scan that builds and fully codes every
-        # candidate of the smaller levels, checked at their own n
-        want = scanned_level(n, lambda size: enumeration._level(size).found)
-        level = enumeration._level(n)
-        assert level.found == tuple(want.values())
-        assert level.graphs == tuple(want[code] for code in sorted(want))
+        # each level's Graphs, built from their paths, against a scan that
+        # builds and fully codes every candidate of the smaller levels,
+        # checked at their own n
+        want = scanned_level(n, found)
+        assert found(n) == list(want.values())
+        assert enumeration._level(n).graphs == \
+            tuple(want[code] for code in sorted(want))
         assert len(want) == KNOWN_COUNTS[n]
 
 
@@ -275,15 +282,27 @@ class TestPaths:
     def test_path_blocks_are_the_blocks(self, n):
         # each class's path blocks are its DFS blocks as vertex sets, each
         # a closed walk of its edges in the order given, and the matching
-        # peel over them counts its matching number
+        # peel over them counts its matching number; the (matching number,
+        # pendant count) pair that `groups` reads off them is the class's
         level = enumeration._level(n)
-        for g, path in zip(level.found, level.paths):
+        for g, path in zip(found(n), level.paths):
             blocks = enumeration._path_blocks(n, path)
             assert Counter(map(frozenset, blocks)) == \
                 Counter(map(frozenset, _cactus_blocks(g)))
             assert all(g.has_edge(b[i - 1], b[i])
                        for b in blocks for i in range(len(b)))
             assert _peel_matching(n, blocks) == matching_number(g)
+        pair = {pos: inv for inv, group in level.groups.items()
+                for pos in group}
+        assert [pair[pos] for pos in range(len(level.graphs))] == \
+            [(matching_number(g), pendant_count(g)) for g in level.graphs]
+
+    def test_graphs_share_the_edge_table(self):
+        # every edge of every class is the one tuple of the shared table
+        for n in range(1, 11):
+            for g in enumerate_cacti(n):
+                assert all(e is enumeration._EDGES[e[0]][e[1]]
+                           for e in g.edges)
 
 
 class TestInvariantTable:
@@ -296,7 +315,7 @@ class TestInvariantTable:
         for n, old in zip(orders, cached):
             new = enumeration._level(n)
             assert new is not old
-            assert (new.found, new.graphs) == (old.found, old.graphs)
+            assert (new.paths, new.graphs) == (old.paths, old.graphs)
             assert new.groups == old.groups
             assert all(np.array_equal(a, b)
                        for a, b in zip(new.spectra, old.spectra))
@@ -304,10 +323,9 @@ class TestInvariantTable:
             assert sorted(chain.from_iterable(new.groups.values())) == \
                 list(range(KNOWN_COUNTS[n]))
 
-    def test_cold_tables_hold_edge_sets_and_paths_only(self):
-        # a class is its edge set and its build path: orders 1..10 built
-        # cold allocate 2.9 MB at peak, against 9.2 MB while every Graph also
-        # held one neighbour frozenset per vertex
+    def test_cold_tables_hold_paths_only(self):
+        # a class is its build path, and no Graph is built: orders 1..10
+        # built cold allocate 0.47 MB at peak
         enumeration._level.cache_clear()
         tracemalloc.start()
         try:
@@ -316,7 +334,7 @@ class TestInvariantTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert peak < 2 ** 20
 
     def test_unfiltered_enumeration_builds_no_table(self):
         enumeration._level.cache_clear()
@@ -325,3 +343,18 @@ class TestInvariantTable:
         for n in (7, 8):
             filled = vars(enumeration._level(n))
             assert "groups" not in filled and "spectra" not in filled
+
+    def test_counts_and_filters_build_no_graph(self):
+        # a count or a filtered list builds no level's Graphs; a plain list
+        # builds only its own order's
+        enumeration._level.cache_clear()
+
+        def built():
+            return [n for n in range(1, 12)
+                    if "graphs" in vars(enumeration._level(n))]
+        count_cacti(11)
+        assert built() == []
+        enumerate_cacti(9, CactusFilter(matching=4))
+        assert built() == []
+        enumerate_cacti(9)
+        assert built() == [9]

@@ -301,8 +301,9 @@ class TestCactusCode:
         # the tree code and the refinement search oracle split every
         # extension candidate of order n into the same classes
         cands = [child for size in range(1, n)
-                 for g in enumeration._level(size).found
-                 for child in extensions(g, n)]
+                 for path in enumeration._level(size).paths
+                 for child in extensions(enumeration._path_graph(size, path),
+                                         n)]
         fast, slow = {}, {}
         for i, g in enumerate(cands):
             a = fast.setdefault(canonical_code(g).code, i)
