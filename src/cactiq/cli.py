@@ -11,7 +11,7 @@ import sys
 from functools import lru_cache
 
 from . import graph6
-from .enumeration import CactusFilter, count_cacti, enumerate_cacti
+from .enumeration import CactusFilter, classes
 from .families import FamilyParams, build
 from .spectra import char_poly, graph_radius, signless_laplacian
 from .verify import (CLAIM_FLAGS, refuse_unread_flags, verify_extremal,
@@ -82,11 +82,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "enumerate":
             filt = CactusFilter(matching=args.matching, pendants=args.pendants)
+            level = classes(args.n)
+            positions = level.positions(filt)
             if args.format == "count":
-                print(count_cacti(args.n, filt))
-            else:
-                for g in enumerate_cacti(args.n, filt):
-                    print(graph6.encode(g))
+                print(len(positions))
+            elif positions:  # the lines read off the paths, in one write
+                lines = level.graph6
+                sys.stdout.write("\n".join(lines[i] for i in positions) + "\n")
             return 0
 
         if args.command == "family":

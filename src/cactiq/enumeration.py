@@ -21,18 +21,20 @@ class was found before it, so every class keeps its first-found
 representative.
 
 A class is held as its build path only, one byte pair (v, size) per block.
-Its blocks (`_path_blocks`), its matching number and pendant count, and
-its `Graph` (`_path_graph`) are all read off the path, so no class is
-searched for its blocks and no `Graph` is built until one is asked for.
+Its blocks (`_path_blocks`), its matching number and pendant count, its
+graph6 string and its `Graph` (`_path_graph`) are all read off the path,
+so no class is searched for its blocks, and no `Graph` is built until a
+list or a spectrum asks for one: the `enumerate` command prints the
+strings and builds none.
 
 Each order has one table, a `Level`, held by the one cache `_level(n)`: the
 paths in discovery order, which the next order extends, and the order of
-the same classes by canonical code, the order of every output.  The Graphs
-in that order, the index from each (matching number, pendant count) pair to
-its classes' positions, and the Q-radius and Perron vector of every class
-are computed on first use and kept in the table.  A filter selects the
-union of the groups it admits, so a filter that no class meets selects
-nothing.  `classes(n)` is the guarded way in.
+the same classes by canonical code, the order of every output.  The graph6
+strings and the Graphs in that order, the index from each (matching
+number, pendant count) pair to its classes' positions, and the Q-radius and
+Perron vector of every class are computed on first use and kept in the
+table.  A filter selects the union of the groups it admits, so a filter
+that no class meets selects nothing.  `classes(n)` is the guarded way in.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from itertools import chain
 
 from .graph import (MAX_ORDER, Graph, _block_code, _peel, _peel_matching,
                     _vertex_code, as_index)
+from .graph6 import _edge_bits, _pack
 from .spectra import eigenpairs
 
 MAX_N = 13
@@ -199,9 +202,12 @@ class Level:
     """The cactus classes of one order, each held as its build path.
 
     `paths` holds them in discovery order, which the next order's scan
-    extends (see `_level`).  `graphs` holds the same classes sorted by
-    canonical code, each built from its path on first use; the codes are
-    used for that order and then dropped."""
+    extends (see `_level`).  `graph6` and `graphs` hold the same classes
+    sorted by canonical code, the order of every output and of every
+    position, each read off its path on first use: `graph6` its graph6
+    string, packed straight from the path's edges, which is all
+    `enumerate` prints, and `graphs` its Graph, for a list or a spectrum.
+    The codes are used for that order and then dropped."""
 
     def __init__(self, n: int, bucket: dict):
         codes = list(bucket)
@@ -210,6 +216,28 @@ class Level:
         self._order = array("I", sorted(range(len(codes)),
                                         key=codes.__getitem__))
         self.paths = tuple(bucket.values())
+
+    @cached_property
+    def graph6(self) -> tuple:
+        """Every class's graph6 string, in canonical-code order, packed by
+        `graph6`'s one packer straight from its path: a block (v, size)
+        ending at end (as in `_path_graph`) sets the bits of the edges
+        (j - 1, j) for size < j < end, (v, size) and (v, end - 1)."""
+        n, paths = self._n, self.paths
+        bits = _edge_bits(n)
+        # steps[k]: the bits of the edges (j - 1, j), 0 < j <= k, so a
+        # block's path edges are steps[end - 1] ^ steps[size]
+        steps = [0]
+        for j in range(1, n):
+            steps.append(steps[-1] | bits[j][j - 1])
+        out = []
+        for i in self._order:
+            path, acc = paths[i], 0
+            for v, size, end in zip(path[::2], path[1::2], (*path[3::2], n)):
+                acc |= (bits[size][v] | bits[end - 1][v]
+                        | (steps[end - 1] ^ steps[size]))
+            out.append(_pack(n, acc))
+        return tuple(out)
 
     @cached_property
     def graphs(self) -> tuple:
@@ -241,9 +269,10 @@ class Level:
         return eigenpairs(self.graphs)
 
     def positions(self, filt: CactusFilter | None = None):
-        """Positions in `graphs` of the classes meeting the filter, ascending:
-        a range when there is no filter, otherwise a tuple, the union of the
-        groups the filter admits.  No Graph is built."""
+        """Positions in `graphs` and `graph6` of the classes meeting the
+        filter, ascending: a range when there is no filter, otherwise a
+        tuple, the union of the groups the filter admits.  No Graph is
+        built."""
         if filt in (None, CactusFilter()):
             return range(len(self.paths))
         return tuple(sorted(chain.from_iterable(

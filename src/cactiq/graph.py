@@ -358,19 +358,34 @@ def _vertex_code(kids) -> bytes:
 
 def _block_code(verts, p: int, code) -> bytes:
     """Code of a block whose vertices, in cyclic order, are verts, under the
-    parent vertex p, or as the root when p is -1."""
+    parent vertex p, or as the root when p is -1.
+
+    Its child codes are read in cyclic order, each direction joined into
+    one byte string.  Under p they start after p, and the lesser direction
+    wins.  As the root every rotation of each direction is a candidate, a
+    slice of the doubled joined string at a code boundary, and the least
+    wins.  Every code is one balanced bracket pair, so no code is a proper
+    prefix of another: two sequences of the same codes first differ inside
+    a pair of codes that differ at some byte, and their joined order is
+    their element-wise order."""
     if p >= 0 and len(verts) == 2:  # an edge: the one child, either way
         return b"[" + code[verts[0] if verts[1] == p else verts[1]] + b"]"
     seq = [code[v] for v in verts]
-    if p < 0:
-        back = seq[::-1]
-        best = min(min(s[i:] + s[:i] for i in range(len(s)))
-                   for s in (seq, back))
-    else:
+    if p >= 0:
         i = verts.index(p)
         seq = seq[i + 1:] + seq[:i]
-        best = min(seq, seq[::-1])
-    return b"[" + b"".join(best) + b"]"
+        best = min(b"".join(seq), b"".join(reversed(seq)))
+    else:
+        best = None
+        for s in (seq, seq[::-1]):
+            joined = b"".join(s)
+            doubled, total, at = joined + joined, len(joined), 0
+            for c in s:
+                rot = doubled[at:at + total]
+                if best is None or rot < best:
+                    best = rot
+                at += len(c)
+    return b"[" + best + b"]"
 
 
 def canonical_code(g: Graph) -> CanonicalCode:

@@ -36,20 +36,42 @@ def _decode_order(data: bytes):
     return n, 4
 
 
+def _top(n: int) -> int:
+    """The place of the first bit of a graph6 body of order n, the most
+    significant: n(n - 1)/2 bits, padded with zeros to whole 6-bit chunks."""
+    return -(-n * (n - 1) // 12) * 6 - 1
+
+
+def _edge_bits(n: int) -> list:
+    """bits[j][i], i < j: the bit that edge (i, j) sets in a graph6 body of
+    order n, as `encode` sets it."""
+    top = _top(n)
+    return [[1 << (top - j * (j - 1) // 2 - i) for i in range(j)]
+            for j in range(n)]
+
+
+def _pack(n: int, acc: int) -> str:
+    """The graph6 string of order n whose body bits are acc's: the encoded
+    order, then acc cut into 6-bit chunks, the most significant first.  The
+    one packer of every graph6 string: `encode` sets acc from an edge set,
+    and `enumeration.Level.graph6` from a build path."""
+    return (_encode_order(n) + bytes(((acc >> s) & 63) + 63
+                                     for s in range(_top(n) - 5, -1, -6))
+            ).decode("ascii")
+
+
 def encode(g: Graph) -> str:
     """graph6 string for g (labeled; not canonicalized).
 
     Edge (i, j), i < j, is bit j(j - 1)/2 + i of the column-major upper
     triangle.  One int holds every bit, the first one most significant,
-    padded with zeros to whole 6-bit chunks, and is then cut into them."""
+    and `_pack` cuts it into chunks."""
     n = g.order
-    width = -(-n * (n - 1) // 12) * 6
-    top = width - 1
+    top = _top(n)
     acc = 0
     for i, j in g.edges:
         acc |= 1 << (top - j * (j - 1) // 2 - i)
-    body = bytes(((acc >> s) & 63) + 63 for s in range(width - 6, -1, -6))
-    return (_encode_order(n) + body).decode("ascii")
+    return _pack(n, acc)
 
 
 def decode(text: str) -> Graph:

@@ -183,6 +183,26 @@ def search_code(g: Graph) -> bytes:
     return bytes(packed)
 
 
+def list_block_code(verts, p: int, code) -> bytes:
+    """Code of a block with vertices verts in cyclic order under the parent
+    vertex p, or as the root when p is -1, as `graph._block_code` defines
+    it, by comparing lists of child codes: under p the lesser of the two
+    directions from p, as the root the least of every rotation of either
+    direction."""
+    if p >= 0 and len(verts) == 2:
+        return b"[" + code[verts[0] if verts[1] == p else verts[1]] + b"]"
+    seq = [code[v] for v in verts]
+    if p < 0:
+        back = seq[::-1]
+        best = min(min(s[i:] + s[:i] for i in range(len(s)))
+                   for s in (seq, back))
+    else:
+        i = verts.index(p)
+        seq = seq[i + 1:] + seq[:i]
+        best = min(seq, seq[::-1])
+    return b"[" + b"".join(best) + b"]"
+
+
 def oracle_cacti(n: int) -> tuple:
     """Exhaustive edge-subset oracle (n <= 6): every labeled graph on n
     vertices, filtered for connected cactus, one per `search_code`, in

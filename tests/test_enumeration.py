@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cactiq import enumeration, graph6
+from cactiq.cli import main
 from cactiq.enumeration import (MAX_N, CactusFilter, classes, count_cacti,
                                 enumerate_cacti)
 from cactiq.families import build_H
@@ -297,6 +298,37 @@ class TestPaths:
         assert [pair[pos] for pos in range(len(level.graphs))] == \
             [(matching_number(g), pendant_count(g)) for g in level.graphs]
 
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_graph6_read_off_the_paths(self, n):
+        # each class's string, packed from its path, is its Graph's
+        level = enumeration._level(n)
+        assert level.graph6 == tuple(graph6.encode(g) for g in level.graphs)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_enumerate_prints_the_graph_route(self, warm, capsys):
+        # `enumerate` at n = 9 prints, for every matching number 0..5 and
+        # pendant count 0..9, possible or not, the lines that encoding each
+        # Graph of `enumerate_cacti` gives; a filter no class meets prints
+        # nothing.  Cold, each call starts from empty tables; warm, after a
+        # full list.
+        filters = ([("--matching", m) for m in range(6)]
+                   + [("--pendants", k) for k in range(10)])
+        empty = 0
+        for flag, value in filters:
+            enumeration._level.cache_clear()
+            if warm:
+                assert main(["enumerate", "--n", "9"]) == 0
+                assert capsys.readouterr().out == "".join(
+                    graph6.encode(g) + "\n" for g in enumerate_cacti(9))
+            assert main(["enumerate", "--n", "9", flag, str(value)]) == 0
+            filt = CactusFilter(**{flag[2:]: value})
+            want = "".join(graph6.encode(g) + "\n"
+                           for g in enumerate_cacti(9, filt))
+            assert capsys.readouterr().out == want, (flag, value)
+            empty += not want
+        # matching numbers 0 and 5 and pendant count 9
+        assert empty == 3
+
     def test_graphs_share_the_edge_table(self):
         # every edge of every class is the one tuple of the shared table
         for n in range(1, 11):
@@ -344,8 +376,9 @@ class TestInvariantTable:
             filled = vars(enumeration._level(n))
             assert "groups" not in filled and "spectra" not in filled
 
-    def test_counts_and_filters_build_no_graph(self):
-        # a count or a filtered list builds no level's Graphs; a plain list
+    def test_counts_and_filters_build_no_graph(self, capsys):
+        # a count, a filtered list or the `enumerate` command in either
+        # format, filtered or not, builds no level's Graphs; a plain list
         # builds only its own order's
         enumeration._level.cache_clear()
 
@@ -355,6 +388,14 @@ class TestInvariantTable:
         count_cacti(11)
         assert built() == []
         enumerate_cacti(9, CactusFilter(matching=4))
+        assert built() == []
+        for fmt in ("graph6", "count"):
+            for extra in ([], ["--matching", "4"], ["--pendants", "3"],
+                          ["--matching", "0"]):
+                for n in (1, 9, 11):
+                    assert main(["enumerate", "--n", str(n), "--format", fmt,
+                                 *extra]) == 0
+        assert capsys.readouterr().out
         assert built() == []
         enumerate_cacti(9)
         assert built() == [9]

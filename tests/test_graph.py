@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from cactiq import enumeration, graph6
-from cactiq.graph import (Graph, are_isomorphic, block_decomposition,
-                          canonical_code, from_edges, is_bundle, is_cactus,
-                          is_connected, matching_number, pendant_count)
+from cactiq.graph import (Graph, _block_code, _peel, are_isomorphic,
+                          block_decomposition, canonical_code, from_edges,
+                          is_bundle, is_cactus, is_connected, matching_number,
+                          pendant_count)
 from cactiq.families import build_H, extremal_answer
 
 from oracles import (all_labeled_graphs, brute_isomorphic, brute_matching,
                      cactus_by_definition, extensions, has_edge_graph6,
-                     search_code, to_networkx)
+                     list_block_code, search_code, to_networkx)
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -322,6 +323,53 @@ class TestCactusCode:
         codes = {canonical_code(build_H(s, k)).code
                  for s in range(1, 8) for k in range(0, 8)}
         assert len(codes) == 7 * 8
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_block_code_equals_list_comparison(self, n):
+        # every block of every class of order n, under each of its vertices
+        # (its parent among them) and as the root, over the child codes of
+        # the class's centre-rooted peel
+        blocks = 0
+        for path in enumeration._level(n).paths:
+            nbrs, _, _, code, _ = _peel(
+                n, enumeration._path_blocks(n, path))
+            for verts in nbrs[n:]:
+                for p in (-1, *verts):
+                    assert _block_code(verts, p, code) == \
+                        list_block_code(verts, p, code), (path, verts, p)
+                blocks += 1
+        assert (blocks > 0) == (n > 1)
+
+    def test_block_code_of_random_code_sequences(self):
+        # seeded sequences of balanced codes drawn from a small pool, so
+        # that children repeat and some sequences are periodic, under every
+        # rotation and reflection: the root code is the same for all of
+        # them, and every code equals the list-comparison one
+        rng = random.Random(30)
+
+        def balanced(depth):
+            kids = [balanced(depth - 1)
+                    for _ in range(rng.randint(0, 3) if depth else 0)]
+            left, right = rng.choice((b"()", b"[]"))
+            return bytes([left]) + b"".join(kids) + bytes([right])
+
+        for _ in range(300):
+            pool = [balanced(rng.randint(0, 3))
+                    for _ in range(rng.randint(1, 3))]
+            base = [rng.choice(pool) for _ in range(rng.randint(2, 8))]
+            period = rng.randint(1, len(base))
+            base = (base[:period] * len(base))[:len(base)]
+            verts = list(range(len(base)))
+            roots = set()
+            for seq in (base, base[::-1]):
+                for r in range(len(seq)):
+                    code = seq[r:] + seq[:r]
+                    for p in (-1, *verts):
+                        got = _block_code(verts, p, code)
+                        assert got == list_block_code(verts, p, code), \
+                            (code, p)
+                    roots.add(_block_code(verts, -1, code))
+            assert len(roots) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_non_cactus_raises(self, n):
