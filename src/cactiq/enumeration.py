@@ -21,20 +21,12 @@ class was found before it, so every class keeps its first-found
 representative.
 
 A class is held as its build path only, one byte pair (v, size) per block.
-Its blocks (`_path_blocks`), its matching number and pendant count, its
-graph6 string and its `Graph` (`_path_graph`) are all read off the path,
-so no class is searched for its blocks, and no `Graph` is built until a
-list or a spectrum asks for one: the `enumerate` command prints the
-strings and builds none.
-
-Each order has one table, a `Level`, held by the one cache `_level(n)`: the
-paths in discovery order, which the next order extends, and the order of
-the same classes by canonical code, the order of every output.  The graph6
-strings and the Graphs in that order, the index from each (matching
-number, pendant count) pair to its classes' positions, and the Q-radius and
-Perron vector of every class are computed on first use and kept in the
-table.  A filter selects the union of the groups it admits, so a filter
-that no class meets selects nothing.  `classes(n)` is the guarded way in.
+Its blocks (`_path_blocks`), edge list (`_path_edges`), matching number,
+pendant count, graph6 string and `Graph` (`_path_graph`) are all read off
+the path, and no table holds a `Graph`.  Each order has one table, a
+`Level`, held by the one cache `_level(n)`; `classes(n)` is the guarded way
+in.  A filter selects the union of the (matching number, pendant count)
+groups it admits, so a filter that no class meets selects nothing.
 """
 
 from __future__ import annotations
@@ -47,9 +39,9 @@ from itertools import chain
 from .graph import (MAX_ORDER, Graph, _block_code, _peel, _peel_matching,
                     _vertex_code, as_index)
 from .graph6 import _edge_bits, _pack
-from .spectra import eigenpairs
+from .spectra import stacked_eigenpairs
 
-MAX_N = 13
+MAX_N = 14
 
 # the edge (u, v), u < v, as one tuple, _EDGES[u][v], shared by every Graph
 # that `_path_graph` builds; _STEPS[u] is the edge (u, u + 1)
@@ -184,38 +176,47 @@ def _path_blocks(n: int, path: bytes) -> list:
     return blocks
 
 
-def _path_graph(n: int, path: bytes) -> Graph:
-    """The Graph of the class of order n built along path: each pair
-    (v, size) adds the vertices size, ..., end - 1 as a path closed into a
-    cycle through v, end being the next pair's size or n for the last, or
-    the pendant edge (v, size) when end = size + 1.  Every edge is already
-    normalised, as v < size, and is taken from `_EDGES` (the path's through
-    `_STEPS`), so the Graphs share their edge tuples."""
+def _path_edges(n: int, path: bytes) -> list:
+    """The edges of the class of order n built along path, each once: a
+    pair (v, size) adds the vertices size, ..., end - 1 (end the next pair's
+    size, or n) as a path closed into a cycle through v, or the pendant edge
+    (v, size) when end = size + 1.  Each edge is normalised, as v < size,
+    and taken from `_EDGES` (the path's through `_STEPS`), so the lists
+    share their edge tuples."""
     edges = []
     for v, size, end in zip(path[::2], path[1::2], (*path[3::2], n)):
         edges += _STEPS[size:end - 1]
-        edges += _EDGES[v][size], _EDGES[v][end - 1]
-    return Graph(n, frozenset(edges))
+        edges.append(_EDGES[v][size])
+        if end > size + 1:
+            edges.append(_EDGES[v][end - 1])
+    return edges
+
+
+def _path_graph(n: int, path: bytes) -> Graph:
+    """The Graph of the class of order n built along path (`_path_edges`)."""
+    return Graph(n, frozenset(_path_edges(n, path)))
 
 
 class Level:
     """The cactus classes of one order, each held as its build path.
 
     `paths` holds them in discovery order, which the next order's scan
-    extends (see `_level`).  `graph6` and `graphs` hold the same classes
-    sorted by canonical code, the order of every output and of every
-    position, each read off its path on first use: `graph6` its graph6
-    string, packed straight from the path's edges, which is all
-    `enumerate` prints, and `graphs` its Graph, for a list or a spectrum.
+    extends (see `_level`).  A position is a class's place in canonical-code
+    order, the order of every output; `path(pos)` is its path.  `graph6`,
+    `groups` and `spectra` are read off the paths on first use and kept.
     The codes are used for that order and then dropped."""
 
     def __init__(self, n: int, bucket: dict):
         codes = list(bucket)
         self._n = n
-        # the discovery index of the class at each position of `graphs`
+        # the discovery index of the class at each position
         self._order = array("I", sorted(range(len(codes)),
                                         key=codes.__getitem__))
         self.paths = tuple(bucket.values())
+
+    def path(self, pos: int) -> bytes:
+        """The build path of the class at position pos."""
+        return self.paths[self._order[pos]]
 
     @cached_property
     def graph6(self) -> tuple:
@@ -240,15 +241,10 @@ class Level:
         return tuple(out)
 
     @cached_property
-    def graphs(self) -> tuple:
-        """Every class's Graph, in canonical-code order."""
-        return tuple(_path_graph(self._n, self.paths[i]) for i in self._order)
-
-    @cached_property
     def groups(self) -> dict:
-        """(matching number, pendant count) -> the positions in `graphs` of
-        the classes with that pair, ascending, for every pair that occurs.
-        Both are read off each class's path blocks: the matching number by
+        """(matching number, pendant count) -> the positions of the classes
+        with that pair, ascending, for every pair that occurs.  Both are read
+        off each class's path blocks: the matching number by
         the peel, and the pendants as the vertices in exactly one block,
         that block an edge."""
         n, groups = self._n, {}
@@ -263,16 +259,16 @@ class Level:
 
     @cached_property
     def spectra(self) -> tuple:
-        """Q-radius and Perron vector of every class of `graphs`, in the same
-        order: an (N,) and an (N, n) float array from one stacked
-        `spectra.eigenpairs` solve of the order."""
-        return eigenpairs(self.graphs)
+        """Q-radius and Perron vector of every class, by position, as an
+        (N,) and an (N, n) float array solved from the paths' edge lists."""
+        n, paths = self._n, self.paths
+        return stacked_eigenpairs(n, len(paths), (_path_edges(n, paths[i])
+                                                  for i in self._order))
 
     def positions(self, filt: CactusFilter | None = None):
-        """Positions in `graphs` and `graph6` of the classes meeting the
-        filter, ascending: a range when there is no filter, otherwise a
-        tuple, the union of the groups the filter admits.  No Graph is
-        built."""
+        """Positions of the classes meeting the filter, ascending: a range
+        when there is no filter, otherwise a tuple, the union of the groups
+        the filter admits.  No Graph is built."""
         if filt in (None, CactusFilter()):
             return range(len(self.paths))
         return tuple(sorted(chain.from_iterable(
@@ -283,19 +279,11 @@ class Level:
 def _level(n: int) -> Level:
     """The table of order n.  A class's representative is the first extension
     found in it, scanning the smaller levels in order and each in its own
-    discovery order.
-
-    A class's path is its parent's path plus the byte pair (v, size) of the
-    block that made it, so its blocks come from `_path_blocks` and no
-    parent is searched for its blocks again.  Only the points
-    `_attach_points` keeps are coded by `_child_codes`: each point it drops
-    gives a class that an earlier candidate, from a smaller parent or a
-    lesser mirror vertex of the same one, already gave, so the first
-    candidate of every class is coded and the representatives are those of
-    a scan that codes every candidate.  A parent with no point is not
-    peeled.  Of the 7,517 candidates of order 10, 4,419 are coded; of the
-    391,567 of order 13, 203,397.  Only the path of each class is kept; no
-    `Graph` is built."""
+    discovery order, and its path is its parent's plus the pair (v, size) of
+    the block that made it.  Only the points `_attach_points` keeps are coded
+    (`_child_codes`), and a parent with none is not peeled: of the 7,517
+    candidates of order 10, 4,419 are coded; of the 391,567 of order 13,
+    203,397."""
     if n == 1:  # K1: its code and its empty path
         return Level(1, {b"()": b""})
     bucket = {}
@@ -324,16 +312,9 @@ def classes(n: int) -> Level:
 
 def enumerate_cacti(n: int, filt: CactusFilter | None = None) -> tuple:
     """One representative per isomorphism class of cacti on n vertices meeting
-    the filter, in ascending canonical-code order.  A filtered list builds
-    only its own Graphs, unless the order's are built already."""
+    the filter, in ascending canonical-code order, built from the paths."""
     level = classes(n)
-    positions = level.positions(filt)
-    if len(positions) == len(level.paths):
-        return level.graphs
-    if "graphs" in vars(level):  # built already, for a full list or spectra
-        return tuple(level.graphs[i] for i in positions)
-    return tuple(_path_graph(n, level.paths[level._order[i]])
-                 for i in positions)
+    return tuple(_path_graph(n, level.path(i)) for i in level.positions(filt))
 
 
 def count_cacti(n: int, filt: CactusFilter | None = None) -> int:

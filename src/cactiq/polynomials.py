@@ -382,13 +382,15 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact three-way comparison of the largest real roots of p and q.
 
     Returns -1, 0 or 1.  Both polynomials must have at least one real root;
-    equal polynomials are a tie once p's root is isolated.  Each isolation is
-    kept on its polynomial, so ranking one polynomial against many isolates
-    it once.
+    equal ones tie once a Sturm count over p's root bound window finds one.
+    Each isolation is kept on its polynomial, so ranking one polynomial
+    against many isolates it once.
     """
+    if p == q and p.degree >= 1:
+        bound = root_bound(p)
+        if count_roots(p, -bound, bound):
+            return 0
     ip = isolate_largest_root(p)
-    if ip is not None and p == q:
-        return 0
     iq = isolate_largest_root(q)
     if ip is None or iq is None:
         raise ValueError("both polynomials must have a real root")

@@ -4,9 +4,10 @@ and exact integer characteristic polynomials.
 Every matrix is a plain numpy array: Q(G) is an (n, n) int array,
 `spectral_radius` takes any nonempty square symmetric array-like, and the
 exact path, `char_polys`, takes a stack of same-order int matrices;
-`char_poly` is its one-matrix call.  The numeric path is one stacked call of
-LAPACK's symmetric eigensolver (tridiagonalization + implicit-shift QR) per
-list of same-order matrices.  The exact path advances the powers of every
+`char_poly` is its one-matrix call.  Q is built from edge lists in one
+place, `_q_stack`.  The numeric path is one stacked call of LAPACK's
+symmetric eigensolver (tridiagonalization + implicit-shift QR) per
+RADII_SLICE same-order matrices.  The exact path advances the powers of every
 matrix of the stack by one batched float64 matrix product per step whose
 every value is an integer of magnitude at most 2^52: the powers themselves
 while that bound allows, then their residues modulo a few pairwise-coprime
@@ -21,6 +22,7 @@ n * max|a| <= 64 * 63.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import gcd, isqrt
 
 import numpy as np
@@ -39,12 +41,14 @@ class SpectralResult:
     perron: tuple
 
 
-def _q_stack(graphs) -> np.ndarray:
-    """Q of every graph as one (N, n, n) float array; all graphs share n."""
-    n = graphs[0].order
-    k, u, v = np.fromiter((x for i, g in enumerate(graphs) for e in g.edges
-                           for x in (i, *e)), dtype=np.intp).reshape(-1, 3).T
-    stack = np.zeros((len(graphs), n, n))
+def _q_stack(n: int, edge_lists) -> np.ndarray:
+    """Q of every list of (u, v) int pairs on vertices 0..n-1, as one
+    (N, n, n) float array, indexed by one pass over the chained edges."""
+    sizes = [len(edges) for edges in edge_lists]
+    u, v = np.fromiter(chain.from_iterable(chain.from_iterable(edge_lists)),
+                       dtype=np.intp, count=2 * sum(sizes)).reshape(-1, 2).T
+    k = np.repeat(np.arange(len(sizes)), sizes)
+    stack = np.zeros((len(sizes), n, n))
     stack[k, u, v] = stack[k, v, u] = 1.0
     stack[:, range(n), range(n)] = stack.sum(axis=2)
     return stack
@@ -82,7 +86,7 @@ def _one_result(stack: np.ndarray) -> SpectralResult:
 
 def signless_laplacian(g: Graph) -> np.ndarray:
     """Q(G), degree diagonal plus adjacency matrix, as an (n, n) int array."""
-    return _q_stack([g])[0].astype(int)
+    return _q_stack(g.order, [g.edges])[0].astype(int)
 
 
 def spectral_radius(m) -> SpectralResult:
@@ -105,43 +109,45 @@ def spectral_radius(m) -> SpectralResult:
 def graph_radius(g: Graph) -> SpectralResult:
     """Spectral radius and Perron vector of Q(g), solved from its one-graph
     stack; Q of a Graph is symmetric by construction."""
-    return _one_result(_q_stack([g]))
+    return _one_result(_q_stack(g.order, [g.edges]))
 
 
-# Graphs per stacked eigensolve in `eigenpairs`, so that Q and the
-# eigenvectors held at once (2 * RADII_SLICE * n^2 floats) do not grow with
-# the list.
+# Matrices per stacked eigensolve, so that Q and the eigenvectors held at
+# once (2 * RADII_SLICE * n^2 floats) do not grow with the list.
 RADII_SLICE = 256
 
 
+def stacked_eigenpairs(n: int, count: int, edge_lists):
+    """Spectral radius and Perron vector of Q for each of count edge lists
+    on n vertices, drawn from an iterable RADII_SLICE at a time, as an (N,)
+    array and an (N, n) array of rows; each row is bitwise its own solve's."""
+    lists = iter(edge_lists)
+    radius, perron = np.empty(count), np.empty((count, n))
+    for i in range(0, count, RADII_SLICE):
+        j = min(i + RADII_SLICE, count)
+        radius[i:j], perron[i:j] = _top_eigenpairs(_q_stack(n, list(
+            islice(lists, j - i))))
+    return radius, perron
+
+
 def eigenpairs(graphs):
-    """Spectral radius and Perron vector of Q(g) for each graph in a sequence
-    of same-order graphs, as an (N,) array and an (N, n) array of rows, from
-    one stacked eigensolve per RADII_SLICE graphs; row i equals
-    graph_radius(graphs[i]) exactly."""
+    """`stacked_eigenpairs` of a sequence of same-order graphs' edge sets;
+    row i equals graph_radius(graphs[i]) exactly."""
     n = graphs[0].order if graphs else 0
     if any(g.order != n for g in graphs):
         raise ValueError("a stack of Q matrices needs graphs of one order")
-    radius, perron = np.empty(len(graphs)), np.empty((len(graphs), n))
-    for i in range(0, len(graphs), RADII_SLICE):
-        part = graphs[i:i + RADII_SLICE]
-        radius[i:i + len(part)], perron[i:i + len(part)] = \
-            _top_eigenpairs(_q_stack(part))
-    return radius, perron
+    return stacked_eigenpairs(n, len(graphs), (g.edges for g in graphs))
 
 
 def radii(graphs) -> list:
     """Spectral radius of Q(g) for each graph in a sequence of graphs of any
     orders, in input order, from one `eigenpairs` call per order; each equals
     graph_radius(g).radius exactly."""
-    by_order = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.order, []).append(i)
-    out = [0.0] * len(graphs)
-    for idx in by_order.values():
-        for i, r in zip(idx, eigenpairs([graphs[i] for i in idx])[0].tolist()):
-            out[i] = r
-    return out
+    out = np.empty(len(graphs))
+    for n in {g.order for g in graphs}:
+        idx = [i for i, g in enumerate(graphs) if g.order == n]
+        out[idx] = eigenpairs([graphs[i] for i in idx])[0]
+    return out.tolist()
 
 
 # Largest n * max|a| that `char_polys` accepts.  It keeps every modulus at

@@ -4,14 +4,15 @@ Both strictly increase the signless Laplacian spectral radius under their
 respective hypotheses; the property tests check exactly that.
 
 Each takes its vertices directly, integers in 0..order-1 (see
-`graph.as_index`) checked before anything is indexed, and checks that the
-graph is connected and its other hypotheses on one `Graph.adjacency()`; a
-violation raises ValueError naming it.
+`graph.as_index`) checked before anything is indexed, and hands one
+neighbour set per vertex to its internal, which checks connectivity and the
+other hypotheses once (ValueError names a violation) and returns the new
+edge set.  The monotonicity runs call the internals directly.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, _connected, _norm_edge, as_index, from_edges
+from .graph import Graph, _connected, _norm_edge, as_index
 
 
 def _vertex(g: Graph, value, what: str) -> int:
@@ -31,7 +32,12 @@ def shift_neighbors(g: Graph, v: int, u: int, moved) -> Graph:
     v = _vertex(g, v, "source vertex")
     u = _vertex(g, u, "target vertex")
     moved = {_vertex(g, w, "moved vertex") for w in moved}
-    adj = g.adjacency()
+    adj = [set(a) for a in g.adjacency()]
+    return Graph(g.order, frozenset(_shifted(adj, g.edges, v, u, moved)))
+
+
+def _shifted(adj, edges, v: int, u: int, moved) -> set:
+    """`shift_neighbors` on the edges and neighbour sets adj: the new edges."""
     if not _connected(adj):
         raise ValueError("shift_neighbors requires a connected graph")
     if u == v:
@@ -45,11 +51,11 @@ def shift_neighbors(g: Graph, v: int, u: int, moved) -> Graph:
             raise ValueError(f"vertex {w} is not a neighbor of {v}")
         if w in adj[u]:
             raise ValueError(f"vertex {w} is already adjacent to {u}")
-    edges = set(g.edges)
+    out = set(edges)
     for w in moved:
-        edges.discard(_norm_edge(v, w))
-        edges.add(_norm_edge(u, w))
-    return from_edges(g.order, edges)
+        out.discard(_norm_edge(v, w))
+        out.add(_norm_edge(u, w))
+    return out
 
 
 def contract_pend(g: Graph, u: int, v: int) -> Graph:
@@ -61,18 +67,23 @@ def contract_pend(g: Graph, u: int, v: int) -> Graph:
     """
     u = _vertex(g, u, "vertex u")
     v = _vertex(g, v, "vertex v")
-    adj = g.adjacency()
+    adj = [set(a) for a in g.adjacency()]
+    return Graph(g.order, frozenset(_contracted(adj, g.edges, u, v)))
+
+
+def _contracted(adj, edges, u: int, v: int) -> set:
+    """`contract_pend` on the edges and neighbour sets adj: the new edges."""
     if not _connected(adj):
         raise ValueError("contract_pend requires a connected graph")
     if v not in adj[u]:
         raise ValueError(f"({u}, {v}) is not an edge")
     if len(adj[u]) == 1 or len(adj[v]) == 1:
         raise ValueError(f"({u}, {v}) is a pendant edge")
-    common = set(adj[u]).intersection(adj[v])
+    common = adj[u] & adj[v]
     if common:
         raise ValueError(f"endpoints share neighbors {sorted(common)}")
     keep, free = _norm_edge(u, v)
-    edges = [_norm_edge(keep if a == free else a, keep if b == free else b)
-             for a, b in g.edges if (a, b) != (keep, free)]
-    edges.append((keep, free))
-    return from_edges(g.order, edges)
+    out = {_norm_edge(keep if a == free else a, keep if b == free else b)
+           for a, b in edges if (a, b) != (keep, free)}
+    out.add((keep, free))
+    return out

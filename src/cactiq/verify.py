@@ -7,12 +7,12 @@ line.  Numeric acceptance is at 1e-9; every candidate whose radius lies within
 characteristic polynomials.
 
 Numeric radii come from the order's class table (`enumeration.classes`),
-which holds the radius and Perron vector of every class, solved once in
-stacked calls.  A filtered class reads its radii at the table's positions for
-the filter.  The monotonicity runs read each drawn graph's radius and Perron
-vector from the same tables, queue the surgery results and solve them
-RADII_SLICE instances at a time in one `spectra.radii` call, before checking
-them in trial and property order.
+solved once in stacked calls and read at the positions of a class's filter;
+a `Graph` is built only for a maximizer and an exactly ranked near set.  The
+monotonicity runs draw each class as its build path, read its edges,
+neighbour sets, cycle edges and cut vertices off it, and run `transforms`'
+internals on those sets.  The results are solved RADII_SLICE instances at a
+time in one `spectra.radii` call, then checked in trial and property order.
 """
 
 from __future__ import annotations
@@ -23,17 +23,19 @@ from dataclasses import asdict, dataclass, field
 from functools import cmp_to_key
 from itertools import islice, zip_longest
 
+import numpy as np
+
 from . import graph6, spectra
-from .enumeration import CactusFilter, classes
+from .enumeration import (CactusFilter, _block_counts, _path_blocks,
+                          _path_edges, _path_graph, classes)
 from .families import (build, extremal_answer, members, psi_H, psi_L,
                        psi_legacy, superseded_conjecture_bound)
-from .graph import (Graph, as_index, block_decomposition, canonical_code,
-                    from_edges)
+from .graph import Graph, as_index, canonical_code
 from .polynomials import compare_largest_roots
 # graph_radius is not called here; perfbench's layer-trace self-test reads it
 # as cactiq.verify.graph_radius
 from .spectra import char_polys, graph_radius, signless_laplacian  # noqa: F401
-from .transforms import contract_pend, shift_neighbors
+from .transforms import _contracted, _shifted
 
 RADIUS_TOL = 1e-9
 EXACT_ESCALATION_GAP = 1e-7
@@ -78,51 +80,57 @@ class VerificationReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def rank_certified(graphs, radii):
+def rank_certified(radii, graph):
     """Indices of the maximizer and runner-up, the runner-up gap and an
-    exact-tie flag.
+    exact-tie flag, for candidates with these float radii; graph(i) builds
+    candidate i's Graph.
 
-    Every candidate whose float radius lies within EXACT_ESCALATION_GAP of the
-    maximum is ranked by exact largest-root comparison of its characteristic
-    polynomial; float-descending order breaks exact ties.  A one-graph class
-    has no runner-up and no gap.
+    One pass over the radii finds the near set, every candidate within
+    EXACT_ESCALATION_GAP of the maximum; only it is sorted, by exact
+    largest-root comparison of its characteristic polynomials from float
+    order, and only its Graphs are built.  Float order, the lower index
+    first on equal floats, breaks exact ties.  A one-candidate class has no
+    runner-up and no gap.
     """
-    order = sorted(range(len(graphs)), key=lambda i: radii[i], reverse=True)
-    if len(order) == 1:
-        return order[0], None, None, False
-    best, second = order[0], order[1]
-    near = [i for i in order if radii[best] - radii[i] < EXACT_ESCALATION_GAP]
-    tie = False
+    r = np.asarray(radii, dtype=float)
+    if len(r) == 1:
+        return 0, None, None, False
+    near = sorted(np.flatnonzero(r.max() - r < EXACT_ESCALATION_GAP).tolist(),
+                  key=lambda i: -r[i])
+    best, tie = near[0], False
     if len(near) > 1:
         polys = dict(zip(near, char_polys(
-            [signless_laplacian(graphs[i]) for i in near])))
+            [signless_laplacian(graph(i)) for i in near])))
         near.sort(key=cmp_to_key(
             lambda a, b: compare_largest_roots(polys[b], polys[a])))
         best, second = near[0], near[1]
         tie = compare_largest_roots(polys[best], polys[second]) == 0
-    gap = 0.0 if tie else abs(radii[best] - radii[second])
+    else:  # the float maximum of the rest
+        second = int(np.where(np.arange(len(r)) == best, -np.inf, r).argmax())
+    gap = 0.0 if tie else abs(float(r[best] - r[second]))
     return best, second, gap, tie
 
 
 def _class_radii(n: int, filt: CactusFilter):
-    """The classes of order n meeting the filter and their Q-radii, read from
-    the order's table at the classes' positions."""
+    """Positions of the classes of order n meeting filt, and their Q-radii."""
     level = classes(n)
     positions = list(level.positions(filt))
-    return ([level.graphs[i] for i in positions],
-            level.spectra[0][positions].tolist())
+    return positions, level.spectra[0][positions]
 
 
 def _rank_class(report: VerificationReport, n: int, filt: CactusFilter):
     """Record the class's certified maximizer, radius and runner-up gap in the
     report; return the maximizer, its radius, class size and exact-tie flag."""
-    graphs, class_radii = _class_radii(n, filt)
-    if not graphs:
+    positions, class_radii = _class_radii(n, filt)
+    if not positions:
         raise ValueError(f"no cacti match {report.parameters}")
-    best, _, report.runner_up_gap, tie = rank_certified(graphs, class_radii)
-    report.observed_maximizer = graph6.encode(graphs[best])
-    report.observed_radius = class_radii[best]
-    return graphs[best], class_radii[best], len(graphs), tie
+    def graph(i):
+        return _path_graph(n, classes(n).path(positions[i]))
+    best, _, report.runner_up_gap, tie = rank_certified(class_radii, graph)
+    observed = graph(best)
+    report.observed_maximizer = graph6.encode(observed)
+    report.observed_radius = float(class_radii[best])
+    return observed, report.observed_radius, len(positions), tie
 
 
 def _claim_filter(claim: str, n: int, m, k) -> CactusFilter:
@@ -269,113 +277,103 @@ def _first_coeff_diff(a, b):
 # ---------------------------------------------------------------------------
 
 def _random_cactus(rng: random.Random):
-    """A class of a random order in 3..8, with its Q-radius and Perron
-    vector read from the order's table."""
-    level = classes(rng.randint(3, 8))
-    i = rng.randrange(len(level.graphs))
-    radius, perron = level.spectra
-    return level.graphs[i], float(radius[i]), perron[i]
+    """A class of a random order n in 3..8 as (n, its build path, edge list,
+    neighbour sets, Q-radius, Perron row), the last two from the table."""
+    n = rng.randint(3, 8)
+    level = classes(n)
+    i = rng.randrange(len(level.paths))
+    path = level.path(i)
+    edges = _path_edges(n, path)
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return n, path, edges, adj, float(level.spectra[0][i]), level.spectra[1][i]
 
 
 def _draw_shift_instance(rng: random.Random):
-    """A (graph, radius, (v, u, moved)) triple meeting the neighbor-shift
-    hypotheses, including the Perron-label condition x_v <= x_u; invalid
-    draws are redrawn."""
+    """A class (n, path), its radius, the shifted Graph and its plan
+    (v, u, moved), meeting the neighbor-shift hypotheses and the
+    Perron-label condition x_v <= x_u; invalid draws are redrawn."""
     while True:
-        g, q0, x = _random_cactus(rng)
+        n, path, edges, adj, q0, x = _random_cactus(rng)
         x = x.tolist()
-        adj = [set(a) for a in g.adjacency()]
-        verts = list(range(g.order))
+        verts = list(range(n))
         rng.shuffle(verts)
         for v in verts:
-            us = [u for u in range(g.order) if u != v and x[v] <= x[u] + 1e-12]
+            us = [u for u in range(n) if u != v and x[v] <= x[u] + 1e-12]
             rng.shuffle(us)
             for u in us:
                 cands = sorted(adj[v] - adj[u] - {u})
                 if not cands:
                     continue
-                take = rng.randint(1, len(cands))
-                moved = rng.sample(cands, take)
-                return g, q0, (v, u, moved)
+                moved = rng.sample(cands, rng.randint(1, len(cands)))
+                h = Graph(n, frozenset(_shifted(adj, edges, v, u, moved)))
+                return n, path, q0, h, (v, u, moved)
 
 
 def _draw_contract_instance(rng: random.Random):
-    """A (graph, radius, edge) triple: a non-pendant edge whose endpoints
-    share no neighbor."""
+    """A class (n, path), its radius, the contracted Graph and its edge
+    (u, v), not pendant, whose endpoints share no neighbor."""
     while True:
-        g, q0, _ = _random_cactus(rng)
-        adj = [set(a) for a in g.adjacency()]
-        edges = sorted(g.edges)
-        rng.shuffle(edges)
-        for u, v in edges:
+        n, path, edges, adj, q0, _ = _random_cactus(rng)
+        shuffled = sorted(edges)
+        rng.shuffle(shuffled)
+        for u, v in shuffled:
             if len(adj[u]) == 1 or len(adj[v]) == 1 or adj[u] & adj[v]:
                 continue
-            return g, q0, (u, v)
-
-
-def _delete_vertex(g: Graph, v: int) -> Graph:
-    keep = [w for w in range(g.order) if w != v]
-    remap = {w: i for i, w in enumerate(keep)}
-    edges = [(remap[a], remap[b]) for a, b in g.edges if v not in (a, b)]
-    return from_edges(g.order - 1, edges)
+            h = Graph(n, frozenset(_contracted(adj, edges, u, v)))
+            return n, path, q0, h, (u, v)
 
 
 def _draw_subgraph_instance(rng: random.Random):
-    """A (G, radius of G, H) triple with H a proper connected subgraph of G.
-
-    H drops either one edge of a cycle, the first in a shuffled edge order
-    (deleting an edge leaves a cactus connected iff the edge lies on a
-    cycle, a block of more than two edges), or one non-cut vertex, which a
-    connected graph on two or more vertices always has."""
-    g, q0, _ = _random_cactus(rng)
-    blocks = block_decomposition(g)
-    if rng.random() < 0.5 and g.size > g.order - 1:
-        edges = sorted(g.edges)
-        rng.shuffle(edges)
-        on_cycle = {e for b in blocks.blocks if len(b) > 2 for e in b}
-        e = next(e for e in edges if e in on_cycle)
-        return g, q0, from_edges(g.order, [x for x in edges if x != e])
-    cuts = blocks.cut_vertices
-    options = [v for v in range(g.order) if v not in cuts]
-    return g, q0, _delete_vertex(g, rng.choice(options))
+    """A class (n, path), its radius and H, a proper connected subgraph: the
+    class less the first cycle edge in a shuffled edge order (deleting an
+    edge leaves a cactus connected iff it lies on a cycle, that is, it is no
+    one-edge block), or less a vertex in one block only, which every cactus
+    on two or more vertices has."""
+    n, path, edges, _, q0, _ = _random_cactus(rng)
+    blocks = _path_blocks(n, path)
+    if rng.random() < 0.5 and len(edges) > n - 1:
+        shuffled = sorted(edges)
+        rng.shuffle(shuffled)
+        bridges = {tuple(b) for b in blocks if len(b) == 2}  # (v, size)
+        e = next(e for e in shuffled if e not in bridges)
+        return n, path, q0, Graph(n, frozenset(x for x in edges if x != e))
+    count = _block_counts(n, blocks)
+    v = rng.choice([v for v in range(n) if count[v] == 1])
+    return n, path, q0, Graph(n - 1, frozenset(
+        (a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b)))
 
 
 def _instances(rng: random.Random, trials: int):
-    """(property, trial, G, radius of G, surgery result) for the three
-    properties of each trial in turn, drawn lazily from rng."""
+    """(property, trial, order, path, radius of the class, surgery result)
+    for the three properties of each trial in turn, drawn lazily from rng."""
     for t in range(trials):
-        g, q0, plan = _draw_shift_instance(rng)
-        yield "neighbor_shift", t, g, q0, shift_neighbors(g, *plan)
-        g, q0, (u, v) = _draw_contract_instance(rng)
-        yield "contract_pend", t, g, q0, contract_pend(g, u, v)
-        g, q0, h = _draw_subgraph_instance(rng)
-        yield "proper_subgraph", t, g, q0, h
+        yield "neighbor_shift", t, *_draw_shift_instance(rng)[:4]
+        yield "contract_pend", t, *_draw_contract_instance(rng)[:4]
+        yield "proper_subgraph", t, *_draw_subgraph_instance(rng)
 
 
 def _violations(batch) -> list:
-    """Violation records of a batch of instances, in batch order."""
+    """Violation records of a batch of instances, in batch order; a class's
+    Graph is built only for its record."""
     out = []
     after = spectra.radii([h for *_, h in batch])
-    for (prop, t, g, q0, h), q1 in zip(batch, after):
-        if prop == "proper_subgraph":
-            if q0 - q1 <= MONOTONE_MARGIN:
-                out.append({"property": prop, "trial": t,
-                            "graph": graph6.encode(g),
-                            "sub": graph6.encode(h),
-                            "whole": q0, "part": q1})
-        elif q1 - q0 <= MONOTONE_MARGIN:
+    for (prop, t, n, path, q0, h), q1 in zip(batch, after):
+        sub = prop == "proper_subgraph"
+        if (q0 - q1 if sub else q1 - q0) <= MONOTONE_MARGIN:
             out.append({"property": prop, "trial": t,
-                        "graph": graph6.encode(g), "before": q0, "after": q1})
+                        "graph": graph6.encode(_path_graph(n, path)),
+                        **({"sub": graph6.encode(h), "whole": q0, "part": q1}
+                           if sub else {"before": q0, "after": q1})})
     return out
 
 
 def verify_monotonicity(trials: int = 200, seed: int = 42) -> VerificationReport:
     """Seeded random instances of the three monotonicity properties: neighbor
-    shift, contraction-plus-pendant, and proper-subgraph comparison.
-
-    Each drawn graph's radius comes from its order's class table; the surgery
-    results are solved RADII_SLICE instances at a time and checked in trial
-    and property order.  trials and seed must be integers (see
+    shift, contraction-plus-pendant, and proper-subgraph comparison, checked
+    in trial and property order.  trials and seed must be integers (see
     `graph.as_index`)."""
     trials, seed = as_index(trials, "trials"), as_index(seed, "seed")
     if trials < 1:

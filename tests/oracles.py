@@ -643,21 +643,66 @@ def fraction_largest_root(coeffs, lo, hi):
 
 
 def subgraph_instance_by_trial(rng):
-    """The proper-subgraph draw of `verify._draw_subgraph_instance`, finding
-    its edge by trial: delete each edge of the shuffled list in turn, build
-    the rest and keep the first that is still connected.  The graph draw
-    and the vertex branch are the library's own."""
-    from cactiq import verify
+    """The proper-subgraph draw of `verify._draw_subgraph_instance`, on the
+    class's Graph: the edge found by trial (delete each edge of the shuffled
+    list in turn, build the rest and keep the first that is still
+    connected), the cut vertices from the biconnected blocks, and the vertex
+    deleted by relabelling the kept vertices in order.  Only the class draw
+    is the library's own."""
+    from cactiq import enumeration, verify
     while True:
-        g, q0, _ = verify._random_cactus(rng)
+        n, path, _, _, q0, _ = verify._random_cactus(rng)
+        g = enumeration._path_graph(n, path)
         if rng.random() < 0.5 and g.size > g.order - 1:
             edges = sorted(g.edges)
             rng.shuffle(edges)
             for e in edges:
                 h = from_edges(g.order, [x for x in edges if x != e])
                 if is_connected(h):
-                    return g, q0, h
+                    return n, path, q0, h
         cuts = block_decomposition(g).cut_vertices
         options = [v for v in range(g.order) if v not in cuts]
         if g.order >= 3 and options:
-            return g, q0, verify._delete_vertex(g, rng.choice(options))
+            v = rng.choice(options)
+            keep = {w: i for i, w in enumerate(x for x in range(n) if x != v)}
+            return n, path, q0, from_edges(n - 1, [
+                (keep[a], keep[b]) for a, b in g.edges if v not in (a, b)])
+
+
+def q_stack_by_values(graphs) -> np.ndarray:
+    """Q of every graph of one order as an (N, n, n) float array, its index
+    arrays read one value at a time from a generator over the graphs' edges:
+    the stack builder that took Graphs."""
+    n = graphs[0].order
+    k, u, v = np.fromiter((x for i, g in enumerate(graphs) for e in g.edges
+                           for x in (i, *e)), dtype=np.intp).reshape(-1, 3).T
+    stack = np.zeros((len(graphs), n, n))
+    stack[k, u, v] = stack[k, v, u] = 1.0
+    stack[:, range(n), range(n)] = stack.sum(axis=2)
+    return stack
+
+
+def rank_by_sort(radii, graph, gap):
+    """`verify.rank_certified` by sorting every candidate: float-descending
+    with a stable sort, the candidates within gap of the first ranked by
+    exact largest-root comparison from that order."""
+    from functools import cmp_to_key
+
+    from cactiq.polynomials import compare_largest_roots
+    from cactiq.spectra import char_polys, signless_laplacian
+    radii = list(radii)
+    order = sorted(range(len(radii)), key=lambda i: radii[i], reverse=True)
+    if len(order) == 1:
+        return order[0], None, None, False
+    best, second = order[0], order[1]
+    near = [i for i in order if radii[best] - radii[i] < gap]
+    tie = False
+    if len(near) > 1:
+        polys = dict(zip(near, char_polys(
+            [signless_laplacian(graph(i)) for i in near])))
+        near.sort(key=cmp_to_key(
+            lambda a, b: compare_largest_roots(polys[b], polys[a])))
+        best, second = near[0], near[1]
+        tie = compare_largest_roots(polys[best], polys[second]) == 0
+    gap = 0.0 if tie else abs(radii[best] - radii[second])
+    return best, second, gap, tie

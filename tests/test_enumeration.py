@@ -14,6 +14,7 @@ from cactiq.families import build_H
 from cactiq.graph import (_cactus_blocks, _cactus_code, _peel, _peel_matching,
                           are_isomorphic, canonical_code, from_edges,
                           is_cactus, matching_number, pendant_count)
+from cactiq.spectra import eigenpairs
 
 from oracles import (cactus_counts, extensions, oracle_cacti, scanned_level,
                      scanned_positions)
@@ -47,7 +48,7 @@ class TestCounts:
 
     def test_level_past_guard_matches_counting_oracle(self):
         # _level has no guard; n = 11 runs in about a second
-        assert len(enumeration._level(11).graphs) == cactus_counts(11)[-1]
+        assert len(enumeration._level(11).paths) == cactus_counts(11)[-1]
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -273,7 +274,7 @@ class TestExtensions:
         # checked at their own n
         want = scanned_level(n, found)
         assert found(n) == list(want.values())
-        assert enumeration._level(n).graphs == \
+        assert enumerate_cacti(n) == \
             tuple(want[code] for code in sorted(want))
         assert len(want) == KNOWN_COUNTS[n]
 
@@ -295,14 +296,15 @@ class TestPaths:
             assert _peel_matching(n, blocks) == matching_number(g)
         pair = {pos: inv for inv, group in level.groups.items()
                 for pos in group}
-        assert [pair[pos] for pos in range(len(level.graphs))] == \
-            [(matching_number(g), pendant_count(g)) for g in level.graphs]
+        assert [pair[pos] for pos in range(len(level.paths))] == \
+            [(matching_number(g), pendant_count(g))
+             for g in enumerate_cacti(n)]
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_graph6_read_off_the_paths(self, n):
         # each class's string, packed from its path, is its Graph's
         level = enumeration._level(n)
-        assert level.graph6 == tuple(graph6.encode(g) for g in level.graphs)
+        assert level.graph6 == tuple(map(graph6.encode, enumerate_cacti(n)))
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_enumerate_prints_the_graph_route(self, warm, capsys):
@@ -329,6 +331,30 @@ class TestPaths:
         # matching numbers 0 and 5 and pendant count 9
         assert empty == 3
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_path_edges_list_each_edge_once(self, n):
+        # each class's edge list is its Graph's edge set as a list, with no
+        # pendant edge listed twice: the closed walks of its path blocks,
+        # one edge per pendant block and one per cycle vertex
+        for path in enumeration._level(n).paths:
+            edges = enumeration._path_edges(n, path)
+            assert len(set(edges)) == len(edges)
+            assert frozenset(edges) == enumeration._path_graph(n, path).edges
+            blocks = enumeration._path_blocks(n, path)
+            assert set(edges) == {tuple(sorted(e)) for b in blocks
+                                  for e in zip(b, b[1:] + b[:1])}
+            assert len(edges) == sum(len(b) if len(b) > 2 else 1
+                                     for b in blocks)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_spectra_equal_eigenpairs_of_the_graphs(self, n):
+        # the table's radii and Perron rows, solved from the paths' edge
+        # lists, bit for bit those of the Graphs in canonical-code order
+        radius, perron = enumeration._level(n).spectra
+        want = eigenpairs(enumerate_cacti(n))
+        assert radius.tobytes() == want[0].tobytes()
+        assert perron.tobytes() == want[1].tobytes()
+
     def test_graphs_share_the_edge_table(self):
         # every edge of every class is the one tuple of the shared table
         for n in range(1, 11):
@@ -347,7 +373,7 @@ class TestInvariantTable:
         for n, old in zip(orders, cached):
             new = enumeration._level(n)
             assert new is not old
-            assert (new.paths, new.graphs) == (old.paths, old.graphs)
+            assert (new.paths, new._order) == (old.paths, old._order)
             assert new.groups == old.groups
             assert all(np.array_equal(a, b)
                        for a, b in zip(new.spectra, old.spectra))
@@ -376,19 +402,16 @@ class TestInvariantTable:
             filled = vars(enumeration._level(n))
             assert "groups" not in filled and "spectra" not in filled
 
-    def test_counts_and_filters_build_no_graph(self, capsys):
-        # a count, a filtered list or the `enumerate` command in either
-        # format, filtered or not, builds no level's Graphs; a plain list
-        # builds only its own order's
+    def test_counts_and_filters_build_no_graph(self, monkeypatch, capsys):
+        # a count or the `enumerate` command in either format, filtered or
+        # not, builds no Graph; a list builds only its own classes' Graphs,
+        # each once
         enumeration._level.cache_clear()
-
-        def built():
-            return [n for n in range(1, 12)
-                    if "graphs" in vars(enumeration._level(n))]
+        built = []
+        graph = enumeration.Graph
+        monkeypatch.setattr(enumeration, "Graph",
+                            lambda *args: built.append(args) or graph(*args))
         count_cacti(11)
-        assert built() == []
-        enumerate_cacti(9, CactusFilter(matching=4))
-        assert built() == []
         for fmt in ("graph6", "count"):
             for extra in ([], ["--matching", "4"], ["--pendants", "3"],
                           ["--matching", "0"]):
@@ -396,6 +419,8 @@ class TestInvariantTable:
                     assert main(["enumerate", "--n", str(n), "--format", fmt,
                                  *extra]) == 0
         assert capsys.readouterr().out
-        assert built() == []
+        assert built == []
+        assert len(enumerate_cacti(9, CactusFilter(matching=4))) == len(built)
+        built.clear()
         enumerate_cacti(9)
-        assert built() == [9]
+        assert len(built) == KNOWN_COUNTS[9]

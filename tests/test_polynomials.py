@@ -302,7 +302,9 @@ class TestCompareLargestRoots:
         assert compare_largest_roots(p, q) == -1
         assert compare_largest_roots(q, p) == 1
 
-    def test_equal_polynomials_tie_after_one_isolation(self, monkeypatch):
+    def test_equal_polynomials_tie_without_isolation(self, monkeypatch):
+        # equal polynomials tie after one Sturm count over the root bound's
+        # window; neither is isolated
         calls = []
 
         def counting(p, lo=None, hi=None):
@@ -313,11 +315,28 @@ class TestCompareLargestRoots:
         monkeypatch.setattr(polynomials, "isolate_largest_root", counting)
         p = monomial_shift(1) * monomial_shift(3)
         assert compare_largest_roots(p, IntPolynomial(p.coeffs)) == 0
-        assert calls == [p]
-        with pytest.raises(ValueError, match="real root"):
-            compare_largest_roots(IntPolynomial((1, 0, 1)), IntPolynomial((1, 0, 1)))
+        assert compare_largest_roots(p, p) == 0
+        assert calls == [] and p._top is None
         with pytest.raises(ValueError, match="real root"):
             compare_largest_roots(p, IntPolynomial((1, 0, 1)))
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 1), (5, 0, 2, 0, 1)],
+                             ids=["x2+1", "x4+2x2+5"])
+    def test_equal_polynomials_with_no_real_root_refused(self, coeffs):
+        # the same error as for unequal polynomials without a real root
+        p = IntPolynomial(coeffs)
+        with pytest.raises(ValueError,
+                           match="^both polynomials must have a real root$"):
+            compare_largest_roots(p, IntPolynomial(coeffs))
+
+    @pytest.mark.parametrize("coeffs", [(7,), (-2,)])
+    def test_equal_constant_polynomials_refused(self, coeffs):
+        # a constant cannot be isolated, equal or not
+        p = IntPolynomial(coeffs)
+        for q in (IntPolynomial(coeffs), monomial_shift(2)):
+            with pytest.raises(ValueError, match="^cannot isolate roots of a "
+                                                 "constant polynomial$"):
+                compare_largest_roots(p, q)
 
     def test_class_polynomial_pairs_match_fraction_oracle(self):
         # every pair of class polynomials for n <= 7, each in both orders,

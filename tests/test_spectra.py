@@ -13,7 +13,7 @@ from cactiq.polynomials import IntPolynomial, count_roots
 from cactiq.spectra import (_exact_traces, _top_eigenpairs, char_poly,
                             char_polys, eigenpairs, graph_radius, radii,
                             signless_laplacian, spectral_radius)
-from oracles import faddeev_leverrier, packed_char_poly
+from oracles import faddeev_leverrier, packed_char_poly, q_stack_by_values
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
@@ -142,7 +142,8 @@ class TestRadii:
     @pytest.mark.parametrize("size", [1, 64, 256, 500])
     def test_slices_equal_whole_stack(self, monkeypatch, n, size):
         graphs = enumerate_cacti(n)
-        whole = _top_eigenpairs(spectra._q_stack(graphs))[0].tolist()
+        whole = _top_eigenpairs(spectra._q_stack(
+            n, [g.edges for g in graphs]))[0].tolist()
         monkeypatch.setattr(spectra, "RADII_SLICE", size)
         assert radii(graphs) == whole
 
@@ -174,11 +175,27 @@ class TestRadii:
 
     def test_eigenpairs_slices_equal_whole_stack(self, monkeypatch):
         graphs = enumerate_cacti(9)
-        whole = _top_eigenpairs(spectra._q_stack(graphs))
+        whole = _top_eigenpairs(spectra._q_stack(9, [g.edges for g in graphs]))
         monkeypatch.setattr(spectra, "RADII_SLICE", 100)
         radius, perron = eigenpairs(graphs)
         assert radius.tolist() == whole[0].tolist()
         assert perron.tolist() == whole[1].tolist()
+
+    def test_q_stack_equals_the_graph_stack_builder(self):
+        # from edge lists, one graph or a stack of mixed edge counts (every
+        # cactus of order 8, 7 to 10 edges, and graphs with more), the
+        # float arrays of the builder that read Graphs value by value
+        rng = random.Random(3)
+        stacks = [[g] for g in (K1, K2, C3, build_H(31, 1))]
+        stacks += [list(enumerate_cacti(8)),
+                   [random_connected(rng, 9) for _ in range(40)]]
+        for graphs in stacks:
+            n = graphs[0].order
+            got = spectra._q_stack(n, [g.edges for g in graphs])
+            want = q_stack_by_values(graphs)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+        assert len({g.size for g in stacks[-2]}) == 4
 
     def test_eigenpairs_empty(self):
         radius, perron = eigenpairs([])

@@ -10,13 +10,13 @@ import pytest
 
 from cactiq import cli, enumeration, graph6, polynomials, spectra, verify
 from cactiq.cli import main
-from cactiq.enumeration import CactusFilter, enumerate_cacti
+from cactiq.enumeration import CactusFilter, classes, enumerate_cacti
 from cactiq.spectra import graph_radius
 from cactiq.transforms import contract_pend, shift_neighbors
 from cactiq.verify import (rank_certified, verify_conjecture11_negative,
                            verify_extremal, verify_formulas,
                            verify_monotonicity)
-from oracles import subgraph_instance_by_trial
+from oracles import rank_by_sort, subgraph_instance_by_trial
 
 
 class TestVerifyExtremal:
@@ -140,7 +140,9 @@ class TestRankCertified:
             self, monkeypatch, capsys):
         # with the gap at 100 every member of every class is ranked exactly;
         # the CLI must print the default gap's bytes, and each ranked
-        # candidate's largest root is isolated from the root bound once
+        # candidate's largest root is isolated from the root bound once.
+        # Four comparisons meet equal polynomials (Q-cospectral classes) and
+        # count p's roots in that window instead, one root bound each
         def run_all():
             for n in range(3, 8):
                 claims = ([["theorem31i"], ["conjecture11_negative"]] if n % 2
@@ -160,16 +162,53 @@ class TestRankCertified:
             bounds.append(p)
             return root_bound(p)
 
-        def counting_rank(graphs, radii):
-            ranked.append(len(graphs) if len(graphs) > 1 else 0)
-            return rank(graphs, radii)
+        def counting_rank(radii, graph):
+            ranked.append(len(radii) if len(radii) > 1 else 0)
+            return rank(radii, graph)
 
         root_bound, rank = polynomials.root_bound, verify.rank_certified
         monkeypatch.setattr(polynomials, "root_bound", counting_bound)
         monkeypatch.setattr(verify, "rank_certified", counting_rank)
         monkeypatch.setattr(verify, "EXACT_ESCALATION_GAP", 100)
         assert run_all() == baseline
-        assert len(bounds) == sum(ranked) == 348
+        assert sum(ranked) == 348
+        assert len(bounds) == 348 + 4
+
+    @pytest.mark.parametrize("gap, exact", [(verify.EXACT_ESCALATION_GAP, 0),
+                                            (1.0, 60)])
+    def test_one_pass_equals_sorting_every_candidate(self, monkeypatch, gap,
+                                                     exact):
+        # every claim class at n = 3..10, at the default gap and at one that
+        # sends 60 of the 63 classes with a runner-up to the exact ranking:
+        # the same four values as a stable float sort of the whole class
+        monkeypatch.setattr(verify, "EXACT_ESCALATION_GAP", gap)
+        ranked = 0
+        for n in range(3, 11):
+            graphs = enumerate_cacti(n)
+            for _, kw in _class_claims(n):
+                filt = CactusFilter(matching=kw.get("m"), pendants=kw.get("k"))
+                positions, radii = verify._class_radii(n, filt)
+                if not positions:
+                    continue
+                graph = [graphs[i] for i in positions].__getitem__
+                got = rank_certified(radii, graph)
+                assert got == rank_by_sort(radii.tolist(), graph, gap), (n, kw)
+                assert all(type(x) in (int, float, bool, type(None))
+                           for x in got)
+                ranked += int((radii.max() - radii < gap).sum()) > 1
+        assert ranked == exact
+
+    @pytest.mark.parametrize("radii, want", [
+        ([5.0, 4.0, 4.0], (0, 1)), ([4.0, 5.0, 4.0], (1, 0)),
+        ([3.0, 4.0, 4.0, 5.0], (3, 1)), ([2.0, 1.0], (0, 1))])
+    def test_runner_up_ties_take_the_lower_index(self, radii, want):
+        # with no rival near the maximum, equal floats behind it rank the
+        # lower index first, as a stable float sort does, and no Graph is built
+        def graph(i):
+            raise AssertionError("no near set, no Graph")
+        got = rank_certified(radii, graph)
+        assert got[:2] == want
+        assert got == rank_by_sort(radii, graph, verify.EXACT_ESCALATION_GAP)
 
     def test_true_maximizer_third_in_float_order(self):
         # float noise puts the true maximizer behind two rivals inside the
@@ -177,7 +216,8 @@ class TestRankCertified:
         pool = sorted(enumerate_cacti(5), key=lambda g: graph_radius(g).radius)
         low, mid, high = pool[0], pool[len(pool) // 2], pool[-1]
         radii = [5.0, 5.0 - 1e-9, 5.0 - 2e-9]
-        best, second, gap, tie = rank_certified([low, mid, high], radii)
+        best, second, gap, tie = rank_certified(radii,
+                                                [low, mid, high].__getitem__)
         assert (best, second, tie) == (2, 1, False)
         assert gap == pytest.approx(1e-9)
 
@@ -188,11 +228,11 @@ class TestRankCertified:
         for graphs in ([a, b], [b, a]):
             radii = [graph_radius(g).radius for g in graphs]
             first = 0 if radii[0] >= radii[1] else 1
-            assert rank_certified(graphs, radii) == \
+            assert rank_certified(radii, graphs.__getitem__) == \
                 (first, 1 - first, 0.0, True)
 
     def test_singleton_class(self):
-        assert rank_certified([graph6.decode("Bw")], [4.0]) == \
+        assert rank_certified([4.0], [graph6.decode("Bw")].__getitem__) == \
             (0, None, None, False)
 
 
@@ -277,13 +317,13 @@ class TestClassSpectra:
         # every extremal claim at n = 5..8, cold: one stacked solve per order,
         # of the order's whole class list
         solved = []
-        solve = enumeration.eigenpairs
+        solve = enumeration.stacked_eigenpairs
 
-        def counting(graphs):
-            solved.append((graphs[0].order, len(graphs)))
-            return solve(graphs)
+        def counting(n, count, edge_lists):
+            solved.append((n, count))
+            return solve(n, count, edge_lists)
 
-        monkeypatch.setattr(enumeration, "eigenpairs", counting)
+        monkeypatch.setattr(enumeration, "stacked_eigenpairs", counting)
         enumeration._level.cache_clear()
         for n in range(5, 9):
             for claim, kw in _class_claims(n):
@@ -297,14 +337,17 @@ class TestClassSpectra:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_class_radii_equal_graph_radius(self, n):
-        want = {id(g): graph_radius(g).radius for g in enumerate_cacti(n)}
+        graphs = enumerate_cacti(n)
+        want = [graph_radius(g).radius for g in graphs]
         filters = [CactusFilter()]
         filters += [CactusFilter(matching=m) for m in range(1, n // 2 + 1)]
         filters += [CactusFilter(pendants=k) for k in range(n + 1)]
         for filt in filters:
-            graphs, got = verify._class_radii(n, filt)
-            assert graphs == list(enumerate_cacti(n, filt))
-            assert got == [want[id(g)] for g in graphs]
+            positions, got = verify._class_radii(n, filt)
+            assert positions == list(classes(n).positions(filt))
+            assert [graphs[i] for i in positions] == \
+                list(enumerate_cacti(n, filt))
+            assert got.tolist() == [want[i] for i in positions]
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_perron_rows_equal_graph_radius(self, n):
@@ -314,10 +357,13 @@ class TestClassSpectra:
 
 
 # sha256 of verify_monotonicity(trials, seed).to_json(), recorded when every
-# radius was a separate graph_radius call
+# radius was a separate graph_radius call; (200, 7) recorded when each draw
+# still built its class's Graph.  A change to the draws' rng stream or to a
+# surgery result changes them.
 MONOTONICITY_PINS = {
     (200, 42): "ae709192e10a2aca2b9dd4c68db7e78afc91ac8d0d94cbe8e388850f4b67ce61",
     (200, 1): "9b7afa6d74ead7e495d4ffa4f033aeb32d2d8c9fdb6a094d71ce5e1faa1d223d",
+    (200, 7): "6d6c8245b8ebef89b69035d4860ad03a58868376bc8ab4554ad079918ffbe962",
     (1000, 1): "5244526ddc5e197b4f7191eba0460a568d9aa2707a2959e05b39e4da3530929c",
 }
 
@@ -354,23 +400,30 @@ class TestMonotonicity:
 
     def test_violations_in_trial_and_property_order(self, monkeypatch):
         # an infinite margin makes every comparison a violation, so the report
-        # lists every instance; one graph_radius call per radius is the oracle
+        # lists every instance; one graph_radius call per radius is the oracle,
+        # and each drawn surgery result is the public surgery's on the class's
+        # Graph
         monkeypatch.setattr(verify, "MONOTONE_MARGIN", math.inf)
         monkeypatch.setattr(spectra, "RADII_SLICE", 7)  # several batches
         got = verify_monotonicity(trials=12, seed=9).counterexamples
         rng, want = random.Random(9), []
         for t in range(12):
-            g, _, plan = verify._draw_shift_instance(rng)
+            n, path, _, h, plan = verify._draw_shift_instance(rng)
+            g = enumeration._path_graph(n, path)
+            assert h == shift_neighbors(g, *plan)
             want.append({"property": "neighbor_shift", "trial": t,
                          "graph": graph6.encode(g),
                          "before": graph_radius(g).radius,
                          "after": graph_radius(shift_neighbors(g, *plan)).radius})
-            g, _, (u, v) = verify._draw_contract_instance(rng)
+            n, path, _, h, (u, v) = verify._draw_contract_instance(rng)
+            g = enumeration._path_graph(n, path)
+            assert h == contract_pend(g, u, v)
             want.append({"property": "contract_pend", "trial": t,
                          "graph": graph6.encode(g),
                          "before": graph_radius(g).radius,
                          "after": graph_radius(contract_pend(g, u, v)).radius})
-            g, _, h = verify._draw_subgraph_instance(rng)
+            n, path, _, h = verify._draw_subgraph_instance(rng)
+            g = enumeration._path_graph(n, path)
             want.append({"property": "proper_subgraph", "trial": t,
                          "graph": graph6.encode(g), "sub": graph6.encode(h),
                          "whole": graph_radius(g).radius,
@@ -465,8 +518,8 @@ class TestCli:
         assert capsys.readouterr().out == "@\n"
 
     @pytest.mark.parametrize("args", [
-        ["--n", "14", "--matching", "9"],
-        ["--n", "14", "--pendants", "2"],
+        ["--n", "15", "--matching", "9"],
+        ["--n", "15", "--pendants", "2"],
         ["--n", "1000", "--pendants", "2000", "--format", "count"],
     ])
     def test_enumerate_past_guard_exit_2(self, args, capsys):
@@ -475,7 +528,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == \
-            f"error: n = {args[1]} exceeds the enumeration guard 13\n"
+            f"error: n = {args[1]} exceeds the enumeration guard 14\n"
 
     @pytest.mark.parametrize("args, flag, value", [
         (["--matching", "-1"], "matching", -1),
