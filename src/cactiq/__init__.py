@@ -11,7 +11,7 @@ from .graph import (Graph, BlockDecomposition, CanonicalCode, from_edges,
                     canonical_code, are_isomorphic)
 from .polynomials import IntPolynomial, largest_real_root, compare_largest_roots
 from .spectra import (SpectralResult, signless_laplacian, spectral_radius,
-                      graph_radius, eigenpairs, radii, char_poly, char_polys)
+                      graph_radius, char_poly, char_polys)
 from .quotient import (IndexPartition, BlockSpec, SpectrumMultiset,
                        quotient_matrix, is_equitable, build_from_spec,
                        structured_spectrum)

@@ -5,18 +5,20 @@ Every matrix is a plain numpy array: Q(G) is an (n, n) int array,
 `spectral_radius` takes any nonempty square symmetric array-like, and the
 exact path, `char_polys`, takes a stack of same-order int matrices;
 `char_poly` is its one-matrix call.  Q is built from edge lists in one
-place, `_q_stack`.  The numeric path is one stacked call of LAPACK's
-symmetric eigensolver (tridiagonalization + implicit-shift QR) per
-RADII_SLICE same-order matrices.  The exact path advances the powers of every
-matrix of the stack by one batched float64 matrix product per step whose
-every value is an integer of magnitude at most 2^52: the powers themselves
-while that bound allows, then their residues modulo a few pairwise-coprime
-moduli shared by the stack.  It rebuilds each power sum tr(A^k) by the
-Chinese remainder theorem under a Schur bound on |tr A^k| and turns the sums
-into coefficients by Newton's identities over Z, so the characteristic
-polynomial carries no floating-point error at all.  It takes matrices with
-n * max|a| <= WORD_LIMIT = 2^26; Q of a graph on n <= 64 vertices has
-n * max|a| <= 64 * 63.
+place, `_q_stack`, and every solve of many graphs hands it same-order edge
+lists: `stacked_eigenpairs` for radii and Perron vectors, or the caller's
+own stack cast to int for `char_polys`.  The numeric path is one stacked
+call of LAPACK's symmetric eigensolver (tridiagonalization + implicit-shift
+QR) per RADII_SLICE same-order matrices.  The exact path advances the
+powers of every matrix of the stack by one batched float64 matrix product
+per step whose every value is an integer of magnitude at most 2^52: the
+powers themselves while that bound allows, then their residues modulo a few
+pairwise-coprime moduli shared by the stack.  It rebuilds each power sum
+tr(A^k) by the Chinese remainder theorem under a Schur bound on |tr A^k|
+and turns the sums into coefficients by Newton's identities over Z, so the
+characteristic polynomial carries no floating-point error at all.  It
+takes matrices with n * max|a| <= WORD_LIMIT = 2^26; Q of a graph on
+n <= 64 vertices has n * max|a| <= 64 * 63.
 """
 
 from __future__ import annotations
@@ -128,26 +130,6 @@ def stacked_eigenpairs(n: int, count: int, edge_lists):
         radius[i:j], perron[i:j] = _top_eigenpairs(_q_stack(n, list(
             islice(lists, j - i))))
     return radius, perron
-
-
-def eigenpairs(graphs):
-    """`stacked_eigenpairs` of a sequence of same-order graphs' edge sets;
-    row i equals graph_radius(graphs[i]) exactly."""
-    n = graphs[0].order if graphs else 0
-    if any(g.order != n for g in graphs):
-        raise ValueError("a stack of Q matrices needs graphs of one order")
-    return stacked_eigenpairs(n, len(graphs), (g.edges for g in graphs))
-
-
-def radii(graphs) -> list:
-    """Spectral radius of Q(g) for each graph in a sequence of graphs of any
-    orders, in input order, from one `eigenpairs` call per order; each equals
-    graph_radius(g).radius exactly."""
-    out = np.empty(len(graphs))
-    for n in {g.order for g in graphs}:
-        idx = [i for i, g in enumerate(graphs) if g.order == n]
-        out[idx] = eigenpairs([graphs[i] for i in idx])[0]
-    return out.tolist()
 
 
 # Largest n * max|a| that `char_polys` accepts.  It keeps every modulus at

@@ -7,12 +7,15 @@ line.  Numeric acceptance is at 1e-9; every candidate whose radius lies within
 characteristic polynomials.
 
 Numeric radii come from the order's class table (`enumeration.classes`),
-solved once in stacked calls and read at the positions of a class's filter;
-a `Graph` is built only for a maximizer and an exactly ranked near set.  The
-monotonicity runs draw each class as its build path, read its edges,
-neighbour sets, cycle edges and cut vertices off it, and run `transforms`'
-internals on those sets.  The results are solved RADII_SLICE instances at a
-time in one `spectra.radii` call, then checked in trial and property order.
+solved once in stacked calls and read at the positions of a class's filter.
+Every other solve stacks Q once per order from edge lists: an exactly ranked
+near set from its classes' build paths, and `check-formulas` from the family
+members' generated edges, each in one `char_polys` call; a `Graph` is built
+only for a maximizer.  The monotonicity runs draw each class as its build
+path, read its edges, neighbour sets, cycle edges and cut vertices off it,
+and run `transforms`' internals on those sets.  The results are solved
+RADII_SLICE instances at a time, one `stacked_eigenpairs` call per order,
+then checked in trial and property order.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ import numpy as np
 from . import graph6, spectra
 from .enumeration import (CactusFilter, _block_counts, _path_blocks,
                           _path_edges, _path_graph, classes)
-from .families import (build, extremal_answer, members, psi_H, psi_L,
+from .families import (_edges, extremal_answer, members, psi_H, psi_L,
                        psi_legacy, superseded_conjecture_bound)
 from .graph import Graph, as_index, canonical_code
 from .polynomials import compare_largest_roots
+from .spectra import _q_stack, char_polys, stacked_eigenpairs
 # graph_radius is not called here; perfbench's layer-trace self-test reads it
 # as cactiq.verify.graph_radius
-from .spectra import char_polys, graph_radius, signless_laplacian  # noqa: F401
+from .spectra import graph_radius  # noqa: F401
 from .transforms import _contracted, _shifted
 
 RADIUS_TOL = 1e-9
@@ -80,17 +84,18 @@ class VerificationReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def rank_certified(radii, graph):
+def rank_certified(n: int, radii, edges):
     """Indices of the maximizer and runner-up, the runner-up gap and an
-    exact-tie flag, for candidates with these float radii; graph(i) builds
-    candidate i's Graph.
+    exact-tie flag, for candidates of order n with these float radii;
+    edges(i) gives candidate i's edge list, a sized collection of (u, v)
+    pairs.
 
     One pass over the radii finds the near set, every candidate within
     EXACT_ESCALATION_GAP of the maximum; only it is sorted, by exact
     largest-root comparison of its characteristic polynomials from float
-    order, and only its Graphs are built.  Float order, the lower index
-    first on equal floats, breaks exact ties.  A one-candidate class has no
-    runner-up and no gap.
+    order, and only its edges are read, into one Q stack and one
+    `char_polys` call.  Float order, the lower index first on equal floats,
+    breaks exact ties.  A one-candidate class has no runner-up and no gap.
     """
     r = np.asarray(radii, dtype=float)
     if len(r) == 1:
@@ -100,7 +105,7 @@ def rank_certified(radii, graph):
     best, tie = near[0], False
     if len(near) > 1:
         polys = dict(zip(near, char_polys(
-            [signless_laplacian(graph(i)) for i in near])))
+            _q_stack(n, [edges(i) for i in near]).astype(int))))
         near.sort(key=cmp_to_key(
             lambda a, b: compare_largest_roots(polys[b], polys[a])))
         best, second = near[0], near[1]
@@ -124,10 +129,10 @@ def _rank_class(report: VerificationReport, n: int, filt: CactusFilter):
     positions, class_radii = _class_radii(n, filt)
     if not positions:
         raise ValueError(f"no cacti match {report.parameters}")
-    def graph(i):
-        return _path_graph(n, classes(n).path(positions[i]))
-    best, _, report.runner_up_gap, tie = rank_certified(class_radii, graph)
-    observed = graph(best)
+    level = classes(n)
+    best, _, report.runner_up_gap, tie = rank_certified(
+        n, class_radii, lambda i: _path_edges(n, level.path(positions[i])))
+    observed = _path_graph(n, level.path(positions[best]))
     report.observed_maximizer = graph6.encode(observed)
     report.observed_radius = float(class_radii[best])
     return observed, report.observed_radius, len(positions), tie
@@ -219,8 +224,9 @@ def verify_conjecture11_negative(n: int, m: int | None = None) -> VerificationRe
 
 def verify_formulas(max_n: int = 24) -> VerificationReport:
     """Exact identity of both factored formulas against the determinant-free
-    exact characteristic polynomial, plus the legacy-formula erratum.  The
-    members of each order are solved in one `spectra.char_polys` call;
+    exact characteristic polynomial, plus the legacy-formula erratum.  Q of
+    each order's members is stacked once from their generated edges, which
+    `FamilyParams` has already checked, and solved in one `char_polys` call;
     failures are listed in (family, s, k) order.  max_n must be an integer
     (see `graph.as_index`)."""
     max_n = as_index(max_n, "max_n")
@@ -234,7 +240,8 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
     failed = set()
     for n in {p.n for _, p in points}:
         group = [(psi, p) for psi, p in points if p.n == n]
-        polys = char_polys([signless_laplacian(build(p)) for _, p in group])
+        polys = char_polys(_q_stack(
+            n, [list(_edges(p)) for _, p in group]).astype(int))
         failed.update(p for (psi, p), poly in zip(group, polys)
                       if psi(p.n, p.k) != poly)
     failures = [{"family": p.family, "s": p.s, "k": p.k}
@@ -356,11 +363,15 @@ def _instances(rng: random.Random, trials: int):
 
 
 def _violations(batch) -> list:
-    """Violation records of a batch of instances, in batch order; a class's
+    """Violation records of a batch of instances, in batch order, from one
+    `stacked_eigenpairs` call per order of the surgery results; a class's
     Graph is built only for its record."""
-    out = []
-    after = spectra.radii([h for *_, h in batch])
-    for (prop, t, n, path, q0, h), q1 in zip(batch, after):
+    out, results, after = [], [h for *_, h in batch], np.empty(len(batch))
+    for n in {h.order for h in results}:
+        idx = [i for i, h in enumerate(results) if h.order == n]
+        after[idx] = stacked_eigenpairs(
+            n, len(idx), (results[i].edges for i in idx))[0]
+    for (prop, t, n, path, q0, h), q1 in zip(batch, after.tolist()):
         sub = prop == "proper_subgraph"
         if (q0 - q1 if sub else q1 - q0) <= MONOTONE_MARGIN:
             out.append({"property": prop, "trial": t,

@@ -13,7 +13,7 @@ from cactiq.polynomials import (IntPolynomial, _poly_gcd, compare_largest_roots,
                                 count_roots, isolate_largest_root,
                                 largest_real_root, monomial_shift, refine_root,
                                 root_bound, sturm_sequence)
-from cactiq.spectra import char_poly, radii, signless_laplacian
+from cactiq.spectra import char_poly, graph_radius, signless_laplacian
 from cactiq.verify import EXACT_ESCALATION_GAP
 from oracles import (cauchy_bound, fraction_compare_largest_roots,
                      fraction_count_roots, fraction_gcd,
@@ -369,7 +369,7 @@ def _near_tie_pairs(n):
     """Char polys of neighbours in the radius order of the class at n whose
     float radii lie within the exact escalation gap."""
     graphs = enumerate_cacti(n)
-    rs = radii(graphs)
+    rs = [graph_radius(g).radius for g in graphs]
     order = sorted(range(len(graphs)), key=lambda i: (rs[i], i))
     return [tuple(char_poly(signless_laplacian(graphs[i])) for i in (lo, hi))
             for lo, hi in zip(order, order[1:])

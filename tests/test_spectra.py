@@ -11,8 +11,8 @@ from cactiq.families import build_H, build_L, extremal_answer
 from cactiq.graph import from_edges, is_connected
 from cactiq.polynomials import IntPolynomial, count_roots
 from cactiq.spectra import (_exact_traces, _top_eigenpairs, char_poly,
-                            char_polys, eigenpairs, graph_radius, radii,
-                            signless_laplacian, spectral_radius)
+                            char_polys, graph_radius, signless_laplacian,
+                            spectral_radius, stacked_eigenpairs)
 from oracles import faddeev_leverrier, packed_char_poly, q_stack_by_values
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -121,6 +121,12 @@ class TestSpectralRadius:
             assert np.linalg.norm(res.perron) == pytest.approx(1, abs=1e-10)
 
 
+def stacked(graphs):
+    """`stacked_eigenpairs` of a list of same-order graphs' edge sets."""
+    n = graphs[0].order if graphs else 0
+    return stacked_eigenpairs(n, len(graphs), (g.edges for g in graphs))
+
+
 def q_by_hand(g):
     """Q(g) from its edge list, built without cactiq.spectra."""
     q = np.zeros((g.order, g.order))
@@ -136,7 +142,7 @@ class TestRadii:
     def test_equal_to_one_eigh_per_graph(self, n):
         graphs = enumerate_cacti(n)
         want = [float(np.linalg.eigh(q_by_hand(g))[0][-1]) for g in graphs]
-        assert radii(graphs) == want
+        assert stacked(graphs)[0].tolist() == want
 
     @pytest.mark.parametrize("n", [9, 10])
     @pytest.mark.parametrize("size", [1, 64, 256, 500])
@@ -145,28 +151,18 @@ class TestRadii:
         whole = _top_eigenpairs(spectra._q_stack(
             n, [g.edges for g in graphs]))[0].tolist()
         monkeypatch.setattr(spectra, "RADII_SLICE", size)
-        assert radii(graphs) == whole
-
-    def test_mixed_orders_equal_graph_radius(self):
-        # radii groups by order itself; one graph_radius per graph is the
-        # oracle
-        graphs = [g for n in range(1, 11) for g in enumerate_cacti(n)]
-        random.Random(5).shuffle(graphs)
-        assert radii(graphs) == [graph_radius(g).radius for g in graphs]
-
-    def test_rejects_mixed_orders(self):
-        # eigenpairs returns its Perron vectors as one (N, n) array
-        with pytest.raises(ValueError, match="one order"):
-            eigenpairs([C3, S4])
+        assert stacked(graphs)[0].tolist() == whole
 
     def test_empty(self):
-        assert radii([]) == []
+        # no edge lists at a positive order: no rows, each n wide
+        radius, perron = stacked_eigenpairs(5, 0, iter(()))
+        assert radius.shape == (0,) and perron.shape == (0, 5)
 
     def test_eigenpairs_equal_graph_radius(self):
         # the one-graph solve is the oracle for the stacked radii and rows
         for n in range(1, 9):
             graphs = enumerate_cacti(n)
-            radius, perron = eigenpairs(graphs)
+            radius, perron = stacked(graphs)
             assert perron.shape == (len(graphs), n)
             for g, r, x in zip(graphs, radius.tolist(), perron.tolist()):
                 want = graph_radius(g)
@@ -177,7 +173,7 @@ class TestRadii:
         graphs = enumerate_cacti(9)
         whole = _top_eigenpairs(spectra._q_stack(9, [g.edges for g in graphs]))
         monkeypatch.setattr(spectra, "RADII_SLICE", 100)
-        radius, perron = eigenpairs(graphs)
+        radius, perron = stacked(graphs)
         assert radius.tolist() == whole[0].tolist()
         assert perron.tolist() == whole[1].tolist()
 
@@ -198,7 +194,7 @@ class TestRadii:
         assert len({g.size for g in stacks[-2]}) == 4
 
     def test_eigenpairs_empty(self):
-        radius, perron = eigenpairs([])
+        radius, perron = stacked([])
         assert radius.shape == (0,) and perron.shape == (0, 0)
 
     def test_residual_check_names_the_matrix(self):

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from cactiq import cli, enumeration, graph6, polynomials, spectra, verify
+from cactiq import (cli, enumeration, families, graph6, polynomials, spectra,
+                    verify)
 from cactiq.cli import main
 from cactiq.enumeration import CactusFilter, classes, enumerate_cacti
 from cactiq.spectra import graph_radius
@@ -162,9 +163,9 @@ class TestRankCertified:
             bounds.append(p)
             return root_bound(p)
 
-        def counting_rank(radii, graph):
+        def counting_rank(n, radii, edges):
             ranked.append(len(radii) if len(radii) > 1 else 0)
-            return rank(radii, graph)
+            return rank(n, radii, edges)
 
         root_bound, rank = polynomials.root_bound, verify.rank_certified
         monkeypatch.setattr(polynomials, "root_bound", counting_bound)
@@ -173,6 +174,35 @@ class TestRankCertified:
         assert run_all() == baseline
         assert sum(ranked) == 348
         assert len(bounds) == 348 + 4
+
+    def test_one_graph_built_per_report(self, monkeypatch):
+        # with the gap at 1.0 the near sets of most classes at n = 7 are
+        # ranked exactly, from their paths' edges in one Q stack each; only
+        # the maximizer, which the report prints, becomes a Graph
+        built, stacks = [], []
+        path_graph, polys = verify._path_graph, verify.char_polys
+
+        def counting_graph(n, path):
+            built.append(path)
+            return path_graph(n, path)
+
+        def counting_polys(stack):
+            stacks.append(len(stack))
+            return polys(stack)
+
+        monkeypatch.setattr(verify, "EXACT_ESCALATION_GAP", 1.0)
+        monkeypatch.setattr(verify, "_path_graph", counting_graph)
+        monkeypatch.setattr(verify, "char_polys", counting_polys)
+        per_report = []
+        for claim, kw in [*_class_claims(7), ("conjecture11_negative", {})]:
+            built.clear()
+            try:
+                verify_extremal(claim, 7, **kw)
+            except ValueError:  # empty class or no predicted answer
+                continue
+            per_report.append(len(built))
+        assert per_report == [1] * 12
+        assert len(stacks) == 9 and max(stacks) == 9
 
     @pytest.mark.parametrize("gap, exact", [(verify.EXACT_ESCALATION_GAP, 0),
                                             (1.0, 60)])
@@ -191,7 +221,7 @@ class TestRankCertified:
                 if not positions:
                     continue
                 graph = [graphs[i] for i in positions].__getitem__
-                got = rank_certified(radii, graph)
+                got = rank_certified(n, radii, lambda i: graph(i).edges)
                 assert got == rank_by_sort(radii.tolist(), graph, gap), (n, kw)
                 assert all(type(x) in (int, float, bool, type(None))
                            for x in got)
@@ -203,10 +233,10 @@ class TestRankCertified:
         ([3.0, 4.0, 4.0, 5.0], (3, 1)), ([2.0, 1.0], (0, 1))])
     def test_runner_up_ties_take_the_lower_index(self, radii, want):
         # with no rival near the maximum, equal floats behind it rank the
-        # lower index first, as a stable float sort does, and no Graph is built
+        # lower index first, as a stable float sort does, and no edges are read
         def graph(i):
-            raise AssertionError("no near set, no Graph")
-        got = rank_certified(radii, graph)
+            raise AssertionError("no near set, no edges")
+        got = rank_certified(5, radii, graph)
         assert got[:2] == want
         assert got == rank_by_sort(radii, graph, verify.EXACT_ESCALATION_GAP)
 
@@ -216,8 +246,8 @@ class TestRankCertified:
         pool = sorted(enumerate_cacti(5), key=lambda g: graph_radius(g).radius)
         low, mid, high = pool[0], pool[len(pool) // 2], pool[-1]
         radii = [5.0, 5.0 - 1e-9, 5.0 - 2e-9]
-        best, second, gap, tie = rank_certified(radii,
-                                                [low, mid, high].__getitem__)
+        best, second, gap, tie = rank_certified(
+            5, radii, [low.edges, mid.edges, high.edges].__getitem__)
         assert (best, second, tie) == (2, 1, False)
         assert gap == pytest.approx(1e-9)
 
@@ -228,12 +258,13 @@ class TestRankCertified:
         for graphs in ([a, b], [b, a]):
             radii = [graph_radius(g).radius for g in graphs]
             first = 0 if radii[0] >= radii[1] else 1
-            assert rank_certified(radii, graphs.__getitem__) == \
+            edges = [g.edges for g in graphs].__getitem__
+            assert rank_certified(7, radii, edges) == \
                 (first, 1 - first, 0.0, True)
 
     def test_singleton_class(self):
-        assert rank_certified([4.0], [graph6.decode("Bw")].__getitem__) == \
-            (0, None, None, False)
+        edges = [graph6.decode("Bw").edges].__getitem__
+        assert rank_certified(3, [4.0], edges) == (0, None, None, False)
 
 
 class TestConjectureNegative:
@@ -275,6 +306,28 @@ class TestFormulas:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             verify_formulas(25)
+
+    def test_one_q_stack_per_order_and_no_graph(self, monkeypatch):
+        # each order's members go from their generated edges into one Q
+        # stack and one char_polys call; no member is built as a Graph
+        def refuse(*args):
+            raise AssertionError("check-formulas builds no Graph and no Q")
+
+        banned = (families.build, spectra.signless_laplacian)
+        for module in (families, spectra, verify):
+            for name, value in list(vars(module).items()):
+                if any(value is f for f in banned):
+                    monkeypatch.setattr(module, name, refuse)
+        orders, polys = [], verify.char_polys
+
+        def counting(stack):
+            assert stack.dtype.kind == "i"
+            orders.append(stack.shape[1])
+            return polys(stack)
+
+        monkeypatch.setattr(verify, "char_polys", counting)
+        assert verify_formulas(24).passed
+        assert sorted(orders) == list(range(3, 25))
 
     def test_failures_in_family_s_k_order(self, monkeypatch):
         # members are solved one order at a time, yet failures keep the
@@ -429,6 +482,24 @@ class TestMonotonicity:
                          "whole": graph_radius(g).radius,
                          "part": graph_radius(h).radius})
         assert got == want
+
+    def test_violations_mixed_orders_equal_graph_radius(self, monkeypatch):
+        # one stacked solve per order, in slices, yet a batch that
+        # interleaves orders n and n - 1 gets its radii in input order, each
+        # bitwise its own graph_radius
+        monkeypatch.setattr(verify, "MONOTONE_MARGIN", math.inf)
+        monkeypatch.setattr(spectra, "RADII_SLICE", 5)
+        hs = [h for pair in zip(enumerate_cacti(7), enumerate_cacti(6))
+              for h in pair]
+        path = classes(7).path(0)
+        batch = [("neighbor_shift" if h.order == 7 else "proper_subgraph",
+                  t, 7, path, 0.0, h) for t, h in enumerate(hs)]
+        records = verify._violations(batch)
+        assert [r["trial"] for r in records] == list(range(len(hs)))
+        got = [r["after"] if "after" in r else r["part"] for r in records]
+        assert all(type(q) is float for q in got)
+        assert got == [graph_radius(h).radius for h in hs]
+        assert {h.order for h in hs[-2:]} == {6, 7}
 
     def test_subgraph_draw_equals_edge_trial_oracle(self):
         # the cycle-edge pick against building and testing each edge in turn:
