@@ -7,7 +7,9 @@ printable ASCII range, preceded by the encoded vertex count.
 
 from __future__ import annotations
 
-from .graph import Graph, from_edges
+from functools import lru_cache
+
+from .graph import MAX_ORDER, Graph, from_edges
 
 
 def _encode_order(n: int) -> bytes:
@@ -42,12 +44,14 @@ def _top(n: int) -> int:
     return -(-n * (n - 1) // 12) * 6 - 1
 
 
-def _edge_bits(n: int) -> list:
-    """bits[j][i], i < j: the bit that edge (i, j) sets in a graph6 body of
-    order n, as `encode` sets it."""
+@lru_cache(maxsize=MAX_ORDER)
+def _edge_bits(n: int) -> tuple:
+    """bits[j][i], i < j: the bit of edge (i, j) in a graph6 body of order
+    n.  The one statement of the layout, which `encode`, `decode` and
+    `enumeration.Level.graph6` read."""
     top = _top(n)
-    return [[1 << (top - j * (j - 1) // 2 - i) for i in range(j)]
-            for j in range(n)]
+    return tuple(tuple(1 << (top - j * (j - 1) // 2 - i) for i in range(j))
+                 for j in range(n))
 
 
 def _pack(n: int, acc: int) -> str:
@@ -61,21 +65,17 @@ def _pack(n: int, acc: int) -> str:
 
 
 def encode(g: Graph) -> str:
-    """graph6 string for g (labeled; not canonicalized).
-
-    Edge (i, j), i < j, is bit j(j - 1)/2 + i of the column-major upper
-    triangle.  One int holds every bit, the first one most significant,
-    and `_pack` cuts it into chunks."""
-    n = g.order
-    top = _top(n)
-    acc = 0
+    """graph6 string for g (labeled; not canonicalized): one int holds
+    every edge's bit from `_edge_bits`, and `_pack` cuts it into chunks."""
+    bits, acc = _edge_bits(g.order), 0
     for i, j in g.edges:
-        acc |= 1 << (top - j * (j - 1) // 2 - i)
-    return _pack(n, acc)
+        acc |= bits[j][i]
+    return _pack(g.order, acc)
 
 
 def decode(text: str) -> Graph:
-    """Parse a graph6 string back into a Graph."""
+    """Parse a graph6 string back into a Graph: the body is read into one
+    int, the inverse of `_pack`, and each edge off its `_edge_bits` bit."""
     try:
         data = text.strip().encode("ascii")
     except UnicodeEncodeError as exc:
@@ -89,19 +89,16 @@ def decode(text: str) -> Graph:
     body = data[pos:]
     if len(body) != need:
         raise ValueError(f"graph6 body length {len(body)}, expected {need}")
-    bits = []
+    acc = 0
     for ch in body:
-        v = ch - 63
-        if not 0 <= v <= 63:
+        if not 63 <= ch <= 126:
             raise ValueError(f"invalid graph6 byte {ch}")
-        bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+        acc = acc << 6 | (ch - 63)
+    if acc & ((1 << (6 * need - nbits)) - 1):
         raise ValueError("nonzero graph6 padding bits")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return from_edges(n, edges)
+    if n > MAX_ORDER:
+        # from_edges' own refusal, before any table of n(n - 1)/2 bits
+        return from_edges(n, ())
+    bits = _edge_bits(n)
+    return from_edges(n, [(i, j) for j in range(1, n) for i in range(j)
+                          if acc & bits[j][i]])

@@ -185,7 +185,8 @@ def quotient_eigenvalues(spec: BlockSpec):
 
 def quotient_char_poly(spec: BlockSpec) -> IntPolynomial:
     """Exact characteristic polynomial of the quotient matrix, for integer
-    parameters (the exact path used by the verification harness)."""
+    parameters.  No command calls it; the tests check it against the dense
+    matrix's."""
     if not spec.is_integer():
         raise ValueError("exact quotient requires integer parameters")
     rows = [[int(x) for x in row] for row in spec_quotient_rows(spec)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cmp_to_key
 from itertools import islice, zip_longest
 
@@ -81,7 +81,7 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def rank_certified(n: int, radii, edges):

@@ -18,6 +18,7 @@ from cactiq.enumeration import enumerate_cacti
 from cactiq.graph import (Graph, block_decomposition, canonical_code,
                           from_edges, is_cactus, is_connected,
                           matching_number, pendant_count)
+from cactiq.graph6 import _decode_order
 from cactiq.polynomials import IntPolynomial, monomial_shift
 
 
@@ -268,6 +269,42 @@ def has_edge_graph6(g: Graph) -> str:
     if k:
         out.append((acc << (6 - k)) + 63)
     return out.decode("ascii")
+
+
+def bitlist_decode(text: str) -> Graph:
+    """graph6 string to Graph through a list of every body bit, six per
+    byte, the first most significant, walked column by column with a
+    running index; the same errors, in the same order, as `graph6.decode`
+    (which shares only the order prefix parser)."""
+    try:
+        data = text.strip().encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ValueError(
+            f"invalid graph6 character {exc.object[exc.start]!r}") from None
+    n, pos = _decode_order(data)
+    if n < 1:
+        raise ValueError("graph6 order must be >= 1")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    body = data[pos:]
+    if len(body) != need:
+        raise ValueError(f"graph6 body length {len(body)}, expected {need}")
+    bits = []
+    for ch in body:
+        v = ch - 63
+        if not 0 <= v <= 63:
+            raise ValueError(f"invalid graph6 byte {ch}")
+        bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise ValueError("nonzero graph6 padding bits")
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return from_edges(n, edges)
 
 
 @lru_cache(maxsize=None)

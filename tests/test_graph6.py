@@ -1,15 +1,16 @@
 import random
+import re
 
 import networkx as nx
 import pytest
 
 from cactiq import graph6
 from cactiq.cli import main
-from cactiq.enumeration import enumerate_cacti
+from cactiq.enumeration import _level, _path_graph, enumerate_cacti
 from cactiq.families import build, members
 from cactiq.graph import MAX_ORDER, from_edges
 
-from oracles import has_edge_graph6, to_networkx
+from oracles import bitlist_decode, has_edge_graph6, to_networkx
 
 
 def random_graph(rng, n):
@@ -68,6 +69,87 @@ class TestEncodeAgainstHasEdgeLoop:
             assert graph6.encode(g) == has_edge_graph6(g), g
             orders.add(n)
         assert {1, 62, 63, 64} <= orders  # both order prefixes
+
+
+def _error(decoder, text):
+    """The ValueError text decoder raises on text, or None if it decodes."""
+    try:
+        decoder(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(n, text):
+    """text, of order n, with each body byte set to 62 and to 127, each
+    padding bit set, the body one byte short (if it has a byte) and one byte
+    long, and, for an order of at most 62, behind the long-form prefix."""
+    data, pos = text.encode("ascii"), 1 if n <= 62 else 4
+    for at in range(pos, len(data)):
+        for byte in (62, 127):
+            yield data[:at] + bytes([byte]) + data[at + 1:]
+    for bit in range(len(data[pos:]) * 6 - n * (n - 1) // 2):
+        yield data[:-1] + bytes([(data[-1] - 63 | 1 << bit) + 63])
+    if len(data) > pos:
+        yield data[:-1]
+    yield data + b"?"
+    if n <= 62:
+        yield bytes([126, 63, 63, n + 63]) + data[pos:]
+
+
+class TestDecodeAgainstBitList:
+    def test_every_enumerated_string(self):
+        count = 0
+        for n in range(1, 11):
+            level = _level(n)
+            for pos, text in enumerate(level.graph6):
+                g = graph6.decode(text)
+                assert g == _path_graph(n, level.path(pos)), text
+                assert g == bitlist_decode(text), text
+                count += 1
+        assert count == 2866
+
+    def test_every_family_member_and_random_graphs(self):
+        rng = random.Random(4)
+        graphs = [build(p) for family in ("H", "L")
+                  for p in members(family, MAX_ORDER)]
+        graphs += [random_graph(rng, rng.randint(1, MAX_ORDER))
+                   for _ in range(200)]
+        for g in graphs:
+            text = graph6.encode(g)
+            assert graph6.decode(text) == bitlist_decode(text) == g, text
+        assert len(graphs) == 992 + 930 + 200
+
+    def test_corrupted_strings_raise_the_same_errors(self):
+        rng = random.Random(5)
+        errors = set()
+        for n in [*range(1, 13), 31, 62, 63, 64]:
+            for bad in _corruptions(n, graph6.encode(random_graph(rng, n))):
+                bad = bad.decode("latin-1")
+                want = _error(bitlist_decode, bad)
+                assert _error(graph6.decode, bad) == want, bad
+                errors.add(re.sub(r"\b\d+\b", "N", want))
+        assert errors == {"invalid graph6 byte N", "nonzero graph6 padding bits",
+                          "graph6 body length N, expected N",
+                          "graph6 long-form order prefix used for n = N <= N"}
+
+    def test_order_above_maximum_builds_no_table(self, monkeypatch):
+        orders = []
+        edge_bits = graph6._edge_bits
+        monkeypatch.setattr(graph6, "_edge_bits",
+                            lambda n: orders.append(n) or edge_bits(n))
+        n = MAX_ORDER + 1
+        text = graph6._encode_order(n).decode() + "?" * -(-n * (n - 1) // 12)
+        want = f"order {n} exceeds supported maximum {MAX_ORDER}"
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            graph6.decode(text)
+        assert _error(bitlist_decode, text) == want
+        assert orders == []
+        # a padding bit is refused first, by both decoders
+        padded = text[:-1] + "@"
+        assert _error(graph6.decode, padded) == \
+            _error(bitlist_decode, padded) == "nonzero graph6 padding bits"
+        assert orders == []
 
 
 def test_bad_input():

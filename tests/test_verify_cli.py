@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -565,6 +566,43 @@ class TestReportDeterminism:
 
     def test_pinned_cli_reports(self, capsys):
         assert _reports_sha(capsys) == REPORTS_PIN
+
+
+def _asdict_line(report):
+    return json.dumps(dataclasses.asdict(report), sort_keys=True)
+
+
+class TestReportLines:
+    """`to_json` dumps the report's own fields: the same line as a deep
+    copy through `dataclasses.asdict`, nested records included."""
+
+    def test_extremal_and_conjecture_reports(self, monkeypatch):
+        reports = [verify_extremal(claim, 7, **kw) for claim, kw in (
+            ("theorem31i", {"m": 3}), ("theorem31ii", {"m": 2}),
+            ("theorem32", {}), ("prop213", {"k": 2}),
+            ("conjecture11_negative", {"m": 3}))]
+        reports.append(verify_extremal("prop215", 8, m=4))
+        # no two graphs share a code, so the maximizer is a counterexample
+        monkeypatch.setattr(verify, "canonical_code", id)
+        reports.append(verify_extremal("theorem32", 6))
+        assert reports[-1].counterexamples
+        for r in reports:
+            assert r.to_json() == _asdict_line(r)
+
+    def test_formulas_with_failures(self, monkeypatch):
+        psi_H = families.psi_H
+        monkeypatch.setattr(verify, "psi_H", lambda n, k: psi_H(n, k)
+                            if k % 2 else polynomials.IntPolynomial((1,)))
+        r = verify_formulas(12)
+        assert r.counterexamples and r.details["legacy_mismatches"]
+        assert not r.passed and r.to_json() == _asdict_line(r)
+
+    def test_monotonicity_with_violations(self, monkeypatch):
+        monkeypatch.setattr(verify, "MONOTONE_MARGIN", 1e9)
+        r = verify_monotonicity(20, 1)
+        assert len(r.counterexamples) == 60
+        assert {"sub", "before"} <= {key for c in r.counterexamples for key in c}
+        assert r.to_json() == _asdict_line(r)
 
 
 class TestCli:
