@@ -6,8 +6,10 @@ line.  Numeric acceptance is at 1e-9; every candidate whose radius lies within
 1e-7 of a class maximum is ranked by exact largest-root comparison of the
 characteristic polynomials.
 
-Numeric radii come from the order's class table (`enumeration.classes`),
-solved once in stacked calls and read at the positions of a class's filter.
+A class claim reads its inputs in one place: n, m and k are parsed as
+integers before the claim's order rule picks the class filter.  The class's
+positions and numeric radii then come from one lookup of the order's class
+table (`enumeration.classes`), solved once in stacked calls.
 Every other solve stacks Q once per order from edge lists: an exactly ranked
 near set from its classes' build paths, and `check-formulas` from the family
 members' generated edges, each in one `char_polys` call; a `Graph` is built
@@ -116,54 +118,55 @@ def rank_certified(n: int, radii, edges):
     return best, second, gap, tie
 
 
-def _class_radii(n: int, filt: CactusFilter):
-    """Positions of the classes of order n meeting filt, and their Q-radii."""
+def _claim_report(claim: str, n, m, k):
+    """The empty report of a class claim, with its parameters, and the
+    claim's class filter.  An unknown claim is refused first; then n and a
+    given m or k are parsed (see `graph.as_index`, as n, matching and
+    pendants) before the claim's order rule is applied."""
+    if claim == "monotonicity" or claim not in CLAIM_FLAGS:
+        raise ValueError(f"unknown extremal claim {claim!r}")
+    n = as_index(n, "n")
+    m = None if m is None else as_index(m, "matching")
+    k = None if k is None else as_index(k, "pendants")
+    if claim in ("theorem31i", "conjecture11_negative"):
+        m = (n - 1) // 2 if m is None else m
+        if n != 2 * m + 1:
+            raise ValueError(f"{claim} requires n = 2m + 1, got n={n}, m={m}")
+    elif claim == "theorem31ii":
+        if m is None:
+            raise ValueError("theorem31ii requires a matching number")
+        if n < 2 * m + 2:
+            raise ValueError(f"theorem31ii requires n >= 2m + 2, got n={n}, m={m}")
+    elif claim == "prop215":
+        m = n // 2 if m is None else m
+        if n != 2 * m:
+            raise ValueError(f"prop215 requires n = 2m, got n={n}, m={m}")
+    elif claim == "prop213" and k is None:
+        raise ValueError("prop213 requires a pendant count")
+    filt = CactusFilter(matching=m, pendants=k)  # refuses a negative m or k
+    if claim == "conjecture11_negative" and n < 3:
+        raise ValueError("n >= 3 required")
+    params = {"n": n, **{f: v for f, v in (("m", m), ("k", k)) if v is not None}}
+    return VerificationReport(claim=claim, parameters=params), filt
+
+
+def _rank_class(report: VerificationReport, filt: CactusFilter):
+    """Record the certified maximizer, radius and runner-up gap of the class
+    of order report.parameters["n"] meeting filt in the report; return the
+    maximizer, its radius, class size and exact-tie flag.  Positions and
+    radii come from one `classes(n)` lookup."""
+    n = report.parameters["n"]
     level = classes(n)
     positions = list(level.positions(filt))
-    return positions, level.spectra[0][positions]
-
-
-def _rank_class(report: VerificationReport, n: int, filt: CactusFilter):
-    """Record the class's certified maximizer, radius and runner-up gap in the
-    report; return the maximizer, its radius, class size and exact-tie flag."""
-    positions, class_radii = _class_radii(n, filt)
     if not positions:
         raise ValueError(f"no cacti match {report.parameters}")
-    level = classes(n)
+    class_radii = level.spectra[0][positions]
     best, _, report.runner_up_gap, tie = rank_certified(
         n, class_radii, lambda i: _path_edges(n, level.path(positions[i])))
     observed = _path_graph(n, level.path(positions[best]))
     report.observed_maximizer = graph6.encode(observed)
     report.observed_radius = float(class_radii[best])
     return observed, report.observed_radius, len(positions), tie
-
-
-def _claim_filter(claim: str, n: int, m, k) -> CactusFilter:
-    if claim in ("theorem31i", "conjecture11_negative"):
-        if m is None:
-            m = (n - 1) // 2
-        if n != 2 * m + 1:
-            raise ValueError(f"{claim} requires n = 2m + 1, got n={n}, m={m}")
-        return CactusFilter(matching=m)
-    if claim == "theorem31ii":
-        if m is None:
-            raise ValueError("theorem31ii requires a matching number")
-        if n < 2 * m + 2:
-            raise ValueError(f"theorem31ii requires n >= 2m + 2, got n={n}, m={m}")
-        return CactusFilter(matching=m)
-    if claim == "prop215":
-        if m is None:
-            m = n // 2
-        if n != 2 * m:
-            raise ValueError(f"prop215 requires n = 2m, got n={n}, m={m}")
-        return CactusFilter(matching=m)
-    if claim == "prop213":
-        if k is None:
-            raise ValueError("prop213 requires a pendant count")
-        return CactusFilter(pendants=k)
-    if claim == "theorem32":
-        return CactusFilter()
-    raise ValueError(f"unknown extremal claim {claim!r}")
 
 
 def verify_extremal(claim: str, n: int, m: int | None = None,
@@ -174,19 +177,13 @@ def verify_extremal(claim: str, n: int, m: int | None = None,
     refuse_unread_flags(claim, m=m, k=k)
     if claim == "conjecture11_negative":
         return verify_conjecture11_negative(n, m)
-    filt = _claim_filter(claim, n, m, k)
-    params = {"n": n}
-    if filt.matching is not None:
-        params["m"] = filt.matching
-    if filt.pendants is not None:
-        params["k"] = filt.pendants
-    report = VerificationReport(claim=claim, parameters=params)
-
-    predicted = extremal_answer(n, matching=filt.matching, pendants=filt.pendants)
+    report, filt = _claim_report(claim, n, m, k)
+    predicted = extremal_answer(report.parameters["n"], matching=filt.matching,
+                                pendants=filt.pendants)
     report.predicted_maximizer = graph6.encode(predicted.maximizer)
     report.predicted_radius = predicted.radius
 
-    observed, q_obs, class_size, tie = _rank_class(report, n, filt)
+    observed, q_obs, class_size, tie = _rank_class(report, filt)
     ok_iso = canonical_code(observed) == canonical_code(predicted.maximizer)
     ok_radius = abs(q_obs - predicted.radius) <= RADIUS_TOL
     ok_unique = not tie
@@ -202,13 +199,9 @@ def verify_extremal(claim: str, n: int, m: int | None = None,
 def verify_conjecture11_negative(n: int, m: int | None = None) -> VerificationReport:
     """Document that the superseded odd-case bound is exceeded by the verified
     maximum; the exceedance is the expected outcome."""
-    filt = _claim_filter("conjecture11_negative", n, m, None)
-    if n < 3:
-        raise ValueError("n >= 3 required")
-    report = VerificationReport(claim="conjecture11_negative",
-                                parameters={"n": n, "m": filt.matching})
-    _, q_obs, _, _ = _rank_class(report, n, filt)
-    bound = superseded_conjecture_bound(n)
+    report, filt = _claim_report("conjecture11_negative", n, m, None)
+    _, q_obs, _, _ = _rank_class(report, filt)
+    bound = superseded_conjecture_bound(report.parameters["n"])
     report.predicted_radius = bound
     exceeded = q_obs > bound + RADIUS_TOL
     report.passed = exceeded
@@ -247,24 +240,24 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
     failures = [{"family": p.family, "s": p.s, "k": p.k}
                 for _, p in points if p in failed]
 
+    # the legacy formula must disagree with the corrected one, at H(s, 0)
+    # for n = 5..15 (legacy H coincides at n = 3) and at the five smallest L
+    # points with s >= 2 (legacy L coincides at s = 1)
+    legacy = [(psi, p) for psi, p in points
+              if p.family == "H" and p.k == 0 and 5 <= p.n <= 15]
+    legacy += sorted(((psi, p) for psi, p in points
+                      if p.family == "L" and p.s >= 2),
+                     key=lambda q: (q[1].n, q[1].k))[:5]
     mismatches, legacy_failures = [], []
-    def check_legacy(family, psi, n, k):
-        """The legacy formula must disagree: record its first differing degree."""
-        point = {"family": family, "n": n, "k": k}
-        diff = _first_coeff_diff(psi_legacy(family, n, k), psi(n, k))
+    for psi, p in legacy:
+        point = {"family": p.family, "n": p.n, "k": p.k}
+        pairs = zip_longest(psi_legacy(p.family, p.n, p.k).coeffs,
+                            psi(p.n, p.k).coeffs, fillvalue=0)
+        diff = next((d for d, (x, y) in enumerate(pairs) if x != y), None)
         if diff is None:
             legacy_failures.append(point)
         else:
             mismatches.append({**point, "first_diff_degree": diff})
-
-    # H at n >= 5, k = 0: legacy H coincides with the corrected formula at n = 3
-    for n in range(5, min(max_n, 15) + 1, 2):
-        check_legacy("H", psi_H, n, 0)
-    # the five smallest L points with s >= 2: legacy L coincides at s = 1
-    l_points = sorted((p for p in members("L", max_n) if p.s >= 2),
-                      key=lambda p: (p.n, p.k))[:5]
-    for p in l_points:
-        check_legacy("L", psi_L, p.n, p.k)
 
     report.passed = not failures and not legacy_failures
     report.counterexamples = failures + legacy_failures
@@ -272,11 +265,6 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
                       "identity_failures": len(failures),
                       "legacy_mismatches": mismatches}
     return report
-
-
-def _first_coeff_diff(a, b):
-    pairs = zip_longest(a.coeffs, b.coeffs, fillvalue=0)
-    return next((deg for deg, (x, y) in enumerate(pairs) if x != y), None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import json
 import math
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cactiq import (cli, enumeration, families, graph6, polynomials, spectra,
@@ -86,6 +88,41 @@ class TestVerifyExtremal:
         # the report's parameters
         with pytest.raises(ValueError, match=f"^{claim} takes no --{flag}$"):
             verify_extremal(claim, n, m=m, k=k)
+
+    @pytest.mark.parametrize("claim, args, bad", [
+        (claim, args, bad) for claim, args in [
+            ("theorem31i", {"n": 7}), ("theorem31i", {"n": 7, "m": 3}),
+            ("theorem31ii", {"n": 9, "m": 2}), ("theorem32", {"n": 7}),
+            ("prop213", {"n": 7, "k": 2}), ("prop215", {"n": 8}),
+            ("prop215", {"n": 8, "m": 4}), ("conjecture11_negative", {"n": 7}),
+            ("conjecture11_negative", {"n": 7, "m": 3})]
+        for bad in args])
+    @pytest.mark.parametrize("cast", [str, float])
+    def test_inputs_parsed_before_any_rule(self, claim, args, bad, cast):
+        # a str or float n, m or k once raised TypeError from the order
+        # rule's arithmetic, or blamed a matching the caller never passed
+        args = {**args, bad: cast(args[bad])}
+        field = {"n": "n", "m": "matching", "k": "pendants"}[bad]
+        msg = f"^{re.escape(f'{field} must be an integer, got {args[bad]!r}')}$"
+        with pytest.raises(ValueError, match=msg):
+            verify_extremal(claim, **args)
+        if claim == "conjecture11_negative":
+            with pytest.raises(ValueError, match=msg):
+                verify_conjecture11_negative(**args)
+
+    def test_numpy_integer_inputs_run(self):
+        r = verify_extremal("theorem31ii", np.int64(8), m=np.int64(3))
+        assert r.passed and r.parameters == {"n": 8, "m": 3}
+        assert r.to_json() == verify_extremal("theorem31ii", 8, m=3).to_json()
+        r = verify_conjecture11_negative(np.int32(7), np.int16(3))
+        assert r.to_json() == verify_conjecture11_negative(7).to_json()
+        assert verify_extremal("prop213", 8, k=np.int64(2)).parameters == \
+            {"n": 8, "k": 2}
+
+    def test_unknown_claim_refused_before_parsing(self):
+        with pytest.raises(ValueError,
+                           match="^unknown extremal claim 'nonsense'$"):
+            verify_extremal("nonsense", "x")
 
     def test_report_json_shape(self):
         r = verify_extremal("theorem31i", 5, m=2)
@@ -218,7 +255,8 @@ class TestRankCertified:
             graphs = enumerate_cacti(n)
             for _, kw in _class_claims(n):
                 filt = CactusFilter(matching=kw.get("m"), pendants=kw.get("k"))
-                positions, radii = verify._class_radii(n, filt)
+                positions = list(classes(n).positions(filt))
+                radii = classes(n).spectra[0][positions]
                 if not positions:
                     continue
                 graph = [graphs[i] for i in positions].__getitem__
@@ -397,8 +435,8 @@ class TestClassSpectra:
         filters += [CactusFilter(matching=m) for m in range(1, n // 2 + 1)]
         filters += [CactusFilter(pendants=k) for k in range(n + 1)]
         for filt in filters:
-            positions, got = verify._class_radii(n, filt)
-            assert positions == list(classes(n).positions(filt))
+            positions = list(classes(n).positions(filt))
+            got = classes(n).spectra[0][positions]
             assert [graphs[i] for i in positions] == \
                 list(enumerate_cacti(n, filt))
             assert got.tolist() == [want[i] for i in positions]
