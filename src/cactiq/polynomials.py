@@ -1,14 +1,16 @@
 """Exact integer polynomials, Sturm sequences and certified real-root isolation.
 
 All coefficients are arbitrary-precision Python integers, stored in ascending
-degree order, and the root layer runs in integer arithmetic only, so every
-bracket produced here is a rigorous statement, not a floating-point one.
+degree order, and every verdict of the root layer is decided in integer
+arithmetic, so every bracket produced here is a rigorous statement, not a
+floating-point one.
 A polynomial multiplies and raises to powers; it neither adds, subtracts nor
 negates, and it meets only other polynomials, never a bare integer.
 Sturm chains come from a primitive remainder sequence in Z[x]
 (pseudo-division, then the primitive part) and are divided through by
 gcd(p, p') exactly, so they count distinct roots, multiple ones included.
-A polynomial keeps its chain and unwindowed largest-root bracket once made.
+A polynomial keeps its chain, its unwindowed largest-root bracket and its
+float estimate of that root once made.
 Isolation takes a whole window (lo, hi], half-open like every bracket, or
 none, which is then the root bound's (-B, B].
 Isolation and comparison share one halving step, which carries a bracket as
@@ -16,6 +18,19 @@ integer numerators over a common denominator, evaluates the Sturm chain once,
 at the midpoint, and carries the end sign variations.  Refinement bisects on
 the same grid to REFINE_WIDTH by the sign of the chain's first, square-free
 member alone.  Brackets are handed out as `fractions.Fraction`.
+
+A float only chooses where to look.  Newton's method, run downward from the
+window's top (or the root bound), estimates a largest root; integer signs
+and Descartes' rule of signs after an integer Taylor shift (`_roots_above`)
+then certify a verdict near it.  `largest_real_root` certifies the final
+refinement cell that holds the estimate (or its neighbour) as holding the
+only root above its left end, with a sign change across it; isolation and
+refinement would end in that cell, so its midpoint is their float bit for
+bit.  `compare_largest_roots` certifies a tie or an order from the two
+estimates.  When a certificate fails (no estimate, a root on a grid point,
+a multiple or crowded top root, an estimate on a lower root), Sturm
+isolation and bisection run as before, so no verdict and no float ever
+rests on floating point.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm, nan
 
 
 class IntPolynomial:
@@ -37,14 +52,14 @@ class IntPolynomial:
     lazily filled slots.
     """
 
-    __slots__ = ("coeffs", "_sturm", "_top")
+    __slots__ = ("coeffs", "_sturm", "_top", "_guess")
 
     def __init__(self, coeffs):
         cs = [_coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._sturm = self._top = None
+        self._sturm = self._top = self._guess = None
 
     @property
     def degree(self) -> int:
@@ -266,6 +281,85 @@ def root_bound(p: IntPolynomial) -> int:
     return 2 ** (max(e, 0) + 1)
 
 
+# ---------------------------------------------------------------------------
+# Float estimates and the integer certificates that check them
+# ---------------------------------------------------------------------------
+
+_NEWTON_STEPS = 100
+# Relative distance from an estimate to the points that certify a sign
+# change near it, and below which two estimates are a candidate tie: wide
+# enough for Newton's float error at clustered roots of class polynomials
+# (1e-11 at n = 11), narrow enough to keep their distinct near-tie roots
+# apart.  Either way a miss costs a fallback, never a verdict.
+_NEAR = 2.0 ** -34
+
+
+def _newton(coeffs, top):
+    """A float estimate of the largest real root at or below top of the
+    polynomial with ascending integer coefficients: Newton's method run
+    downward from top until a step no longer moves it down.  None on
+    overflow, at a flat point, or when it does not settle within
+    _NEWTON_STEPS steps.  Only certificates read it, so a poor estimate
+    costs time, never a verdict."""
+    try:
+        cs = [float(c) for c in reversed(coeffs)]
+        x = float(top)
+    except OverflowError:
+        return None
+    for _ in range(_NEWTON_STEPS):
+        v = dv = 0.0
+        for c in cs:
+            dv = dv * x + v
+            v = v * x + c
+        if not v:
+            return x
+        step = v / dv if dv else nan
+        if not isfinite(step):
+            return None
+        if not x - step < x:  # the step is upward or below resolution
+            return x
+        x -= step
+    return None
+
+
+def _estimate(p: IntPolynomial):
+    """The float estimate of p's largest real root from its root bound,
+    made on first use and kept on p; None when Newton gives none."""
+    if p._guess is None:
+        p._guess = (_newton(p.coeffs, root_bound(p)),)
+    return p._guess[0]
+
+
+def _near(x: float, side: int) -> float:
+    """A float just below (side -1) or above (side 1) the estimate x."""
+    return x + side * _NEAR * max(1.0, abs(x))
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _sign_at(coeffs, x: float) -> int:
+    """The exact sign of the polynomial at the float x."""
+    num, den = x.as_integer_ratio()
+    return _sign(_scaled_value(coeffs, num, _powers(den, len(coeffs))))
+
+
+def _roots_above(coeffs, num: int, den: int) -> int:
+    """Sign variations of den^d p((num + y) / den) in y (den > 0), by an
+    integer Taylor shift.  By Descartes' rule of signs this is an upper
+    bound, of the same parity, on the roots of p above num / den counted
+    with multiplicity: 0 proves there is none, 1 that there is exactly one,
+    and it is simple."""
+    d = len(coeffs) - 1
+    shifted = [c * w for c, w in zip(coeffs, reversed(_powers(den, d + 1)))]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            shifted[j] += num * shifted[j + 1]
+    signs = [c > 0 for c in shifted if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 # Bisection runs on an integer grid: a bracket (a/den, b/den] is carried as
 # integer numerators over one positive common denominator, so a midpoint is
 # (a + b) / 2den and no step normalises a fraction.
@@ -351,15 +445,63 @@ def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
 
 def largest_real_root(p: IntPolynomial, bracket) -> float:
     """Largest real root of p in the bracket (lo, hi], certified by Sturm
-    counting before bisection refinement (see `refine_root`).
+    counting before bisection refinement (see `refine_root`), or at once
+    from a float estimate when integer signs and Descartes' rule certify
+    the final refinement cell that holds it (see `_certified_root`); the
+    float is the same either way.
 
     Raises ValueError when p is constant or has no root in (lo, hi].
     """
     lo, hi = bracket
+    root = _certified_root(p.coeffs, lo, hi) if p.degree >= 1 else None
+    if root is not None:
+        return root
     iso = isolate_largest_root(p, lo, hi)
     if iso is None:
         raise ValueError(f"no real root of {p.to_json()} in ({lo}, {hi}]")
     return refine_root(p, *iso)
+
+
+def _certified_root(coeffs, lo, hi):
+    """`refine_root(p, *isolate_largest_root(p, lo, hi))` when the cell
+    (c, e] of the final refinement level (the window halved K times, K the
+    least with width <= REFINE_WIDTH) that holds Newton's estimate from hi,
+    or failing that its neighbour towards the root, is certified; else None.
+
+    The certificate is p(c) p(e) < 0 and `_roots_above(p, c) == 1`: the cell
+    holds the only root of p above c, a simple one strictly inside it.  So
+    isolation stops at some level <= K in the cell above it, refinement
+    meets no root on a grid point and ends in (c, e], and the float is that
+    cell's midpoint.  A root on a grid point fails the certificate.
+    """
+    x = _newton(coeffs, hi)
+    a, b, den = _grid(Fraction(lo), Fraction(hi))
+    if x is None or b <= a:
+        return None
+    # cell j of level K is (c, c + step] over den_k, c = a 2^K + j step
+    step, w = b - a, REFINE_WIDTH
+    k = (-(-step * w.denominator // (w.numerator * den)) - 1).bit_length()
+    den_k, cells = den << k, 1 << k
+    num, xden = x.as_integer_ratio()
+    j = -((a * cells * xden - num * den_k) // (step * xden)) - 1
+    j = min(max(j, 0), cells - 1)
+    powers, lead = _powers(den_k, len(coeffs)), _sign(coeffs[-1])
+    for _ in range(2):
+        c = a * cells + j * step
+        sc = _sign(_scaled_value(coeffs, c, powers))
+        se = _sign(_scaled_value(coeffs, c + step, powers))
+        if sc * se < 0:
+            if _roots_above(coeffs, c, den_k) == 1:
+                return (2 * c + step) / (2 * den_k)
+            return None
+        if not sc or not se:
+            return None
+        # one sign on both ends: a root above e if it is not +inf's sign,
+        # else the top root lies below c
+        j += 1 if se != lead else -1
+        if not 0 <= j < cells:
+            return None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +523,69 @@ def _poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact three-way comparison of the largest real roots of p and q.
 
-    Returns -1, 0 or 1.  Both polynomials must have at least one real root;
-    equal ones tie once a Sturm count over p's root bound window finds one.
-    Each isolation is kept on its polynomial, so ranking one polynomial
-    against many isolates it once.
+    Returns -1, 0 or 1.  Both polynomials must have at least one real root.
+    The float estimates of both largest roots, each made once and kept on
+    its polynomial, first let integer signs and Descartes' rule certify the
+    verdict (see `_certified_order`); when that fails, the roots are
+    isolated and separated by `_compare_by_bisection`, each isolation kept
+    on its polynomial, so ranking one polynomial against many estimates it,
+    and at most isolates it, once.
     """
+    verdict = _certified_order(p, q)
+    return _compare_by_bisection(p, q) if verdict is None else verdict
+
+
+def _certified_order(p: IntPolynomial, q: IntPolynomial):
+    """The comparison's verdict when one of three certificates holds, else
+    None.  Each reads a float just below an estimate, where the sign
+    opposite to the sign at +inf proves a real root above it.  Equal
+    polynomials tie on that proof for p.  Estimates that are apart decide
+    at the float t just below the upper one: the lower polynomial is
+    nonzero at t with no root above it (`_roots_above` is 0) and a root
+    just below its own estimate, and the upper one has a root above t.
+    Close estimates tie when g = gcd(p, q) changes sign across the cell
+    (c, e) that spans both and p and q each have exactly one root above c,
+    which is then g's root."""
+    if p.degree < 1 or q.degree < 1:
+        return None
+    xp = _estimate(p)
+    if xp is None:
+        return None
+    if p == q:
+        return 0 if _root_above(p, _near(xp, -1)) else None
+    xq = _estimate(q)
+    if xq is None:
+        return None
+    lo, hi = min(xp, xq), max(xp, xq)
+    t = _near(hi, -1)
+    if _near(lo, 1) < t:
+        low, high = (p, q) if xp < xq else (q, p)
+        if (_sign_at(low.coeffs, t)
+                and _roots_above(low.coeffs, *t.as_integer_ratio()) == 0
+                and _root_above(low, _near(lo, -1)) and _root_above(high, t)):
+            return -1 if low is p else 1
+        return None
+    g = _poly_gcd(p, q)
+    c, e = _near(lo, -1), _near(hi, 1)
+    if g.degree < 1 or _sign_at(g.coeffs, c) * _sign_at(g.coeffs, e) >= 0:
+        return None
+    num, den = c.as_integer_ratio()
+    above = _roots_above(p.coeffs, num, den), _roots_above(q.coeffs, num, den)
+    return 0 if above == (1, 1) else None
+
+
+def _root_above(p: IntPolynomial, x: float) -> bool:
+    """Whether p has at x the sign opposite to its sign at +inf, which
+    proves a real root of p above x."""
+    return _sign_at(p.coeffs, x) == -_sign(p.leading)
+
+
+def _compare_by_bisection(p: IntPolynomial, q: IntPolynomial) -> int:
+    """`compare_largest_roots` by Sturm isolation alone.  Equal polynomials
+    tie once a Sturm count over p's root bound window finds a real root;
+    otherwise both largest roots are isolated, disjoint brackets decide, a
+    gcd root in both brackets is a tie, and else both brackets are halved
+    until they are disjoint, for at most MAX_SEPARATION_STEPS steps."""
     if p == q and p.degree >= 1:
         bound = root_bound(p)
         if count_roots(p, -bound, bound):

@@ -228,31 +228,30 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
     if max_n < 3:
         raise ValueError(f"max_n must be >= 3, the order of H(1, 0), got {max_n}")
     report = VerificationReport(claim="formulas", parameters={"max_n": max_n})
-    points = [(psi, p) for family, psi in (("H", psi_H), ("L", psi_L))
-              for p in members(family, max_n)]
+    # each member's closed form, read by the identity and the erratum checks
+    closed = {p: psi(p.n, p.k) for family, psi in (("H", psi_H), ("L", psi_L))
+              for p in members(family, max_n)}
     failed = set()
-    for n in {p.n for _, p in points}:
-        group = [(psi, p) for psi, p in points if p.n == n]
+    for n in {p.n for p in closed}:
+        group = [p for p in closed if p.n == n]
         polys = char_polys(_q_stack(
-            n, [list(_edges(p)) for _, p in group]).astype(int))
-        failed.update(p for (psi, p), poly in zip(group, polys)
-                      if psi(p.n, p.k) != poly)
+            n, [list(_edges(p)) for p in group]).astype(int))
+        failed.update(p for p, poly in zip(group, polys) if closed[p] != poly)
     failures = [{"family": p.family, "s": p.s, "k": p.k}
-                for _, p in points if p in failed]
+                for p in closed if p in failed]
 
     # the legacy formula must disagree with the corrected one, at H(s, 0)
     # for n = 5..15 (legacy H coincides at n = 3) and at the five smallest L
     # points with s >= 2 (legacy L coincides at s = 1)
-    legacy = [(psi, p) for psi, p in points
+    legacy = [p for p in closed
               if p.family == "H" and p.k == 0 and 5 <= p.n <= 15]
-    legacy += sorted(((psi, p) for psi, p in points
-                      if p.family == "L" and p.s >= 2),
-                     key=lambda q: (q[1].n, q[1].k))[:5]
+    legacy += sorted((p for p in closed if p.family == "L" and p.s >= 2),
+                     key=lambda p: (p.n, p.k))[:5]
     mismatches, legacy_failures = [], []
-    for psi, p in legacy:
+    for p in legacy:
         point = {"family": p.family, "n": p.n, "k": p.k}
         pairs = zip_longest(psi_legacy(p.family, p.n, p.k).coeffs,
-                            psi(p.n, p.k).coeffs, fillvalue=0)
+                            closed[p].coeffs, fillvalue=0)
         diff = next((d for d, (x, y) in enumerate(pairs) if x != y), None)
         if diff is None:
             legacy_failures.append(point)
@@ -261,7 +260,7 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
 
     report.passed = not failures and not legacy_failures
     report.counterexamples = failures + legacy_failures
-    report.details = {"identities_checked": len(points),
+    report.details = {"identities_checked": len(closed),
                       "identity_failures": len(failures),
                       "legacy_mismatches": mismatches}
     return report

@@ -9,10 +9,11 @@ import pytest
 from cactiq import graph6, polynomials
 from cactiq.enumeration import enumerate_cacti
 from cactiq.families import h_cubic, l_quintic
-from cactiq.polynomials import (IntPolynomial, _poly_gcd, compare_largest_roots,
-                                count_roots, isolate_largest_root,
-                                largest_real_root, monomial_shift, refine_root,
-                                root_bound, sturm_sequence)
+from cactiq.polynomials import (IntPolynomial, _compare_by_bisection, _poly_gcd,
+                                compare_largest_roots, count_roots,
+                                isolate_largest_root, largest_real_root,
+                                monomial_shift, refine_root, root_bound,
+                                sturm_sequence)
 from cactiq.spectra import char_poly, graph_radius, signless_laplacian
 from cactiq.verify import EXACT_ESCALATION_GAP
 from oracles import (cauchy_bound, fraction_compare_largest_roots,
@@ -258,8 +259,8 @@ class TestCompareLargestRoots:
         q = monomial_shift(10) * monomial_shift(11)
         ip, iq = isolate_largest_root(p), isolate_largest_root(q)
         assert ip[1] <= iq[0]
-        assert compare_largest_roots(p, q) == -1
-        assert compare_largest_roots(q, p) == 1
+        assert _compare_by_bisection(p, q) == -1
+        assert _compare_by_bisection(q, p) == 1
 
     def test_overlapping_brackets_still_take_the_gcd(self, monkeypatch):
         calls = []
@@ -271,13 +272,13 @@ class TestCompareLargestRoots:
         gcd = polynomials._poly_gcd
         monkeypatch.setattr(polynomials, "_poly_gcd", counting)
         # the first brackets of x - 2 and x - 3 are both (-8, 8]
-        assert compare_largest_roots(monomial_shift(2), monomial_shift(3)) == -1
+        assert _compare_by_bisection(monomial_shift(2), monomial_shift(3)) == -1
         assert len(calls) == 1
         shared = IntPolynomial((8, -7, 1))
-        assert compare_largest_roots(shared * monomial_shift(1), shared) == 0
+        assert _compare_by_bisection(shared * monomial_shift(1), shared) == 0
         a, b = graph6.decode("FsOIG"), graph6.decode("FqDGO")
         pa, pb = (char_poly(signless_laplacian(g)) for g in (a, b))
-        assert compare_largest_roots(pa, pb) == compare_largest_roots(pb, pa) == 0
+        assert _compare_by_bisection(pa, pb) == _compare_by_bisection(pb, pa) == 0
 
     def test_exact_tie_shared_factor(self):
         shared = IntPolynomial((8, -7, 1))
@@ -314,11 +315,11 @@ class TestCompareLargestRoots:
         isolate = polynomials.isolate_largest_root
         monkeypatch.setattr(polynomials, "isolate_largest_root", counting)
         p = monomial_shift(1) * monomial_shift(3)
-        assert compare_largest_roots(p, IntPolynomial(p.coeffs)) == 0
-        assert compare_largest_roots(p, p) == 0
+        assert _compare_by_bisection(p, IntPolynomial(p.coeffs)) == 0
+        assert _compare_by_bisection(p, p) == 0
         assert calls == [] and p._top is None
         with pytest.raises(ValueError, match="real root"):
-            compare_largest_roots(p, IntPolynomial((1, 0, 1)))
+            _compare_by_bisection(p, IntPolynomial((1, 0, 1)))
 
     @pytest.mark.parametrize("coeffs", [(1, 0, 1), (5, 0, 2, 0, 1)],
                              ids=["x2+1", "x4+2x2+5"])
@@ -356,9 +357,9 @@ class TestCompareLargestRoots:
     def test_gives_up_after_max_steps(self, monkeypatch):
         monkeypatch.setattr(polynomials, "MAX_SEPARATION_STEPS", 0)
         with pytest.raises(RuntimeError):
-            compare_largest_roots(monomial_shift(2), monomial_shift(3))
+            _compare_by_bisection(monomial_shift(2), monomial_shift(3))
         shared = IntPolynomial((8, -7, 1))  # ties need no bisection
-        assert compare_largest_roots(shared * monomial_shift(1), shared) == 0
+        assert _compare_by_bisection(shared * monomial_shift(1), shared) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -449,3 +450,140 @@ def test_refined_floats_match_fraction_bisection():
         assert largest_real_root(p, bracket) == want, p
         count += 1
     assert count == 2046
+
+
+# ---------------------------------------------------------------------------
+# The float-guided certificates against the Fraction oracles
+# ---------------------------------------------------------------------------
+
+_WINDOWS = [(-8, 8), (0, 6), (Fraction(-1, 3), 5), (0.0, 10.0),
+            (-2, Fraction(7, 2))]
+
+
+def _top_factor(rng):
+    """A factor meant to hold the top root: sqrt(c) for a non-square c, or
+    b / a, which lies on a refinement grid point when it is an integer or a
+    half in most windows; squared one time in four."""
+    if rng.random() < 0.5:
+        f = IntPolynomial((-rng.choice((2, 3, 5, 7, 11, 13, 19, 23)), 0, 1))
+    else:
+        f = IntPolynomial((-rng.randint(-9, 9), rng.choice((1, 2, 3))))
+    return f ** 2 if rng.random() < 0.25 else f
+
+
+def _certificate_case(rng):
+    """A polynomial with a real root: `_random_product` times a top factor,
+    now and then times complex factors x^2 + x + c or a root above every
+    window, x - 20."""
+    p = _random_product(rng) * _top_factor(rng)
+    if rng.random() < 0.3:
+        p = p * IntPolynomial((rng.randint(1, 9), 1, 1))
+    if rng.random() < 0.3:
+        p = p * monomial_shift(20)
+    return p
+
+
+class TestCertificates:
+    def test_largest_real_root_matches_fraction_bisection(self, monkeypatch):
+        # certified cells and the isolating fallback (a top root on a grid
+        # point or the window's end, a double top root, roots above hi, a
+        # miss) both give the float of Fraction bisection, bit for bit
+        isolated = []
+
+        def counting(p, lo, hi):
+            isolated.append(p)
+            return isolate(p, lo, hi)
+
+        isolate = polynomials._isolate
+        monkeypatch.setattr(polynomials, "_isolate", counting)
+        rng = random.Random(35)
+        certified = fell_back = ends = 0
+        for _ in range(240):
+            p = _certificate_case(rng)
+            lo, hi = rng.choice(_WINDOWS)
+            if rng.random() < 0.25:  # a root on the window's top end
+                hi = rng.randint(math.floor(lo) + 1, math.floor(hi))
+                p = p * monomial_shift(hi)
+                ends += 1
+            if not fraction_count_roots(p.coeffs, lo, hi):
+                with pytest.raises(ValueError, match="no real root"):
+                    largest_real_root(p, (lo, hi))
+                continue
+            before = len(isolated)
+            want = fraction_largest_root(p.coeffs, lo, hi)
+            assert largest_real_root(p, (lo, hi)) == want, (p, lo, hi)
+            certified += len(isolated) == before
+            fell_back += len(isolated) > before
+        assert certified > 40 and fell_back > 100 and ends > 40
+
+    def test_compare_matches_fraction_oracle_in_both_orders(self, monkeypatch):
+        # equal polynomials, shared top factors (ties) and shared factors
+        # below distinct tops, certified or bisected
+        bisected = []
+
+        def counting(p, q):
+            bisected.append((p, q))
+            return bisect(p, q)
+
+        bisect = polynomials._compare_by_bisection
+        monkeypatch.setattr(polynomials, "_compare_by_bisection", counting)
+        rng = random.Random(36)
+        verdicts = []
+        for t in range(150):
+            shared = _random_product(rng)
+            p = shared * _certificate_case(rng)
+            if t % 3 == 0:
+                q = IntPolynomial(p.coeffs)
+            elif t % 3 == 1:
+                top = _top_factor(rng)
+                p, q = p * top, shared * top * _random_product(rng)
+            else:
+                q = shared * _certificate_case(rng)
+            want = fraction_compare_largest_roots(p.coeffs, q.coeffs)
+            assert compare_largest_roots(p, q) == want, (p, q)
+            assert compare_largest_roots(q, p) == -want, (p, q)
+            verdicts.append(want)
+        # 300 comparisons, 76 of them bisected
+        ties = verdicts.count(0)
+        assert ties > 50 and len(verdicts) - ties > 50
+        assert 50 < len(bisected) < 100
+
+    def test_misleading_estimates_fall_back(self):
+        # Newton from 7/2 lands on the root -1, below the window's largest
+        # root 1; from the root bound it jumps over the only real root 3 of
+        # (x - 5)^3 + 8 to -1.6, and over the root 2 of
+        # -2x (x - 2)(x^2 - 11x + 32)(x^2 + 3x + 3) to 0, the largest root
+        # of x (x + 1), where their gcd x changes sign.  Each certificate
+        # must refuse, and the fallback decides.
+        p, window = IntPolynomial((12, -2, -12, 2)), (-2, Fraction(7, 2))
+        assert polynomials._newton(p.coeffs, window[1]) == -1.0
+        assert largest_real_root(p, window) == fraction_largest_root(
+            p.coeffs, *window)
+        cubic = IntPolynomial((-702, 450, -90, 6))
+        assert polynomials._estimate(cubic) < 0
+        assert compare_largest_roots(cubic, monomial_shift(0)) == 1
+        assert compare_largest_roots(monomial_shift(0), cubic) == -1
+        p = IntPolynomial((0, 384, 60, -118, -36, 20, -2))
+        q = IntPolynomial((0, 1, 1))
+        assert polynomials._estimate(p) == polynomials._estimate(q) == 0.0
+        assert compare_largest_roots(p, q) == 1
+        assert compare_largest_roots(q, p) == -1
+
+
+def test_near_ties_at_n10_need_no_isolation(monkeypatch):
+    # every one of the 134 near-tie pairs at n = 10 is certified from the
+    # float estimates, in both orders, with no isolation and no Sturm chain,
+    # and agrees with the bisection routine
+    pairs = _near_tie_pairs(10)
+    assert len(pairs) == 134
+
+    def refuse(*args):
+        raise AssertionError("a near tie at n = 10 reached Sturm isolation")
+
+    monkeypatch.setattr(polynomials, "_isolate", refuse)
+    monkeypatch.setattr(polynomials, "sturm_sequence", refuse)
+    got = [(compare_largest_roots(a, b), compare_largest_roots(b, a))
+           for a, b in pairs]
+    monkeypatch.undo()
+    assert got == [(_compare_by_bisection(a, b), _compare_by_bisection(b, a))
+                   for a, b in pairs]

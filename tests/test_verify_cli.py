@@ -179,9 +179,10 @@ class TestRankCertified:
             self, monkeypatch, capsys):
         # with the gap at 100 every member of every class is ranked exactly;
         # the CLI must print the default gap's bytes, and each ranked
-        # candidate's largest root is isolated from the root bound once.
-        # Four comparisons meet equal polynomials (Q-cospectral classes) and
-        # count p's roots in that window instead, one root bound each
+        # candidate's largest root is estimated from the root bound once.
+        # Every comparison is then certified from the estimates: none
+        # isolates a root from the bound, and the four that meet equal
+        # polynomials (Q-cospectral classes) take no Sturm count over it
         def run_all():
             for n in range(3, 8):
                 claims = ([["theorem31i"], ["conjecture11_negative"]] if n % 2
@@ -211,7 +212,7 @@ class TestRankCertified:
         monkeypatch.setattr(verify, "EXACT_ESCALATION_GAP", 100)
         assert run_all() == baseline
         assert sum(ranked) == 348
-        assert len(bounds) == 348 + 4
+        assert len(bounds) == 348
 
     def test_one_graph_built_per_report(self, monkeypatch):
         # with the gap at 1.0 the near sets of most classes at n = 7 are
