@@ -25,8 +25,10 @@ Its blocks (`_path_blocks`), edge list (`_path_edges`), matching number,
 pendant count, graph6 string and `Graph` (`_path_graph`) are all read off
 the path, and no table holds a `Graph`.  Each order has one table, a
 `Level`, held by the one cache `_level(n)`; `classes(n)` is the guarded way
-in.  A filter selects the union of the (matching number, pendant count)
-groups it admits, so a filter that no class meets selects nothing.
+in.  What the monotonicity draws read of a class (`Surgery`) is derived
+on the `Level` too, once per order, not once per draw.  A filter selects
+the union of the (matching number, pendant count) groups it admits, so a
+filter that no class meets selects nothing.
 """
 
 from __future__ import annotations
@@ -197,13 +199,32 @@ def _path_graph(n: int, path: bytes) -> Graph:
     return Graph(n, frozenset(_path_edges(n, path)))
 
 
+@dataclass(frozen=True, slots=True)
+class Surgery:
+    """What the monotonicity surgeries read of one class of order n, all
+    derived from its build path: its edges (`_path_edges`' order) and their
+    sorted order, its neighbour sets, its Q-radius and Perron row, its
+    one-edge blocks as (v, size) pairs, and the vertices in one block only
+    (`_block_counts`)."""
+    n: int
+    path: bytes
+    edges: tuple
+    adj: tuple
+    radius: float
+    perron: tuple
+    sorted_edges: tuple
+    bridges: frozenset
+    ends: tuple
+
+
 class Level:
     """The cactus classes of one order, each held as its build path.
 
     `paths` holds them in discovery order, which the next order's scan
     extends (see `_level`).  A position is a class's place in canonical-code
     order, the order of every output; `path(pos)` is its path.  `graph6`,
-    `groups` and `spectra` are read off the paths on first use and kept.
+    `groups`, `spectra` and `surgery` are read off the paths on first use
+    and kept.
     The codes are used for that order and then dropped."""
 
     def __init__(self, n: int, bucket: dict):
@@ -264,6 +285,28 @@ class Level:
         n, paths = self._n, self.paths
         return stacked_eigenpairs(n, len(paths), (_path_edges(n, paths[i])
                                                   for i in self._order))
+
+    @cached_property
+    def surgery(self) -> tuple:
+        """Every class's `Surgery`, by position; the radius and Perron row
+        are `spectra`'s, as Python floats."""
+        n, paths = self._n, self.paths
+        radii, rows = (a.tolist() for a in self.spectra)
+        out = []
+        for pos, i in enumerate(self._order):
+            edges = _path_edges(n, paths[i])
+            adj = [set() for _ in range(n)]
+            for u, v in edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            blocks = _path_blocks(n, paths[i])
+            count = _block_counts(n, blocks)
+            out.append(Surgery(
+                n, paths[i], tuple(edges), tuple(map(frozenset, adj)),
+                radii[pos], tuple(rows[pos]), tuple(sorted(edges)),
+                frozenset(tuple(b) for b in blocks if len(b) == 2),
+                tuple(v for v in range(n) if count[v] == 1)))
+        return tuple(out)
 
     def positions(self, filt: CactusFilter | None = None):
         """Positions of the classes meeting the filter, ascending: a range

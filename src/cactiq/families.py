@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, as_index, from_edges
+from .graph import MAX_ORDER, Graph, as_index
 from .polynomials import IntPolynomial, _convolve, largest_real_root
 
 
@@ -55,10 +55,13 @@ class FamilyParams:
 
 def build(params: FamilyParams) -> Graph:
     """Hub 0, triangles {0, 2i+1, 2i+2} for i < s, for L the pendant path
-    0-(2s+1)-(2s+2), then a hub pendant on every vertex left.  The edges
-    reach `from_edges` lazily, so its order check comes before any of them
-    is made."""
-    return from_edges(params.n, _edges(params))
+    0-(2s+1)-(2s+2), then a hub pendant on every vertex left.  The order is
+    checked before any edge is made; the edges, which `FamilyParams` has
+    already checked, go straight into the Graph, each as (u, v), u < v."""
+    if params.n > MAX_ORDER:
+        raise ValueError(f"order {params.n} exceeds supported maximum "
+                         f"{MAX_ORDER}")
+    return Graph(params.n, frozenset(_edges(params)))
 
 
 def _edges(params: FamilyParams):

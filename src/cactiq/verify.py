@@ -13,11 +13,12 @@ table (`enumeration.classes`), solved once in stacked calls.
 Every other solve stacks Q once per order from edge lists: an exactly ranked
 near set from its classes' build paths, and `check-formulas` from the family
 members' generated edges, each in one `char_polys` call; a `Graph` is built
-only for a maximizer.  The monotonicity runs draw each class as its build
-path, read its edges, neighbour sets, cycle edges and cut vertices off it,
-and run `transforms`' internals on those sets.  The results are solved
-RADII_SLICE instances at a time, one `stacked_eigenpairs` call per order,
-then checked in trial and property order.
+only for a maximizer.  The monotonicity runs draw each class as its
+order's `Level.surgery` entry, its edges, neighbour sets, one-edge blocks
+and one-block vertices derived once per order, and run `transforms`'
+internals on those sets.  The results are solved RADII_SLICE instances at
+a time, one `stacked_eigenpairs` call per order, then checked in trial and
+property order.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from itertools import islice, zip_longest
 import numpy as np
 
 from . import graph6, spectra
-from .enumeration import (CactusFilter, _block_counts, _path_blocks,
-                          _path_edges, _path_graph, classes)
+from .enumeration import (CactusFilter, _path_blocks, _path_edges,
+                          _path_graph, classes)
 from .families import (_edges, extremal_answer, members, psi_H, psi_L,
                        psi_legacy, superseded_conjecture_bound)
-from .graph import Graph, as_index, canonical_code
+from .graph import Graph, _cactus_code, as_index, canonical_code
 from .polynomials import compare_largest_roots
 from .spectra import _q_stack, char_polys, stacked_eigenpairs
 # graph_radius is not called here; perfbench's layer-trace self-test reads it
@@ -153,8 +154,8 @@ def _claim_report(claim: str, n, m, k):
 def _rank_class(report: VerificationReport, filt: CactusFilter):
     """Record the certified maximizer, radius and runner-up gap of the class
     of order report.parameters["n"] meeting filt in the report; return the
-    maximizer, its radius, class size and exact-tie flag.  Positions and
-    radii come from one `classes(n)` lookup."""
+    maximizer's build path, its radius, class size and exact-tie flag.
+    Positions and radii come from one `classes(n)` lookup."""
     n = report.parameters["n"]
     level = classes(n)
     positions = list(level.positions(filt))
@@ -163,33 +164,36 @@ def _rank_class(report: VerificationReport, filt: CactusFilter):
     class_radii = level.spectra[0][positions]
     best, _, report.runner_up_gap, tie = rank_certified(
         n, class_radii, lambda i: _path_edges(n, level.path(positions[i])))
-    observed = _path_graph(n, level.path(positions[best]))
-    report.observed_maximizer = graph6.encode(observed)
+    path = level.path(positions[best])
+    report.observed_maximizer = graph6.encode(_path_graph(n, path))
     report.observed_radius = float(class_radii[best])
-    return observed, report.observed_radius, len(positions), tie
+    return path, report.observed_radius, len(positions), tie
 
 
 def verify_extremal(claim: str, n: int, m: int | None = None,
                     k: int | None = None) -> VerificationReport:
     """Enumerate the constrained class, find its true unique maximizer, and
     check it against the predicted family member and radius.  An m or k the
-    claim does not read raises ValueError."""
+    claim does not read raises ValueError.  The maximizer's canonical code
+    is read off its build path's blocks."""
     refuse_unread_flags(claim, m=m, k=k)
     if claim == "conjecture11_negative":
         return verify_conjecture11_negative(n, m)
     report, filt = _claim_report(claim, n, m, k)
-    predicted = extremal_answer(report.parameters["n"], matching=filt.matching,
+    n = report.parameters["n"]
+    predicted = extremal_answer(n, matching=filt.matching,
                                 pendants=filt.pendants)
     report.predicted_maximizer = graph6.encode(predicted.maximizer)
     report.predicted_radius = predicted.radius
 
-    observed, q_obs, class_size, tie = _rank_class(report, filt)
-    ok_iso = canonical_code(observed) == canonical_code(predicted.maximizer)
+    path, q_obs, class_size, tie = _rank_class(report, filt)
+    ok_iso = (_cactus_code(n, _path_blocks(n, path))
+              == canonical_code(predicted.maximizer).code)
     ok_radius = abs(q_obs - predicted.radius) <= RADIUS_TOL
     ok_unique = not tie
     report.passed = ok_iso and ok_radius and ok_unique
     if not ok_iso:
-        report.counterexamples.append({"observed": graph6.encode(observed),
+        report.counterexamples.append({"observed": report.observed_maximizer,
                                        "radius": q_obs})
     report.details = {"class_size": class_size, "isomorphic": ok_iso,
                       "radius_match": ok_radius, "unique": ok_unique}
@@ -271,18 +275,9 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _random_cactus(rng: random.Random):
-    """A class of a random order n in 3..8 as (n, its build path, edge list,
-    neighbour sets, Q-radius, Perron row), the last two from the table."""
-    n = rng.randint(3, 8)
-    level = classes(n)
-    i = rng.randrange(len(level.paths))
-    path = level.path(i)
-    edges = _path_edges(n, path)
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return n, path, edges, adj, float(level.spectra[0][i]), level.spectra[1][i]
+    """A class of a random order n in 3..8, as its `Level.surgery` entry."""
+    level = classes(rng.randint(3, 8))
+    return level.surgery[rng.randrange(len(level.paths))]
 
 
 def _draw_shift_instance(rng: random.Random):
@@ -290,8 +285,8 @@ def _draw_shift_instance(rng: random.Random):
     (v, u, moved), meeting the neighbor-shift hypotheses and the
     Perron-label condition x_v <= x_u; invalid draws are redrawn."""
     while True:
-        n, path, edges, adj, q0, x = _random_cactus(rng)
-        x = x.tolist()
+        c = _random_cactus(rng)
+        n, adj, x = c.n, c.adj, c.perron
         verts = list(range(n))
         rng.shuffle(verts)
         for v in verts:
@@ -302,22 +297,22 @@ def _draw_shift_instance(rng: random.Random):
                 if not cands:
                     continue
                 moved = rng.sample(cands, rng.randint(1, len(cands)))
-                h = Graph(n, frozenset(_shifted(adj, edges, v, u, moved)))
-                return n, path, q0, h, (v, u, moved)
+                h = Graph(n, frozenset(_shifted(adj, c.edges, v, u, moved)))
+                return n, c.path, c.radius, h, (v, u, moved)
 
 
 def _draw_contract_instance(rng: random.Random):
     """A class (n, path), its radius, the contracted Graph and its edge
     (u, v), not pendant, whose endpoints share no neighbor."""
     while True:
-        n, path, edges, adj, q0, _ = _random_cactus(rng)
-        shuffled = sorted(edges)
+        c = _random_cactus(rng)
+        adj, shuffled = c.adj, list(c.sorted_edges)
         rng.shuffle(shuffled)
         for u, v in shuffled:
             if len(adj[u]) == 1 or len(adj[v]) == 1 or adj[u] & adj[v]:
                 continue
-            h = Graph(n, frozenset(_contracted(adj, edges, u, v)))
-            return n, path, q0, h, (u, v)
+            h = Graph(c.n, frozenset(_contracted(adj, c.edges, u, v)))
+            return c.n, c.path, c.radius, h, (u, v)
 
 
 def _draw_subgraph_instance(rng: random.Random):
@@ -326,17 +321,16 @@ def _draw_subgraph_instance(rng: random.Random):
     edge leaves a cactus connected iff it lies on a cycle, that is, it is no
     one-edge block), or less a vertex in one block only, which every cactus
     on two or more vertices has."""
-    n, path, edges, _, q0, _ = _random_cactus(rng)
-    blocks = _path_blocks(n, path)
+    c = _random_cactus(rng)
+    n, edges = c.n, c.edges
     if rng.random() < 0.5 and len(edges) > n - 1:
-        shuffled = sorted(edges)
+        shuffled = list(c.sorted_edges)
         rng.shuffle(shuffled)
-        bridges = {tuple(b) for b in blocks if len(b) == 2}  # (v, size)
-        e = next(e for e in shuffled if e not in bridges)
-        return n, path, q0, Graph(n, frozenset(x for x in edges if x != e))
-    count = _block_counts(n, blocks)
-    v = rng.choice([v for v in range(n) if count[v] == 1])
-    return n, path, q0, Graph(n - 1, frozenset(
+        e = next(e for e in shuffled if e not in c.bridges)
+        return n, c.path, c.radius, Graph(n, frozenset(
+            x for x in edges if x != e))
+    v = rng.choice(c.ends)
+    return n, c.path, c.radius, Graph(n - 1, frozenset(
         (a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b)))
 
 

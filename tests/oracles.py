@@ -688,7 +688,8 @@ def subgraph_instance_by_trial(rng):
     is the library's own."""
     from cactiq import enumeration, verify
     while True:
-        n, path, _, _, q0, _ = verify._random_cactus(rng)
+        drawn = verify._random_cactus(rng)
+        n, path, q0 = drawn.n, drawn.path, drawn.radius
         g = enumeration._path_graph(n, path)
         if rng.random() < 0.5 and g.size > g.order - 1:
             edges = sorted(g.edges)
@@ -704,6 +705,77 @@ def subgraph_instance_by_trial(rng):
             keep = {w: i for i, w in enumerate(x for x in range(n) if x != v)}
             return n, path, q0, from_edges(n - 1, [
                 (keep[a], keep[b]) for a, b in g.edges if v not in (a, b)])
+
+
+def random_cactus_by_path(rng):
+    """`verify._random_cactus` as each draw derived its class before the
+    per-order surgery table: (n, path, edge list, neighbour sets, radius,
+    Perron row), read off the drawn class's build path and the order's
+    `Level.spectra`."""
+    from cactiq import enumeration
+    n = rng.randint(3, 8)
+    level = enumeration.classes(n)
+    i = rng.randrange(len(level.paths))
+    path = level.path(i)
+    edges = enumeration._path_edges(n, path)
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return n, path, edges, adj, float(level.spectra[0][i]), level.spectra[1][i]
+
+
+def shift_instance_by_path(rng):
+    """`verify._draw_shift_instance` on `random_cactus_by_path`'s derivation."""
+    from cactiq.transforms import _shifted
+    while True:
+        n, path, edges, adj, q0, x = random_cactus_by_path(rng)
+        x = x.tolist()
+        verts = list(range(n))
+        rng.shuffle(verts)
+        for v in verts:
+            us = [u for u in range(n) if u != v and x[v] <= x[u] + 1e-12]
+            rng.shuffle(us)
+            for u in us:
+                cands = sorted(adj[v] - adj[u] - {u})
+                if not cands:
+                    continue
+                moved = rng.sample(cands, rng.randint(1, len(cands)))
+                h = Graph(n, frozenset(_shifted(adj, edges, v, u, moved)))
+                return n, path, q0, h, (v, u, moved)
+
+
+def contract_instance_by_path(rng):
+    """`verify._draw_contract_instance` on `random_cactus_by_path`'s
+    derivation."""
+    from cactiq.transforms import _contracted
+    while True:
+        n, path, edges, adj, q0, _ = random_cactus_by_path(rng)
+        shuffled = sorted(edges)
+        rng.shuffle(shuffled)
+        for u, v in shuffled:
+            if len(adj[u]) == 1 or len(adj[v]) == 1 or adj[u] & adj[v]:
+                continue
+            h = Graph(n, frozenset(_contracted(adj, edges, u, v)))
+            return n, path, q0, h, (u, v)
+
+
+def subgraph_instance_by_path(rng):
+    """`verify._draw_subgraph_instance` on `random_cactus_by_path`'s
+    derivation, the blocks and block counts read off the path per draw."""
+    from cactiq.enumeration import _block_counts, _path_blocks
+    n, path, edges, _, q0, _ = random_cactus_by_path(rng)
+    blocks = _path_blocks(n, path)
+    if rng.random() < 0.5 and len(edges) > n - 1:
+        shuffled = sorted(edges)
+        rng.shuffle(shuffled)
+        bridges = {tuple(b) for b in blocks if len(b) == 2}
+        e = next(e for e in shuffled if e not in bridges)
+        return n, path, q0, Graph(n, frozenset(x for x in edges if x != e))
+    count = _block_counts(n, blocks)
+    v = rng.choice([v for v in range(n) if count[v] == 1])
+    return n, path, q0, Graph(n - 1, frozenset(
+        (a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b)))
 
 
 def q_stack_by_values(graphs) -> np.ndarray:

@@ -356,6 +356,41 @@ class TestPaths:
         assert radius.tobytes() == want[0].tobytes()
         assert perron.tobytes() == want[1].tobytes()
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_codes_read_off_the_paths(self, n):
+        # each class's code from its path blocks, as `verify_extremal` reads
+        # the maximizer's, is the code of its Graph's block DFS
+        for path in enumeration._level(n).paths:
+            assert _cactus_code(n, enumeration._path_blocks(n, path)) == \
+                canonical_code(enumeration._path_graph(n, path)).code
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_surgery_table_equals_per_draw_derivation(self, n):
+        # each entry is what a monotonicity draw derived from the class's
+        # path before the table, and its radius and Perron row are the
+        # order's spectra bit for bit
+        level = enumeration._level(n)
+        radius, perron = level.spectra
+        assert len(level.surgery) == KNOWN_COUNTS[n]
+        for pos, entry in enumerate(level.surgery):
+            path = level.path(pos)
+            edges = enumeration._path_edges(n, path)
+            adj = [set() for _ in range(n)]
+            for u, v in edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            blocks = enumeration._path_blocks(n, path)
+            count = enumeration._block_counts(n, blocks)
+            assert (entry.n, entry.path) == (n, path)
+            assert entry.edges == tuple(edges)
+            assert entry.sorted_edges == tuple(sorted(edges))
+            assert list(entry.adj) == adj
+            assert entry.bridges == {tuple(b) for b in blocks if len(b) == 2}
+            assert list(entry.ends) == [v for v in range(n) if count[v] == 1]
+            assert type(entry.radius) is float
+            assert entry.radius.hex() == float(radius[pos]).hex()
+            assert np.array(entry.perron).tobytes() == perron[pos].tobytes()
+
     def test_graphs_share_the_edge_table(self):
         # every edge of every class is the one tuple of the shared table
         for n in range(1, 11):
@@ -382,6 +417,16 @@ class TestInvariantTable:
             assert sorted(chain.from_iterable(new.groups.values())) == \
                 list(range(KNOWN_COUNTS[n]))
 
+    def test_surgery_table_dies_with_its_level(self):
+        old = enumeration._level(6)
+        table = old.surgery
+        assert old.surgery is table
+        enumeration._level.cache_clear()
+        new = enumeration._level(6)
+        assert "surgery" not in vars(new)
+        assert new.surgery is not table
+        assert new.surgery == table
+
     def test_cold_tables_hold_paths_only(self):
         # a class is its build path, and no Graph is built: orders 1..10
         # built cold allocate 0.47 MB at peak
@@ -401,7 +446,7 @@ class TestInvariantTable:
         count_cacti(8)
         for n in (7, 8):
             filled = vars(enumeration._level(n))
-            assert "groups" not in filled and "spectra" not in filled
+            assert not {"groups", "spectra", "surgery"} & set(filled)
 
     def test_counts_and_filters_build_no_graph(self, monkeypatch, capsys):
         # a count or the `enumerate` command in either format, filtered or

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from cactiq import graph6
-from cactiq.families import (FamilyParams, build, build_H, build_L,
+from cactiq.families import (FamilyParams, _edges, build, build_H, build_L,
                              extremal_answer, h_cubic, l_quintic,
                              legacy_h_cubic, legacy_l_quintic, members, psi_H,
                              psi_L, psi_legacy, superseded_conjecture_bound)
-from cactiq.graph import (is_bundle, is_cactus, matching_number, pendant_count)
+from cactiq.graph import (from_edges, is_bundle, is_cactus, matching_number,
+                          pendant_count)
 from cactiq.polynomials import IntPolynomial, largest_real_root, monomial_shift
 from cactiq.spectra import char_poly, graph_radius, signless_laplacian
 
@@ -90,6 +91,18 @@ class TestConstruction:
     def test_build_dispatch(self):
         assert build(FamilyParams("H", 2, 1)) == build_H(2, 1)
         assert build(FamilyParams("L", 2, 1)) == build_L(2, 1)
+
+    def test_build_equals_checked_build(self):
+        # the edges go straight into the Graph; `from_edges`, which checks
+        # and normalises each one, gives the same Graph for every member up
+        # to order 64
+        params = [FamilyParams("H", s, k) for s in range(32) for k in range(64)
+                  if s + k >= 1 and 2 * s + k + 1 <= 64]
+        params += [FamilyParams("L", s, k) for s in range(32)
+                   for k in range(1, 64) if 2 * s + k + 2 <= 64]
+        assert len(params) == 2047
+        for p in params:
+            assert build(p) == from_edges(p.n, _edges(p)), p
 
     @pytest.mark.parametrize("family, k", [("H", 0), ("L", 1)])
     def test_order_guard_before_edges(self, family, k):

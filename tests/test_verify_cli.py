@@ -20,7 +20,9 @@ from cactiq.transforms import contract_pend, shift_neighbors
 from cactiq.verify import (rank_certified, verify_conjecture11_negative,
                            verify_extremal, verify_formulas,
                            verify_monotonicity)
-from oracles import rank_by_sort, subgraph_instance_by_trial
+from oracles import (contract_instance_by_path, rank_by_sort,
+                     shift_instance_by_path, subgraph_instance_by_path,
+                     subgraph_instance_by_trial)
 
 
 class TestVerifyExtremal:
@@ -550,6 +552,20 @@ class TestMonotonicity:
                 subgraph_instance_by_trial(ref)
             assert rng.getstate() == ref.getstate()
 
+    @pytest.mark.parametrize("draw, oracle", [
+        (verify._draw_shift_instance, shift_instance_by_path),
+        (verify._draw_contract_instance, contract_instance_by_path),
+        (verify._draw_subgraph_instance, subgraph_instance_by_path)],
+        ids=["shift", "contract", "subgraph"])
+    def test_draws_equal_per_draw_derivation(self, draw, oracle):
+        # the draws read their order's surgery table; deriving each class
+        # from its path per draw gives the same instance and leaves the rng
+        # in the same state
+        for seed in range(2000):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert draw(rng) == oracle(ref)
+            assert rng.getstate() == ref.getstate()
+
     def test_small_run_passes(self):
         r = verify_monotonicity(trials=30, seed=7)
         assert r.passed
@@ -621,8 +637,8 @@ class TestReportLines:
             ("theorem32", {}), ("prop213", {"k": 2}),
             ("conjecture11_negative", {"m": 3}))]
         reports.append(verify_extremal("prop215", 8, m=4))
-        # no two graphs share a code, so the maximizer is a counterexample
-        monkeypatch.setattr(verify, "canonical_code", id)
+        # no class has the empty code, so the maximizer is a counterexample
+        monkeypatch.setattr(verify, "_cactus_code", lambda n, blocks: b"")
         reports.append(verify_extremal("theorem32", 6))
         assert reports[-1].counterexamples
         for r in reports:
