@@ -10,15 +10,21 @@ lists: `stacked_eigenpairs` for radii and Perron vectors, or the caller's
 own stack cast to int for `char_polys`.  The numeric path is one stacked
 call of LAPACK's symmetric eigensolver (tridiagonalization + implicit-shift
 QR) per RADII_SLICE same-order matrices.  The exact path advances the
-powers of every matrix of the stack by one batched float64 matrix product
-per step whose every value is an integer of magnitude at most 2^52: the
-powers themselves while that bound allows, then their residues modulo a few
-pairwise-coprime moduli shared by the stack.  It rebuilds each power sum
-tr(A^k) by the Chinese remainder theorem under a Schur bound on |tr A^k|
-and turns the sums into coefficients by Newton's identities over Z, so the
-characteristic polynomial carries no floating-point error at all.  It
-takes matrices with n * max|a| <= WORD_LIMIT = 2^26; Q of a graph on
-n <= 64 vertices has n * max|a| <= 64 * 63.
+powers of every matrix of the stack by batched float64 matrix products
+whose every value is an integer of magnitude at most 2^52: the powers
+themselves while that bound allows, then their residues modulo a few
+pairwise-coprime moduli shared by the stack.  The powers that the stack's
+bounds prove exact are counted up front, A^(k+1) = A^k A while
+b c^(k-1) w <= 2^52 (b = max|a|, c the largest column sum of |A|, w the
+largest sum of |a_ij| over one matrix), written into one power array and
+traced in one call, so they cost one product each and a fixed number of
+other array calls; a step guarded by max|A^k| itself continues past them.
+It rebuilds each power sum tr(A^k) by the Chinese remainder theorem under
+a Schur bound on |tr A^k| and turns the sums into coefficients by Newton's
+identities over Z, so the characteristic polynomial carries no
+floating-point error at all.  It takes matrices with
+n * max|a| <= WORD_LIMIT = 2^26; Q of a graph on n <= 64 vertices has
+n * max|a| <= 64 * 63.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, islice
 from math import gcd, isqrt
+from operator import mul
 
 import numpy as np
 
@@ -45,14 +52,17 @@ class SpectralResult:
 
 def _q_stack(n: int, edge_lists) -> np.ndarray:
     """Q of every list of (u, v) int pairs on vertices 0..n-1, as one
-    (N, n, n) float array, indexed by one pass over the chained edges."""
+    (N, n, n) float array: the 1s indexed by one pass over the chained
+    edges, the degrees written through the diagonal stride n + 1 of the
+    same array seen as (N, n^2)."""
     sizes = [len(edges) for edges in edge_lists]
     u, v = np.fromiter(chain.from_iterable(chain.from_iterable(edge_lists)),
                        dtype=np.intp, count=2 * sum(sizes)).reshape(-1, 2).T
     k = np.repeat(np.arange(len(sizes)), sizes)
-    stack = np.zeros((len(sizes), n, n))
+    flat = np.zeros((len(sizes), n * n))
+    stack = flat.reshape(-1, n, n)
     stack[k, u, v] = stack[k, v, u] = 1.0
-    stack[:, range(n), range(n)] = stack.sum(axis=2)
+    flat[:, ::n + 1] = stack.sum(axis=2)
     return stack
 
 
@@ -157,17 +167,36 @@ def _traces(x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape(len(x), -1, n * n)[:, :, ::n + 1].sum(axis=2)
 
 
-def _exact_traces(a: np.ndarray, weight: int):
+def _exact_count(n: int, top: int, col: int, weight: int) -> int:
+    """How many of the powers A, A^2, ..., A^n of a stack are exact by its
+    bounds alone: with top = max|a| and col the largest column sum of |A|,
+    max|A^k| <= top col^(k-1), so A^(k+1) = A^k A is taken while
+    top col^(k-1) weight <= 2^52."""
+    count, bound = 1, top * weight
+    while count < n and bound <= 1 << 52:
+        count += 1
+        bound *= col
+    return count
+
+
+def _exact_traces(a: np.ndarray, count: int, weight: int):
     """tr A^k of every matrix of the (N, n, n) stack a for k = 1, 2, ...
-    while the powers stay exact, as (N, 1) arrays, and the last power
+    while the powers stay exact, as one (N, K) array, and the last power
     taken: the next product is taken only while max|A^k| * weight
-    <= 2^52."""
+    <= 2^52.  The first count powers, which `_exact_count` certifies, are
+    written into one array and traced in one call; each later power is
+    guarded by max|A^k| itself."""
     n = a.shape[-1]
-    x, traces = a, [_traces(a, n)]
-    while len(traces) < n and int(np.abs(x).max()) * weight <= 1 << 52:
+    powers = np.empty((count, *a.shape))
+    powers[0] = a
+    for k in range(1, count):
+        np.matmul(powers[k - 1], a, out=powers[k])
+    traces, x = [np.einsum("kjii->jk", powers)], powers[-1]
+    while count < n and int(np.abs(x).max()) * weight <= 1 << 52:
         x = x @ a
         traces.append(_traces(x, n))
-    return x, traces
+        count += 1
+    return x, np.concatenate(traces, axis=1)
 
 
 def _reduce(x: np.ndarray, q: np.ndarray, col: np.ndarray) -> None:
@@ -179,30 +208,33 @@ def _reduce(x: np.ndarray, q: np.ndarray, col: np.ndarray) -> None:
     x -= q
 
 
-def _power_sums(a: np.ndarray, weight: int, moduli, weights, prod) -> list:
+def _power_sums(a: np.ndarray, count: int, weight: int, crt) -> list:
     """s_k = tr A^k for k = 1 .. n of every matrix of the (N, n, n) stack
     a, one list of ints per matrix: exact while `_exact_traces` allows,
-    then rebuilt by CRT from residue traces.  Two (N, P n, n) buffers take
-    turns as the product and the scratch."""
+    then rebuilt from residue traces by CRT on the moduli, weights and
+    product crt of `_moduli`.  Two (N, P n, n) buffers take turns as the
+    product and the scratch."""
     n = a.shape[-1]
-    x, traces = _exact_traces(a, weight)
-    sums = [[int(t) for t in row]
-            for row in np.concatenate(traces, axis=1).tolist()]
-    if len(traces) == n:
+    x, traces = _exact_traces(a, count, weight)
+    # every trace is an integer of magnitude at most 2^52: int64 holds it
+    sums = traces.astype(np.int64).tolist()
+    if traces.shape[1] == n:
         return sums
+    moduli, weights, prod = crt
     col = np.repeat(np.array(moduli, dtype=float), n)[:, None]
     x = np.repeat(x[:, None], len(moduli), axis=1).reshape(len(a), -1, n)
     q = np.empty_like(x)
     _reduce(x, q, col)
     residues = []
-    for _ in range(n - len(traces)):
+    for _ in range(n - traces.shape[1]):
         np.matmul(x, a, out=q)
         x, q = q, x
         _reduce(x, q, col)
         residues.append(_traces(x, n))
-    for head, rows in zip(sums, np.stack(residues, axis=1).tolist()):
+    for head, rows in zip(sums, np.stack(residues, axis=1).astype(
+            np.int64).tolist()):
         for row in rows:
-            r = sum(int(t) * w for t, w in zip(row, weights)) % prod
+            r = sum(map(mul, row, weights)) % prod
             head.append(r - prod if 2 * r > prod else r)
     return sums
 
@@ -213,7 +245,7 @@ def _newton(sums) -> IntPolynomial:
     coefficient of x^(n-k); every division is exact."""
     coeffs = [1]  # c_0 .. c_(k-1)
     for k in range(1, len(sums) + 1):
-        t = sum(c * s for c, s in zip(reversed(coeffs), sums))
+        t = sum(map(mul, reversed(coeffs), sums))
         if t % k:
             raise ArithmeticError("Newton identity sum not divisible")
         coeffs.append(-(t // k))
@@ -232,17 +264,24 @@ def char_polys(mats) -> list:
 
     Each polynomial comes from the power sums s_k = tr(A^k) by Newton's
     identities.  The whole stack is advanced together, one batched product
-    X @ A per power, in two phases.
+    X @ A per power, in two phases.  |A| is read once, for b = max|a|,
+    c = ||A||_1 the largest column sum of |A|, w the largest sum of |a_ij|
+    over one matrix, and the Frobenius bound below, each over the stack.
 
-    Exact phase.  X holds A^k itself.  With w the largest sum of |a_ij|
-    over one matrix of the stack, every entry and partial sum of X @ A is
-    at most max|X| ||A||_1 <= max|X| w in magnitude, ||A||_1 the largest
-    column sum of |A|, and every partial sum of its trace at most
-    sum_(i,l) |x_il| |a_li| <= max|X| w.  So while max|X| w <= 2^52 the
-    next power and its trace are integers of magnitude at most 2^52, which
-    float64 holds exactly whatever order BLAS sums in, with or without FMA.
-    For Q of every cactus on n <= 12 vertices the phase runs to A^n, so a
-    step is one product and one trace.
+    Exact phase.  X holds A^k itself.  Every entry and partial sum of X @ A
+    is at most max|X| c <= max|X| w in magnitude, and every partial sum of
+    its trace at most sum_(i,l) |x_il| |a_li| <= max|X| w.  So while
+    max|X| w <= 2^52 the next power and its trace are integers of magnitude
+    at most 2^52, which float64 holds exactly whatever order BLAS sums in,
+    with or without FMA.  Since max|A^k| <= b c^(k-1), the powers are
+    counted up front: A^(k+1) is certainly taken while b c^(k-1) w <= 2^52.
+    Those K powers are written into one preallocated (K, N, n, n) array by
+    K - 1 products and traced by one call; from A^K a step guarded by
+    max|X| w <= 2^52 itself takes each further power, so the phase stops
+    at the same power as if every step were guarded.  For Q of every
+    cactus on n <= 11 vertices the count alone reaches A^n; for the family
+    members of order 12 to 24 it reaches A^9 to A^11, and the guarded step
+    takes one to four powers more.
 
     Residue phase, from the first product that could pass 2^52.  A^k is
     held modulo P pairwise-coprime moduli m <= 2^52 / (n max|a|) as one
@@ -260,8 +299,10 @@ def char_polys(mats) -> list:
     |tr A^k| <= sum |lambda|^k <= ||A||_F^k <= F^n.  For k = 1,
     |tr A| <= sqrt(n) ||A||_F <= F^n, since F >= 2 unless A = 0.  Coprime
     moduli are all the theorem needs; none has to be prime.  The stack is
-    solved RADII_SLICE // P matrices at a time, so the residues held at
-    once do not grow with it.
+    solved RADII_SLICE // max(K, P) matrices at a time, so neither the K
+    exact powers nor the P residues held at once grow with it: a stack of
+    zero matrices, where K = n, holds RADII_SLICE matrices, not n times
+    as many.
     """
     a = np.asarray(mats)
     if a.shape == (0,):  # [] is the empty stack
@@ -274,21 +315,24 @@ def char_polys(mats) -> list:
     count, n = a.shape[:2]
     if not count * n:
         return [IntPolynomial([1]) for _ in range(count)]
-    # Python ints: np.abs overflows on the int64 entry -2^63
-    amax = max(int(a.max()), -int(a.min()))
-    if n * amax > WORD_LIMIT:
-        raise ValueError(f"char_poly requires n * max|a| <= 2^26, "
-                         f"got {n} * {amax}")
-    a = a.astype(float)
+    # |A| in floats, where np.abs cannot overflow as on the int64 entry
+    # -2^63: rounding keeps every entry up to the limit and the order of
+    # every other, so the check is exact; the message reads the ints
+    ints, a = a, a.astype(float)
+    mag = np.abs(a)
+    top = int(mag.max())
+    if n * top > WORD_LIMIT:
+        raise ValueError(f"char_poly requires n * max|a| <= 2^26, got {n} * "
+                         f"{max(int(ints.max()), -int(ints.min()))}")
     # at most n^2 max|a| and (n max|a|)^2 <= 2^52: exact
-    weight = int(np.abs(a).sum(axis=(1, 2)).max())
-    frobenius = int((a * a).sum(axis=(1, 2)).max())
-    moduli, weights, prod = _moduli((1 << 52) // (n * max(amax, 1)),
-                                    (isqrt(frobenius) + 1) ** n)
-    polys, step = [], max(1, RADII_SLICE // len(moduli))
+    cols = mag.sum(axis=1)
+    col, weight = int(cols.max()), int(cols.sum(axis=1).max())
+    frobenius = int((mag * mag).sum(axis=(1, 2)).max())
+    crt = _moduli((1 << 52) // (n * max(top, 1)), (isqrt(frobenius) + 1) ** n)
+    exact = _exact_count(n, top, col, weight)
+    polys, step = [], max(1, RADII_SLICE // max(exact, len(crt[0])))
     for i in range(0, count, step):
-        polys += map(_newton, _power_sums(a[i:i + step], weight, moduli,
-                                          weights, prod))
+        polys += map(_newton, _power_sums(a[i:i + step], exact, weight, crt))
     return polys
 
 

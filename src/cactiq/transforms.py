@@ -4,10 +4,11 @@ Both strictly increase the signless Laplacian spectral radius under their
 respective hypotheses; the property tests check exactly that.
 
 Each takes its vertices directly, integers in 0..order-1 (see
-`graph.as_index`) checked before anything is indexed, and hands one
-neighbour set per vertex to its internal, which checks connectivity and the
-other hypotheses once (ValueError names a violation) and returns the new
-edge set.  The monotonicity runs call the internals directly.
+`graph.as_index`) checked before anything is indexed, builds one neighbour
+set per vertex, checks on it that the graph is connected, and hands it to
+its internal, which checks the local hypotheses once (ValueError names a
+violation) and returns the new edge set.  The monotonicity runs call the
+internals directly, on classes that are connected by construction.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ def shift_neighbors(g: Graph, v: int, u: int, moved) -> Graph:
     u = _vertex(g, u, "target vertex")
     moved = {_vertex(g, w, "moved vertex") for w in moved}
     adj = [set(a) for a in g.adjacency()]
+    if not _connected(adj):
+        raise ValueError("shift_neighbors requires a connected graph")
     return Graph(g.order, frozenset(_shifted(adj, g.edges, v, u, moved)))
 
 
 def _shifted(adj, edges, v: int, u: int, moved) -> set:
-    """`shift_neighbors` on the edges and neighbour sets adj: the new edges."""
-    if not _connected(adj):
-        raise ValueError("shift_neighbors requires a connected graph")
+    """`shift_neighbors` on the edges and neighbour sets adj of a connected
+    graph: the new edges."""
     if u == v:
         raise ValueError(f"source and target coincide at vertex {u}")
     if not moved:
@@ -68,13 +70,14 @@ def contract_pend(g: Graph, u: int, v: int) -> Graph:
     u = _vertex(g, u, "vertex u")
     v = _vertex(g, v, "vertex v")
     adj = [set(a) for a in g.adjacency()]
+    if not _connected(adj):
+        raise ValueError("contract_pend requires a connected graph")
     return Graph(g.order, frozenset(_contracted(adj, g.edges, u, v)))
 
 
 def _contracted(adj, edges, u: int, v: int) -> set:
-    """`contract_pend` on the edges and neighbour sets adj: the new edges."""
-    if not _connected(adj):
-        raise ValueError("contract_pend requires a connected graph")
+    """`contract_pend` on the edges and neighbour sets adj of a connected
+    graph: the new edges."""
     if v not in adj[u]:
         raise ValueError(f"({u}, {v}) is not an edge")
     if len(adj[u]) == 1 or len(adj[v]) == 1:

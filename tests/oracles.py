@@ -465,6 +465,22 @@ def packed_char_poly(m) -> IntPolynomial:
     return IntPolynomial(coeffs[::-1])
 
 
+def guarded_exact_powers(stack) -> int:
+    """How many powers A, A^2, ... the exact phase of `spectra.char_polys`
+    keeps for a stack, by the loop it ran before the bounds counted the
+    certain powers up front: each product A^(k+1) = A^k A is taken while
+    max|A^k| * w <= 2^52 over the whole stack, w the largest sum of |a_ij|
+    over one matrix."""
+    a = np.asarray(stack, dtype=float)
+    n = a.shape[-1]
+    weight = int(np.abs(a).sum(axis=(1, 2)).max())
+    x, count = a, 1
+    while count < n and int(np.abs(x).max()) * weight <= 1 << 52:
+        x = x @ a
+        count += 1
+    return count
+
+
 def faddeev_leverrier(rows):
     """Coefficients of det(xI - A), constant term first, by the
     Faddeev-LeVerrier recurrence on full integer matrices:

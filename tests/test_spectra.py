@@ -13,7 +13,8 @@ from cactiq.polynomials import IntPolynomial, count_roots
 from cactiq.spectra import (_exact_traces, _top_eigenpairs, char_poly,
                             char_polys, graph_radius, signless_laplacian,
                             spectral_radius, stacked_eigenpairs)
-from oracles import faddeev_leverrier, packed_char_poly, q_stack_by_values
+from oracles import (faddeev_leverrier, guarded_exact_powers,
+                     packed_char_poly, q_stack_by_values)
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
@@ -127,14 +128,20 @@ def stacked(graphs):
     return stacked_eigenpairs(n, len(graphs), (g.edges for g in graphs))
 
 
-def q_by_hand(g):
-    """Q(g) from its edge list, built without cactiq.spectra."""
-    q = np.zeros((g.order, g.order))
-    for u, v in g.edges:
+def q_from_edges(n, edges):
+    """Q of the graph on n vertices with these (u, v) pairs, built without
+    cactiq.spectra."""
+    q = np.zeros((n, n))
+    for u, v in edges:
         q[u, v] = q[v, u] = 1.0
         q[u, u] += 1.0
         q[v, v] += 1.0
     return q
+
+
+def q_by_hand(g):
+    """Q(g) from its edge list, built without cactiq.spectra."""
+    return q_from_edges(g.order, g.edges)
 
 
 class TestRadii:
@@ -192,6 +199,28 @@ class TestRadii:
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got, want)
         assert len({g.size for g in stacks[-2]}) == 4
+
+    def test_q_stack_equals_a_dense_build(self):
+        # one random edge list per order 1..64, each pair in either
+        # orientation; K1's empty list; and stacks of lists of mixed sizes,
+        # empty ones among them
+        rng = random.Random(8)
+
+        def random_edges(n):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))
+            return [(v, u) if rng.random() < 0.5 else (u, v)
+                    for u, v in edges]
+
+        stacks = [(n, [random_edges(n)]) for n in range(1, 65)]
+        stacks.append((1, [[]]))
+        stacks += [(n, [random_edges(n) for _ in range(20)] + [[]])
+                   for n in (2, 9, 24)]
+        for n, lists in stacks:
+            got = spectra._q_stack(n, lists)
+            assert got.shape == (len(lists), n, n)
+            assert np.array_equal(got, [q_from_edges(n, e) for e in lists])
+        assert len({len(e) for e in stacks[-1][1]}) > 10
 
     def test_eigenpairs_empty(self):
         radius, perron = stacked([])
@@ -457,10 +486,20 @@ class TestSubgraphMonotonicity:
             done += 1
 
 
+def stack_bounds(a):
+    """The bounds (max|a|, largest column sum of |A|, largest sum of |a|)
+    that `char_polys` reads off the float stack a."""
+    mag = np.abs(a)
+    return (int(mag.max()), int(mag.sum(axis=1).max()),
+            int(mag.sum(axis=(1, 2)).max()))
+
+
 def exact_powers(stack) -> int:
     """How many powers A, A^2, ... char_polys keeps exact for this stack."""
     a = np.asarray(stack, dtype=float)
-    return len(_exact_traces(a, int(np.abs(a).sum(axis=(1, 2)).max()))[1])
+    top, col, weight = stack_bounds(a)
+    count = spectra._exact_count(a.shape[-1], top, col, weight)
+    return _exact_traces(a, count, weight)[1].shape[1]
 
 
 def limit_matrix(n, seed):
@@ -507,6 +546,59 @@ class TestCharPolys:
         ([np.zeros((0, 0), dtype=int)], [IntPolynomial([1])])])
     def test_empty_stacks(self, stack, want):
         assert char_polys(stack) == want
+
+    @pytest.mark.parametrize("n, bound, tail, residue", [
+        (12, 5, True, False), (16, 3, True, True), (5, 1000, False, True),
+        (1, 10 ** 6, False, False)])
+    def test_random_stacks_equal_packed_oracle(self, n, bound, tail,
+                                               residue):
+        # non-symmetric signed stacks in which the bounds certify fewer
+        # powers than the guarded step then takes (tail), the residue phase
+        # runs (residue), or n = 1
+        rng = random.Random(n * bound)
+        stack = np.array([[[rng.randint(-bound, bound) for _ in range(n)]
+                           for _ in range(n)] for _ in range(12)])
+        certain = spectra._exact_count(n, *stack_bounds(stack.astype(float)))
+        exact = exact_powers(stack)
+        assert (certain < exact, exact < n) == (tail, residue)
+        assert char_polys(stack) == [packed_char_poly(m) for m in stack]
+        assert char_polys(stack[:0]) == []
+
+    def test_power_array_held_within_the_slice(self, monkeypatch):
+        # zero and permutation matrices keep every power exact by the
+        # bounds alone (K = n), so the stack is solved RADII_SLICE // n at
+        # a time, and the K powers held at once are at most RADII_SLICE
+        held, power_sums = [], spectra._power_sums
+
+        def spy(a, count, weight, crt):
+            held.append(len(a) * count)
+            return power_sums(a, count, weight, crt)
+
+        monkeypatch.setattr(spectra, "_power_sums", spy)
+        n = 32
+        shift = np.roll(np.eye(n, dtype=int), 1, axis=1)
+        stack = [np.zeros((n, n), dtype=int)] * 20 + [shift] * 20
+        top = (0,) * n + (1,)
+        assert char_polys(stack) == [IntPolynomial(top)] * 20 + \
+            [IntPolynomial((-1,) + top[1:])] * 20
+        assert len(held) == 5 and max(held) <= spectra.RADII_SLICE
+
+    def test_exact_phase_as_long_as_the_guarded_loop(self):
+        # every H(s, k) and L(s, k) to order 64 and every class to order 9,
+        # alone and each order's together
+        graphs = [build_H(s, k) for s in range(32) for k in range(64 - 2 * s)
+                  if s or k]
+        graphs += [build_L(s, k) for s in range(31)
+                   for k in range(1, 63 - 2 * s)]
+        graphs += [g for n in range(1, 10) for g in enumerate_cacti(n)]
+        by_order = {}
+        for g in graphs:
+            q = signless_laplacian(g)
+            by_order.setdefault(g.order, []).append(q)
+            assert exact_powers([q]) == guarded_exact_powers([q]), g.edges
+        for n, qs in by_order.items():
+            assert exact_powers(qs) == guarded_exact_powers(qs), n
+        assert sorted(by_order) == list(range(1, 65))
 
     def test_cactus_powers_stay_exact(self):
         # Q of every cactus to order 10, and the family members to order 12,
