@@ -14,7 +14,7 @@ from . import graph6
 from .enumeration import CactusFilter, classes
 from .families import FamilyParams, build
 from .spectra import char_poly, graph_radius, signless_laplacian
-from .verify import (CLAIM_FLAGS, refuse_unread_flags, verify_extremal,
+from .verify import (CLAIM_FLAGS, _extremal_report, refuse_unread_flags,
                      verify_formulas, verify_monotonicity)
 
 USAGE_ERROR = 2
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
             else:
                 if args.n is None:
                     raise ValueError(f"--n is required for {args.claim}")
-                report = verify_extremal(args.claim, args.n, m=args.m, k=args.k)
+                report = _extremal_report(args.claim, args.n, args.m, args.k)
             return _emit_report(report, args.out)
 
         if args.command == "check-formulas":

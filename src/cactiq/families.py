@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph import MAX_ORDER, Graph, as_index
 from .polynomials import IntPolynomial, _convolve, largest_real_root
@@ -74,6 +75,14 @@ def _edges(params: FamilyParams):
         yield from ((0, rest), (rest, rest + 1))
         rest += 2
     yield from ((0, j) for j in range(rest, n))
+
+
+def _blocks(params: FamilyParams) -> list:
+    """The blocks of `_edges`' member, each as its vertices in cyclic
+    order: the triangles (0, 2i+1, 2i+2), then every other edge."""
+    s = params.s
+    triangles = [(0, 2 * i + 1, 2 * i + 2) for i in range(s)]
+    return triangles + list(islice(_edges(params), 3 * s, None))
 
 
 def build_H(s: int, k: int) -> Graph:

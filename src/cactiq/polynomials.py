@@ -26,11 +26,24 @@ then certify a verdict near it.  `largest_real_root` certifies the final
 refinement cell that holds the estimate (or its neighbour) as holding the
 only root above its left end, with a sign change across it; isolation and
 refinement would end in that cell, so its midpoint is their float bit for
-bit.  `compare_largest_roots` certifies a tie or an order from the two
-estimates.  When a certificate fails (no estimate, a root on a grid point,
-a multiple or crowded top root, an estimate on a lower root), Sturm
-isolation and bisection run as before, so no verdict and no float ever
-rests on floating point.
+bit.  A top root on a grid point is certified through the exact quotient
+p / (x - c), whose roots above a point show where isolation and refinement
+stop: at the grid point itself or in the final cell below it.
+`compare_largest_roots` certifies a tie or an order from the two
+estimates.  When a certificate fails (no estimate, a multiple or crowded
+top root, an estimate on a lower root), Sturm isolation and bisection run
+as before, so no verdict and no float ever rests on floating point.
+
+Newton starts no higher than the Laguerre-Samuelson bound (Samuelson,
+J. Amer. Statist. Assoc. 63, 1968): d reals with mean mu all lie at or
+below mu + sqrt((d - 1)(sum r^2 / d - mu^2)).  Mean and sum of squares of
+the roots come from the top three coefficients by Vieta, so for a
+real-rooted polynomial this bounds every root from above.  The char
+polys of Q, and the H cubic and L quintic that divide them, are real-rooted
+because Q is real symmetric, so its eigenvalues are real; Newton then
+starts above the largest root, where the polynomial is monotone and convex
+or concave, and walks down to it.  For any other polynomial the bound is
+only a start, and the certificates decide as before.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
-from math import gcd, isfinite, lcm, nan
+from math import gcd, isfinite, isqrt, lcm, nan
 
 
 class IntPolynomial:
@@ -322,11 +335,41 @@ def _newton(coeffs, top):
     return None
 
 
+def _samuelson(coeffs):
+    """An integer at or above the Laguerre-Samuelson bound of the polynomial
+    with ascending integer coefficients of degree d >= 1, or None when the
+    bound is not real, which proves some root complex.
+
+    With lead c_d and the next two coefficients c_(d-1), c_(d-2) (0 when
+    d = 1) made c_d > 0 by a sign change, the roots sum to -c_(d-1) / c_d
+    and their squares to (c_(d-1)^2 - 2 c_(d-2) c_d) / c_d^2, so the bound
+    is (sqrt((d - 1) D) - c_(d-1)) / (d c_d) with
+    D = (d - 1) c_(d-1)^2 - 2 d c_(d-2) c_d, rounded up in integers."""
+    d, lead, c1 = len(coeffs) - 1, coeffs[-1], coeffs[-2]
+    c2 = coeffs[-3] if d > 1 else 0
+    if lead < 0:
+        lead, c1, c2 = -lead, -c1, -c2
+    spread = (d - 1) * ((d - 1) * c1 * c1 - 2 * d * c2 * lead)
+    if spread < 0:
+        return None
+    root = isqrt(spread)
+    root += root * root < spread
+    return -((c1 - root) // (d * lead))
+
+
+def _start(coeffs, top):
+    """Where Newton starts below top: the Laguerre-Samuelson bound when it
+    is real and lower."""
+    bound = _samuelson(coeffs)
+    return top if bound is None or bound >= top else bound
+
+
 def _estimate(p: IntPolynomial):
-    """The float estimate of p's largest real root from its root bound,
-    made on first use and kept on p; None when Newton gives none."""
+    """The float estimate of p's largest real root from its root bound or
+    the lower Laguerre-Samuelson bound, made on first use and kept on p;
+    None when Newton gives none."""
     if p._guess is None:
-        p._guess = (_newton(p.coeffs, root_bound(p)),)
+        p._guess = (_newton(p.coeffs, _start(p.coeffs, root_bound(p))),)
     return p._guess[0]
 
 
@@ -472,9 +515,9 @@ def _certified_root(coeffs, lo, hi):
     holds the only root of p above c, a simple one strictly inside it.  So
     isolation stops at some level <= K in the cell above it, refinement
     meets no root on a grid point and ends in (c, e], and the float is that
-    cell's midpoint.  A root on a grid point fails the certificate.
+    cell's midpoint.  A root on c or e goes to `_grid_root`.
     """
-    x = _newton(coeffs, hi)
+    x = _newton(coeffs, _start(coeffs, hi))
     a, b, den = _grid(Fraction(lo), Fraction(hi))
     if x is None or b <= a:
         return None
@@ -494,14 +537,57 @@ def _certified_root(coeffs, lo, hi):
             if _roots_above(coeffs, c, den_k) == 1:
                 return (2 * c + step) / (2 * den_k)
             return None
-        if not sc or not se:
-            return None
+        if not sc or not se:  # a root on grid point i of level K
+            i = j + (not se)
+            if not i:  # lo, outside the window
+                return None
+            return _grid_root(coeffs, a * cells + i * step, den_k, step,
+                              (i & -i) * step if i < cells else None)
         # one sign on both ends: a root above e if it is not +inf's sign,
         # else the top root lies below c
         j += 1 if se != lead else -1
         if not 0 <= j < cells:
             return None
     return None
+
+
+def _grid_root(coeffs, g: int, den: int, step: int, half):
+    """`refine_root(p, *isolate_largest_root(p, lo, hi))` when p's largest
+    root is the grid point g / den of the final level K, where cells are
+    step / den wide, else None.  half is the cell width over den of the
+    first level on whose grid g lies, or None when g is the window's top.
+
+    q is p with every factor x - g/den divided out exactly.  When q has no
+    root above g - half, the cell (g - half, g + half] of the level above
+    holds no root but g, so isolation stops at or above that level with g
+    inside its bracket and refinement returns g itself as a midpoint.  When
+    instead q has a root in (g - half, g), shown by a sign change once every
+    factor at g - half is divided out too, or g is the top, isolation meets
+    another root beside g down to that level and keeps (., g]; if q also has
+    no root above g - step, it stops at level <= K and refinement ends in
+    (g - step, g], whose midpoint is the float."""
+    q = _without_root(coeffs, g, den)
+    if half is not None and not _roots_above(q, g - half, den):
+        return g / den
+    if _roots_above(q, g - step, den):
+        return None
+    if half is not None:
+        r = _without_root(q, g - half, den)
+        powers = _powers(den, len(r))
+        if (_sign(_scaled_value(r, g - half, powers))
+                * _sign(_scaled_value(r, g, powers)) >= 0):
+            return None
+    return (2 * g - step) / (2 * den)
+
+
+def _without_root(coeffs, num: int, den: int):
+    """The nonzero polynomial with ascending integer coefficients divided
+    exactly by x - num/den as often as num/den is its root."""
+    f = gcd(num, den)
+    linear = [-num // f, den // f]
+    while not _scaled_value(coeffs, num, _powers(den, len(coeffs))):
+        coeffs = _exact_quotient(coeffs, linear)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ array, and `build_from_spec` returns an int array for integer parameters.
 Numeric eigenvalues that lie within CLUSTER_TOL are merged into one
 eigenvalue with multiplicity.
 
-A `BlockSpec` is the block form's sizes and parameters, `structured_spectrum`
-gives its spectrum as a `SpectrumMultiset` of (value, multiplicity) pairs,
-and `quotient_char_poly` gives its quotient's exact characteristic
-polynomial.  `IndexPartition` is any ordered partition of 0..n-1, the
-argument of `quotient_matrix` and `is_equitable`.
+A `BlockSpec` is the block form's sizes and parameters, checked on one
+float array, which it keeps; `structured_spectrum` gives its spectrum as a
+`SpectrumMultiset` of (value, multiplicity) pairs, from the float quotient
+broadcast over that array, and `quotient_char_poly` gives its quotient's
+exact characteristic polynomial from the exact rows.  `IndexPartition` is
+any ordered partition of 0..n-1, the argument of `quotient_matrix` and
+`is_equitable`.
 """
 
 from __future__ import annotations
@@ -55,9 +57,16 @@ class IndexPartition:
 
 class BlockSpec:
     """Structured symmetric block matrix: integer sizes n_i, diagonal
-    parameters (l_i, p_i), off-diagonal parameters s_ij = s_ji, all finite."""
+    parameters (l_i, p_i), off-diagonal parameters s_ij = s_ji, all finite.
 
-    __slots__ = ("sizes", "l", "p", "s")
+    Parameters that numpy reads as one array of real numbers are checked on
+    that array, which the spec keeps as floats, l then p then s row by row,
+    for `quotient_eigenvalues`; any other parameters are checked entry by
+    entry, so a str, None or complex raises TypeError as `math.isfinite`
+    does.  Symmetry is one comparison of s with its transpose; only a
+    refused table is scanned, for the first asymmetric (i, j)."""
+
+    __slots__ = ("sizes", "l", "p", "s", "_floats")
 
     def __init__(self, sizes, l, p, s):
         self.sizes = tuple(as_index(x, "block size") for x in sizes)
@@ -71,16 +80,21 @@ class BlockSpec:
             raise ValueError("parameter lists must match block count")
         if len(self.s) != t or any(len(row) != t for row in self.s):
             raise ValueError("s must be a t x t table")
-        try:
-            finite = all(map(math.isfinite, chain(self.l, self.p, *self.s)))
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError("block parameters must fit a float") from None
+        values = [*self.l, *self.p, *chain.from_iterable(self.s)]
+        self._floats = _real_array(values)
+        if self._floats is not None:
+            finite = np.isfinite(self._floats).all()
+        else:
+            try:
+                finite = all(map(math.isfinite, values))
+            except OverflowError:  # an integer beyond the float range
+                raise ValueError("block parameters must fit a float") from None
         if not finite:
             raise ValueError("block parameters must be finite")
-        for i in range(t):
-            for j in range(t):
-                if self.s[i][j] != self.s[j][i]:
-                    raise ValueError(f"s[{i}][{j}] != s[{j}][{i}]: matrix not symmetric")
+        if self.s != tuple(zip(*self.s)):
+            i, j = next((i, j) for i in range(t) for j in range(t)
+                        if self.s[i][j] != self.s[j][i])
+            raise ValueError(f"s[{i}][{j}] != s[{j}][{i}]: matrix not symmetric")
 
     @property
     def t(self) -> int:
@@ -89,6 +103,18 @@ class BlockSpec:
     def is_integer(self) -> bool:
         vals = list(self.l) + list(self.p) + [x for row in self.s for x in row]
         return all(float(v).is_integer() for v in vals)
+
+
+def _real_array(values):
+    """values as a 1-D float array when numpy reads them as bools, ints or
+    floats, else None."""
+    try:
+        arr = np.array(values)
+    except (TypeError, ValueError):  # ragged or unreadable entries
+        return None
+    if arr.shape != (len(values),) or arr.dtype.kind not in "biuf":
+        return None
+    return arr.astype(float)
 
 
 @dataclass(frozen=True)
@@ -175,12 +201,28 @@ def quotient_eigenvalues(spec: BlockSpec):
     The quotient is diagonally similar to a symmetric matrix under
     D^(1/2) with D = diag(n_i), so the computation stays in eigh.
     """
-    t = spec.t
-    B = np.array(spec_quotient_rows(spec), dtype=float)
     d = np.sqrt(np.array(spec.sizes, dtype=float))
-    sym = B * (d[:, None] / d[None, :])
+    sym = _float_quotient(spec) * (d[:, None] / d[None, :])
     sym = (sym + sym.T) / 2
-    return [float(x) for x in np.linalg.eigvalsh(sym)]
+    return np.linalg.eigvalsh(sym).tolist()
+
+
+def _float_quotient(spec: BlockSpec) -> np.ndarray:
+    """The quotient as a float array, s_ij n_j off the diagonal and
+    l_i n_i + p_i on it, broadcast over the spec's floats.  While every
+    parameter and size is at most 2^52 / (max n_i + 1) in magnitude, each
+    entry is bitwise the float of `spec_quotient_rows`' entry: products and
+    sums of integers stay exact in float64, and those of floats round as
+    Python's do.  Past that bound, or for parameters that are no array of
+    real numbers, the rows are converted instead."""
+    floats, t = spec._floats, spec.t
+    sizes = np.array(spec.sizes, dtype=float)
+    if (floats is None or np.abs(floats).max(initial=0.0)
+            * (sizes.max(initial=0.0) + 1) > 2.0 ** 52):
+        return np.array(spec_quotient_rows(spec), dtype=float)
+    quotient = floats[2 * t:].reshape(t, t) * sizes
+    quotient[np.diag_indices(t)] = floats[:t] * sizes + floats[t:2 * t]
+    return quotient
 
 
 def quotient_char_poly(spec: BlockSpec) -> IntPolynomial:

@@ -212,8 +212,8 @@ def _power_sums(a: np.ndarray, count: int, weight: int, crt) -> list:
     """s_k = tr A^k for k = 1 .. n of every matrix of the (N, n, n) stack
     a, one list of ints per matrix: exact while `_exact_traces` allows,
     then rebuilt from residue traces by CRT on the moduli, weights and
-    product crt of `_moduli`.  Two (N, P n, n) buffers take turns as the
-    product and the scratch."""
+    product crt of `_moduli`, None when count = n.  Two (N, P n, n)
+    buffers take turns as the product and the scratch."""
     n = a.shape[-1]
     x, traces = _exact_traces(a, count, weight)
     # every trace is an integer of magnitude at most 2^52: int64 holds it
@@ -266,7 +266,8 @@ def char_polys(mats) -> list:
     identities.  The whole stack is advanced together, one batched product
     X @ A per power, in two phases.  |A| is read once, for b = max|a|,
     c = ||A||_1 the largest column sum of |A|, w the largest sum of |a_ij|
-    over one matrix, and the Frobenius bound below, each over the stack.
+    over one matrix, and, only when the counted powers below stop short of
+    A^n, the Frobenius bound of the residue phase, each over the stack.
 
     Exact phase.  X holds A^k itself.  Every entry and partial sum of X @ A
     is at most max|X| c <= max|X| w in magnitude, and every partial sum of
@@ -298,11 +299,13 @@ def char_polys(mats) -> list:
     sum |lambda|^2 <= ||A||_F^2 gives
     |tr A^k| <= sum |lambda|^k <= ||A||_F^k <= F^n.  For k = 1,
     |tr A| <= sqrt(n) ||A||_F <= F^n, since F >= 2 unless A = 0.  Coprime
-    moduli are all the theorem needs; none has to be prime.  The stack is
-    solved RADII_SLICE // max(K, P) matrices at a time, so neither the K
-    exact powers nor the P residues held at once grow with it: a stack of
-    zero matrices, where K = n, holds RADII_SLICE matrices, not n times
-    as many.
+    moduli are all the theorem needs; none has to be prime.  They are made
+    only when the count K of certainly exact powers is below n, since
+    otherwise no residue phase can run; every cactus on n <= 11 vertices
+    makes none.  The stack is solved RADII_SLICE // max(K, P) matrices at
+    a time (RADII_SLICE // K without moduli), so neither the K exact
+    powers nor the P residues held at once grow with it: a stack of zero
+    matrices, where K = n, holds RADII_SLICE matrices, not n times as many.
     """
     a = np.asarray(mats)
     if a.shape == (0,):  # [] is the empty stack
@@ -327,10 +330,14 @@ def char_polys(mats) -> list:
     # at most n^2 max|a| and (n max|a|)^2 <= 2^52: exact
     cols = mag.sum(axis=1)
     col, weight = int(cols.max()), int(cols.sum(axis=1).max())
-    frobenius = int((mag * mag).sum(axis=(1, 2)).max())
-    crt = _moduli((1 << 52) // (n * max(top, 1)), (isqrt(frobenius) + 1) ** n)
     exact = _exact_count(n, top, col, weight)
-    polys, step = [], max(1, RADII_SLICE // max(exact, len(crt[0])))
+    crt, held = None, exact
+    if exact < n:  # a residue phase may run
+        frobenius = int((mag * mag).sum(axis=(1, 2)).max())
+        crt = _moduli((1 << 52) // (n * max(top, 1)),
+                      (isqrt(frobenius) + 1) ** n)
+        held = max(exact, len(crt[0]))
+    polys, step = [], max(1, RADII_SLICE // held)
     for i in range(0, count, step):
         polys += map(_newton, _power_sums(a[i:i + step], exact, weight, crt))
     return polys

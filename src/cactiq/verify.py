@@ -34,9 +34,9 @@ import numpy as np
 from . import graph6, spectra
 from .enumeration import (CactusFilter, _path_blocks, _path_edges,
                           _path_graph, classes)
-from .families import (_edges, extremal_answer, members, psi_H, psi_L,
-                       psi_legacy, superseded_conjecture_bound)
-from .graph import Graph, _cactus_code, as_index, canonical_code
+from .families import (_blocks, _edges, extremal_answer, members, psi_H,
+                       psi_L, psi_legacy, superseded_conjecture_bound)
+from .graph import Graph, _cactus_code, as_index
 from .polynomials import compare_largest_roots
 from .spectra import _q_stack, char_polys, stacked_eigenpairs
 # graph_radius is not called here; perfbench's layer-trace self-test reads it
@@ -174,9 +174,15 @@ def verify_extremal(claim: str, n: int, m: int | None = None,
                     k: int | None = None) -> VerificationReport:
     """Enumerate the constrained class, find its true unique maximizer, and
     check it against the predicted family member and radius.  An m or k the
-    claim does not read raises ValueError.  The maximizer's canonical code
-    is read off its build path's blocks."""
+    claim does not read raises ValueError.  The observed maximizer's
+    canonical code is read off its build path's blocks, the predicted one's
+    off its member's blocks."""
     refuse_unread_flags(claim, m=m, k=k)
+    return _extremal_report(claim, n, m, k)
+
+
+def _extremal_report(claim: str, n, m, k) -> VerificationReport:
+    """`verify_extremal` once the caller has refused every unread flag."""
     if claim == "conjecture11_negative":
         return verify_conjecture11_negative(n, m)
     report, filt = _claim_report(claim, n, m, k)
@@ -188,7 +194,7 @@ def verify_extremal(claim: str, n: int, m: int | None = None,
 
     path, q_obs, class_size, tie = _rank_class(report, filt)
     ok_iso = (_cactus_code(n, _path_blocks(n, path))
-              == canonical_code(predicted.maximizer).code)
+              == _cactus_code(n, _blocks(predicted.params)))
     ok_radius = abs(q_obs - predicted.radius) <= RADIUS_TOL
     ok_unique = not tie
     report.passed = ok_iso and ok_radius and ok_unique

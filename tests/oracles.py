@@ -695,6 +695,22 @@ def fraction_largest_root(coeffs, lo, hi):
         a, b, va, vb = (mid, b, vm, vb) if vm > vb else (a, mid, va, vm)
 
 
+def list_quotient_eigenvalues(spec):
+    """The numeric eigenvalues of a BlockSpec's quotient as the list-based
+    code computed them: the t x t rows in Python arithmetic, exact for
+    integers, then one float array, symmetrized under D^(1/2) and solved
+    by eigvalsh."""
+    t = spec.t
+    rows = [[spec.l[i] * spec.sizes[i] + spec.p[i] if i == j
+             else spec.s[i][j] * spec.sizes[j]
+             for j in range(t)] for i in range(t)]
+    b = np.array(rows, dtype=float)
+    d = np.sqrt(np.array(spec.sizes, dtype=float))
+    sym = b * (d[:, None] / d[None, :])
+    sym = (sym + sym.T) / 2
+    return [float(x) for x in np.linalg.eigvalsh(sym)]
+
+
 def subgraph_instance_by_trial(rng):
     """The proper-subgraph draw of `verify._draw_subgraph_instance`, on the
     class's Graph: the edge found by trial (delete each edge of the shuffled

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from itertools import combinations
 import re
 import tracemalloc
 
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 
 from cactiq import graph6
-from cactiq.families import (FamilyParams, _edges, build, build_H, build_L,
-                             extremal_answer, h_cubic, l_quintic,
+from cactiq.families import (FamilyParams, _blocks, _edges, build, build_H,
+                             build_L, extremal_answer, h_cubic, l_quintic,
                              legacy_h_cubic, legacy_l_quintic, members, psi_H,
                              psi_L, psi_legacy, superseded_conjecture_bound)
-from cactiq.graph import (from_edges, is_bundle, is_cactus, matching_number,
-                          pendant_count)
+from cactiq.graph import (_cactus_code, canonical_code, from_edges, is_bundle,
+                          is_cactus, matching_number, pendant_count)
 from cactiq.polynomials import IntPolynomial, largest_real_root, monomial_shift
 from cactiq.spectra import char_poly, graph_radius, signless_laplacian
 
@@ -382,3 +383,18 @@ def test_radii_pinned():
 def test_superseded_bound_below_true_radius_at_5():
     # the corrected odd-n radius strictly exceeds the old conjectured bound
     assert superseded_conjecture_bound(5) < (7 + math.sqrt(17)) / 2
+
+
+def test_member_blocks_code_as_the_built_graph():
+    # every H and L member to order 64, s = 0 included: the blocks hold
+    # the member's edges, and the code read off them is the built graph's
+    params = [FamilyParams("H", s, k) for s in range(32)
+              for k in range(64 - 2 * s) if s + k]
+    params += [FamilyParams("L", s, k) for s in range(31)
+               for k in range(1, 63 - 2 * s)]
+    assert len(params) == 2047
+    for p in params:
+        blocks = _blocks(p)
+        assert {e for b in blocks for e in combinations(b, 2)} == \
+            set(_edges(p)), p
+        assert _cactus_code(p.n, blocks) == canonical_code(build(p)).code, p

@@ -452,6 +452,20 @@ def test_refined_floats_match_fraction_bisection():
     assert count == 2046
 
 
+def test_grid_roots_certified_without_isolation(monkeypatch):
+    # 61 of the 2,046 extremal radii are an integer on a grid point of
+    # their window, certified through the exact quotient; only the double
+    # top root 3 of h_cubic(3, 2) and l_quintic(3, 1) reaches isolation
+    isolated = []
+    isolate = polynomials._isolate
+    monkeypatch.setattr(polynomials, "_isolate", lambda p, lo, hi: (
+        isolated.append(p), isolate(p, lo, hi))[1])
+    for p, bracket in _extremal_polys():
+        want = refine_root(p, *isolate(p, *bracket))
+        assert largest_real_root(p, bracket) == want, p
+    assert isolated == [l_quintic(3, 1), h_cubic(3, 2)]
+
+
 # ---------------------------------------------------------------------------
 # The float-guided certificates against the Fraction oracles
 # ---------------------------------------------------------------------------
@@ -548,26 +562,85 @@ class TestCertificates:
         assert ties > 50 and len(verdicts) - ties > 50
         assert 50 < len(bisected) < 100
 
-    def test_misleading_estimates_fall_back(self):
-        # Newton from 7/2 lands on the root -1, below the window's largest
-        # root 1; from the root bound it jumps over the only real root 3 of
-        # (x - 5)^3 + 8 to -1.6, and over the root 2 of
-        # -2x (x - 2)(x^2 - 11x + 32)(x^2 + 3x + 3) to 0, the largest root
-        # of x (x + 1), where their gcd x changes sign.  Each certificate
-        # must refuse, and the fallback decides.
+    def test_misleading_estimates_fall_back(self, monkeypatch):
+        # Planted estimates: -1, the root below the window's largest root 1
+        # of 2 (x - 6)(x^2 - 1); -1.6, below the only real root 3 of
+        # (x - 5)^3 + 8, against x; and 0 for both
+        # -2x (x - 2)(x^2 - 11x + 32)(x^2 + 3x + 3), whose largest root is 2,
+        # and x (x + 1), whose largest root is 0, where their gcd x changes
+        # sign.  Each certificate must refuse, and the fallback decides.
+        planted = {(12, -2, -12, 2): -1.0, (-702, 450, -90, 6): -1.6,
+                   (0, 1): 0.0, (0, 384, 60, -118, -36, 20, -2): 0.0,
+                   (0, 1, 1): 0.0}
+        isolated, bisected = [], []
+        isolate = polynomials._isolate
+        bisect = polynomials._compare_by_bisection
+        monkeypatch.setattr(polynomials, "_newton",
+                            lambda coeffs, top: planted[tuple(coeffs)])
+        monkeypatch.setattr(polynomials, "_isolate", lambda p, lo, hi: (
+            isolated.append(p), isolate(p, lo, hi))[1])
+        monkeypatch.setattr(polynomials, "_compare_by_bisection",
+                            lambda p, q: (bisected.append((p, q)),
+                                          bisect(p, q))[1])
         p, window = IntPolynomial((12, -2, -12, 2)), (-2, Fraction(7, 2))
-        assert polynomials._newton(p.coeffs, window[1]) == -1.0
         assert largest_real_root(p, window) == fraction_largest_root(
             p.coeffs, *window)
+        assert isolated == [p]
         cubic = IntPolynomial((-702, 450, -90, 6))
-        assert polynomials._estimate(cubic) < 0
         assert compare_largest_roots(cubic, monomial_shift(0)) == 1
         assert compare_largest_roots(monomial_shift(0), cubic) == -1
         p = IntPolynomial((0, 384, 60, -118, -36, 20, -2))
         q = IntPolynomial((0, 1, 1))
-        assert polynomials._estimate(p) == polynomials._estimate(q) == 0.0
         assert compare_largest_roots(p, q) == 1
         assert compare_largest_roots(q, p) == -1
+        assert len(bisected) == 4
+
+
+class TestSamuelsonStart:
+    def test_at_or_above_every_root_of_real_rooted_polys(self):
+        # every class char poly with n <= 9 and every cubic and quintic of
+        # the extremal answers to n = 64: Newton starts at or above the
+        # largest root, and below the root bound
+        polys = [char_poly(signless_laplacian(g)) for n in range(1, 10)
+                 for g in enumerate_cacti(n)]
+        polys += [p for p, _ in _extremal_polys()]
+        assert len(polys) == 887 + 2046
+        for p in polys:
+            start = polynomials._start(p.coeffs, root_bound(p))
+            assert start < root_bound(p), p
+            assert not fraction_count_roots(p.coeffs, start,
+                                            cauchy_bound(p.coeffs)), p
+
+    def test_only_a_start_with_complex_roots(self):
+        # with a pair of complex roots the bound may be lower than the
+        # largest real root, or not real; the certified floats and verdicts
+        # are still isolation's and bisection's
+        rng = random.Random(38)
+        polys, below, unreal = [], 0, 0
+        for _ in range(200):
+            b, c = rng.randint(-6, 9), rng.randint(1, 60)
+            p = IntPolynomial((b * b + c, -2 * b, 1))
+            for _ in range(rng.randint(1, 4)):
+                p = p * IntPolynomial((-rng.randint(-9, 9),
+                                       rng.choice((1, 1, 2, 3))))
+            if rng.random() < 0.3:
+                p = p * IntPolynomial((-rng.choice((2, 3, 5, 7)), 0, 1))
+            polys.append(p)
+            bound = polynomials._samuelson(p.coeffs)
+            unreal += bound is None
+            below += bound is not None and fraction_count_roots(
+                p.coeffs, bound, cauchy_bound(p.coeffs)) > 0
+            for lo, hi in [(-root_bound(p), root_bound(p)),
+                           rng.choice(_WINDOWS)]:
+                iso = isolate_largest_root(p, lo, hi)
+                if iso is not None:
+                    assert largest_real_root(IntPolynomial(p.coeffs),
+                                             (lo, hi)) == refine_root(p, *iso)
+        for p, q in zip(polys, polys[1:]):
+            assert compare_largest_roots(
+                IntPolynomial(p.coeffs), IntPolynomial(q.coeffs)) == \
+                _compare_by_bisection(p, q), (p, q)
+        assert below > 20 and unreal > 20
 
 
 def test_near_ties_at_n10_need_no_isolation(monkeypatch):

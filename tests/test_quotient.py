@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from cactiq.families import build_H, build_L
 from cactiq.graph import from_edges
 from cactiq.quotient import (BlockSpec, IndexPartition, SpectrumMultiset,
                              build_from_spec, is_equitable, quotient_char_poly,
-                             quotient_matrix, spec_quotient_rows,
-                             structured_spectrum)
+                             quotient_eigenvalues, quotient_matrix,
+                             spec_quotient_rows, structured_spectrum)
 from cactiq.polynomials import IntPolynomial
 from cactiq.spectra import char_poly, signless_laplacian
-from oracles import faddeev_leverrier
+from oracles import faddeev_leverrier, list_quotient_eigenvalues
 
 Q_C3 = signless_laplacian(from_edges(3, [(0, 1), (1, 2), (0, 2)]))
 Q_P3 = signless_laplacian(from_edges(3, [(0, 1), (1, 2)]))
@@ -134,6 +135,56 @@ class TestBlockSpec:
     def test_parameter_beyond_float_rejected(self, l, s):
         with pytest.raises(ValueError, match="must fit a float"):
             BlockSpec([2, 1], l, [0, 0], s)
+
+    @pytest.mark.parametrize("l, p, s, error, message", [
+        (["1", 1], [0, 0], [[0, 1], [1, 0]], TypeError,
+         "must be real number, not str"),
+        ([2, 1], [None, 0], [[0, 1], [1, 0]], TypeError,
+         "must be real number, not NoneType"),
+        ([2, 1], [0, 0], [[0, 1j], [1j, 0]], TypeError,
+         "must be real number, not complex"),
+        ([[2], 1], [0, 0], [[0, 1], [1, 0]], TypeError,
+         "must be real number, not list"),
+        ([2, 1], [0, 0], [[0, 1], [1, "nan"]], TypeError,
+         "must be real number, not str"),
+        # entries are read in order l, p, s: the first bad one decides
+        ([np.nan, "1"], [0, 0], [[0, 1], [1, 0]], ValueError,
+         "must be finite"),
+        (["1", np.nan], [0, 0], [[0, 1], [1, 0]], TypeError,
+         "must be real number, not str"),
+        ([2, 1], [-np.inf, 0], [[0, 10 ** 400], [10 ** 400, 0]], ValueError,
+         "must be finite"),
+        ([10 ** 400, 1], [np.inf, 0], [[0, 1], [1, 0]], ValueError,
+         "must fit a float"),
+        ([2, -10 ** 400], [0, 0], [[0, 2 ** 70], [2 ** 70, 0]], ValueError,
+         "must fit a float"),
+        ([2, 1], [0, 0], [[0, np.float32("inf")], [1, 0]], ValueError,
+         "must be finite"),
+    ])
+    def test_refusals_keep_their_messages(self, l, p, s, error, message):
+        # the one-array check and the entry-by-entry one refuse alike
+        with pytest.raises(error, match=f"^block parameters {message}$"
+                           if error is ValueError else f"^{message}$"):
+            BlockSpec([2, 1], l, p, s)
+
+    @pytest.mark.parametrize("s, first", [
+        ([[0, 1, 2], [1, 0, 3], [5, 4, 0]], "s[0][2] != s[2][0]"),
+        ([[0, 1, 2], [1, 0, 3], [2, 4, 0]], "s[1][2] != s[2][1]"),
+        ([[0, 1.5, 2], [1, 0, 3], [2, 3, 0]], "s[0][1] != s[1][0]"),
+        ([[0, 2 ** 70, 1], [2 ** 70 + 1, 0, 3], [1, 3, 0]],
+         "s[0][1] != s[1][0]"),
+    ])
+    def test_first_asymmetric_entry_named(self, s, first):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{first}: matrix not symmetric")):
+            BlockSpec([1, 2, 1], [0, 1, 0], [1, 1, 1], s)
+
+    def test_real_parameters_of_any_type_accepted(self):
+        from decimal import Decimal
+        from fractions import Fraction
+        spec = BlockSpec([2, 1], [Fraction(1, 2), Decimal("1.5")],
+                         [np.float32(1), True], [[0, 2 ** 70], [2 ** 70, 0]])
+        assert spec.s == ((0, 2 ** 70), (2 ** 70, 0))
 
     def test_build_j2_plus_i2(self):
         m = build_from_spec(BlockSpec([2], [1], [1], [[0]]))
@@ -280,3 +331,35 @@ def test_bowtie_block_spec_matches_eigensolver():
     got = structured_spectrum(spec)
     want = SpectrumMultiset.from_values(np.linalg.eigvalsh(dense))
     np.testing.assert_allclose(got.values(), want.values(), rtol=0, atol=1e-8)
+
+
+def _family_specs(max_n):
+    """Every hub_spec and path_spec of order at most max_n, s = 0 included."""
+    for s in range(max_n // 2):
+        for k in range(max_n - 2 * s):
+            if s + k:
+                yield hub_spec(s, k)
+            if k and 2 * s + k + 2 <= max_n:
+                yield path_spec(s, k)
+
+
+def test_broadcast_quotient_bitwise_equals_list_rows():
+    # every H and L spec to order 64, and random specs with float, mixed and
+    # large integer parameters; past 2^52 / (max n_i + 1) the rows are used,
+    # where float64 products of 2^53 + 1 or 3^34 would round twice
+    rng = random.Random(38)
+    specs = list(_family_specs(64))
+    assert len(specs) == 2047
+    for _ in range(100):
+        spec = random_spec(rng, max_t=6, max_size=9)
+        scale = rng.choice([1, 0.37, 2 ** 40 + 1, 2 ** 53 + 1, 3 ** 34, 3 ** 40])
+        specs.append(BlockSpec(
+            spec.sizes, [x * scale for x in spec.l], spec.p,
+            [[x * scale for x in row] for row in spec.s]))
+    for spec in specs:
+        eigs = list_quotient_eigenvalues(spec)
+        assert quotient_eigenvalues(spec) == eigs
+        values = eigs + [float(p) for p, n in zip(spec.p, spec.sizes)
+                         for _ in range(n - 1)]
+        assert structured_spectrum(spec).values() == \
+            SpectrumMultiset.from_values(values).values()

@@ -637,8 +637,10 @@ class TestReportLines:
             ("theorem32", {}), ("prop213", {"k": 2}),
             ("conjecture11_negative", {"m": 3}))]
         reports.append(verify_extremal("prop215", 8, m=4))
-        # no class has the empty code, so the maximizer is a counterexample
-        monkeypatch.setattr(verify, "_cactus_code", lambda n, blocks: b"")
+        # the predicted member coded as the path P_n, which the maximizer is
+        # not, makes the maximizer a counterexample
+        monkeypatch.setattr(verify, "_blocks", lambda params: [
+            (i, i + 1) for i in range(params.n - 1)])
         reports.append(verify_extremal("theorem32", 6))
         assert reports[-1].counterexamples
         for r in reports:
@@ -811,6 +813,39 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {claim} takes no --{flag}\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--claim", "prop213", "--n", "8", "--k", "2", "--m", "1",
+          "--seed", "1"], "m"),
+        (["--claim", "theorem32", "--n", "5", "--k", "1", "--trials", "2"],
+         "k"),
+        (["--claim", "theorem31i", "--n", "6", "--seed", "1"], "seed"),
+        (["--claim", "theorem32", "--k", "1"], "k"),
+        (["--claim", "theorem31i", "--n", "7"], None),
+        (["--claim", "monotonicity", "--trials", "2"], None)])
+    def test_flags_checked_once_per_claim(self, argv, flag, monkeypatch,
+                                          capsys):
+        # one check of all five flags before anything else, by the CLI
+        # alone; the first unread flag in the order n, m, k, trials, seed
+        # is named, ahead of any other usage error
+        calls = []
+        refuse = verify.refuse_unread_flags
+
+        def spy(claim, **flags):
+            calls.append(flags)
+            refuse(claim, **flags)
+
+        monkeypatch.setattr(cli, "refuse_unread_flags", spy)
+        monkeypatch.setattr(verify, "refuse_unread_flags", spy)
+        code = main(["verify", *argv])
+        assert len(calls) == 1 and list(calls[0]) == [
+            "n", "m", "k", "trials", "seed"]
+        if flag is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == \
+                f"error: {argv[1]} takes no --{flag}\n"
 
     def test_parser_built_once(self):
         assert cli._build_parser() is cli._build_parser()
