@@ -203,7 +203,8 @@ def _path_graph(n: int, path: bytes) -> Graph:
 class Surgery:
     """What the monotonicity surgeries read of one class of order n, all
     derived from its build path: its edges (`_path_edges`' order) and their
-    sorted order, its neighbour sets, its Q-radius and Perron row, its
+    sorted order, its neighbour sets, its Q-radius with the rigorous lower
+    and upper bounds that certify a comparison with it, its Perron row, its
     one-edge blocks as (v, size) pairs, and the vertices in one block only
     (`_block_counts`)."""
     n: int
@@ -211,6 +212,8 @@ class Surgery:
     edges: tuple
     adj: tuple
     radius: float
+    lower: float
+    upper: float
     perron: tuple
     sorted_edges: tuple
     bridges: frozenset
@@ -280,18 +283,19 @@ class Level:
 
     @cached_property
     def spectra(self) -> tuple:
-        """Q-radius and Perron vector of every class, by position, as an
-        (N,) and an (N, n) float array solved from the paths' edge lists."""
+        """Q-radius, Perron vector and rigorous lower and upper radius
+        bounds of every class, by position, as `stacked_eigenpairs`' four
+        float arrays solved from the paths' edge lists."""
         n, paths = self._n, self.paths
         return stacked_eigenpairs(n, len(paths), (_path_edges(n, paths[i])
                                                   for i in self._order))
 
     @cached_property
     def surgery(self) -> tuple:
-        """Every class's `Surgery`, by position; the radius and Perron row
-        are `spectra`'s, as Python floats."""
+        """Every class's `Surgery`, by position; the radius, its bounds and
+        the Perron row are `spectra`'s, as Python floats."""
         n, paths = self._n, self.paths
-        radii, rows = (a.tolist() for a in self.spectra)
+        radii, rows, lowers, uppers = (a.tolist() for a in self.spectra)
         out = []
         for pos, i in enumerate(self._order):
             edges = _path_edges(n, paths[i])
@@ -303,7 +307,8 @@ class Level:
             count = _block_counts(n, blocks)
             out.append(Surgery(
                 n, paths[i], tuple(edges), tuple(map(frozenset, adj)),
-                radii[pos], tuple(rows[pos]), tuple(sorted(edges)),
+                radii[pos], lowers[pos], uppers[pos], tuple(rows[pos]),
+                tuple(sorted(edges)),
                 frozenset(tuple(b) for b in blocks if len(b) == 2),
                 tuple(v for v in range(n) if count[v] == 1)))
         return tuple(out)

@@ -20,7 +20,7 @@ the same grid to REFINE_WIDTH by the sign of the chain's first, square-free
 member alone.  Brackets are handed out as `fractions.Fraction`.
 
 A float only chooses where to look.  Newton's method, run downward from the
-window's top (or the root bound), estimates a largest root; integer signs
+window's top (or a root bound), estimates a largest root; integer signs
 and Descartes' rule of signs after an integer Taylor shift (`_roots_above`)
 then certify a verdict near it.  `largest_real_root` certifies the final
 refinement cell that holds the estimate (or its neighbour) as holding the
@@ -43,7 +43,8 @@ polys of Q, and the H cubic and L quintic that divide them, are real-rooted
 because Q is real symmetric, so its eigenvalues are real; Newton then
 starts above the largest root, where the polynomial is monotone and convex
 or concave, and walks down to it.  For any other polynomial the bound is
-only a start, and the certificates decide as before.
+only a start, and the certificates decide as before.  With no window
+Newton starts at this bound, or at the root bound when it is not real.
 """
 
 from __future__ import annotations
@@ -365,11 +366,13 @@ def _start(coeffs, top):
 
 
 def _estimate(p: IntPolynomial):
-    """The float estimate of p's largest real root from its root bound or
-    the lower Laguerre-Samuelson bound, made on first use and kept on p;
-    None when Newton gives none."""
+    """The float estimate of p's largest real root from the Laguerre-Samuelson
+    bound, or from the root bound when that is not real, made on first use
+    and kept on p; None when Newton gives none."""
     if p._guess is None:
-        p._guess = (_newton(p.coeffs, _start(p.coeffs, root_bound(p))),)
+        start = _samuelson(p.coeffs)
+        p._guess = (_newton(p.coeffs, root_bound(p) if start is None
+                            else start),)
     return p._guess[0]
 
 

@@ -6,10 +6,13 @@ Every matrix is a plain numpy array: Q(G) is an (n, n) int array,
 exact path, `char_polys`, takes a stack of same-order int matrices;
 `char_poly` is its one-matrix call.  Q is built from edge lists in one
 place, `_q_stack`, and every solve of many graphs hands it same-order edge
-lists: `stacked_eigenpairs` for radii and Perron vectors, or the caller's
-own stack cast to int for `char_polys`.  The numeric path is one stacked
-call of LAPACK's symmetric eigensolver (tridiagonalization + implicit-shift
-QR) per RADII_SLICE same-order matrices.  The exact path advances the
+lists: `stacked_eigenpairs` for radii, Perron vectors and rigorous bounds
+on the radii, or the caller's own stack cast to int for `char_polys`.  The
+numeric path is one stacked call of LAPACK's symmetric eigensolver
+(tridiagonalization + implicit-shift QR) per RADII_SLICE same-order
+matrices; the residual gate's product Q y then gives each radius a lower
+bound (Rayleigh) and an upper bound (Collatz-Wielandt), rounding-safe
+whatever order BLAS sums in (`_bounds`).  The exact path advances the
 powers of every matrix of the stack by batched float64 matrix products
 whose every value is an integer of magnitude at most 2^52: the powers
 themselves while that bound allows, then their residues modulo a few
@@ -68,7 +71,8 @@ def _q_stack(n: int, edge_lists) -> np.ndarray:
 
 def _top_eigenpairs(stack: np.ndarray):
     """Largest eigenvalue and its sign-fixed unit eigenvector for every
-    matrix of a symmetric (N, n, n) stack, as two arrays.
+    matrix of a symmetric (N, n, n) stack, as two arrays, and the product
+    of each matrix with its vector, as a third, (N, n) array.
 
     A residual above RESIDUAL_GATE relative to max(1, |radius|), or a
     radius or residual that is not finite, raises RuntimeError."""
@@ -79,20 +83,20 @@ def _top_eigenpairs(stack: np.ndarray):
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
     radius, vec = w[:, -1], vecs[:, :, -1]
     vec = np.where(vec.sum(axis=1, keepdims=True) < 0, -vec, vec)
-    residual = np.linalg.norm((stack @ vec[:, :, None])[:, :, 0]
-                              - radius[:, None] * vec, axis=1)
+    product = (stack @ vec[:, :, None])[:, :, 0]
+    residual = np.linalg.norm(product - radius[:, None] * vec, axis=1)
     # written so that a NaN residual or an infinite radius fails the gate
     bad = np.flatnonzero(~(np.isfinite(radius) & (
         residual <= RESIDUAL_GATE * np.maximum(1.0, np.abs(radius)))))
     if bad.size:
         raise RuntimeError(f"eigensolver residual {residual[bad[0]]} above "
                            f"tolerance at index {bad[0]}")
-    return radius, vec
+    return radius, vec, product
 
 
 def _one_result(stack: np.ndarray) -> SpectralResult:
     """The SpectralResult of a one-matrix (1, n, n) stack."""
-    radius, vec = _top_eigenpairs(stack)
+    radius, vec, _ = _top_eigenpairs(stack)
     return SpectralResult(radius=float(radius[0]), perron=tuple(vec[0].tolist()))
 
 
@@ -128,18 +132,82 @@ def graph_radius(g: Graph) -> SpectralResult:
 # once (2 * RADII_SLICE * n^2 floats) do not grow with the list.
 RADII_SLICE = 256
 
+# Vector entries below this are read as 0 by `_bounds`, so that none of its
+# products underflows.
+_TINY = 2.0 ** -500
+
+
+def _bounds(stack: np.ndarray, vec: np.ndarray, product: np.ndarray):
+    """A lower and an upper bound on the largest eigenvalue q of each matrix
+    Q of an (N, n, n) stack of nonnegative symmetric integer matrices, as
+    two (N,) arrays, from any float vectors y (the rows of vec) and the
+    products Q y that the residual gate formed.
+
+    Let x be y with every entry below _TINY = 2^-500 set to 0, so x >= 0
+    and, as y has norm 1 and a nonnegative sum, x != 0.  The exact bounds
+    are x^T Q x / x^T x <= q (Rayleigh, Q symmetric) and, when x = y > 0,
+    q <= max_v (Q x)_v / x_v (Collatz-Wielandt, Q >= 0; Horn & Johnson,
+    Matrix Analysis, section 8.1); with an entry of y below 2^-500 the upper
+    bound is +inf.  Q x is the gate's product where x = y; the few rows
+    where it may not be (a disconnected graph's vector holds 0 or -1e-17
+    at an isolated vertex) are multiplied again by x, in place.
+
+    Rounding.  Let u = 2^-53, gamma_k = k u / (1 - k u) <= 2 k u, and
+    theta_k any product of k factors (1 + d)^(+-1) with |d| <= u, so
+    |theta_k| <= gamma_k (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Lemma 3.1).  A float sum of m terms, in any order
+    and with or without FMA, passes each term through at most m - 1
+    roundings, and a term that is a rounded product through one more.
+    Every term here is nonnegative, so a computed sum of m such products
+    lies within a factor 1 +- gamma_m of the exact sum.  Nothing
+    underflows: a nonzero entry of x is at least 2^-500, so a nonzero
+    product is at least 2^-1000, and a sum of nonnegative normal floats is
+    normal.  Nothing overflows: y is a unit vector, and each row of Q sums
+    to at most 2 (n - 1).
+      Lower.  s_v = fl((Q x)_v) = (Q x)_v (1 + theta_n).  N = fl(sum x_v
+    s_v) lies within 1 +- gamma_2n of x^T Q x, D = fl(sum x_v^2) within
+    1 +- gamma_n of x^T x, and L = fl(N / D) <= (N / D)(1 + u).  So
+    x^T Q x / x^T x >= L (1 - gamma_n) / ((1 + gamma_2n)(1 + u)), while
+    fl(L f) <= L f (1 + u).  The bound fl(L f) holds when
+    f <= (1 - gamma_n) / ((1 + gamma_2n)(1 + u)^2), whose right side is
+    at least (1 - gamma_n)(1 - gamma_2n)(1 - u)^2 >= 1 - (6n + 2) u; so
+    f = 1 - (3n + 1) 2^-52.
+      Upper.  fl(s_v / x_v) = (Q x)_v / x_v (1 + theta_(n+1)), so the exact
+    maximum is at most M / ((1 - gamma_n)(1 - u)), M the float maximum,
+    while fl(M c) >= M c (1 - u).  The bound fl(M c) holds when
+    c >= 1 / ((1 - gamma_n)(1 - u)^2) and (1 - gamma_n)(1 - u)^2 >= 1 - a,
+    a = (2n + 2) u <= 1/2, with 1 / (1 - a) <= 1 + 2a; so
+    c = 1 + (2n + 2) 2^-52.  Both f and c are exact floats."""
+    n = stack.shape[-1]
+    short = vec.min(axis=1) < _TINY
+    x = vec
+    if short.any():
+        x = np.where(vec < _TINY, 0.0, vec)
+        product[short] = (stack[short] @ x[short, :, None])[:, :, 0]
+    lower = (np.einsum("ij,ij->i", x, product) / np.einsum("ij,ij->i", x, x)
+             * (1 - (3 * n + 1) * 2.0 ** -52))
+    # the divisor is x itself in every row that keeps its upper bound
+    upper = ((product / np.maximum(x, _TINY)).max(axis=1)
+             * (1 + (2 * n + 2) * 2.0 ** -52))
+    upper[short] = np.inf
+    return lower, upper
+
 
 def stacked_eigenpairs(n: int, count: int, edge_lists):
     """Spectral radius and Perron vector of Q for each of count edge lists
-    on n vertices, drawn from an iterable RADII_SLICE at a time, as an (N,)
-    array and an (N, n) array of rows; each row is bitwise its own solve's."""
+    on n vertices, drawn from an iterable RADII_SLICE at a time, and a
+    rigorous lower and upper bound on each radius (`_bounds`), as an (N,)
+    array, an (N, n) array of rows and two (N,) arrays; each radius and
+    row is bitwise its own solve's."""
     lists = iter(edge_lists)
     radius, perron = np.empty(count), np.empty((count, n))
+    lower, upper = np.empty(count), np.empty(count)
     for i in range(0, count, RADII_SLICE):
         j = min(i + RADII_SLICE, count)
-        radius[i:j], perron[i:j] = _top_eigenpairs(_q_stack(n, list(
-            islice(lists, j - i))))
-    return radius, perron
+        stack = _q_stack(n, list(islice(lists, j - i)))
+        radius[i:j], perron[i:j], product = _top_eigenpairs(stack)
+        lower[i:j], upper[i:j] = _bounds(stack, perron[i:j], product)
+    return radius, perron, lower, upper
 
 
 # Largest n * max|a| that `char_polys` accepts.  It keeps every modulus at

@@ -2,23 +2,26 @@
 monotonicity property runs.
 
 Every entry point returns a VerificationReport that serializes to one JSON
-line.  Numeric acceptance is at 1e-9; every candidate whose radius lies within
-1e-7 of a class maximum is ranked by exact largest-root comparison of the
+line.  Numeric acceptance is at 1e-9.  Every verdict that compares radii is
+exact: one radius lies above another when its rigorous lower bound exceeds
+the other's upper bound (`spectra.stacked_eigenpairs`), and every pair
+without that certificate is decided by exact largest-root comparison of the
 characteristic polynomials.
 
 A class claim reads its inputs in one place: n, m and k are parsed as
 integers before the claim's order rule picks the class filter.  The class's
-positions and numeric radii then come from one lookup of the order's class
-table (`enumeration.classes`), solved once in stacked calls.
+positions, numeric radii and radius bounds then come from one lookup of the
+order's class table (`enumeration.classes`), solved once in stacked calls.
 Every other solve stacks Q once per order from edge lists: an exactly ranked
-near set from its classes' build paths, and `check-formulas` from the family
-members' generated edges, each in one `char_polys` call; a `Graph` is built
-only for a maximizer.  The monotonicity runs draw each class as its
-order's `Level.surgery` entry, its edges, neighbour sets, one-edge blocks
-and one-block vertices derived once per order, and run `transforms`'
-internals on those sets.  The results are solved RADII_SLICE instances at
-a time, one `stacked_eigenpairs` call per order, then checked in trial and
-property order.
+near set from its classes' build paths, the uncertified monotonicity
+instances from their edges, and `check-formulas` from the family members'
+generated edges, each in one `char_polys` call; a `Graph` is built only for
+a maximizer.  The monotonicity runs draw each class as its order's
+`Level.surgery` entry, its edges, neighbour sets, one-edge blocks and
+one-block vertices derived once per order, and run `transforms`' internals
+on those sets.  The results are solved RADII_SLICE instances at a time, one
+`stacked_eigenpairs` call per order, then checked in trial and property
+order.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ from .spectra import graph_radius  # noqa: F401
 from .transforms import _contracted, _shifted
 
 RADIUS_TOL = 1e-9
-EXACT_ESCALATION_GAP = 1e-7
-MONOTONE_MARGIN = 1e-10
 
 # The --n, --m, --k, --trials and --seed parameters each claim reads, in the
 # order of the CLI's --claim choices; passing a claim any other is an error,
@@ -87,28 +88,43 @@ class VerificationReport:
         return json.dumps(vars(self), sort_keys=True)
 
 
-def rank_certified(n: int, radii, edges):
+def _char_polys(graphs) -> list:
+    """The characteristic polynomial of Q of each (order, edges) pair, in
+    turn, from one Q stack and one `char_polys` call per order."""
+    polys = [None] * len(graphs)
+    for n in {n for n, _ in graphs}:
+        idx = [i for i, (order, _) in enumerate(graphs) if order == n]
+        for i, p in zip(idx, char_polys(_q_stack(
+                n, [graphs[i][1] for i in idx]).astype(int))):
+            polys[i] = p
+    return polys
+
+
+def rank_certified(n: int, radii, lower, upper, edges):
     """Indices of the maximizer and runner-up, the runner-up gap and an
-    exact-tie flag, for candidates of order n with these float radii;
+    exact-tie flag, for candidates of order n with these float radii and
+    rigorous lower and upper bounds on them (`stacked_eigenpairs`);
     edges(i) gives candidate i's edge list, a sized collection of (u, v)
     pairs.
 
-    One pass over the radii finds the near set, every candidate within
-    EXACT_ESCALATION_GAP of the maximum; only it is sorted, by exact
-    largest-root comparison of its characteristic polynomials from float
-    order, and only its edges are read, into one Q stack and one
-    `char_polys` call.  Float order, the lower index first on equal floats,
-    breaks exact ties.  A one-candidate class has no runner-up and no gap.
+    The float maximizer, the lower index first on equal floats, lies above
+    every candidate whose upper bound is below its lower bound.  The rest,
+    the near set, is sorted by exact largest-root comparison of its
+    characteristic polynomials from float order, and only its edges are
+    read, into one Q stack (`_char_polys`).  Float order breaks exact ties.
+    When the near set is the maximizer alone, the runner-up is the float
+    maximum of the rest.  A one-candidate class has no runner-up and no
+    gap.
     """
     r = np.asarray(radii, dtype=float)
     if len(r) == 1:
         return 0, None, None, False
-    near = sorted(np.flatnonzero(r.max() - r < EXACT_ESCALATION_GAP).tolist(),
-                  key=lambda i: -r[i])
+    near = sorted(np.flatnonzero(
+        np.asarray(upper) >= lower[int(r.argmax())]).tolist(),
+        key=lambda i: -r[i])
     best, tie = near[0], False
     if len(near) > 1:
-        polys = dict(zip(near, char_polys(
-            _q_stack(n, [edges(i) for i in near]).astype(int))))
+        polys = dict(zip(near, _char_polys([(n, edges(i)) for i in near])))
         near.sort(key=cmp_to_key(
             lambda a, b: compare_largest_roots(polys[b], polys[a])))
         best, second = near[0], near[1]
@@ -155,15 +171,17 @@ def _rank_class(report: VerificationReport, filt: CactusFilter):
     """Record the certified maximizer, radius and runner-up gap of the class
     of order report.parameters["n"] meeting filt in the report; return the
     maximizer's build path, its radius, class size and exact-tie flag.
-    Positions and radii come from one `classes(n)` lookup."""
+    Positions, radii and their bounds come from one `classes(n)` lookup."""
     n = report.parameters["n"]
     level = classes(n)
     positions = list(level.positions(filt))
     if not positions:
         raise ValueError(f"no cacti match {report.parameters}")
-    class_radii = level.spectra[0][positions]
+    radius, _, lower, upper = level.spectra
+    class_radii = radius[positions]
     best, _, report.runner_up_gap, tie = rank_certified(
-        n, class_radii, lambda i: _path_edges(n, level.path(positions[i])))
+        n, class_radii, lower[positions], upper[positions],
+        lambda i: _path_edges(n, level.path(positions[i])))
     path = level.path(positions[best])
     report.observed_maximizer = graph6.encode(_path_graph(n, path))
     report.observed_radius = float(class_radii[best])
@@ -241,14 +259,9 @@ def verify_formulas(max_n: int = 24) -> VerificationReport:
     # each member's closed form, read by the identity and the erratum checks
     closed = {p: psi(p.n, p.k) for family, psi in (("H", psi_H), ("L", psi_L))
               for p in members(family, max_n)}
-    failed = set()
-    for n in {p.n for p in closed}:
-        group = [p for p in closed if p.n == n]
-        polys = char_polys(_q_stack(
-            n, [list(_edges(p)) for p in group]).astype(int))
-        failed.update(p for p, poly in zip(group, polys) if closed[p] != poly)
+    polys = _char_polys([(p.n, list(_edges(p))) for p in closed])
     failures = [{"family": p.family, "s": p.s, "k": p.k}
-                for p in closed if p in failed]
+                for p, poly in zip(closed, polys) if closed[p] != poly]
 
     # the legacy formula must disagree with the corrected one, at H(s, 0)
     # for n = 5..15 (legacy H coincides at n = 3) and at the five smallest L
@@ -287,7 +300,7 @@ def _random_cactus(rng: random.Random):
 
 
 def _draw_shift_instance(rng: random.Random):
-    """A class (n, path), its radius, the shifted Graph and its plan
+    """A class's `Surgery` entry, the shifted Graph and its plan
     (v, u, moved), meeting the neighbor-shift hypotheses and the
     Perron-label condition x_v <= x_u; invalid draws are redrawn."""
     while True:
@@ -304,12 +317,12 @@ def _draw_shift_instance(rng: random.Random):
                     continue
                 moved = rng.sample(cands, rng.randint(1, len(cands)))
                 h = Graph(n, frozenset(_shifted(adj, c.edges, v, u, moved)))
-                return n, c.path, c.radius, h, (v, u, moved)
+                return c, h, (v, u, moved)
 
 
 def _draw_contract_instance(rng: random.Random):
-    """A class (n, path), its radius, the contracted Graph and its edge
-    (u, v), not pendant, whose endpoints share no neighbor."""
+    """A class's `Surgery` entry, the contracted Graph and its edge (u, v),
+    not pendant, whose endpoints share no neighbor."""
     while True:
         c = _random_cactus(rng)
         adj, shuffled = c.adj, list(c.sorted_edges)
@@ -318,11 +331,11 @@ def _draw_contract_instance(rng: random.Random):
             if len(adj[u]) == 1 or len(adj[v]) == 1 or adj[u] & adj[v]:
                 continue
             h = Graph(c.n, frozenset(_contracted(adj, c.edges, u, v)))
-            return c.n, c.path, c.radius, h, (u, v)
+            return c, h, (u, v)
 
 
 def _draw_subgraph_instance(rng: random.Random):
-    """A class (n, path), its radius and H, a proper connected subgraph: the
+    """A class's `Surgery` entry and H, a proper connected subgraph: the
     class less the first cycle edge in a shuffled edge order (deleting an
     edge leaves a cactus connected iff it lies on a cycle, that is, it is no
     one-edge block), or less a vertex in one block only, which every cactus
@@ -333,38 +346,58 @@ def _draw_subgraph_instance(rng: random.Random):
         shuffled = list(c.sorted_edges)
         rng.shuffle(shuffled)
         e = next(e for e in shuffled if e not in c.bridges)
-        return n, c.path, c.radius, Graph(n, frozenset(
-            x for x in edges if x != e))
+        return c, Graph(n, frozenset(x for x in edges if x != e))
     v = rng.choice(c.ends)
-    return n, c.path, c.radius, Graph(n - 1, frozenset(
+    return c, Graph(n - 1, frozenset(
         (a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b)))
 
 
 def _instances(rng: random.Random, trials: int):
-    """(property, trial, order, path, radius of the class, surgery result)
-    for the three properties of each trial in turn, drawn lazily from rng."""
+    """(property, trial, the class's `Surgery` entry, surgery result) for
+    the three properties of each trial in turn, drawn lazily from rng."""
     for t in range(trials):
-        yield "neighbor_shift", t, *_draw_shift_instance(rng)[:4]
-        yield "contract_pend", t, *_draw_contract_instance(rng)[:4]
+        yield "neighbor_shift", t, *_draw_shift_instance(rng)[:2]
+        yield "contract_pend", t, *_draw_contract_instance(rng)[:2]
         yield "proper_subgraph", t, *_draw_subgraph_instance(rng)
 
 
 def _violations(batch) -> list:
     """Violation records of a batch of instances, in batch order, from one
     `stacked_eigenpairs` call per order of the surgery results; a class's
-    Graph is built only for its record."""
-    out, results, after = [], [h for *_, h in batch], np.empty(len(batch))
+    Graph is built only for its record.
+
+    A result's radius is certified above its class's when the result's
+    lower bound exceeds the upper bound of the class's `Surgery` entry, and
+    a proper subgraph's below it when the class's lower bound exceeds the
+    subgraph's upper bound.  Every other instance is decided by exact
+    largest-root comparison of the two characteristic polynomials
+    (`_char_polys`); an exact tie is a violation."""
+    results = [h for *_, h in batch]
+    after = np.empty((3, len(batch)))
     for n in {h.order for h in results}:
         idx = [i for i, h in enumerate(results) if h.order == n]
-        after[idx] = stacked_eigenpairs(
-            n, len(idx), (results[i].edges for i in idx))[0]
-    for (prop, t, n, path, q0, h), q1 in zip(batch, after.tolist()):
-        sub = prop == "proper_subgraph"
-        if (q0 - q1 if sub else q1 - q0) <= MONOTONE_MARGIN:
+        radius, _, lower, upper = stacked_eigenpairs(
+            n, len(idx), (results[i].edges for i in idx))
+        after[:, idx] = radius, lower, upper
+    radii, lowers, uppers = after.tolist()
+    rises = [c.lower > up if prop == "proper_subgraph" else low > c.upper
+             for (prop, _, c, _), low, up in zip(batch, lowers, uppers)]
+    open_ = [i for i, rise in enumerate(rises) if not rise]
+    polys = _char_polys([g for i in open_ for g in (
+        (batch[i][2].n, batch[i][2].edges),
+        (results[i].order, results[i].edges))])
+    for i, before, now in zip(open_, polys[::2], polys[1::2]):
+        rises[i] = (compare_largest_roots(before, now)
+                    if batch[i][0] == "proper_subgraph"
+                    else compare_largest_roots(now, before)) > 0
+    out = []
+    for (prop, t, c, h), q1, rise in zip(batch, radii, rises):
+        if not rise:
             out.append({"property": prop, "trial": t,
-                        "graph": graph6.encode(_path_graph(n, path)),
-                        **({"sub": graph6.encode(h), "whole": q0, "part": q1}
-                           if sub else {"before": q0, "after": q1})})
+                        "graph": graph6.encode(_path_graph(c.n, c.path)),
+                        **({"sub": graph6.encode(h), "whole": c.radius,
+                            "part": q1} if prop == "proper_subgraph"
+                           else {"before": c.radius, "after": q1})})
     return out
 
 

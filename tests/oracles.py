@@ -823,10 +823,11 @@ def q_stack_by_values(graphs) -> np.ndarray:
     return stack
 
 
-def rank_by_sort(radii, graph, gap):
+def rank_by_sort(radii, graph, lower, upper):
     """`verify.rank_certified` by sorting every candidate: float-descending
-    with a stable sort, the candidates within gap of the first ranked by
-    exact largest-root comparison from that order."""
+    with a stable sort, the candidates whose upper bound reaches the first
+    one's lower bound ranked by exact largest-root comparison from that
+    order."""
     from functools import cmp_to_key
 
     from cactiq.polynomials import compare_largest_roots
@@ -836,7 +837,7 @@ def rank_by_sort(radii, graph, gap):
     if len(order) == 1:
         return order[0], None, None, False
     best, second = order[0], order[1]
-    near = [i for i in order if radii[best] - radii[i] < gap]
+    near = [i for i in order if upper[i] >= lower[best]]
     tie = False
     if len(near) > 1:
         polys = dict(zip(near, char_polys(
@@ -847,3 +848,21 @@ def rank_by_sort(radii, graph, gap):
         tie = compare_largest_roots(polys[best], polys[second]) == 0
     gap = 0.0 if tie else abs(radii[best] - radii[second])
     return best, second, gap, tie
+
+
+def fraction_radius_bounds(n, edges, y):
+    """For Q of the graph on n vertices with these (u, v) edges and a float
+    vector y read as exact rationals: the Rayleigh quotient of
+    y+ = max(y, 0), from x^T Q x = sum over edges of (x_u + x_v)^2, and the
+    Collatz-Wielandt maximum max_v (Q y)_v / y_v, or None unless y > 0."""
+    x = [Fraction(max(v, 0.0)) for v in y]
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    rayleigh = (sum((x[u] + x[v]) ** 2 for u, v in edges)
+                / sum(v * v for v in x))
+    if min(y) <= 0:
+        return rayleigh, None
+    return rayleigh, max((len(nbrs[v]) * x[v] + sum(x[w] for w in nbrs[v]))
+                         / x[v] for v in range(n))

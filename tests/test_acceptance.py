@@ -1,8 +1,8 @@
 """Acceptance suite: twelve end-to-end criteria, one test and one printed
 pass/fail line each.
 
-Tolerances: radii within 1e-9, spectral multisets within 1e-8, monotonicity
-margin 1e-10, polynomial identities exact.
+Tolerances: radii within 1e-9, spectral multisets within 1e-8, each
+monotonicity comparison certified, polynomial identities exact.
 """
 
 import math
@@ -160,7 +160,7 @@ def test_09_structured_spectrum_decomposition():
 def test_10_monotonicity_suites():
     r = verify_monotonicity(trials=200, seed=42)
     ok = r.passed and r.details["comparisons"] == 600 and not r.counterexamples
-    _report(10, "600 seeded strict-monotonicity comparisons, margin 1e-10", ok)
+    _report(10, "600 seeded strict-monotonicity comparisons, each certified", ok)
 
 
 def _matching_agrees(g) -> bool:

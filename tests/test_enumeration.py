@@ -348,13 +348,14 @@ class TestPaths:
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_spectra_equal_eigenpairs_of_the_graphs(self, n):
-        # the table's radii and Perron rows, solved from the paths' edge
-        # lists, bit for bit those of the Graphs in canonical-code order
-        radius, perron = enumeration._level(n).spectra
+        # the table's radii, Perron rows and radius bounds, solved from the
+        # paths' edge lists, bit for bit those of the Graphs in
+        # canonical-code order
+        got = enumeration._level(n).spectra
         graphs = enumerate_cacti(n)
         want = stacked_eigenpairs(n, len(graphs), (g.edges for g in graphs))
-        assert radius.tobytes() == want[0].tobytes()
-        assert perron.tobytes() == want[1].tobytes()
+        assert len(got) == len(want) == 4
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_codes_read_off_the_paths(self, n):
@@ -367,10 +368,10 @@ class TestPaths:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_surgery_table_equals_per_draw_derivation(self, n):
         # each entry is what a monotonicity draw derived from the class's
-        # path before the table, and its radius and Perron row are the
-        # order's spectra bit for bit
+        # path before the table, and its radius, radius bounds and Perron
+        # row are the order's spectra bit for bit
         level = enumeration._level(n)
-        radius, perron = level.spectra
+        radius, perron, lower, upper = level.spectra
         assert len(level.surgery) == KNOWN_COUNTS[n]
         for pos, entry in enumerate(level.surgery):
             path = level.path(pos)
@@ -389,6 +390,8 @@ class TestPaths:
             assert list(entry.ends) == [v for v in range(n) if count[v] == 1]
             assert type(entry.radius) is float
             assert entry.radius.hex() == float(radius[pos]).hex()
+            assert entry.lower.hex() == float(lower[pos]).hex()
+            assert entry.upper.hex() == float(upper[pos]).hex()
             assert np.array(entry.perron).tobytes() == perron[pos].tobytes()
 
     def test_graphs_share_the_edge_table(self):

@@ -15,7 +15,6 @@ from cactiq.polynomials import (IntPolynomial, _compare_by_bisection, _poly_gcd,
                                 monomial_shift, refine_root, root_bound,
                                 sturm_sequence)
 from cactiq.spectra import char_poly, graph_radius, signless_laplacian
-from cactiq.verify import EXACT_ESCALATION_GAP
 from oracles import (cauchy_bound, fraction_compare_largest_roots,
                      fraction_count_roots, fraction_gcd,
                      fraction_largest_root, fraction_sturm_sequence)
@@ -366,15 +365,20 @@ class TestCompareLargestRoots:
 # The integer root layer against the Fraction oracles
 # ---------------------------------------------------------------------------
 
+# Float radius gap under which two neighbours in radius order are a near
+# tie, the stress set for exact comparison
+NEAR_TIE_GAP = 1e-7
+
+
 def _near_tie_pairs(n):
     """Char polys of neighbours in the radius order of the class at n whose
-    float radii lie within the exact escalation gap."""
+    float radii lie within NEAR_TIE_GAP."""
     graphs = enumerate_cacti(n)
     rs = [graph_radius(g).radius for g in graphs]
     order = sorted(range(len(graphs)), key=lambda i: (rs[i], i))
     return [tuple(char_poly(signless_laplacian(graphs[i])) for i in (lo, hi))
             for lo, hi in zip(order, order[1:])
-            if rs[hi] - rs[lo] < EXACT_ESCALATION_GAP]
+            if rs[hi] - rs[lo] < NEAR_TIE_GAP]
 
 
 def _random_product(rng):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from cactiq.polynomials import IntPolynomial, count_roots
 from cactiq.spectra import (_exact_traces, _top_eigenpairs, char_poly,
                             char_polys, graph_radius, signless_laplacian,
                             spectral_radius, stacked_eigenpairs)
-from oracles import (faddeev_leverrier, guarded_exact_powers,
-                     packed_char_poly, q_stack_by_values)
+from cactiq.transforms import shift_neighbors
+from oracles import (faddeev_leverrier, fraction_radius_bounds,
+                     guarded_exact_powers, packed_char_poly,
+                     q_stack_by_values)
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
@@ -162,14 +165,15 @@ class TestRadii:
 
     def test_empty(self):
         # no edge lists at a positive order: no rows, each n wide
-        radius, perron = stacked_eigenpairs(5, 0, iter(()))
-        assert radius.shape == (0,) and perron.shape == (0, 5)
+        radius, perron, lower, upper = stacked_eigenpairs(5, 0, iter(()))
+        assert radius.shape == lower.shape == upper.shape == (0,)
+        assert perron.shape == (0, 5)
 
     def test_eigenpairs_equal_graph_radius(self):
         # the one-graph solve is the oracle for the stacked radii and rows
         for n in range(1, 9):
             graphs = enumerate_cacti(n)
-            radius, perron = stacked(graphs)
+            radius, perron, _, _ = stacked(graphs)
             assert perron.shape == (len(graphs), n)
             for g, r, x in zip(graphs, radius.tolist(), perron.tolist()):
                 want = graph_radius(g)
@@ -180,9 +184,12 @@ class TestRadii:
         graphs = enumerate_cacti(9)
         whole = _top_eigenpairs(spectra._q_stack(9, [g.edges for g in graphs]))
         monkeypatch.setattr(spectra, "RADII_SLICE", 100)
-        radius, perron = stacked(graphs)
+        radius, perron, lower, upper = stacked(graphs)
         assert radius.tolist() == whole[0].tolist()
         assert perron.tolist() == whole[1].tolist()
+        want = spectra._bounds(spectra._q_stack(9, [g.edges for g in graphs]),
+                               *whole[1:])
+        assert [lower.tolist(), upper.tolist()] == [a.tolist() for a in want]
 
     def test_q_stack_equals_the_graph_stack_builder(self):
         # from edge lists, one graph or a stack of mixed edge counts (every
@@ -223,8 +230,9 @@ class TestRadii:
         assert len({len(e) for e in stacks[-1][1]}) > 10
 
     def test_eigenpairs_empty(self):
-        radius, perron = stacked([])
-        assert radius.shape == (0,) and perron.shape == (0, 0)
+        radius, perron, lower, upper = stacked([])
+        assert radius.shape == lower.shape == upper.shape == (0,)
+        assert perron.shape == (0, 0)
 
     def test_residual_check_names_the_matrix(self):
         # eigh reads one triangle only, so a non-symmetric member leaves a
@@ -234,6 +242,51 @@ class TestRadii:
         bad[0, 2] = 0.0
         with pytest.raises(RuntimeError, match="at index 1$"):
             _top_eigenpairs(np.stack([good, bad]))
+
+
+class TestRadiusBounds:
+    """`stacked_eigenpairs`' rounding-safe bounds against the exact
+    Rayleigh quotient of y+ and the exact Collatz-Wielandt maximum of the
+    float Perron vectors y, taken as Fractions."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_class_against_fraction_bounds(self, n):
+        graphs = enumerate_cacti(n)
+        radius, perron, lower, upper = stacked(graphs)
+        assert (lower <= radius).all() and (radius <= upper).all()
+        for g, y, lo, up in zip(graphs, perron.tolist(), lower.tolist(),
+                                upper.tolist()):
+            rayleigh, collatz = fraction_radius_bounds(n, g.edges, y)
+            assert lo <= rayleigh, g
+            # a cactus is connected, so its Perron vector is positive
+            assert collatz is not None and up >= collatz, g
+
+    def test_isolated_vertex_has_no_upper_bound(self):
+        # a neighbour shift of P4 that isolates vertex 0: its vector holds 0
+        # or a rounding-sized entry there, so no Collatz-Wielandt bound, and
+        # the division it would need raises no warning
+        h = shift_neighbors(from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0, 3, [1])
+        assert h.edges == {(1, 2), (2, 3), (1, 3)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            radius, perron, lower, upper = stacked([h])
+        y = perron[0].tolist()
+        assert min(y) <= 0 and upper.tolist() == [math.inf]
+        rayleigh, collatz = fraction_radius_bounds(4, h.edges, y)
+        assert collatz is None and lower[0] <= rayleigh <= 4
+        assert lower[0] == pytest.approx(4, abs=1e-13) == radius[0]
+
+    def test_bounds_widen_with_the_order(self):
+        # the lower bound's factor is 1 - (3n + 1) 2^-52, the upper's
+        # 1 + (2n + 2) 2^-52: one Q of each order solved with a vector that
+        # makes both exact
+        for n in (1, 2, 9, 64):
+            q = np.zeros((1, n, n))
+            q[0, range(n), range(n)] = 2.0
+            vec = np.full((1, n), 1.0)
+            lower, upper = spectra._bounds(q, vec, 2 * vec)
+            assert lower.tolist() == [2 * (1 - (3 * n + 1) * 2.0 ** -52)]
+            assert upper.tolist() == [2 * (1 + (2 * n + 2) * 2.0 ** -52)]
 
 
 class TestCharPoly:

@@ -160,10 +160,26 @@ def _class_reports(max_n):
     return out
 
 
+@pytest.fixture
+def widen(monkeypatch):
+    """A call that widens every radius bound `stacked_eigenpairs` returns to
+    (-inf, +inf) and empties the order tables, so that they are rebuilt
+    with those bounds: every class with a runner-up and every monotonicity
+    comparison then goes to exact largest-root comparison.  The tables are
+    emptied again after the test."""
+    def apply():
+        monkeypatch.setattr(spectra, "_bounds", lambda stack, vec, product: (
+            np.full(len(vec), -np.inf), np.full(len(vec), np.inf)))
+        enumeration._level.cache_clear()
+
+    yield apply
+    enumeration._level.cache_clear()
+
+
 class TestRankCertified:
-    def test_wide_escalation_gap_changes_nothing(self, monkeypatch):
-        # with the gap at 1.0 the exact ranking decides every class at n <= 8
-        # that has near rivals; verdicts and maximizers must not move
+    def test_widened_bounds_change_nothing(self, monkeypatch, widen):
+        # with every bound widened the exact ranking decides every class at
+        # n <= 8 that has a runner-up; verdicts and maximizers must not move
         baseline = _class_reports(8)
         calls = []
 
@@ -172,19 +188,20 @@ class TestRankCertified:
             return compare(p, q)
 
         compare = verify.compare_largest_roots
-        monkeypatch.setattr(verify, "EXACT_ESCALATION_GAP", 1.0)
+        widen()
         monkeypatch.setattr(verify, "compare_largest_roots", counting)
         assert _class_reports(8) == baseline
         assert calls
 
     def test_every_member_ranked_exactly_isolates_each_once(
-            self, monkeypatch, capsys):
-        # with the gap at 100 every member of every class is ranked exactly;
-        # the CLI must print the default gap's bytes, and each ranked
-        # candidate's largest root is estimated from the root bound once.
-        # Every comparison is then certified from the estimates: none
-        # isolates a root from the bound, and the four that meet equal
-        # polynomials (Q-cospectral classes) take no Sturm count over it
+            self, monkeypatch, capsys, widen):
+        # with every bound widened every member of every class is ranked
+        # exactly; the CLI must print the certified run's bytes, and each
+        # ranked candidate's largest root is estimated once, from the
+        # Laguerre-Samuelson bound.  Every comparison is then certified from
+        # the estimates: none reads the root bound to isolate a root, and
+        # the four that meet equal polynomials (Q-cospectral classes) take
+        # no Sturm count over it
         def run_all():
             for n in range(3, 8):
                 claims = ([["theorem31i"], ["conjecture11_negative"]] if n % 2
@@ -198,28 +215,36 @@ class TestRankCertified:
             return capsys.readouterr()
 
         baseline = run_all()
-        bounds, ranked = [], []
+        bounds, estimates, ranked = [], [], []
 
         def counting_bound(p):
             bounds.append(p)
             return root_bound(p)
 
-        def counting_rank(n, radii, edges):
-            ranked.append(len(radii) if len(radii) > 1 else 0)
-            return rank(n, radii, edges)
+        def counting_estimate(p):
+            if p._guess is None:
+                estimates.append(p)
+            return estimate(p)
 
-        root_bound, rank = polynomials.root_bound, verify.rank_certified
+        def counting_rank(n, radii, lower, upper, edges):
+            ranked.append(len(radii) if len(radii) > 1 else 0)
+            return rank(n, radii, lower, upper, edges)
+
+        root_bound, estimate = polynomials.root_bound, polynomials._estimate
+        rank = verify.rank_certified
         monkeypatch.setattr(polynomials, "root_bound", counting_bound)
+        monkeypatch.setattr(polynomials, "_estimate", counting_estimate)
         monkeypatch.setattr(verify, "rank_certified", counting_rank)
-        monkeypatch.setattr(verify, "EXACT_ESCALATION_GAP", 100)
+        widen()
         assert run_all() == baseline
         assert sum(ranked) == 348
-        assert len(bounds) == 348
+        assert len(estimates) == 348
+        assert not bounds
 
-    def test_one_graph_built_per_report(self, monkeypatch):
-        # with the gap at 1.0 the near sets of most classes at n = 7 are
-        # ranked exactly, from their paths' edges in one Q stack each; only
-        # the maximizer, which the report prints, becomes a Graph
+    def test_one_graph_built_per_report(self, monkeypatch, widen):
+        # with every bound widened each class at n = 7 with a runner-up is
+        # ranked exactly, from its paths' edges in one Q stack; only the
+        # maximizer, which the report prints, becomes a Graph
         built, stacks = [], []
         path_graph, polys = verify._path_graph, verify.char_polys
 
@@ -231,7 +256,7 @@ class TestRankCertified:
             stacks.append(len(stack))
             return polys(stack)
 
-        monkeypatch.setattr(verify, "EXACT_ESCALATION_GAP", 1.0)
+        widen()
         monkeypatch.setattr(verify, "_path_graph", counting_graph)
         monkeypatch.setattr(verify, "char_polys", counting_polys)
         per_report = []
@@ -243,70 +268,84 @@ class TestRankCertified:
                 continue
             per_report.append(len(built))
         assert per_report == [1] * 12
-        assert len(stacks) == 9 and max(stacks) == 9
+        # one stack per class with a runner-up, of the whole class (the
+        # classes with m = 1 and with k = 6 have one member each)
+        assert stacks == [63, 10, 52, 7, 12, 19, 14, 8, 2, 52]
 
-    @pytest.mark.parametrize("gap, exact", [(verify.EXACT_ESCALATION_GAP, 0),
-                                            (1.0, 60)])
-    def test_one_pass_equals_sorting_every_candidate(self, monkeypatch, gap,
+    @pytest.mark.parametrize("widened, exact", [(False, 0), (True, 63)],
+                             ids=["certified", "widened"])
+    def test_one_pass_equals_sorting_every_candidate(self, widen, widened,
                                                      exact):
-        # every claim class at n = 3..10, at the default gap and at one that
-        # sends 60 of the 63 classes with a runner-up to the exact ranking:
-        # the same four values as a stable float sort of the whole class
-        monkeypatch.setattr(verify, "EXACT_ESCALATION_GAP", gap)
+        # every claim class at n = 3..10, with the solve's bounds, which
+        # certify every maximizer, and with every bound widened, which sends
+        # all 63 classes with a runner-up to the exact ranking: the same four
+        # values as a stable float sort of the whole class
+        if widened:
+            widen()
         ranked = 0
         for n in range(3, 11):
             graphs = enumerate_cacti(n)
+            radius, _, lower, upper = classes(n).spectra
             for _, kw in _class_claims(n):
                 filt = CactusFilter(matching=kw.get("m"), pendants=kw.get("k"))
                 positions = list(classes(n).positions(filt))
-                radii = classes(n).spectra[0][positions]
                 if not positions:
                     continue
+                radii, lo, up = (a[positions] for a in (radius, lower, upper))
                 graph = [graphs[i] for i in positions].__getitem__
-                got = rank_certified(n, radii, lambda i: graph(i).edges)
-                assert got == rank_by_sort(radii.tolist(), graph, gap), (n, kw)
+                got = rank_certified(n, radii, lo, up,
+                                     lambda i: graph(i).edges)
+                assert got == rank_by_sort(radii.tolist(), graph, lo.tolist(),
+                                           up.tolist()), (n, kw)
                 assert all(type(x) in (int, float, bool, type(None))
                            for x in got)
-                ranked += int((radii.max() - radii < gap).sum()) > 1
+                ranked += int((up >= lo[radii.argmax()]).sum()) > 1
         assert ranked == exact
 
     @pytest.mark.parametrize("radii, want", [
         ([5.0, 4.0, 4.0], (0, 1)), ([4.0, 5.0, 4.0], (1, 0)),
         ([3.0, 4.0, 4.0, 5.0], (3, 1)), ([2.0, 1.0], (0, 1))])
     def test_runner_up_ties_take_the_lower_index(self, radii, want):
-        # with no rival near the maximum, equal floats behind it rank the
-        # lower index first, as a stable float sort does, and no edges are read
+        # with bounds equal to the radii no rival reaches the maximum, so
+        # equal floats behind it rank the lower index first, as a stable
+        # float sort does, and no edges are read
         def graph(i):
             raise AssertionError("no near set, no edges")
-        got = rank_certified(5, radii, graph)
+        got = rank_certified(5, radii, radii, radii, graph)
         assert got[:2] == want
-        assert got == rank_by_sort(radii, graph, verify.EXACT_ESCALATION_GAP)
+        assert got == rank_by_sort(radii, graph, radii, radii)
 
     def test_true_maximizer_third_in_float_order(self):
-        # float noise puts the true maximizer behind two rivals inside the
-        # escalation gap; comparing only the top two would pick the middle one
+        # float noise puts the true maximizer behind two rivals whose bounds
+        # overlap the float maximizer's; comparing only the top two would
+        # pick the middle one
         pool = sorted(enumerate_cacti(5), key=lambda g: graph_radius(g).radius)
         low, mid, high = pool[0], pool[len(pool) // 2], pool[-1]
         radii = [5.0, 5.0 - 1e-9, 5.0 - 2e-9]
         best, second, gap, tie = rank_certified(
-            5, radii, [low.edges, mid.edges, high.edges].__getitem__)
+            5, radii, [r - 1e-8 for r in radii], [r + 1e-8 for r in radii],
+            [low.edges, mid.edges, high.edges].__getitem__)
         assert (best, second, tie) == (2, 1, False)
         assert gap == pytest.approx(1e-9)
 
     def test_q_cospectral_pair_is_a_tie(self):
-        # an exact tie from the n = 7 class; the float-first graph stays the
-        # representative in either input order
+        # an exact tie from the n = 7 class, whose bounds certify neither
+        # graph above the other, so the pair reaches the exact comparison;
+        # the float-first graph stays the representative in either order
         a, b = graph6.decode("FsOIG"), graph6.decode("FqDGO")
         for graphs in ([a, b], [b, a]):
-            radii = [graph_radius(g).radius for g in graphs]
+            radii, _, lower, upper = spectra.stacked_eigenpairs(
+                7, 2, [g.edges for g in graphs])
+            assert upper[0] >= lower[1] and upper[1] >= lower[0]
             first = 0 if radii[0] >= radii[1] else 1
             edges = [g.edges for g in graphs].__getitem__
-            assert rank_certified(7, radii, edges) == \
+            assert rank_certified(7, radii, lower, upper, edges) == \
                 (first, 1 - first, 0.0, True)
 
     def test_singleton_class(self):
         edges = [graph6.decode("Bw").edges].__getitem__
-        assert rank_certified(3, [4.0], edges) == (0, None, None, False)
+        assert rank_certified(3, [4.0], [4.0], [4.0], edges) == \
+            (0, None, None, False)
 
 
 class TestConjectureNegative:
@@ -446,7 +485,7 @@ class TestClassSpectra:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_perron_rows_equal_graph_radius(self, n):
-        _, perron = enumeration.classes(n).spectra
+        _, perron, _, _ = enumeration.classes(n).spectra
         assert [tuple(row) for row in perron.tolist()] == \
             [graph_radius(g).perron for g in enumerate_cacti(n)]
 
@@ -493,49 +532,54 @@ class TestMonotonicity:
         assert sum(calls) == sum(map(len, map(enumerate_cacti, range(3, 9)))) + 600
         assert max(calls) <= spectra.RADII_SLICE
 
-    def test_violations_in_trial_and_property_order(self, monkeypatch):
-        # an infinite margin makes every comparison a violation, so the report
-        # lists every instance; one graph_radius call per radius is the oracle,
-        # and each drawn surgery result is the public surgery's on the class's
-        # Graph
-        monkeypatch.setattr(verify, "MONOTONE_MARGIN", math.inf)
+    def test_violations_in_trial_and_property_order(self, monkeypatch, widen):
+        # widened bounds send every comparison to the exact path, and an
+        # exact comparison stubbed to a tie makes each one a violation, so
+        # the report lists every instance; one graph_radius call per radius
+        # is the oracle, and each drawn surgery result is the public
+        # surgery's on the class's Graph
+        widen()
+        monkeypatch.setattr(verify, "compare_largest_roots", lambda p, q: 0)
         monkeypatch.setattr(spectra, "RADII_SLICE", 7)  # several batches
         got = verify_monotonicity(trials=12, seed=9).counterexamples
         rng, want = random.Random(9), []
         for t in range(12):
-            n, path, _, h, plan = verify._draw_shift_instance(rng)
-            g = enumeration._path_graph(n, path)
+            c, h, plan = verify._draw_shift_instance(rng)
+            g = enumeration._path_graph(c.n, c.path)
             assert h == shift_neighbors(g, *plan)
             want.append({"property": "neighbor_shift", "trial": t,
                          "graph": graph6.encode(g),
                          "before": graph_radius(g).radius,
                          "after": graph_radius(shift_neighbors(g, *plan)).radius})
-            n, path, _, h, (u, v) = verify._draw_contract_instance(rng)
-            g = enumeration._path_graph(n, path)
+            c, h, (u, v) = verify._draw_contract_instance(rng)
+            g = enumeration._path_graph(c.n, c.path)
             assert h == contract_pend(g, u, v)
             want.append({"property": "contract_pend", "trial": t,
                          "graph": graph6.encode(g),
                          "before": graph_radius(g).radius,
                          "after": graph_radius(contract_pend(g, u, v)).radius})
-            n, path, _, h = verify._draw_subgraph_instance(rng)
-            g = enumeration._path_graph(n, path)
+            c, h = verify._draw_subgraph_instance(rng)
+            g = enumeration._path_graph(c.n, c.path)
             want.append({"property": "proper_subgraph", "trial": t,
                          "graph": graph6.encode(g), "sub": graph6.encode(h),
                          "whole": graph_radius(g).radius,
                          "part": graph_radius(h).radius})
         assert got == want
 
-    def test_violations_mixed_orders_equal_graph_radius(self, monkeypatch):
+    def test_violations_mixed_orders_equal_graph_radius(self, monkeypatch,
+                                                        widen):
         # one stacked solve per order, in slices, yet a batch that
         # interleaves orders n and n - 1 gets its radii in input order, each
-        # bitwise its own graph_radius
-        monkeypatch.setattr(verify, "MONOTONE_MARGIN", math.inf)
+        # bitwise its own graph_radius; widened bounds and a tie from every
+        # exact comparison make each instance a violation
+        widen()
+        monkeypatch.setattr(verify, "compare_largest_roots", lambda p, q: 0)
         monkeypatch.setattr(spectra, "RADII_SLICE", 5)
         hs = [h for pair in zip(enumerate_cacti(7), enumerate_cacti(6))
               for h in pair]
-        path = classes(7).path(0)
+        entry = classes(7).surgery[0]
         batch = [("neighbor_shift" if h.order == 7 else "proper_subgraph",
-                  t, 7, path, 0.0, h) for t, h in enumerate(hs)]
+                  t, entry, h) for t, h in enumerate(hs)]
         records = verify._violations(batch)
         assert [r["trial"] for r in records] == list(range(len(hs)))
         got = [r["after"] if "after" in r else r["part"] for r in records]
@@ -543,12 +587,50 @@ class TestMonotonicity:
         assert got == [graph_radius(h).radius for h in hs]
         assert {h.order for h in hs[-2:]} == {6, 7}
 
+    def test_uncertified_instance_reaches_exact_comparison(self, monkeypatch):
+        # a "surgery result" equal to its class has the class's radius, so
+        # the bounds certify neither a rise nor a fall: each such instance
+        # goes to the exact comparison, which finds a tie, and a tie is a
+        # violation; a true shift beside them is certified
+        calls = []
+        compare = verify.compare_largest_roots
+
+        def counting(p, q):
+            calls.append(p == q)
+            return compare(p, q)
+
+        monkeypatch.setattr(verify, "compare_largest_roots", counting)
+        c, shifted, _ = verify._draw_shift_instance(random.Random(3))
+        g = enumeration._path_graph(c.n, c.path)
+        records = verify._violations([
+            ("neighbor_shift", 0, c, g), ("neighbor_shift", 1, c, shifted),
+            ("proper_subgraph", 2, c, g)])
+        assert calls == [True, True]
+        q = graph_radius(g).radius
+        assert records == [
+            {"property": "neighbor_shift", "trial": 0,
+             "graph": graph6.encode(g), "before": c.radius, "after": q},
+            {"property": "proper_subgraph", "trial": 2,
+             "graph": graph6.encode(g), "sub": graph6.encode(g),
+             "whole": c.radius, "part": q}]
+
+    @pytest.mark.parametrize("seed", [1, 7, 42, 81, 90])
+    def test_every_comparison_certified(self, monkeypatch, seed):
+        # every one of the 600 comparisons is decided by the bounds alone,
+        # the neighbour shifts that isolate a vertex among them
+        def refuse(p, q):
+            raise AssertionError("a monotonicity comparison went exact")
+
+        monkeypatch.setattr(verify, "compare_largest_roots", refuse)
+        assert verify_monotonicity(200, seed).passed
+
     def test_subgraph_draw_equals_edge_trial_oracle(self):
         # the cycle-edge pick against building and testing each edge in turn:
         # the same instance and the same rng stream afterwards
         for seed in range(2000):
             rng, ref = random.Random(seed), random.Random(seed)
-            assert verify._draw_subgraph_instance(rng) == \
+            c, h = verify._draw_subgraph_instance(rng)
+            assert (c.n, c.path, c.radius, h) == \
                 subgraph_instance_by_trial(ref)
             assert rng.getstate() == ref.getstate()
 
@@ -563,7 +645,8 @@ class TestMonotonicity:
         # in the same state
         for seed in range(2000):
             rng, ref = random.Random(seed), random.Random(seed)
-            assert draw(rng) == oracle(ref)
+            c, *rest = draw(rng)
+            assert (c.n, c.path, c.radius, *rest) == oracle(ref)
             assert rng.getstate() == ref.getstate()
 
     def test_small_run_passes(self):
@@ -654,8 +737,11 @@ class TestReportLines:
         assert r.counterexamples and r.details["legacy_mismatches"]
         assert not r.passed and r.to_json() == _asdict_line(r)
 
-    def test_monotonicity_with_violations(self, monkeypatch):
-        monkeypatch.setattr(verify, "MONOTONE_MARGIN", 1e9)
+    def test_monotonicity_with_violations(self, monkeypatch, widen):
+        # widened bounds and a tie from every exact comparison make each of
+        # the 60 comparisons a violation
+        widen()
+        monkeypatch.setattr(verify, "compare_largest_roots", lambda p, q: 0)
         r = verify_monotonicity(20, 1)
         assert len(r.counterexamples) == 60
         assert {"sub", "before"} <= {key for c in r.counterexamples for key in c}
