@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 
 from .graph import (MAX_ORDER, Graph, _block_code, _peel, _peel_matching,
-                    _vertex_code, as_index)
+                    as_index)
 from .graph6 import _edge_bits, _pack
 from .spectra import stacked_eigenpairs
 
@@ -122,45 +122,62 @@ def _attach_points(o: int, blocks, k: int) -> list:
 def _child_codes(o: int, blocks, n: int, points):
     """(v, code) for each v of points in turn, code the canonical code of
     the one-endblock extension to order n of the cactus of order o with
-    these blocks (as for `graph._peel`): the new vertices o..n-1 closed
-    into a cycle through v, or a pendant edge at v when there is one new
-    vertex.
+    these blocks (in the block order of the `graph` module docstring): the
+    new vertices o..n-1 closed into a cycle through v, or a pendant edge at
+    v when there is one new vertex.
 
     The new block hangs below v with only leaves under it, so its code is
     "[" + "()" * (n - o) + "]" whichever way round it is read.  One peel of
     the parent's vertex-block tree (`_peel`) gives every node's code, and a
     child differs from the parent only on the path from v to its centre c,
-    which is recoded bottom-up.  Vertex depths from c share the parity of
-    the deepest, R.  If v is shallower than R, the new leaves are no deeper
-    than R and the centre stays at c.  If v is at depth R, the new leaves
-    are at R + 2 while another branch of c reaches R, so the diameter grows
-    by 2 and the centre moves to u, the node after c on the path to v: c is
-    recoded as a child of u, and u as the root."""
+    which is recoded bottom-up: each node on it has one child whose code
+    changed, the node before it.  The deepest vertices are R from c.  If
+    the path from v is shorter than R, the new leaves are no deeper than R
+    and the centre stays at c.  If it is R long, the new leaves are at R + 2
+    while another branch of c reaches R, so the diameter grows by 2 and the
+    centre moves to u, the node before c on the path: c is recoded as a
+    child of u, and u as the root."""
     leaf = b"[" + b"()" * (n - o) + b"]"
     if o == 1:  # the child is the one block, its centre
         yield 0, b"[" + b"()" * n + b"]"
         return
-    nbrs, par, depth, code, c = _peel(o, blocks)
-    deepest = max(depth[:o])
+    kids, par, code, radius, c = _peel(o, blocks)
     for v in points:
-        x, steps = v, []
+        # x walks up from v, y is the node before it, new y's new code, and
+        # d the distance from v to x's parent
+        x, y, new, d = v, -1, leaf, 1
         while x != c:
-            steps.append((x, par[x]))
-            x = par[x]
-        steps.append((c, -1))
-        if depth[v] == deepest:
-            u = steps[-2][0]
-            steps[-2:] = [(c, u), (u, -1)]
-        cd = code.copy()
-        for x, p in steps:
-            if x >= o:
-                cd[x] = _block_code(nbrs[x], p, cd)
+            p = par[x]
+            if p == c and d == radius:  # v is R deep: the centre moves to x
+                break
+            ks = kids[x]
+            if len(ks) == (x != v):  # new is the one child's code
+                new = (b"(" + new + b")") if x < o else (b"[" + new + b"]")
+            elif x < o:
+                seq = [code[k] for k in ks if k != y]
+                seq.append(new)
+                seq.sort()
+                new = b"(" + b"".join(seq) + b")"
             else:
-                kids = [cd[b] for b in nbrs[x] if b != p]
-                if x == v:
-                    kids.append(leaf)
-                cd[x] = _vertex_code(kids)
-        yield v, cd[x]
+                new = _block_code([new if w == y else code[w] for w in ks])
+            x, y, d = p, x, d + 1
+        top = []  # when the centre moves to x, c's code as x's child
+        if x != c:
+            ks = kids[c]
+            if c < o:
+                up = b"(" + b"".join(sorted(
+                    [code[k] for k in ks if k != x])) + b")"
+            else:
+                j = ks.index(x)
+                up = _block_code([code[w] for w in ks[j + 1:] + ks[:j]])
+            top.append(up)
+        if x < o:
+            new = b"(" + b"".join(sorted(
+                [code[k] for k in kids[x] if k != y] + [new, *top])) + b")"
+        else:
+            new = _block_code(top + [new if w == y else code[w]
+                                     for w in kids[x]], True)
+        yield v, new
 
 
 def _path_blocks(n: int, path: bytes) -> list:
@@ -168,8 +185,9 @@ def _path_blocks(n: int, path: bytes) -> list:
     the pair (v, size) at 2i is the block (v, size, ..., next size - 1),
     the next size being the order after that block, n for the last.  Each
     block's attachment vertex comes first and every block hung below its
-    other vertices is newer, so this is a DFS post-order from vertex 0, as
-    `graph._peel_matching` reads it."""
+    other vertices is newer, so this is the block order of the `graph`
+    module docstring, which `graph._peel` and `graph._peel_matching`
+    read."""
     blocks = []
     for i in range(len(path) - 2, -1, -2):
         size = path[i + 1]

@@ -72,14 +72,16 @@ def _edges(params: FamilyParams):
         yield from ((0, a), (0, b), (a, b))
     rest = 2 * s + 1
     if params.family == "L":
-        yield from ((0, rest), (rest, rest + 1))
+        yield from ((rest, rest + 1), (0, rest))
         rest += 2
     yield from ((0, j) for j in range(rest, n))
 
 
 def _blocks(params: FamilyParams) -> list:
     """The blocks of `_edges`' member, each as its vertices in cyclic
-    order: the triangles (0, 2i+1, 2i+2), then every other edge."""
+    order: the triangles (0, 2i+1, 2i+2), then every other edge, in the
+    block order of the `graph` module docstring (so L's far path edge
+    comes before the edge that joins it to the hub)."""
     s = params.s
     triangles = [(0, 2 * i + 1, 2 * i + 2) for i in range(s)]
     return triangles + list(islice(_edges(params), 3 * s, None))

@@ -9,8 +9,18 @@ graph.  The rest is defined on cacti only, and every path is polynomial:
 `_cactus_blocks` reads a cactus's blocks off that DFS, or raises ValueError
 saying why the graph is not a cactus.  From those blocks a cactus gets a
 near-linear canonical code from its vertex-block tree, encoded bottom-up
-from its centre, and its matching number in linear time, by peeling
-endblocks in DFS post-order (`_peel_matching`).
+from its centre in one pass (`_peel`), and its matching number in linear
+time, by peeling endblocks (`_peel_matching`).
+
+The block order.  A cactus's blocks travel as a list of vertex lists, an
+edge's two vertices or a cycle's in cyclic order, in post-order from vertex
+0: each block's first vertex is its attachment vertex, the one nearest
+vertex 0, and each block comes after every block hung below its other
+vertices.  So every vertex but 0 is a later vertex of exactly one block,
+and a pass that reaches a block has finished everything below it.
+`_cactus_blocks` gives this order (the DFS's own post-order), and so does
+`enumeration._path_blocks` (newest block first); `_peel` and
+`_peel_matching` rely on it, and so do `families._blocks`' lists.
 """
 
 from __future__ import annotations
@@ -186,7 +196,10 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
 
 def _cactus_blocks(g: Graph) -> list:
-    """The blocks of the cactus g as vertex lists, a cycle's in cyclic order.
+    """The blocks of the cactus g as vertex lists, a cycle's in cyclic order,
+    in the block order of the module docstring: a block is listed when the
+    DFS from vertex 0 leaves it, and its first vertex is the tail of the tree
+    edge that entered it.
 
     Raises ValueError when g is not a cactus, saying that it is disconnected
     or naming the vertices of a block that is neither an edge nor a cycle.
@@ -234,12 +247,12 @@ def is_bundle(g: Graph) -> bool:
 
 
 def _peel_matching(n: int, blocks) -> int:
-    """The matching number of the cactus on n vertices with these blocks (as
-    from `_cactus_blocks`).
+    """The matching number of the cactus on n vertices with these blocks, in
+    the block order of the module docstring.
 
-    The blocks come in DFS post-order, so when a block is reached every block
-    below its non-attachment vertices is done and each of them is either free
-    or matched; its attachment vertex a is its first vertex.  The free ones
+    In that order, when a block is reached every block below its
+    non-attachment vertices is done and each of them is either free or
+    matched; its attachment vertex a is its first vertex.  The free ones
     split into runs of consecutive vertices round the block (an edge block is
     one run of length 1), and each run is matched along itself, adding half
     its length, rounded down.  An odd run that touches a takes a as well
@@ -299,60 +312,98 @@ def pendant_count(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 def _peel(n: int, blocks):
-    """Peel the vertex-block incidence tree of a cactus down to its centre.
+    """Code the vertex-block tree of a cactus, rooted at its centre, in one
+    pass over its blocks (ordered as the module docstring says).
 
-    The tree's nodes are the n vertices and then the blocks (as from
-    `_cactus_blocks`), ids n, n + 1, ... in order; its leaves are all
-    vertices, so its diameter is even and its centre unique.  Returns
-    (nbrs, par, depth, code, centre): per node its neighbours (a vertex's
-    blocks, a block's vertices in cyclic order), its parent towards the
-    centre (-1 at the centre), its distance from the centre and its code
-    in the tree rooted there (see `_cactus_code`).
+    The tree's nodes are the n vertices and then the blocks, ids n, n + 1,
+    ... in order; its leaves are all vertices, so its diameter is even and
+    its centre unique.  Rooted at vertex 0, a block's parent is its first
+    vertex and its children are the rest, in cyclic order from the parent,
+    and when the pass reaches a block every block below those children is
+    done, so their codes and heights are final.  The pass keeps each node's
+    height and tallest child, and the longest path, which runs down a
+    node's two tallest children; its length is 2R.  The centre is its
+    midpoint: from the path's top node, height - R steps down the tallest
+    children.  Re-rooting there changes only the path from vertex 0 to the
+    centre: each node on it takes the next one as its parent, and the path
+    alone is recoded, from vertex 0 up.
+
+    Returns (kids, par, code, radius, centre): per node its children in the
+    centre-rooted tree (a vertex's blocks; a block's vertices in cyclic
+    order from its parent, or all of them at the centre), its parent (-1 at
+    the centre) and its code (see `_cactus_code`), then R and the centre.
     """
+    kids = [[] for _ in range(n)]
     total = n + len(blocks)
-    nbrs = [[] for _ in range(n)]
-    link = [0] * total  # xor of the ids of a node's unpeeled neighbours
-    for b, verts in enumerate(blocks, n):
-        for v in verts:
-            nbrs[v].append(b)
-            link[v] ^= b
-            link[b] ^= v
-    nbrs.extend(blocks)
-    deg = [len(x) for x in nbrs]
-
-    # Peel leaves layer by layer down to the centre.  A peeled node's one
-    # unpeeled neighbour, its parent, is what is left in its link.
     par = [-1] * total
-    peeled = []
-    layer = [x for x in range(total) if deg[x] == 1]
-    left = total
-    while left > 1:
-        nxt = []
-        for x in layer:
-            p = par[x] = link[x]
-            link[p] ^= x
-            deg[p] -= 1
-            if deg[p] == 1:
-                nxt.append(p)
-        left -= len(layer)
-        peeled += layer
-        layer = nxt
-    centre = layer[0] if layer else 0
-    peeled.append(centre)
+    code = [b"()"] * total
+    high = [0] * total  # a node's height: its tallest child's, plus one
+    low = [0] * n  # a vertex's second-tallest child's height, plus one
+    tall = [0] * total  # a node's tallest child
+    best = top = 0  # the longest path found, and the node at its top
+    for b, verts in enumerate(blocks, n):
+        a = verts[0]
+        par[b] = a
+        kids[a].append(b)
+        below = verts[1:]
+        kids.append(below)
+        first = second = 0
+        seq = []
+        for v in below:
+            par[v] = b
+            ks = kids[v]
+            if ks:
+                code[v] = b"(" + b"".join(sorted([code[k] for k in ks])) + b")"
+                h = high[v]
+                if h + low[v] > best:
+                    best, top = h + low[v], v
+                h += 1
+            else:
+                h = 1
+            if h > first:
+                first, second, tall[b] = h, first, v
+            elif h > second:
+                second = h
+            seq.append(code[v])
+        code[b] = _block_code(seq)
+        high[b] = first
+        if first + second > best:
+            best, top = first + second, b
+        first += 1
+        if first > high[a]:
+            low[a], high[a], tall[a] = high[a], first, b
+        elif first > low[a]:
+            low[a] = first
+    if high[0] + low[0] > best:
+        best, top = high[0] + low[0], 0
 
-    # Code children before parents.  The tree is bipartite: a vertex's
-    # children are blocks, a block's are vertices.
-    code = [b""] * total
-    for x in peeled:
-        p = par[x]
+    radius = best >> 1
+    centre = top
+    for _ in range(high[top] - radius):
+        centre = tall[centre]
+    path = [centre]
+    while path[-1]:
+        path.append(par[path[-1]])
+    prev = -1
+    for i in range(len(path) - 1, -1, -1):
+        x = path[i]
+        p = par[x] = path[i - 1] if i else -1
         if x < n:
-            code[x] = _vertex_code([code[b] for b in nbrs[x] if b != p])
+            if p >= 0:
+                kids[x].remove(p)
+            if prev >= 0:
+                kids[x].append(prev)
+            code[x] = b"(" + b"".join(sorted([code[k] for k in kids[x]])) \
+                + b")"
         else:
-            code[x] = _block_code(nbrs[x], p, code)
-    depth = [0] * total
-    for x in reversed(peeled[:-1]):
-        depth[x] = depth[par[x]] + 1
-    return nbrs, par, depth, code, centre
+            verts = blocks[x - n]
+            if p >= 0:
+                j = verts.index(p)
+                verts = verts[j + 1:] + verts[:j]
+            kids[x] = verts
+            code[x] = _block_code([code[w] for w in verts], p < 0)
+        prev = x
+    return kids, par, code, radius, centre
 
 
 def _cactus_code(n: int, blocks) -> bytes:
@@ -365,43 +416,42 @@ def _cactus_code(n: int, blocks) -> bytes:
     Each code is balanced, so the concatenations are prefix-free and the code
     fixes the cactus up to isomorphism.
     """
-    *_, code, centre = _peel(n, blocks)
+    *_, code, _, centre = _peel(n, blocks)
     return code[centre]
 
 
-def _vertex_code(kids) -> bytes:
-    return b"(" + b"".join(sorted(kids)) + b")" if kids else b"()"
+def _block_code(seq, root: bool = False) -> bytes:
+    """Code of a block from the codes of its vertices other than its parent,
+    seq, in cyclic order from the parent, or of every vertex in cyclic
+    order when it is the root.
 
-
-def _block_code(verts, p: int, code) -> bytes:
-    """Code of a block whose vertices, in cyclic order, are verts, under the
-    parent vertex p, or as the root when p is -1.
-
-    Its child codes are read in cyclic order, each direction joined into
-    one byte string.  Under p they start after p, and the lesser direction
-    wins.  As the root every rotation of each direction is a candidate, a
-    slice of the doubled joined string at a code boundary, and the least
-    wins.  Every code is one balanced bracket pair, so no code is a proper
-    prefix of another: two sequences of the same codes first differ inside
-    a pair of codes that differ at some byte, and their joined order is
-    their element-wise order."""
-    if p >= 0 and len(verts) == 2:  # an edge: the one child, either way
-        return b"[" + code[verts[0] if verts[1] == p else verts[1]] + b"]"
-    seq = [code[v] for v in verts]
-    if p >= 0:
-        i = verts.index(p)
-        seq = seq[i + 1:] + seq[:i]
-        best = min(b"".join(seq), b"".join(reversed(seq)))
-    else:
-        best = None
-        for s in (seq, seq[::-1]):
-            joined = b"".join(s)
-            doubled, total, at = joined + joined, len(joined), 0
-            for c in s:
+    Each direction of seq is joined into one byte string.  Under a parent
+    the lesser direction wins.  As the root each rotation of each
+    direction that starts at a least code is a candidate, a slice of the
+    doubled joined string at a code boundary, and the least wins.  Every
+    code is one balanced bracket pair, so no code is a proper prefix of
+    another: two sequences of the same codes first differ inside a pair of
+    codes that differ at some byte, and their joined order is their
+    element-wise order.  So a rotation that starts at a greater code is
+    greater."""
+    if not root:
+        if len(seq) == 1:  # an edge: the one child, either way
+            return b"[" + seq[0] + b"]"
+        return b"[" + min(b"".join(seq), b"".join(reversed(seq))) + b"]"
+    if len(seq) <= 3:
+        # every order of an edge's or a triangle's codes is a rotation or a
+        # reflection, so the least is the sorted one
+        return b"[" + b"".join(sorted(seq)) + b"]"
+    least, best = min(seq), None
+    for s in (seq, seq[::-1]):
+        joined = b"".join(s)
+        doubled, total, at = joined + joined, len(joined), 0
+        for c in s:
+            if c == least:
                 rot = doubled[at:at + total]
                 if best is None or rot < best:
                     best = rot
-                at += len(c)
+            at += len(c)
     return b"[" + best + b"]"
 
 

@@ -105,6 +105,42 @@ def to_networkx(g: Graph) -> nx.Graph:
     return h
 
 
+def check_block_order(g: Graph, blocks) -> None:
+    """Assert that blocks are the blocks of the cactus g as vertex lists in
+    the block order of the `cactiq.graph` docstring, from the definition.
+
+    Each block is two vertices or a cycle's distinct vertices in cyclic
+    order, and its pairs (a cycle's closing pair too) are g's edges, each
+    edge once.  Every vertex but 0 is a later vertex of exactly one block,
+    its owner, and 0 of none, so the owners make the vertex-block incidence
+    a tree on n + m nodes with n + m - 1 edges, rooted at vertex 0, and
+    each block's first vertex is its parent.  The order is a post-order of
+    that tree: each block comes before the owner of its first vertex."""
+    owner, pairs = {}, []
+    for i, b in enumerate(blocks):
+        assert len(b) >= 2 and len(set(b)) == len(b), b
+        pairs += [(b[0], b[1])] if len(b) == 2 else \
+            [(b[j - 1], b[j]) for j in range(len(b))]
+        for v in b[1:]:
+            assert v not in owner, (v, b)
+            owner[v] = i
+    assert sorted((min(e), max(e)) for e in pairs) == sorted(g.edges)
+    assert sorted(owner) == list(range(1, g.order))
+    for i, b in enumerate(blocks):
+        assert b[0] == 0 or owner[b[0]] > i, (i, b)
+
+
+def block_tree(n: int, blocks) -> nx.Graph:
+    """The vertex-block incidence tree of a cactus on n vertices with these
+    blocks, as a networkx graph: nodes 0..n-1 the vertices, n, n + 1, ...
+    the blocks in order."""
+    t = nx.Graph()
+    t.add_nodes_from(range(n))
+    t.add_edges_from((v, b) for b, verts in enumerate(blocks, n)
+                     for v in verts)
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Canonical code of any graph by refinement-pruned search (exponential in
 # the worst case); an oracle for the cactus code, which shares nothing with it

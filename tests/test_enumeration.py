@@ -16,8 +16,8 @@ from cactiq.graph import (_cactus_blocks, _cactus_code, _peel, _peel_matching,
                           is_cactus, matching_number, pendant_count)
 from cactiq.spectra import stacked_eigenpairs
 
-from oracles import (cactus_counts, extensions, oracle_cacti, scanned_level,
-                     scanned_positions)
+from oracles import (cactus_counts, check_block_order, extensions,
+                     oracle_cacti, scanned_level, scanned_positions)
 
 # counts of non-isomorphic cacti on n vertices (trees included)
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 23, 7: 63, 8: 188, 9: 596,
@@ -214,14 +214,16 @@ class TestExtensions:
 
     def test_path_recoding_equals_full_code_at_11(self):
         # every candidate of order 11, coded in full from its block list
-        # (no child Graph is built) against the path recoding
+        # (no child Graph is built) against the path recoding; the new
+        # block goes first, as `_path_blocks` orders the newest block, so
+        # the list stays a DFS post-order from vertex 0
         for size in range(1, 11):
             path = list(range(size, 11))
             for g in found(size):
                 blocks = _cactus_blocks(g)
                 assert list(enumeration._child_codes(
                     size, blocks, 11, range(size))) == \
-                    [(v, _cactus_code(11, blocks + [[v, *path]]))
+                    [(v, _cactus_code(11, [[v, *path]] + blocks))
                      for v in range(size)]
 
     @pytest.mark.parametrize("order, edges, n, v, centres", [
@@ -283,12 +285,14 @@ class TestPaths:
     @pytest.mark.parametrize("n", range(1, 12))
     def test_path_blocks_are_the_blocks(self, n):
         # each class's path blocks are its DFS blocks as vertex sets, each
-        # a closed walk of its edges in the order given, and the matching
-        # peel over them counts its matching number; the (matching number,
-        # pendant count) pair that `groups` reads off them is the class's
+        # a closed walk of its edges in the order given, in the block order
+        # that `_peel` and `_peel_matching` read, and the matching peel over
+        # them counts its matching number; the (matching number, pendant
+        # count) pair that `groups` reads off them is the class's
         level = enumeration._level(n)
         for g, path in zip(found(n), level.paths):
             blocks = enumeration._path_blocks(n, path)
+            check_block_order(g, blocks)
             assert Counter(map(frozenset, blocks)) == \
                 Counter(map(frozenset, _cactus_blocks(g)))
             assert all(g.has_edge(b[i - 1], b[i])

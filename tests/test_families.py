@@ -17,7 +17,7 @@ from cactiq.graph import (_cactus_code, canonical_code, from_edges, is_bundle,
 from cactiq.polynomials import IntPolynomial, largest_real_root, monomial_shift
 from cactiq.spectra import char_poly, graph_radius, signless_laplacian
 
-from oracles import product_closed_form
+from oracles import check_block_order, product_closed_form
 
 
 def exact_poly(g):
@@ -387,7 +387,8 @@ def test_superseded_bound_below_true_radius_at_5():
 
 def test_member_blocks_code_as_the_built_graph():
     # every H and L member to order 64, s = 0 included: the blocks hold
-    # the member's edges, and the code read off them is the built graph's
+    # the member's edges in the block order that `_peel` reads, and the
+    # code read off them is the built graph's
     params = [FamilyParams("H", s, k) for s in range(32)
               for k in range(64 - 2 * s) if s + k]
     params += [FamilyParams("L", s, k) for s in range(31)
@@ -397,4 +398,5 @@ def test_member_blocks_code_as_the_built_graph():
         blocks = _blocks(p)
         assert {e for b in blocks for e in combinations(b, 2)} == \
             set(_edges(p)), p
+        check_block_order(build(p), blocks)
         assert _cactus_code(p.n, blocks) == canonical_code(build(p)).code, p

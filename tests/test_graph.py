@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import networkx as nx
@@ -6,15 +7,16 @@ import numpy as np
 import pytest
 
 from cactiq import enumeration, graph6
-from cactiq.graph import (Graph, _block_code, _peel, are_isomorphic,
-                          block_decomposition, canonical_code, from_edges,
-                          is_bundle, is_cactus, is_connected, matching_number,
-                          pendant_count)
+from cactiq.graph import (Graph, _block_code, _cactus_blocks, _peel,
+                          are_isomorphic, block_decomposition, canonical_code,
+                          from_edges, is_bundle, is_cactus, is_connected,
+                          matching_number, pendant_count)
 from cactiq.families import build_H, extremal_answer
 
-from oracles import (all_labeled_graphs, brute_isomorphic, brute_matching,
-                     cactus_by_definition, extensions, has_edge_graph6,
-                     list_block_code, search_code, to_networkx)
+from oracles import (all_labeled_graphs, block_tree, brute_isomorphic,
+                     brute_matching, cactus_by_definition, check_block_order,
+                     extensions, has_edge_graph6, list_block_code,
+                     search_code, to_networkx)
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -296,7 +298,110 @@ def _relabelled(g, rng):
     return from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def _from_parent(verts, p, code):
+    """The codes of the block verts' children, in cyclic order from its
+    parent p, or of all its vertices when p is -1 (the root): what
+    `_block_code` reads."""
+    if p >= 0:
+        i = verts.index(p)
+        verts = verts[i + 1:] + verts[:i]
+    return [code[v] for v in verts]
+
+
+def _deep(kind: str, at: int) -> Graph:
+    """A cactus of order 63 or 64 with a long path in its vertex-block tree
+    or one long cycle: "path", P63 with a pendant at vertex at (P64 at 0 or
+    62); "triangles", 30 triangles chained at their vertices 2i, with one
+    more triangle at vertex at (31 chained at 60); "cycle", C63 with a
+    pendant at vertex at; "cycle2", C62 with pendants at vertices 0 and
+    at."""
+    if kind == "path":
+        edges = [(i, i + 1) for i in range(62)] + [(at, 63)]
+    elif kind == "triangles":
+        edges = [e for i in range(0, 60, 2)
+                 for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
+        edges += [(at, 61), (61, 62), (at, 62)]
+    elif kind == "cycle":
+        edges = [(i, (i + 1) % 63) for i in range(63)] + [(at, 63)]
+    else:
+        edges = [(i, (i + 1) % 62) for i in range(62)] + [(0, 62), (at, 63)]
+    return from_edges(max(v for e in edges for v in e) + 1, edges)
+
+
 class TestCactusCode:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dfs_blocks_in_block_order(self, n):
+        # the DFS blocks of a relabelled copy of every class of order n are
+        # its blocks in the block order that `_peel` reads
+        rng = random.Random(n)
+        for path in enumeration._level(n).paths:
+            h = _relabelled(enumeration._path_graph(n, path), rng)
+            check_block_order(h, _cactus_blocks(h))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_peel_centre_against_networkx(self, n):
+        # every class of order n, from its path blocks and from the DFS
+        # blocks of a relabelled copy: the peel's centre and radius are
+        # networkx's centre and its eccentricity in the vertex-block tree,
+        # each parent is the neighbour one step nearer the centre, and the
+        # children are the other neighbours, a block's in cyclic order from
+        # its parent
+        rng = random.Random(100 + n)
+        for path in enumeration._level(n).paths:
+            h = _relabelled(enumeration._path_graph(n, path), rng)
+            for blocks in (enumeration._path_blocks(n, path),
+                           _cactus_blocks(h)):
+                kids, par, _, radius, centre = _peel(n, blocks)
+                tree = block_tree(n, blocks)
+                assert nx.center(tree) == [centre], (path, blocks)
+                assert nx.eccentricity(tree, centre) == radius
+                dist = nx.single_source_shortest_path_length(tree, centre)
+                assert par[centre] == -1
+                for x in tree:
+                    up = [par[x]] if x != centre else []
+                    if x != centre:
+                        assert tree.has_edge(x, par[x])
+                        assert dist[par[x]] == dist[x] - 1
+                    cyc = [*up, *kids[x]]
+                    assert sorted(cyc) == sorted(tree[x])
+                    if x >= n:
+                        verts = list(blocks[x - n])
+                        i = verts.index(cyc[0])
+                        assert cyc == verts[i:] + verts[:i]
+
+    def test_deep_cacti_against_networkx(self):
+        # P64, 31 chained triangles, C63 with a pendant, and near misses of
+        # each of the same order, each relabelled: the path and the chain
+        # are re-rooted along a path of up to about n tree nodes from vertex
+        # 0, the cycles are coded at a root block of 62 or 63 vertices.
+        # Each group has isomorphic pairs and near misses; two codes are
+        # equal exactly when networkx finds the graphs isomorphic, and
+        # the path recoding of every pendant extension of P63 and of the
+        # chain equals the full code of the extension
+        rng = random.Random(64)
+        groups = [[_deep("path", at) for at in (0, 62, 29, 30, 31, 32)],
+                  [_deep("triangles", at) for at in (60, 59, 27, 29, 30, 31)],
+                  [_deep("cycle", at) for at in (0, 17, 62)]
+                  + [_deep("cycle2", at) for at in (20, 21, 31, 42)]]
+        for group in groups:
+            graphs = [_relabelled(g, rng) for g in group]
+            codes = [canonical_code(g) for g in graphs]
+            assert 1 < len(set(codes)) < len(codes)
+            for g, code in zip(group, codes):
+                assert canonical_code(g) == code
+            for i, j in itertools.combinations(range(len(graphs)), 2):
+                assert (codes[i] == codes[j]) == \
+                    nx.is_isomorphic(to_networkx(graphs[i]),
+                                     to_networkx(graphs[j])), (i, j)
+        parents = [_relabelled(from_edges(63, [(i, i + 1) for i in range(62)]),
+                               rng),
+                   _relabelled(_deep("triangles", 60), rng)]
+        for g in parents:
+            assert list(enumeration._child_codes(
+                63, _cactus_blocks(g), 64, range(63))) == \
+                list(enumerate(canonical_code(c).code
+                               for c in extensions(g, 64)))
+
     @pytest.mark.parametrize("n", range(2, 10))
     def test_same_partition_as_search(self, n):
         # the tree code and the refinement search oracle split every
@@ -331,12 +436,12 @@ class TestCactusCode:
         # the class's centre-rooted peel
         blocks = 0
         for path in enumeration._level(n).paths:
-            nbrs, _, _, code, _ = _peel(
-                n, enumeration._path_blocks(n, path))
-            for verts in nbrs[n:]:
+            path_blocks = enumeration._path_blocks(n, path)
+            code = _peel(n, path_blocks)[2]
+            for verts in path_blocks:
                 for p in (-1, *verts):
-                    assert _block_code(verts, p, code) == \
-                        list_block_code(verts, p, code), (path, verts, p)
+                    assert _block_code(_from_parent(verts, p, code), p < 0) \
+                        == list_block_code(verts, p, code), (path, verts, p)
                 blocks += 1
         assert (blocks > 0) == (n > 1)
 
@@ -365,10 +470,10 @@ class TestCactusCode:
                 for r in range(len(seq)):
                     code = seq[r:] + seq[:r]
                     for p in (-1, *verts):
-                        got = _block_code(verts, p, code)
+                        got = _block_code(_from_parent(verts, p, code), p < 0)
                         assert got == list_block_code(verts, p, code), \
                             (code, p)
-                    roots.add(_block_code(verts, -1, code))
+                    roots.add(_block_code(code, True))
             assert len(roots) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

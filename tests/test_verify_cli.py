@@ -723,7 +723,7 @@ class TestReportLines:
         # the predicted member coded as the path P_n, which the maximizer is
         # not, makes the maximizer a counterexample
         monkeypatch.setattr(verify, "_blocks", lambda params: [
-            (i, i + 1) for i in range(params.n - 1)])
+            (i, i + 1) for i in reversed(range(params.n - 1))])
         reports.append(verify_extremal("theorem32", 6))
         assert reports[-1].counterexamples
         for r in reports:
