@@ -9,16 +9,24 @@ vertex v, so its centre-rooted code differs from the parent's only on the
 path from v to the centre: each parent's vertex-block tree is peeled and
 coded once, and each candidate recodes only that path.
 
-Most candidates need no code, by two rules that `_attach_points` applies
-to the parent's blocks (the cheap half of McKay's canonical-parent idea,
-J. Algorithms 26, 1998).  Call an endblock big when it has more vertices
-besides its cut vertex than the new block has new ones.  If the child
-keeps a big endblock of the parent, removing it leaves a smaller parent of
-the same class, and smaller parents are scanned first.  Reflecting a lone
-big endblock about its cut vertex, or rotating a one-block parent, maps
-candidates onto earlier ones of the same parent.  Each dropped candidate's
-class was found before it, so every class keeps its first-found
-representative.
+Most candidates need no code, by three rules (the cheap half of McKay's
+canonical-parent idea, J. Algorithms 26, 1998).  Two of them
+`_attach_points` applies to the parent's blocks.  Call an endblock big
+when it has more vertices besides its cut vertex than the new block has
+new ones.  If the child keeps a big endblock of the parent, removing it
+leaves a smaller parent of the same class, and smaller parents are
+scanned first.  Reflecting a lone big endblock about its cut vertex, or
+rotating a one-block parent, maps candidates onto earlier ones of the
+same parent.  The third, in `_scan_points`, reads the parent's path.  Let
+parent P of order s end its path in the pair (a, f), so that P is its
+path parent Q (order f) with a block of s - f new vertices at a.  When
+the new block is as big, only the points v >= a are coded: a v < a is a
+vertex of Q, and the candidate (Q, v) of order s comes before P's own
+(Q, a) in that order's scan, so the class P' of Q + block at v was found
+before P.  The child P + block at v is Q with equal blocks at a and at v,
+which is P' + block at a, and P' is scanned before P.  Each dropped
+candidate's class was found before it, so every class keeps its
+first-found representative.
 
 A class is held as its build path only, one byte pair (v, size) per block.
 Its blocks (`_path_blocks`), edge list (`_path_edges`), matching number,
@@ -34,6 +42,7 @@ filter that no class meets selects nothing.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -117,6 +126,18 @@ def _attach_points(o: int, blocks, k: int) -> list:
     if big is None:
         return list(range(o))
     return sorted(v for v, w in zip(big, big[::-1]) if v <= w)
+
+
+def _scan_points(o: int, path: bytes, blocks, n: int) -> list:
+    """The points of the parent of order o built along path, with these
+    blocks (`_path_blocks`), that the scan of order n codes, ascending:
+    `_attach_points`' for a new block of n - o new vertices, and when the
+    parent's newest block (the path's last pair (a, f)) has as many, only
+    those v >= a (see the module docstring)."""
+    points = _attach_points(o, blocks, n - o)
+    if path and o - path[-1] == n - o:
+        return points[bisect_left(points, path[-2]):]
+    return points
 
 
 def _child_codes(o: int, blocks, n: int, points):
@@ -360,17 +381,17 @@ def _level(n: int) -> Level:
     """The table of order n.  A class's representative is the first extension
     found in it, scanning the smaller levels in order and each in its own
     discovery order, and its path is its parent's plus the pair (v, size) of
-    the block that made it.  Only the points `_attach_points` keeps are coded
+    the block that made it.  Only the points `_scan_points` keeps are coded
     (`_child_codes`), and a parent with none is not peeled: of the 7,517
-    candidates of order 10, 4,419 are coded; of the 391,567 of order 13,
-    203,397."""
+    candidates of order 10, 2,926 are coded; of the 391,567 of order 13,
+    118,708."""
     if n == 1:  # K1: its code and its empty path
         return Level(1, {b"()": b""})
     bucket = {}
     for size in range(1, n):
         for path in _level(size).paths:
             blocks = _path_blocks(size, path)
-            points = _attach_points(size, blocks, n - size)
+            points = _scan_points(size, path, blocks, n)
             if not points:
                 continue
             for v, code in _child_codes(size, blocks, n, points):

@@ -14,7 +14,8 @@ from operator import mul
 import networkx as nx
 import numpy as np
 
-from cactiq.enumeration import enumerate_cacti
+from cactiq.enumeration import (_attach_points, _child_codes, _path_blocks,
+                                enumerate_cacti)
 from cactiq.graph import (Graph, block_decomposition, canonical_code,
                           from_edges, is_cactus, is_connected,
                           matching_number, pendant_count)
@@ -283,6 +284,25 @@ def scanned_level(n, smaller) -> dict:
         for g in smaller(size):
             for child in extensions(g, n):
                 bucket.setdefault(canonical_code(child).code, child)
+    return bucket
+
+
+def attach_scan(n, smaller) -> dict:
+    """code -> path for every cactus class on n vertices, in discovery
+    order: the scan of `enumeration._level` with only the two block rules
+    of `_attach_points` (no path rule), over the paths smaller(1), ...,
+    smaller(n - 1) in their order.  It shares the path coding and those
+    two rules with the library, so it checks the path rule alone."""
+    if n == 1:
+        return {b"()": b""}
+    bucket = {}
+    for size in range(1, n):
+        for path in smaller(size):
+            blocks = _path_blocks(size, path)
+            points = _attach_points(size, blocks, n - size)
+            if points:
+                for v, code in _child_codes(size, blocks, n, points):
+                    bucket.setdefault(code, path + bytes((v, size)))
     return bucket
 
 

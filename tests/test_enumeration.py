@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -16,8 +17,9 @@ from cactiq.graph import (_cactus_blocks, _cactus_code, _peel, _peel_matching,
                           is_cactus, matching_number, pendant_count)
 from cactiq.spectra import stacked_eigenpairs
 
-from oracles import (cactus_counts, check_block_order, extensions,
-                     oracle_cacti, scanned_level, scanned_positions)
+from oracles import (attach_scan, cactus_counts, check_block_order,
+                     extensions, oracle_cacti, scanned_level,
+                     scanned_positions)
 
 # counts of non-isomorphic cacti on n vertices (trees included)
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 23, 7: 63, 8: 188, 9: 596,
@@ -249,25 +251,77 @@ class TestExtensions:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_dropped_points_give_classes_already_seen(self, n):
         # a scan that fully codes every candidate in the order of `_level`:
-        # each point `_attach_points` drops, from the path blocks or from
-        # the DFS blocks alike, gives a code seen before it
-        seen, dropped = set(), 0
+        # each point `_scan_points` drops gives a code seen before it; the
+        # points `_attach_points` drops are the same from the path blocks
+        # or from the DFS blocks, and the path rule keeps a tail of the rest
+        seen, dropped, by_path = set(), 0, 0
         for size in range(1, n):
             for g, path in zip(found(size), enumeration._level(size).paths):
-                points = enumeration._attach_points(
-                    size, enumeration._path_blocks(size, path), n - size)
-                assert points == enumeration._attach_points(
+                blocks = enumeration._path_blocks(size, path)
+                kept = enumeration._attach_points(size, blocks, n - size)
+                assert kept == enumeration._attach_points(
                     size, _cactus_blocks(g), n - size)
-                assert points == sorted(set(points))
+                assert kept == sorted(set(kept))
+                points = enumeration._scan_points(size, path, blocks, n)
+                assert points == kept[len(kept) - len(points):]
                 for v, child in enumerate(extensions(g, n)):
                     code = canonical_code(child).code
                     if v not in points:
                         assert code in seen, (g, v)
-                        dropped += 1
+                        dropped += v not in kept
+                        by_path += v in kept
                     seen.add(code)
         assert len(seen) == KNOWN_COUNTS[n]
         # of 1, 3, 9, ..., 2153 and 7517 candidates
         assert dropped == [0, 1, 4, 10, 28, 75, 245, 835, 3098][n - 2]
+        assert by_path == [0, 0, 0, 1, 5, 26, 100, 392, 1493][n - 2]
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_path_rule_drops_only_earlier_classes(self, n):
+        # the path rule's proof, step by step: for a parent P = Q + block
+        # at a of order s (its path ends in (a, f)) and a new block as big
+        # as P's newest, and for every v < a, P' = Q + block at v is a
+        # class of order s found before P, and P + block at v is
+        # isomorphic to P' + block at a
+        checked = 0
+        for size in range(n // 2 + 1, n):
+            first = {canonical_code(g).code: i
+                     for i, g in enumerate(found(size))}
+            for i, (g, path) in enumerate(zip(
+                    found(size), enumeration._level(size).paths)):
+                a, f = path[-2:]
+                if size - f != n - size:
+                    continue
+                q = enumeration._path_graph(f, path[:-2])
+                children = list(extensions(g, n))
+                for v, moved in zip(range(a), extensions(q, size)):
+                    assert first[canonical_code(moved).code] < i, (g, v)
+                    assert canonical_code(list(extensions(moved, n))[a]) == \
+                        canonical_code(children[v])
+                    checked += 1
+        # every such v is one the path rule drops (the counts of the test
+        # above): `_attach_points` keeps them all
+        assert checked == [0, 0, 1, 5, 26, 100, 392, 1493][n - 3]
+
+    def test_coded_candidates(self):
+        # the points `_level` codes at orders 9, 10 and 11 (every output
+        # byte is the same without the path rule, so only these counts
+        # show that it is applied)
+        def coded(n):
+            return sum(len(enumeration._scan_points(
+                size, path, enumeration._path_blocks(size, path), n))
+                for size in range(1, n)
+                for path in enumeration._level(size).paths)
+        assert [coded(n) for n in (9, 10, 11)] == [926, 2926, 9734]
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_scan_equals_attach_points_scan(self, n):
+        # the paths of every level, in order, against a scan without the
+        # path rule over its own smaller levels
+        @lru_cache(maxsize=None)
+        def reference(size):
+            return tuple(attach_scan(size, reference).values())
+        assert enumeration._level(n).paths == reference(n)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_first_found_representatives(self, n):
