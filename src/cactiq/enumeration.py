@@ -262,9 +262,9 @@ def _path_group(n: int, path: bytes) -> tuple:
 @dataclass(frozen=True, slots=True)
 class Surgery:
     """What the monotonicity surgeries read of one class of order n, all
-    derived from its build path: its edges (`_path_edges`' order) and their
-    sorted order, its neighbour sets, its Q-radius with the rigorous lower
-    and upper bounds that certify a comparison with it, its Perron row, its
+    derived from its build path: its edges, sorted (the order a draw
+    shuffles), its neighbour sets, its Q-radius with the rigorous lower and
+    upper bounds that certify a comparison with it, its Perron row, its
     one-edge blocks as (v, size) pairs, and the vertices in one block only
     (`_block_counts`)."""
     n: int
@@ -275,7 +275,6 @@ class Surgery:
     lower: float
     upper: float
     perron: tuple
-    sorted_edges: tuple
     bridges: frozenset
     ends: tuple
 
@@ -359,9 +358,8 @@ class Level:
             blocks = _path_blocks(n, paths[i])
             count = _block_counts(n, blocks)
             out.append(Surgery(
-                n, paths[i], tuple(edges), tuple(map(frozenset, adj)),
+                n, paths[i], tuple(sorted(edges)), tuple(map(frozenset, adj)),
                 radii[pos], lowers[pos], uppers[pos], tuple(rows[pos]),
-                tuple(sorted(edges)),
                 frozenset(tuple(b) for b in blocks if len(b) == 2),
                 tuple(v for v in range(n) if count[v] == 1)))
         return tuple(out)

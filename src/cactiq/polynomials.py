@@ -9,8 +9,8 @@ negates, and it meets only other polynomials, never a bare integer.
 Sturm chains come from a primitive remainder sequence in Z[x]
 (pseudo-division, then the primitive part) and are divided through by
 gcd(p, p') exactly, so they count distinct roots, multiple ones included.
-A polynomial keeps its chain, its unwindowed largest-root bracket and its
-float estimate of that root once made.
+A polynomial keeps only its float estimate of its largest root, once made;
+chains and brackets are computed on each call.
 Isolation takes a whole window (lo, hi], half-open like every bracket, or
 none, which is then the root bound's (-B, B].
 Isolation and comparison share one halving step, which carries a bracket as
@@ -63,17 +63,17 @@ class IntPolynomial:
     Each coefficient goes through `operator.index`, so a bool or a NumPy
     integer becomes a Python int and anything else raises TypeError.
     Equality and hashing read the coefficients only, not the root layer's
-    lazily filled slots.
+    lazily filled slot.
     """
 
-    __slots__ = ("coeffs", "_sturm", "_top", "_guess")
+    __slots__ = ("coeffs", "_guess")
 
     def __init__(self, coeffs):
         cs = [_coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._sturm = self._top = self._guess = None
+        self._guess = None
 
     @property
     def degree(self) -> int:
@@ -230,13 +230,6 @@ def sturm_sequence(p: IntPolynomial):
     return seq
 
 
-def _chain(p: IntPolynomial):
-    """The Sturm chain of p, computed on first use and kept on p."""
-    if p._sturm is None:
-        p._sturm = sturm_sequence(p)
-    return p._sturm
-
-
 def _powers(den: int, k: int) -> list:
     """[1, den, ..., den^(k-1)]."""
     powers = [1]
@@ -274,7 +267,7 @@ def count_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if hi <= lo:
         return 0
-    seq = _chain(p)
+    seq = sturm_sequence(p)
     return (_evaluate(seq, lo.numerator, lo.denominator)
             - _evaluate(seq, hi.numerator, hi.denominator))
 
@@ -435,21 +428,19 @@ def isolate_largest_root(p: IntPolynomial, lo=None, hi=None):
 
     Returns None when p has no real root in (lo, hi], as when hi <= lo.  The
     window takes both ends or neither; with none it is the root bound's
-    (-B, B], which holds every real root, and the result is kept on p.
+    (-B, B], which holds every real root.
     """
     if p.degree < 1:
         raise ValueError("cannot isolate roots of a constant polynomial")
     if lo is None and hi is None:
-        if p._top is None:
-            bound = root_bound(p)
-            p._top = _isolate(p, -bound, bound) or ()  # () records no real root
-        return p._top or None
+        bound = root_bound(p)
+        lo, hi = -bound, bound
     return _isolate(p, lo, hi)
 
 
 def _isolate(p: IntPolynomial, lo, hi):
     a, b, den = _grid(Fraction(lo), Fraction(hi))
-    seq = _chain(p)
+    seq = sturm_sequence(p)
     va, vb = _evaluate(seq, a, den), _evaluate(seq, b, den)
     if b <= a or va == vb:
         return None
@@ -466,7 +457,7 @@ def refine_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> float:
     bisection, then return the midpoint as a float.  Sturm counts check that
     (lo, hi] isolates one root; each halving then reads one sign.
     """
-    seq = _chain(p)
+    seq = sturm_sequence(p)
     a, b, den = _grid(Fraction(lo), Fraction(hi))
     va, vb = _evaluate(seq, a, den), _evaluate(seq, b, den)
     if b <= a or va - vb != 1:
@@ -615,10 +606,9 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     Returns -1, 0 or 1.  Both polynomials must have at least one real root.
     The float estimates of both largest roots, each made once and kept on
     its polynomial, first let integer signs and Descartes' rule certify the
-    verdict (see `_certified_order`); when that fails, the roots are
-    isolated and separated by `_compare_by_bisection`, each isolation kept
-    on its polynomial, so ranking one polynomial against many estimates it,
-    and at most isolates it, once.
+    verdict (see `_certified_order`), so ranking one polynomial against many
+    estimates it once; when that fails, the roots are isolated and
+    separated by `_compare_by_bisection`.
     """
     verdict = _certified_order(p, q)
     return _compare_by_bisection(p, q) if verdict is None else verdict
@@ -696,7 +686,7 @@ def _compare_by_bisection(p: IntPolynomial, q: IntPolynomial) -> int:
     g = _poly_gcd(p, q)
     if g.degree >= 1 and count_roots(g, alo, ahi) and count_roots(g, blo, bhi):
         return 0
-    sp, sq = _chain(p), _chain(q)
+    sp, sq = sturm_sequence(p), sturm_sequence(q)
     a, b, da = _grid(alo, ahi)
     c, d, dc = _grid(blo, bhi)
     va, vb = _evaluate(sp, a, da), _evaluate(sp, b, da)

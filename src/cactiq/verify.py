@@ -325,7 +325,7 @@ def _draw_contract_instance(rng: random.Random):
     not pendant, whose endpoints share no neighbor."""
     while True:
         c = _random_cactus(rng)
-        adj, shuffled = c.adj, list(c.sorted_edges)
+        adj, shuffled = c.adj, list(c.edges)
         rng.shuffle(shuffled)
         for u, v in shuffled:
             if len(adj[u]) == 1 or len(adj[v]) == 1 or adj[u] & adj[v]:
@@ -343,7 +343,7 @@ def _draw_subgraph_instance(rng: random.Random):
     c = _random_cactus(rng)
     n, edges = c.n, c.edges
     if rng.random() < 0.5 and len(edges) > n - 1:
-        shuffled = list(c.sorted_edges)
+        shuffled = list(c.edges)
         rng.shuffle(shuffled)
         e = next(e for e in shuffled if e not in c.bridges)
         return c, Graph(n, frozenset(x for x in edges if x != e))

@@ -176,6 +176,21 @@ def widen(monkeypatch):
     enumeration._level.cache_clear()
 
 
+def _claim_argvs(max_n):
+    """A `verify` argv for every claim that reads n at n = 3..max_n:
+    theorem31i and conjecture11_negative at odd n, prop215 at even n,
+    theorem31ii at every m below n's perfect or near-perfect matching,
+    prop213 at every k < n, and theorem32."""
+    for n in range(3, max_n + 1):
+        claims = ([["theorem31i"], ["conjecture11_negative"]] if n % 2
+                  else [["prop215"]])
+        claims += [["theorem31ii", "--m", str(m)]
+                   for m in range(1, (n - 2) // 2 + 1)]
+        claims += [["prop213", "--k", str(k)] for k in range(n)]
+        for claim in claims + [["theorem32"]]:
+            yield ["verify", "--n", str(n), "--claim", *claim]
+
+
 class TestRankCertified:
     def test_widened_bounds_change_nothing(self, monkeypatch, widen):
         # with every bound widened the exact ranking decides every class at
@@ -203,15 +218,8 @@ class TestRankCertified:
         # the four that meet equal polynomials (Q-cospectral classes) take
         # no Sturm count over it
         def run_all():
-            for n in range(3, 8):
-                claims = ([["theorem31i"], ["conjecture11_negative"]] if n % 2
-                          else [["prop215"]])
-                claims += [["theorem31ii", "--m", str(m)]
-                           for m in range(1, (n - 2) // 2 + 1)]
-                claims += [["prop213", "--k", str(k)] for k in range(n)]
-                for claim in claims + [["theorem32"]]:
-                    code = main(["verify", "--n", str(n), "--claim", *claim])
-                    print("exit", code)
+            for argv in _claim_argvs(7):
+                print("exit", main(argv))
             return capsys.readouterr()
 
         baseline = run_all()
@@ -240,6 +248,33 @@ class TestRankCertified:
         assert sum(ranked) == 348
         assert len(estimates) == 348
         assert not bounds
+
+    def test_real_bounds_reach_sturm_only_at_two_n3_double_roots(
+            self, monkeypatch, capsys):
+        # with the real bounds no claim at n = 3..10 and no monotonicity run
+        # compares two largest roots exactly, and the only polynomials that
+        # reach a Sturm chain are the two n = 3 family factors with a double
+        # top root: h_cubic(3, 2) = x(x - 3)^2 and l_quintic(3, 1) =
+        # x(x - 1)^2(x - 3)^2, whose radii no certificate covers.  Reports
+        # and exit codes are pinned elsewhere
+        def refuse(p, q):
+            raise AssertionError("a run reached exact root comparison")
+
+        def recording(p):
+            chained.add(p.coeffs)
+            return sturm(p)
+
+        chained, sturm = set(), polynomials.sturm_sequence
+        monkeypatch.setattr(verify, "compare_largest_roots", refuse)
+        monkeypatch.setattr(polynomials, "sturm_sequence", recording)
+        for argv in _claim_argvs(10):
+            main(argv)
+        for seed in ("1", "42"):
+            main(["verify", "--claim", "monotonicity", "--trials", "200",
+                  "--seed", seed])
+        capsys.readouterr()
+        assert chained == {families.h_cubic(3, 2).coeffs,
+                           families.l_quintic(3, 1).coeffs}
 
     def test_one_graph_built_per_report(self, monkeypatch, widen):
         # with every bound widened each class at n = 7 with a runner-up is
