@@ -13,11 +13,11 @@ A polynomial keeps only its float estimate of its largest root, once made;
 chains and brackets are computed on each call.
 Isolation takes a whole window (lo, hi], half-open like every bracket, or
 none, which is then the root bound's (-B, B].
-Isolation and comparison share one halving step, which carries a bracket as
-integer numerators over a common denominator, evaluates the Sturm chain once,
-at the midpoint, and carries the end sign variations.  Refinement bisects on
-the same grid to REFINE_WIDTH by the sign of the chain's first, square-free
-member alone.  Brackets are handed out as `fractions.Fraction`.
+Isolation halves a bracket carried as integer numerators over a common
+denominator; each step evaluates the Sturm chain once, at the midpoint, and
+carries the end sign variations.  Refinement bisects on the same grid to
+REFINE_WIDTH by the sign of the chain's first, square-free member alone.
+Brackets are handed out as `fractions.Fraction`.
 
 A float only chooses where to look.  Newton's method, run downward from the
 window's top (or a root bound), estimates a largest root; integer signs
@@ -31,8 +31,10 @@ p / (x - c), whose roots above a point show where isolation and refinement
 stop: at the grid point itself or in the final cell below it.
 `compare_largest_roots` certifies a tie or an order from the two
 estimates.  When a certificate fails (no estimate, a multiple or crowded
-top root, an estimate on a lower root), Sturm isolation and bisection run
-as before, so no verdict and no float ever rests on floating point.
+top root, an estimate on a lower root), Sturm isolation decides: the float
+is refined from an isolating bracket, and the verdict comes from one
+isolation of p q and a root count of p and of q in its bracket, so no
+verdict and no float ever rests on floating point.
 
 Newton starts no higher than the Laguerre-Samuelson bound (Samuelson,
 J. Amer. Statist. Assoc. 63, 1968): d reals with mean mu all lie at or
@@ -410,18 +412,6 @@ def _grid(lo: Fraction, hi: Fraction):
             hi.numerator * (den // hi.denominator), den)
 
 
-def _halve(seq, a: int, b: int, den: int, va: int, vb: int):
-    """One bisection step on (a/den, b/den], whose ends have Sturm sign
-    variations va and vb: evaluate the chain once at the midpoint
-    (a + b) / 2den and return the half that holds the largest root in the
-    interval, as numerators over 2den with its end variations."""
-    mid = a + b
-    vm = _evaluate(seq, mid, 2 * den)
-    if vm > vb:
-        return mid, 2 * b, 2 * den, vm, vb
-    return 2 * a, mid, 2 * den, va, vm
-
-
 def isolate_largest_root(p: IntPolynomial, lo=None, hi=None):
     """Return Fractions (a, b) with exactly one root of p in (a, b], that root
     being the largest real root of p in the window (lo, hi].
@@ -445,7 +435,10 @@ def _isolate(p: IntPolynomial, lo, hi):
     if b <= a or va == vb:
         return None
     while va - vb > 1:
-        a, b, den, va, vb = _halve(seq, a, b, den, va, vb)
+        # halve (a/den, b/den], keeping the half that holds the top root
+        a, b, den, mid = 2 * a, 2 * b, 2 * den, a + b
+        vm = _evaluate(seq, mid, den)
+        a, b, va, vb = (mid, b, vm, vb) if vm > vb else (a, mid, va, vm)
     return Fraction(a, den), Fraction(b, den)
 
 
@@ -588,9 +581,6 @@ def _without_root(coeffs, num: int, den: int):
 # Exact comparison of largest roots (the near-tie discriminator)
 # ---------------------------------------------------------------------------
 
-MAX_SEPARATION_STEPS = 512
-
-
 def _poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """The primitive gcd of p and q with the sign of the rational Euclidean
     gcd, by the remainder step of the Sturm chains."""
@@ -607,8 +597,8 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     The float estimates of both largest roots, each made once and kept on
     its polynomial, first let integer signs and Descartes' rule certify the
     verdict (see `_certified_order`), so ranking one polynomial against many
-    estimates it once; when that fails, the roots are isolated and
-    separated by `_compare_by_bisection`.
+    estimates it once; when that fails, `_compare_by_bisection` isolates the
+    largest root of p q and counts the roots of p and of q in its bracket.
     """
     verdict = _certified_order(p, q)
     return _compare_by_bisection(p, q) if verdict is None else verdict
@@ -660,42 +650,12 @@ def _root_above(p: IntPolynomial, x: float) -> bool:
 
 
 def _compare_by_bisection(p: IntPolynomial, q: IntPolynomial) -> int:
-    """`compare_largest_roots` by Sturm isolation alone.  Equal polynomials
-    tie once a Sturm count over p's root bound window finds a real root;
-    otherwise both largest roots are isolated, disjoint brackets decide, a
-    gcd root in both brackets is a tie, and else both brackets are halved
-    until they are disjoint, for at most MAX_SEPARATION_STEPS steps."""
-    if p == q and p.degree >= 1:
-        bound = root_bound(p)
-        if count_roots(p, -bound, bound):
-            return 0
-    ip = isolate_largest_root(p)
-    iq = isolate_largest_root(q)
-    if ip is None or iq is None:
+    """`compare_largest_roots` by Sturm isolation alone.  The largest real
+    root r of p q is the larger of the two largest roots, and its isolating
+    bracket (lo, hi] holds no other root of p q, so p has a root there
+    exactly when p(r) = 0, and so does q: each count is 0 or 1, and their
+    difference is the verdict."""
+    if isolate_largest_root(p) is None or isolate_largest_root(q) is None:
         raise ValueError("both polynomials must have a real root")
-    (alo, ahi), (blo, bhi) = ip, iq
-    # the brackets are half-open, so ahi <= blo puts p's root below q's;
-    # disjoint brackets decide before any gcd is taken
-    if ahi <= blo:
-        return -1
-    if bhi <= alo:
-        return 1
-    # A gcd root in (alo, ahi] is p's largest root, one in (blo, bhi] is q's;
-    # each is also a root of the other polynomial, so they are equal.  Every
-    # exact tie shows here, so the bisection below only has to separate.
-    g = _poly_gcd(p, q)
-    if g.degree >= 1 and count_roots(g, alo, ahi) and count_roots(g, blo, bhi):
-        return 0
-    sp, sq = sturm_sequence(p), sturm_sequence(q)
-    a, b, da = _grid(alo, ahi)
-    c, d, dc = _grid(blo, bhi)
-    va, vb = _evaluate(sp, a, da), _evaluate(sp, b, da)
-    wc, wd = _evaluate(sq, c, dc), _evaluate(sq, d, dc)
-    for _ in range(MAX_SEPARATION_STEPS):
-        a, b, da, va, vb = _halve(sp, a, b, da, va, vb)
-        c, d, dc, wc, wd = _halve(sq, c, d, dc, wc, wd)
-        if b * dc <= c * da:
-            return -1
-        if d * da <= a * dc:
-            return 1
-    raise RuntimeError("failed to separate largest roots")
+    lo, hi = isolate_largest_root(p * q)
+    return count_roots(p, lo, hi) - count_roots(q, lo, hi)

@@ -9,7 +9,8 @@ import pytest
 from cactiq import graph6, polynomials
 from cactiq.enumeration import enumerate_cacti
 from cactiq.families import h_cubic, l_quintic
-from cactiq.polynomials import (IntPolynomial, _compare_by_bisection, _poly_gcd,
+from cactiq.polynomials import (IntPolynomial, _certified_order,
+                                _compare_by_bisection, _poly_gcd,
                                 compare_largest_roots, count_roots,
                                 isolate_largest_root, largest_real_root,
                                 monomial_shift, refine_root, root_bound,
@@ -250,7 +251,7 @@ class TestCompareLargestRoots:
 
     def test_disjoint_brackets_decide_without_a_gcd(self, monkeypatch):
         def no_gcd(p, q):
-            raise AssertionError("gcd taken although the brackets separate")
+            raise AssertionError("gcd taken by the bisection fallback")
 
         monkeypatch.setattr(polynomials, "_poly_gcd", no_gcd)
         # the first isolating brackets are (1, 2] and (10, 12]
@@ -261,18 +262,13 @@ class TestCompareLargestRoots:
         assert _compare_by_bisection(p, q) == -1
         assert _compare_by_bisection(q, p) == 1
 
-    def test_overlapping_brackets_still_take_the_gcd(self, monkeypatch):
-        calls = []
+    def test_overlapping_brackets_decide_without_a_gcd(self, monkeypatch):
+        def no_gcd(p, q):
+            raise AssertionError("gcd taken by the bisection fallback")
 
-        def counting(p, q):
-            calls.append((p, q))
-            return gcd(p, q)
-
-        gcd = polynomials._poly_gcd
-        monkeypatch.setattr(polynomials, "_poly_gcd", counting)
+        monkeypatch.setattr(polynomials, "_poly_gcd", no_gcd)
         # the first brackets of x - 2 and x - 3 are both (-8, 8]
         assert _compare_by_bisection(monomial_shift(2), monomial_shift(3)) == -1
-        assert len(calls) == 1
         shared = IntPolynomial((8, -7, 1))
         assert _compare_by_bisection(shared * monomial_shift(1), shared) == 0
         a, b = graph6.decode("FsOIG"), graph6.decode("FqDGO")
@@ -303,8 +299,8 @@ class TestCompareLargestRoots:
         assert compare_largest_roots(q, p) == 1
 
     def test_equal_polynomials_tie_without_isolation(self, monkeypatch):
-        # equal polynomials tie after one Sturm count over the root bound's
-        # window; neither is isolated
+        # the certificate ties equal polynomials from the estimate alone;
+        # the fallback ties them through one isolation of p p
         calls = []
 
         def counting(p, lo=None, hi=None):
@@ -314,9 +310,11 @@ class TestCompareLargestRoots:
         isolate = polynomials.isolate_largest_root
         monkeypatch.setattr(polynomials, "isolate_largest_root", counting)
         p = monomial_shift(1) * monomial_shift(3)
+        assert compare_largest_roots(p, IntPolynomial(p.coeffs)) == 0
+        assert compare_largest_roots(p, p) == 0
+        assert calls == []
         assert _compare_by_bisection(p, IntPolynomial(p.coeffs)) == 0
         assert _compare_by_bisection(p, p) == 0
-        assert calls == []
         with pytest.raises(ValueError, match="real root"):
             _compare_by_bisection(p, IntPolynomial((1, 0, 1)))
 
@@ -353,12 +351,18 @@ class TestCompareLargestRoots:
                 ties += want == 0
         assert ties > len(polys)
 
-    def test_gives_up_after_max_steps(self, monkeypatch):
-        monkeypatch.setattr(polynomials, "MAX_SEPARATION_STEPS", 0)
-        with pytest.raises(RuntimeError):
-            _compare_by_bisection(monomial_shift(2), monomial_shift(3))
-        shared = IntPolynomial((8, -7, 1))  # ties need no bisection
-        assert _compare_by_bisection(shared * monomial_shift(1), shared) == 0
+    @pytest.mark.parametrize("e", [520, 600, 2000])
+    def test_roots_any_distance_apart_separate(self, e):
+        # 7/3 and 7/3 + 2^-e: the estimates coincide, so the fallback
+        # decides, past any fixed number of halvings (the Fraction oracle
+        # stops at 2000)
+        p = IntPolynomial((-7, 3))
+        q = IntPolynomial((-(7 * 2 ** e + 3), 3 * 2 ** e))
+        assert _certified_order(p, q) is None
+        assert compare_largest_roots(p, q) == -1
+        assert compare_largest_roots(q, p) == 1
+        assert _compare_by_bisection(p, q) == -1
+        assert _compare_by_bisection(q, p) == 1
 
 
 # ---------------------------------------------------------------------------
