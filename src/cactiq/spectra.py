@@ -12,16 +12,20 @@ numeric path is one stacked call of LAPACK's symmetric eigensolver
 (tridiagonalization + implicit-shift QR) per RADII_SLICE same-order
 matrices; the residual gate's product Q y then gives each radius a lower
 bound (Rayleigh) and an upper bound (Collatz-Wielandt), rounding-safe
-whatever order BLAS sums in (`_bounds`).  The exact path advances the
-powers of every matrix of the stack by batched float64 matrix products
-whose every value is an integer of magnitude at most 2^52: the powers
-themselves while that bound allows, then their residues modulo a few
-pairwise-coprime moduli shared by the stack.  The powers that the stack's
-bounds prove exact are counted up front, A^(k+1) = A^k A while
-b c^(k-1) w <= 2^52 (b = max|a|, c the largest column sum of |A|, w the
-largest sum of |a_ij| over one matrix), written into one power array and
-traced in one call, so they cost one product each and a fixed number of
-other array calls; a step guarded by max|A^k| itself continues past them.
+whatever order BLAS sums in (`_bounds`).  With no solve at all,
+`power_step_lower` bounds the radius of each of a list of same-order edge
+lists from given rows x, by the Rayleigh quotient at one power step Q x;
+it and `_q_stack` read the edges through one index builder, `_edge_index`.
+The exact path advances the powers of every matrix of the stack by batched
+float64 matrix products whose every value is an integer of magnitude at
+most 2^52: the powers themselves while that bound allows, then their
+residues modulo a few pairwise-coprime moduli shared by the stack.  The
+powers that the stack's bounds prove exact are counted up front,
+A^(k+1) = A^k A while b c^(k-1) w <= 2^52 (b = max|a|, c the largest
+column sum of |A|, w the largest sum of |a_ij| over one matrix), written
+into one power array and traced in one call, so they cost one product each
+and a fixed number of other array calls; a step guarded by max|A^k| itself
+continues past them.
 It rebuilds each power sum tr(A^k) by the Chinese remainder theorem under
 a Schur bound on |tr A^k| and turns the sums into coefficients by Newton's
 identities over Z, so the characteristic polynomial carries no
@@ -53,16 +57,23 @@ class SpectralResult:
     perron: tuple
 
 
-def _q_stack(n: int, edge_lists) -> np.ndarray:
-    """Q of every list of (u, v) int pairs on vertices 0..n-1, as one
-    (N, n, n) float array: the 1s indexed by one pass over the chained
-    edges, the degrees written through the diagonal stride n + 1 of the
-    same array seen as (N, n^2)."""
+def _edge_index(edge_lists):
+    """The list index k and the ends u, v of every edge of a sequence of
+    lists of (u, v) int pairs, as three int arrays, from one pass over the
+    chained edges."""
     sizes = [len(edges) for edges in edge_lists]
     u, v = np.fromiter(chain.from_iterable(chain.from_iterable(edge_lists)),
                        dtype=np.intp, count=2 * sum(sizes)).reshape(-1, 2).T
-    k = np.repeat(np.arange(len(sizes)), sizes)
-    flat = np.zeros((len(sizes), n * n))
+    return np.repeat(np.arange(len(sizes)), sizes), u, v
+
+
+def _q_stack(n: int, edge_lists) -> np.ndarray:
+    """Q of every list of (u, v) int pairs on vertices 0..n-1, as one
+    (N, n, n) float array: the 1s indexed by `_edge_index`, the degrees
+    written through the diagonal stride n + 1 of the same array seen as
+    (N, n^2)."""
+    k, u, v = _edge_index(edge_lists)
+    flat = np.zeros((len(edge_lists), n * n))
     stack = flat.reshape(-1, n, n)
     stack[k, u, v] = stack[k, v, u] = 1.0
     flat[:, ::n + 1] = stack.sum(axis=2)
@@ -191,6 +202,64 @@ def _bounds(stack: np.ndarray, vec: np.ndarray, product: np.ndarray):
              * (1 + (2 * n + 2) * 2.0 ** -52))
     upper[short] = np.inf
     return lower, upper
+
+
+def power_step_lower(n: int, edge_lists, rows) -> np.ndarray:
+    """A rigorous lower bound on the largest eigenvalue q_h of Q_h for each
+    list h of (u, v) int pairs on vertices 0..n-1, from one power step of
+    the matching row x of rows (an (N, n) array-like), as an (N,) array;
+    -inf, no certificate, for a row with an entry outside [2^-500, 1] and
+    for an empty list.
+
+    One power step is y = Q_h x, read off the edges: each edge uv adds
+    x_u + x_v to y_u and to y_v.  The bound is the Rayleigh quotient
+    y^T Q_h y / y^T y = sum_uv (y_u + y_v)^2 / sum_v y_v^2 <= q_h (Q_h
+    symmetric), whatever rounding made the float vector y, times
+    f = 1 - (n + m + 3) 2^-52, m the most edges of a list.  In exact
+    arithmetic the quotient at Q_h x is at least the quotient at x, as Q_h
+    is positive semidefinite, and the surgery lemmas raise the quotient at
+    x, the Perron vector of the graph before the surgery, above its
+    radius.
+
+    Rounding, in the terms of `_bounds` (u = 2^-53, gamma_k, theta_k).
+    Each term (y_u + y_v)^2 is one rounded sum squared by one rounded
+    product, theta_3, and the numerator N sums at most m such terms in any
+    order, so N lies within 1 +- gamma_(m+2) of its exact value; the
+    denominator D sums n rounded squares, within 1 +- gamma_n; and
+    L = fl(N / D) <= (N / D)(1 + u).  Every term is nonnegative, so the
+    exact quotient is at least L (1 - gamma_n) / ((1 + gamma_(m+2))(1 + u)),
+    while fl(L f) <= L f (1 + u).  The bound fl(L f) holds when
+    f <= (1 - gamma_n) / ((1 + gamma_(m+2))(1 + u)^2), whose right side is
+    at least (1 - gamma_n)(1 - gamma_(m+2))(1 - u)^2
+    >= 1 - (2n + 2m + 6) u = 1 - (n + m + 3) 2^-52, an exact float.
+    Nothing underflows: with every entry of x at least 2^-500, each y_v is
+    0 (an isolated vertex) or at least 2^-499, so each nonzero square is
+    at least 2^-998, and sums of nonnegative normal floats are normal.
+    Nothing overflows: with every entry of x at most 1, each y_v is at
+    most 2n."""
+    k, u, v = index = _edge_index(edge_lists)
+    x = np.asarray(rows, dtype=float).reshape(len(edge_lists), n)
+    y = _power_step(n, index, x)
+    t = y[k, u] + y[k, v]
+    num = np.bincount(k, t * t, len(x))
+    den = np.einsum("ij,ij->i", y, y)
+    out = np.full(len(x), -np.inf)
+    np.divide(num, den, out=out, where=(den > 0) & (
+        (x >= _TINY) & (x <= 1)).all(axis=1))
+    return out * (1 - (n + max(map(len, edge_lists), default=0) + 3)
+                  * 2.0 ** -52)
+
+
+def _power_step(n: int, index, x: np.ndarray) -> np.ndarray:
+    """Q_h x for each row x of an (N, n) array and the matching list h of
+    the edge index (k, u, v) of `_edge_index`, as an (N, n) array: each
+    edge uv adds x_u + x_v to y_u and to y_v."""
+    k, u, v = index
+    a, b = k * n + u, k * n + v
+    flat = x.reshape(-1)
+    s = flat[a] + flat[b]
+    size = len(x) * n
+    return (np.bincount(a, s, size) + np.bincount(b, s, size)).reshape(-1, n)
 
 
 def stacked_eigenpairs(n: int, count: int, edge_lists):

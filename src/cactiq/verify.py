@@ -4,9 +4,10 @@ monotonicity property runs.
 Every entry point returns a VerificationReport that serializes to one JSON
 line.  Numeric acceptance is at 1e-9.  Every verdict that compares radii is
 exact: one radius lies above another when its rigorous lower bound exceeds
-the other's upper bound (`spectra.stacked_eigenpairs`), and every pair
-without that certificate is decided by exact largest-root comparison of the
-characteristic polynomials.
+the other's upper bound (`spectra.stacked_eigenpairs`, or for a surgery
+result `spectra.power_step_lower`), and every pair without that certificate
+is decided by exact largest-root comparison of the characteristic
+polynomials.
 
 A class claim reads its inputs in one place: n, m and k are parsed as
 integers before the claim's order rule picks the class filter.  The class's
@@ -19,9 +20,12 @@ generated edges, each in one `char_polys` call; a `Graph` is built only for
 a maximizer.  The monotonicity runs draw each class as its order's
 `Level.surgery` entry, its edges, neighbour sets, one-edge blocks and
 one-block vertices derived once per order, and run `transforms`' internals
-on those sets.  The results are solved RADII_SLICE instances at a time, one
-`stacked_eigenpairs` call per order, then checked in trial and property
-order.
+on those sets.  The results are taken RADII_SLICE instances at a time.
+Each neighbour shift and contraction is first bounded below by one power
+step from its class's Perron row, one `power_step_lower` call per order;
+the proper subgraphs and any result whose rise that bound leaves
+uncertified are solved by one `stacked_eigenpairs` call per order.  The
+instances are then checked in trial and property order.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from .families import (_blocks, _edges, extremal_answer, members, psi_H,
                        psi_L, psi_legacy, superseded_conjecture_bound)
 from .graph import Graph, _cactus_code, as_index
 from .polynomials import compare_largest_roots
-from .spectra import _q_stack, char_polys, stacked_eigenpairs
+from .spectra import (_q_stack, char_polys, power_step_lower,
+                      stacked_eigenpairs)
 # graph_radius is not called here; perfbench's layer-trace self-test reads it
 # as cactiq.verify.graph_radius
 from .spectra import graph_radius  # noqa: F401
@@ -362,45 +367,61 @@ def _instances(rng: random.Random, trials: int):
 
 
 def _violations(batch) -> list:
-    """Violation records of a batch of instances, in batch order, from one
-    `stacked_eigenpairs` call per order of the surgery results; a class's
+    """Violation records of a batch of instances, in batch order; a class's
     Graph is built only for its record.
 
-    A result's radius is certified above its class's when the result's
-    lower bound exceeds the upper bound of the class's `Surgery` entry, and
-    a proper subgraph's below it when the class's lower bound exceeds the
-    subgraph's upper bound.  Every other instance is decided by exact
+    A neighbour shift or contraction is certified to raise its class's
+    radius when the power-step bound from the class's Perron row
+    (`spectra.power_step_lower`, one call per order) exceeds the upper
+    bound of the class's `Surgery` entry.  Every other result is solved by
+    one `stacked_eigenpairs` call per order: its radius is certified above
+    its class's when its lower bound exceeds the class's upper bound, and a
+    proper subgraph's below it when the class's lower bound exceeds the
+    subgraph's upper bound.  Every instance left is decided by exact
     largest-root comparison of the two characteristic polynomials
     (`_char_polys`); an exact tie is a violation."""
-    results = [h for *_, h in batch]
-    after = np.empty((3, len(batch)))
-    # each order's batch indices, ascending, from one pass over the batch
-    by_order = {}
-    for i, h in enumerate(results):
-        by_order.setdefault(h.order, []).append(i)
+    rises = [False] * len(batch)
+    # each order's neighbour shifts and contractions, then the instances
+    # left, by batch index, ascending, from one pass over the batch each
+    steps, by_order = {}, {}
+    for i, (prop, _, c, _) in enumerate(batch):
+        if prop != "proper_subgraph":
+            steps.setdefault(c.n, []).append(i)
+    for n, idx in steps.items():
+        bounds = power_step_lower(n, [batch[i][3].edges for i in idx],
+                                  [batch[i][2].perron for i in idx])
+        for i, low in zip(idx, bounds.tolist()):
+            rises[i] = low > batch[i][2].upper
+    for i, (*_, h) in enumerate(batch):
+        if not rises[i]:
+            by_order.setdefault(h.order, []).append(i)
+    radii = {}
     for n, idx in by_order.items():
         radius, _, lower, upper = stacked_eigenpairs(
-            n, len(idx), (results[i].edges for i in idx))
-        after[:, idx] = radius, lower, upper
-    radii, lowers, uppers = after.tolist()
-    rises = [c.lower > up if prop == "proper_subgraph" else low > c.upper
-             for (prop, _, c, _), low, up in zip(batch, lowers, uppers)]
+            n, len(idx), (batch[i][3].edges for i in idx))
+        for i, q1, low, up in zip(idx, radius.tolist(), lower.tolist(),
+                                  upper.tolist()):
+            prop, _, c, _ = batch[i]
+            radii[i] = q1
+            rises[i] = (c.lower > up if prop == "proper_subgraph"
+                        else low > c.upper)
     open_ = [i for i, rise in enumerate(rises) if not rise]
     polys = _char_polys([g for i in open_ for g in (
         (batch[i][2].n, batch[i][2].edges),
-        (results[i].order, results[i].edges))])
+        (batch[i][3].order, batch[i][3].edges))])
     for i, before, now in zip(open_, polys[::2], polys[1::2]):
         rises[i] = (compare_largest_roots(before, now)
                     if batch[i][0] == "proper_subgraph"
                     else compare_largest_roots(now, before)) > 0
     out = []
-    for (prop, t, c, h), q1, rise in zip(batch, radii, rises):
-        if not rise:
+    for i in open_:
+        if not rises[i]:
+            prop, t, c, h = batch[i]
             out.append({"property": prop, "trial": t,
                         "graph": graph6.encode(_path_graph(c.n, c.path)),
                         **({"sub": graph6.encode(h), "whole": c.radius,
-                            "part": q1} if prop == "proper_subgraph"
-                           else {"before": c.radius, "after": q1})})
+                            "part": radii[i]} if prop == "proper_subgraph"
+                           else {"before": c.radius, "after": radii[i]})})
     return out
 
 

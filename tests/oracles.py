@@ -906,18 +906,26 @@ def rank_by_sort(radii, graph, lower, upper):
     return best, second, gap, tie
 
 
+def fraction_rayleigh(edges, y):
+    """The Rayleigh quotient y^T Q y / y^T y of Q of the graph with these
+    (u, v) edges at a nonzero float vector y read as exact rationals, from
+    y^T Q y = sum over edges of (y_u + y_v)^2."""
+    x = [Fraction(v) for v in y]
+    return (sum((x[u] + x[v]) ** 2 for u, v in edges)
+            / sum(v * v for v in x))
+
+
 def fraction_radius_bounds(n, edges, y):
     """For Q of the graph on n vertices with these (u, v) edges and a float
     vector y read as exact rationals: the Rayleigh quotient of
-    y+ = max(y, 0), from x^T Q x = sum over edges of (x_u + x_v)^2, and the
-    Collatz-Wielandt maximum max_v (Q y)_v / y_v, or None unless y > 0."""
+    y+ = max(y, 0) (`fraction_rayleigh`), and the Collatz-Wielandt maximum
+    max_v (Q y)_v / y_v, or None unless y > 0."""
     x = [Fraction(max(v, 0.0)) for v in y]
     nbrs = [[] for _ in range(n)]
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    rayleigh = (sum((x[u] + x[v]) ** 2 for u, v in edges)
-                / sum(v * v for v in x))
+    rayleigh = fraction_rayleigh(edges, [max(v, 0.0) for v in y])
     if min(y) <= 0:
         return rayleigh, None
     return rayleigh, max((len(nbrs[v]) * x[v] + sum(x[w] for w in nbrs[v]))

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from cactiq import spectra
-from cactiq.enumeration import enumerate_cacti
+from cactiq.enumeration import classes, enumerate_cacti
 from cactiq.families import build_H, build_L, extremal_answer
 from cactiq.graph import from_edges, is_connected
 from cactiq.polynomials import IntPolynomial, count_roots
 from cactiq.spectra import (_exact_traces, _top_eigenpairs, char_poly,
                             char_polys, graph_radius, signless_laplacian,
                             spectral_radius, stacked_eigenpairs)
-from cactiq.transforms import shift_neighbors
+from cactiq.transforms import _contracted, _shifted, shift_neighbors
 from oracles import (faddeev_leverrier, fraction_radius_bounds,
-                     guarded_exact_powers, packed_char_poly,
-                     q_stack_by_values)
+                     fraction_rayleigh, guarded_exact_powers,
+                     packed_char_poly, q_stack_by_values)
 
 C3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
@@ -287,6 +287,141 @@ class TestRadiusBounds:
             lower, upper = spectra._bounds(q, vec, 2 * vec)
             assert lower.tolist() == [2 * (1 - (3 * n + 1) * 2.0 ** -52)]
             assert upper.tolist() == [2 * (1 + (2 * n + 2) * 2.0 ** -52)]
+
+
+def surgery_steps(n):
+    """Every single-neighbour shift meeting the monotonicity draw's Perron
+    condition x_v <= x_u + 1e-12 and every admissible `contract_pend` of
+    every class of order n, as (property, the class's `Surgery` entry,
+    sorted result edges)."""
+    for c in classes(n).surgery:
+        adj, x = c.adj, c.perron
+        for v in range(n):
+            for u in range(n):
+                if u != v and x[v] <= x[u] + 1e-12:
+                    for w in sorted(adj[v] - adj[u] - {u}):
+                        yield "neighbor_shift", c, sorted(
+                            _shifted(adj, c.edges, v, u, [w]))
+        for u, v in c.edges:
+            if len(adj[u]) > 1 < len(adj[v]) and not adj[u] & adj[v]:
+                yield "contract_pend", c, sorted(
+                    _contracted(adj, c.edges, u, v))
+
+
+def check_power_step(n):
+    """Bound every `surgery_steps` result of order n from its class's Perron
+    row, assert each bound at most the result's eigensolved upper bound and
+    the exact Rayleigh quotient of the same float y, and return the
+    (instances, certified rises) of each property."""
+    steps = list(surgery_steps(n))
+    edges = [h for _, _, h in steps]
+    rows = np.array([c.perron for _, c, _ in steps]).reshape(-1, n)
+    bounds = spectra.power_step_lower(n, edges, rows)
+    upper = stacked_eigenpairs(n, len(edges), edges)[3]
+    ys = spectra._power_step(n, spectra._edge_index(edges), rows)
+    counts = {"neighbor_shift": [0, 0], "contract_pend": [0, 0]}
+    for (prop, c, h), b, up, y in zip(steps, bounds.tolist(), upper.tolist(),
+                                      ys.tolist()):
+        assert b <= up and b <= fraction_rayleigh(h, y), (prop, h)
+        counts[prop][0] += 1
+        counts[prop][1] += b > c.upper
+    return {prop: tuple(pair) for prop, pair in counts.items()}
+
+
+def power_step(n, graphs, rows):
+    """`power_step_lower` of graphs' edges and rows, as a list, with the
+    float vectors y = Q x it took the quotient of."""
+    edges = [sorted(g) for g in graphs]
+    x = np.array(rows, dtype=float).reshape(-1, n)
+    y = spectra._power_step(n, spectra._edge_index(edges), x)
+    return spectra.power_step_lower(n, edges, x).tolist(), y.tolist()
+
+
+class TestPowerStepLower:
+    """The one-power-step Rayleigh bound from a class's Perron row against
+    the eigensolved upper bound and the exact quotient of its float y."""
+
+    # (shifts, contractions) at each order, every one certified
+    SURGERIES = {3: (0, 0), 4: (12, 5), 5: (53, 13), 6: (250, 47),
+                 7: (1024, 161)}
+
+    @pytest.mark.parametrize("n", sorted(SURGERIES))
+    def test_every_surgery_certified_and_sound(self, n):
+        shifts, contracts = self.SURGERIES[n]
+        assert check_power_step(n) == {"neighbor_shift": (shifts, shifts),
+                                       "contract_pend": (contracts, contracts)}
+
+    def test_step_equals_q_times_x(self):
+        rng = random.Random(4)
+        graphs = [random_connected(rng, 9) for _ in range(20)]
+        x = np.array([[rng.random() for _ in range(9)] for _ in graphs])
+        y = spectra._power_step(9, spectra._edge_index(
+            [g.edges for g in graphs]), x)
+        want = [q_by_hand(g) @ row for g, row in zip(graphs, x)]
+        assert np.allclose(y, want, rtol=1e-14, atol=0)
+
+    def test_entries_spread_to_2_pow_minus_499(self):
+        # rows whose entries span 2^-499..1, on random connected graphs and
+        # cacti: each bound at most the exact quotient and within 2^-40 of it
+        rng = random.Random(11)
+        for n in (2, 3, 5, 9, 16):
+            graphs = [random_connected(rng, n) for _ in range(10)]
+            if n <= 9:
+                cacti = enumerate_cacti(n)
+                graphs += rng.sample(cacti, min(10, len(cacti)))
+            rows = [[2.0 ** -rng.uniform(0, 499) for _ in range(n)]
+                    for _ in graphs]
+            rows[0] = [2.0 ** -499] * (n - 1) + [1.0]
+            bounds, ys = power_step(n, [g.edges for g in graphs], rows)
+            for g, b, y in zip(graphs, bounds, ys):
+                exact = fraction_rayleigh(g.edges, y)
+                assert exact * (1 - 2.0 ** -40) <= b <= exact, (g, b)
+
+    def test_stars_and_paths_to_order_64(self):
+        # from each graph's own Perron row and from a constant row: at most
+        # the exact quotient and the eigensolved upper bound, and from the
+        # Perron row within 1e-12 of the radius
+        for n in range(2, 65):
+            graphs = [from_edges(n, [(0, v) for v in range(1, n)]),
+                      from_edges(n, [(v, v + 1) for v in range(n - 1)])]
+            radius, perron, _, upper = stacked(graphs)
+            for rows in (perron, np.full((2, n), n ** -0.5)):
+                bounds, ys = power_step(n, [g.edges for g in graphs], rows)
+                for g, b, y, q, up in zip(graphs, bounds, ys, radius, upper):
+                    assert b <= up and b <= fraction_rayleigh(g.edges, y), g
+                    if rows is perron:
+                        assert b == pytest.approx(q, rel=1e-12)
+
+    def test_shift_isolating_a_vertex(self):
+        # P4's shift of vertex 1 from 0 to 3 leaves 0 isolated, so y_0 = 0;
+        # the bound still certifies the rise to q(K3 + K1) = 4
+        p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        h = shift_neighbors(p4, 0, 3, [1])
+        _, perron, _, upper = stacked([p4])
+        (b,), (y,) = power_step(4, [h.edges], perron)
+        assert y[0] == 0
+        assert upper[0] < b <= fraction_rayleigh(h.edges, y) <= 4
+
+    @pytest.mark.parametrize("entry", [2.0 ** -501, 0.0, -1e-17, 1.5])
+    def test_entry_outside_the_range_gives_no_certificate(self, entry):
+        # an entry below 2^-500 (or above 1) gives -inf, 2^-500 itself a
+        # bound; so does an empty edge list
+        c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        row = [0.5, 0.5, 0.5, 0.5]
+        bounds, _ = power_step(4, [c4, c4, c4, []], [
+            row[:3] + [entry], row[:3] + [2.0 ** -500], row, row])
+        assert bounds[0] == bounds[3] == -math.inf
+        assert 0 < bounds[1] < bounds[2] <= 4
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_class_and_its_subgraphs_never_certified(self, n):
+        # a "result" equal to its class, and a class less one cycle edge
+        # passed as a shift, from the class's row: never above its upper
+        for c in classes(n).surgery:
+            graphs = [c.edges] + [[e for e in c.edges if e != cut]
+                                  for cut in c.edges if cut not in c.bridges]
+            bounds, _ = power_step(n, graphs, [c.perron] * len(graphs))
+            assert max(bounds) <= c.upper, c.path
 
 
 class TestCharPoly:

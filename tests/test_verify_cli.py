@@ -562,9 +562,10 @@ class TestMonotonicity:
         enumeration._level.cache_clear()
         verify_monotonicity(200, 42)
         assert len(calls) < 30
-        # six order tables (n = 3..8) plus the surgery results, no stack
-        # larger than a slice
-        assert sum(calls) == sum(map(len, map(enumerate_cacti, range(3, 9)))) + 600
+        # six order tables (n = 3..8) plus the 200 proper subgraphs, no
+        # stack larger than a slice: the power step from the class's Perron
+        # row certifies every neighbour shift and contraction without a solve
+        assert sum(calls) == sum(map(len, map(enumerate_cacti, range(3, 9)))) + 200
         assert max(calls) <= spectra.RADII_SLICE
 
     def test_violations_in_trial_and_property_order(self, monkeypatch, widen):
@@ -572,11 +573,22 @@ class TestMonotonicity:
         # exact comparison stubbed to a tie makes each one a violation, so
         # the report lists every instance; one graph_radius call per radius
         # is the oracle, and each drawn surgery result is the public
-        # surgery's on the class's Graph
+        # surgery's on the class's Graph.  A widened class's upper bound is
+        # +inf, so no power-step bound certifies a shift or contraction
         widen()
         monkeypatch.setattr(verify, "compare_largest_roots", lambda p, q: 0)
         monkeypatch.setattr(spectra, "RADII_SLICE", 7)  # several batches
+        stepped, step = [], verify.power_step_lower
+
+        def stepping(*args):
+            bounds = step(*args)
+            stepped.extend(bounds.tolist())
+            return bounds
+
+        monkeypatch.setattr(verify, "power_step_lower", stepping)
         got = verify_monotonicity(trials=12, seed=9).counterexamples
+        assert len(stepped) == 24 and all(math.isfinite(b) for b in stepped)
+        assert len(got) == 36
         rng, want = random.Random(9), []
         for t in range(12):
             c, h, plan = verify._draw_shift_instance(rng)
@@ -649,15 +661,21 @@ class TestMonotonicity:
              "graph": graph6.encode(g), "sub": graph6.encode(g),
              "whole": c.radius, "part": q}]
 
-    @pytest.mark.parametrize("seed", [1, 7, 42, 81, 90])
+    @pytest.mark.parametrize("seed", sorted({*range(21), 42, 81, 90}))
     def test_every_comparison_certified(self, monkeypatch, seed):
         # every one of the 600 comparisons is decided by the bounds alone,
-        # the neighbour shifts that isolate a vertex among them
+        # the neighbour shifts that isolate a vertex among them: each shift
+        # and contraction by the power step, so only the 200 proper
+        # subgraphs are solved
         def refuse(p, q):
             raise AssertionError("a monotonicity comparison went exact")
 
+        solved, solve = [], verify.stacked_eigenpairs
         monkeypatch.setattr(verify, "compare_largest_roots", refuse)
+        monkeypatch.setattr(verify, "stacked_eigenpairs", lambda *args: (
+            solved.append(args[1]) or solve(*args)))
         assert verify_monotonicity(200, seed).passed
+        assert sum(solved) == 200
 
     def test_subgraph_draw_equals_edge_trial_oracle(self):
         # the cycle-edge pick against building and testing each edge in turn:
