@@ -33,10 +33,11 @@ Its blocks (`_path_blocks`), edge list (`_path_edges`), matching number,
 pendant count, graph6 string and `Graph` (`_path_graph`) are all read off
 the path, and no table holds a `Graph`.  Each order has one table, a
 `Level`, held by the one cache `_level(n)`; `classes(n)` is the guarded way
-in.  What the monotonicity draws read of a class (`Surgery`) is derived
-on the `Level` too, once per order, not once per draw.  A filter selects
-the union of the (matching number, pendant count) groups it admits, so a
-filter that no class meets selects nothing.
+in.  What the monotonicity draws read of a class (`Surgery`), its tables of
+admissible surgeries among them, is derived on the `Level` too, once per
+order, not once per draw.  A filter selects the union of the (matching
+number, pendant count) groups it admits, so a filter that no class meets
+selects nothing.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 
+import numpy as np
+
 from .graph import (MAX_ORDER, Graph, _block_code, _peel, _peel_matching,
                     as_index)
 from .graph6 import _edge_bits, _pack
-from .spectra import stacked_eigenpairs
+from .spectra import _edge_index, stacked_eigenpairs
 
 MAX_N = 14
 
@@ -262,11 +265,18 @@ def _path_group(n: int, path: bytes) -> tuple:
 @dataclass(frozen=True, slots=True)
 class Surgery:
     """What the monotonicity surgeries read of one class of order n, all
-    derived from its build path: its edges, sorted (the order a draw
-    shuffles), its neighbour sets, its Q-radius with the rigorous lower and
-    upper bounds that certify a comparison with it, its Perron row, its
-    one-edge blocks as (v, size) pairs, and the vertices in one block only
-    (`_block_counts`)."""
+    derived from its build path: its edges, sorted, its neighbour sets, its
+    Q-radius with the rigorous lower and upper bounds that certify a
+    comparison with it, its Perron row x, a table of each surgery's
+    admissible moves, from which a draw picks by index, and the vertices in
+    one block only (`_block_counts`), which a vertex deletion picks from.
+
+    `shifts` has one `bytes` row per vertex v with a neighbour-shift
+    target, ascending, v first, then its targets u ascending: u != v,
+    x_v <= x_u + 1e-12, and v has a neighbour other than u that u lacks.
+    `contracts` are the sorted edges with no pendant end whose ends share
+    no neighbour, and `cycle_edges` the sorted edges on a cycle (in no
+    one-edge block)."""
     n: int
     path: bytes
     edges: tuple
@@ -275,8 +285,41 @@ class Surgery:
     lower: float
     upper: float
     perron: tuple
-    bridges: frozenset
+    shifts: tuple
+    contracts: tuple
+    cycle_edges: tuple
     ends: tuple
+
+
+def _shift_rows(n: int, edge_lists, perron) -> list:
+    """The `Surgery.shifts` of each class of order n with these edge lists
+    and Perron rows (an (N, n) array), in turn, solved for the whole order
+    at once.
+
+    u is a target of v when x_v <= x_u + 1e-12 and v has a neighbour
+    outside u's closed neighbourhood, that is, when deg v exceeds the
+    (v, u) entry of A(A + I), the number of v's neighbours inside it.  The
+    (v, v) entry is deg v, so u = v is never a target.  The rows are
+    written into one byte string, each as v, its targets and a 255, with a
+    254 in every other place (a vertex that is no target, or all of a row
+    with none), and split once the 254s are deleted.  The Perron test on
+    float64 arrays gives the same answers as on Python floats, and the int8
+    counts are at most deg v < `MAX_N`, so they cannot wrap."""
+    k, u, v = _edge_index(edge_lists)
+    a = np.zeros((len(edge_lists), n, n), dtype=np.int8)
+    a[k, u, v] = a[k, v, u] = 1
+    inside = a @ (a + np.eye(n, dtype=np.int8))
+    moves = ((perron[:, :, None] <= perron[:, None, :] + 1e-12)
+             & (inside.diagonal(axis1=1, axis2=2)[:, :, None] > inside))
+    has = moves.any(axis=2)
+    verts = np.arange(n, dtype=np.uint8)
+    table = np.empty((len(edge_lists), n, n + 2), dtype=np.uint8)
+    table[:, :, 0] = np.where(has, verts, 254)
+    table[:, :, 1:-1] = np.where(moves, verts, 254)
+    table[:, :, -1] = np.where(has, 255, 254)
+    rows = table.tobytes().translate(None, b"\xfe").split(b"\xff")
+    ends = np.cumsum(has.sum(axis=1)).tolist()
+    return [tuple(rows[s:e]) for s, e in zip([0, *ends], ends)]
 
 
 class Level:
@@ -345,22 +388,29 @@ class Level:
     @cached_property
     def surgery(self) -> tuple:
         """Every class's `Surgery`, by position; the radius, its bounds and
-        the Perron row are `spectra`'s, as Python floats."""
+        the Perron row are `spectra`'s, as Python floats, and the shift rows
+        are `_shift_rows`' from the same Perron rows."""
         n, paths = self._n, self.paths
         radii, rows, lowers, uppers = (a.tolist() for a in self.spectra)
+        edge_lists = [tuple(sorted(_path_edges(n, paths[i])))
+                      for i in self._order]
         out = []
-        for pos, i in enumerate(self._order):
-            edges = _path_edges(n, paths[i])
+        for pos, (i, edges, shifts) in enumerate(zip(
+                self._order, edge_lists,
+                _shift_rows(n, edge_lists, self.spectra[1]))):
             adj = [set() for _ in range(n)]
             for u, v in edges:
                 adj[u].add(v)
                 adj[v].add(u)
             blocks = _path_blocks(n, paths[i])
+            bridges = {tuple(b) for b in blocks if len(b) == 2}
             count = _block_counts(n, blocks)
             out.append(Surgery(
-                n, paths[i], tuple(sorted(edges)), tuple(map(frozenset, adj)),
-                radii[pos], lowers[pos], uppers[pos], tuple(rows[pos]),
-                frozenset(tuple(b) for b in blocks if len(b) == 2),
+                n, paths[i], edges, tuple(map(frozenset, adj)),
+                radii[pos], lowers[pos], uppers[pos], tuple(rows[pos]), shifts,
+                tuple((u, v) for u, v in edges if len(adj[u]) > 1 < len(adj[v])
+                      and not adj[u] & adj[v]),
+                tuple(e for e in edges if e not in bridges),
                 tuple(v for v in range(n) if count[v] == 1)))
         return tuple(out)
 

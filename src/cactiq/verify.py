@@ -18,9 +18,13 @@ near set from its classes' build paths, the uncertified monotonicity
 instances from their edges, and `check-formulas` from the family members'
 generated edges, each in one `char_polys` call; a `Graph` is built only for
 a maximizer.  The monotonicity runs draw each class as its order's
-`Level.surgery` entry, its edges, neighbour sets, one-edge blocks and
-one-block vertices derived once per order, and run `transforms`' internals
-on those sets.  The results are taken RADII_SLICE instances at a time.
+`Level.surgery` entry, its edges, neighbour sets, admissible-move tables
+and one-block vertices derived once per order, pick each surgery by one
+uniform index into a table (a neighbour shift by a row, then a target in
+it), and run `transforms`' internals on those sets.  That is the law of
+taking the first admissible element of a uniform shuffle, which is a
+uniform pick from the admissible set.  The results are taken RADII_SLICE
+instances at a time.
 Each neighbour shift and contraction is first bounded below by one power
 step from its class's Perron row, one `power_step_lower` call per order;
 the proper subgraphs and any result whose rise that bound leaves
@@ -307,50 +311,43 @@ def _random_cactus(rng: random.Random):
 def _draw_shift_instance(rng: random.Random):
     """A class's `Surgery` entry, the shifted Graph and its plan
     (v, u, moved), meeting the neighbor-shift hypotheses and the
-    Perron-label condition x_v <= x_u; invalid draws are redrawn."""
-    while True:
+    Perron-label condition x_v <= x_u: a uniform row of the class's
+    `shifts`, its v, and a uniform target u in it, then a sample of a
+    uniform size of v's neighbours that u lacks; a class with no row is
+    redrawn."""
+    c = _random_cactus(rng)
+    while not c.shifts:
         c = _random_cactus(rng)
-        n, adj, x = c.n, c.adj, c.perron
-        verts = list(range(n))
-        rng.shuffle(verts)
-        for v in verts:
-            us = [u for u in range(n) if u != v and x[v] <= x[u] + 1e-12]
-            rng.shuffle(us)
-            for u in us:
-                cands = sorted(adj[v] - adj[u] - {u})
-                if not cands:
-                    continue
-                moved = rng.sample(cands, rng.randint(1, len(cands)))
-                h = Graph(n, frozenset(_shifted(adj, c.edges, v, u, moved)))
-                return c, h, (v, u, moved)
+    row = rng.choice(c.shifts)
+    v, u, adj = row[0], rng.choice(row[1:]), c.adj
+    cands = sorted(adj[v] - adj[u] - {u})
+    moved = rng.sample(cands, rng.randint(1, len(cands)))
+    h = Graph(c.n, frozenset(_shifted(adj, c.edges, v, u, moved)))
+    return c, h, (v, u, moved)
 
 
 def _draw_contract_instance(rng: random.Random):
     """A class's `Surgery` entry, the contracted Graph and its edge (u, v),
-    not pendant, whose endpoints share no neighbor."""
-    while True:
+    not pendant, whose endpoints share no neighbor, uniform among the
+    class's `contracts`; a class with none is redrawn."""
+    c = _random_cactus(rng)
+    while not c.contracts:
         c = _random_cactus(rng)
-        adj, shuffled = c.adj, list(c.edges)
-        rng.shuffle(shuffled)
-        for u, v in shuffled:
-            if len(adj[u]) == 1 or len(adj[v]) == 1 or adj[u] & adj[v]:
-                continue
-            h = Graph(c.n, frozenset(_contracted(adj, c.edges, u, v)))
-            return c, h, (u, v)
+    u, v = rng.choice(c.contracts)
+    h = Graph(c.n, frozenset(_contracted(c.adj, c.edges, u, v)))
+    return c, h, (u, v)
 
 
 def _draw_subgraph_instance(rng: random.Random):
-    """A class's `Surgery` entry and H, a proper connected subgraph: the
-    class less the first cycle edge in a shuffled edge order (deleting an
-    edge leaves a cactus connected iff it lies on a cycle, that is, it is no
-    one-edge block), or less a vertex in one block only, which every cactus
-    on two or more vertices has."""
+    """A class's `Surgery` entry and H, a proper connected subgraph: on a
+    fair coin the class less a uniform one of its `cycle_edges` (deleting
+    an edge leaves a cactus connected iff it lies on a cycle), when it has
+    one, and otherwise less a uniform vertex in one block only, which every
+    cactus on two or more vertices has."""
     c = _random_cactus(rng)
     n, edges = c.n, c.edges
-    if rng.random() < 0.5 and len(edges) > n - 1:
-        shuffled = list(c.edges)
-        rng.shuffle(shuffled)
-        e = next(e for e in shuffled if e not in c.bridges)
+    if rng.random() < 0.5 and c.cycle_edges:
+        e = rng.choice(c.cycle_edges)
         return c, Graph(n, frozenset(x for x in edges if x != e))
     v = rng.choice(c.ends)
     return c, Graph(n - 1, frozenset(

@@ -769,37 +769,33 @@ def list_quotient_eigenvalues(spec):
 
 def subgraph_instance_by_trial(rng):
     """The proper-subgraph draw of `verify._draw_subgraph_instance`, on the
-    class's Graph: the edge found by trial (delete each edge of the shuffled
-    list in turn, build the rest and keep the first that is still
-    connected), the cut vertices from the biconnected blocks, and the vertex
-    deleted by relabelling the kept vertices in order.  Only the class draw
-    is the library's own."""
+    class's Graph: the cycle edges found by trial (delete each edge of the
+    sorted list in turn, build the rest and keep the edge when it is still
+    connected), one drawn by index, the cut vertices from the biconnected
+    blocks, and the vertex deleted by relabelling the kept vertices in
+    order.  Only the class draw is the library's own."""
     from cactiq import enumeration, verify
-    while True:
-        drawn = verify._random_cactus(rng)
-        n, path, q0 = drawn.n, drawn.path, drawn.radius
-        g = enumeration._path_graph(n, path)
-        if rng.random() < 0.5 and g.size > g.order - 1:
-            edges = sorted(g.edges)
-            rng.shuffle(edges)
-            for e in edges:
-                h = from_edges(g.order, [x for x in edges if x != e])
-                if is_connected(h):
-                    return n, path, q0, h
-        cuts = block_decomposition(g).cut_vertices
-        options = [v for v in range(g.order) if v not in cuts]
-        if g.order >= 3 and options:
-            v = rng.choice(options)
-            keep = {w: i for i, w in enumerate(x for x in range(n) if x != v)}
-            return n, path, q0, from_edges(n - 1, [
-                (keep[a], keep[b]) for a, b in g.edges if v not in (a, b)])
+    drawn = verify._random_cactus(rng)
+    n, path, q0 = drawn.n, drawn.path, drawn.radius
+    g = enumeration._path_graph(n, path)
+    edges = sorted(g.edges)
+    cycle = [e for e in edges
+             if is_connected(from_edges(n, [x for x in edges if x != e]))]
+    if rng.random() < 0.5 and cycle:
+        e = cycle[rng.randrange(len(cycle))]
+        return n, path, q0, from_edges(n, [x for x in edges if x != e])
+    cuts = block_decomposition(g).cut_vertices
+    v = rng.choice([v for v in range(n) if v not in cuts])
+    keep = {w: i for i, w in enumerate(x for x in range(n) if x != v)}
+    return n, path, q0, from_edges(n - 1, [
+        (keep[a], keep[b]) for a, b in g.edges if v not in (a, b)])
 
 
 def random_cactus_by_path(rng):
     """`verify._random_cactus` as each draw derived its class before the
     per-order surgery table: (n, path, edge list, neighbour sets, radius,
-    Perron row), read off the drawn class's build path and the order's
-    `Level.spectra`."""
+    Perron row as floats), read off the drawn class's build path and the
+    order's `Level.spectra`."""
     from cactiq import enumeration
     n = rng.randint(3, 8)
     level = enumeration.classes(n)
@@ -810,57 +806,86 @@ def random_cactus_by_path(rng):
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    return n, path, edges, adj, float(level.spectra[0][i]), level.spectra[1][i]
+    return (n, path, edges, adj, float(level.spectra[0][i]),
+            level.spectra[1][i].tolist())
+
+
+# What the monotonicity draws search in a class, each as the shuffle rule
+# tested it before the per-class move tables: the rule took the first
+# admissible element of a shuffled vertex list, of a vertex's shuffled
+# Perron-admissible targets, or of the shuffled sorted edges.
+
+def perron_targets(n, x, v) -> list:
+    """The vertices u != v with x_v <= x_u + 1e-12, ascending."""
+    return [u for u in range(n) if u != v and x[v] <= x[u] + 1e-12]
+
+
+def shift_rows_by_rule(n, adj, x) -> list:
+    """(v, its targets ascending) for each vertex v, ascending, with a
+    Perron-admissible target u that lacks a neighbour of v other than u."""
+    rows = [(v, [u for u in perron_targets(n, x, v) if adj[v] - adj[u] - {u}])
+            for v in range(n)]
+    return [(v, us) for v, us in rows if us]
+
+
+def contracts_by_rule(edges, adj) -> list:
+    """The sorted edges with no pendant end whose ends share no neighbour."""
+    return [(u, v) for u, v in sorted(edges)
+            if len(adj[u]) != 1 and len(adj[v]) != 1 and not adj[u] & adj[v]]
+
+
+def cycle_edges_by_blocks(n, path) -> list:
+    """The sorted edges of the class built along path that are not a
+    one-edge block of its path blocks."""
+    from cactiq.enumeration import _path_edges
+    bridges = {tuple(b) for b in _path_blocks(n, path) if len(b) == 2}
+    return [e for e in sorted(_path_edges(n, path)) if e not in bridges]
 
 
 def shift_instance_by_path(rng):
-    """`verify._draw_shift_instance` on `random_cactus_by_path`'s derivation."""
+    """`verify._draw_shift_instance` on `random_cactus_by_path`'s derivation
+    and `shift_rows_by_rule`: a class with no row is redrawn, then a row and
+    a target in it are drawn by index."""
     from cactiq.transforms import _shifted
     while True:
         n, path, edges, adj, q0, x = random_cactus_by_path(rng)
-        x = x.tolist()
-        verts = list(range(n))
-        rng.shuffle(verts)
-        for v in verts:
-            us = [u for u in range(n) if u != v and x[v] <= x[u] + 1e-12]
-            rng.shuffle(us)
-            for u in us:
-                cands = sorted(adj[v] - adj[u] - {u})
-                if not cands:
-                    continue
-                moved = rng.sample(cands, rng.randint(1, len(cands)))
-                h = Graph(n, frozenset(_shifted(adj, edges, v, u, moved)))
-                return n, path, q0, h, (v, u, moved)
+        rows = shift_rows_by_rule(n, adj, x)
+        if rows:
+            break
+    v, us = rows[rng.randrange(len(rows))]
+    u = us[rng.randrange(len(us))]
+    cands = sorted(adj[v] - adj[u] - {u})
+    moved = rng.sample(cands, rng.randint(1, len(cands)))
+    h = Graph(n, frozenset(_shifted(adj, edges, v, u, moved)))
+    return n, path, q0, h, (v, u, moved)
 
 
 def contract_instance_by_path(rng):
     """`verify._draw_contract_instance` on `random_cactus_by_path`'s
-    derivation."""
+    derivation and `contracts_by_rule`: a class with none is redrawn, then
+    an edge is drawn by index."""
     from cactiq.transforms import _contracted
     while True:
         n, path, edges, adj, q0, _ = random_cactus_by_path(rng)
-        shuffled = sorted(edges)
-        rng.shuffle(shuffled)
-        for u, v in shuffled:
-            if len(adj[u]) == 1 or len(adj[v]) == 1 or adj[u] & adj[v]:
-                continue
-            h = Graph(n, frozenset(_contracted(adj, edges, u, v)))
-            return n, path, q0, h, (u, v)
+        contracts = contracts_by_rule(edges, adj)
+        if contracts:
+            break
+    u, v = contracts[rng.randrange(len(contracts))]
+    h = Graph(n, frozenset(_contracted(adj, edges, u, v)))
+    return n, path, q0, h, (u, v)
 
 
 def subgraph_instance_by_path(rng):
     """`verify._draw_subgraph_instance` on `random_cactus_by_path`'s
-    derivation, the blocks and block counts read off the path per draw."""
-    from cactiq.enumeration import _block_counts, _path_blocks
+    derivation, the cycle edges (`cycle_edges_by_blocks`) and the block
+    counts read off the path per draw."""
+    from cactiq.enumeration import _block_counts
     n, path, edges, _, q0, _ = random_cactus_by_path(rng)
-    blocks = _path_blocks(n, path)
-    if rng.random() < 0.5 and len(edges) > n - 1:
-        shuffled = sorted(edges)
-        rng.shuffle(shuffled)
-        bridges = {tuple(b) for b in blocks if len(b) == 2}
-        e = next(e for e in shuffled if e not in bridges)
+    cycle = cycle_edges_by_blocks(n, path)
+    if rng.random() < 0.5 and cycle:
+        e = cycle[rng.randrange(len(cycle))]
         return n, path, q0, Graph(n, frozenset(x for x in edges if x != e))
-    count = _block_counts(n, blocks)
+    count = _block_counts(n, _path_blocks(n, path))
     v = rng.choice([v for v in range(n) if count[v] == 1])
     return n, path, q0, Graph(n - 1, frozenset(
         (a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b)))

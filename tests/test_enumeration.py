@@ -18,8 +18,9 @@ from cactiq.graph import (_cactus_blocks, _cactus_code, _peel, _peel_matching,
 from cactiq.spectra import stacked_eigenpairs
 
 from oracles import (attach_scan, cactus_counts, check_block_order,
-                     extensions, oracle_cacti, scanned_level,
-                     scanned_positions)
+                     contracts_by_rule, cycle_edges_by_blocks, extensions,
+                     oracle_cacti, scanned_level, scanned_positions,
+                     shift_rows_by_rule)
 
 # counts of non-isomorphic cacti on n vertices (trees included)
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 23, 7: 63, 8: 188, 9: 596,
@@ -445,7 +446,8 @@ class TestPaths:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_surgery_table_equals_per_draw_derivation(self, n):
         # each entry is what a monotonicity draw derived from the class's
-        # path before the table, and its radius, radius bounds and Perron
+        # path before the table, its move tables are the sets the draws'
+        # shuffle rule searched, and its radius, radius bounds and Perron
         # row are the order's spectra bit for bit
         level = enumeration._level(n)
         radius, perron, lower, upper = level.spectra
@@ -462,8 +464,13 @@ class TestPaths:
             assert (entry.n, entry.path) == (n, path)
             assert entry.edges == tuple(sorted(edges))
             assert list(entry.adj) == adj
-            assert entry.bridges == {tuple(b) for b in blocks if len(b) == 2}
+            x = perron[pos].tolist()
+            assert entry.shifts == tuple(bytes((v, *us)) for v, us
+                                         in shift_rows_by_rule(n, adj, x))
+            assert list(entry.contracts) == contracts_by_rule(edges, adj)
+            assert list(entry.cycle_edges) == cycle_edges_by_blocks(n, path)
             assert list(entry.ends) == [v for v in range(n) if count[v] == 1]
+            assert entry.perron == tuple(x)
             assert type(entry.radius) is float
             assert entry.radius.hex() == float(radius[pos]).hex()
             assert entry.lower.hex() == float(lower[pos]).hex()

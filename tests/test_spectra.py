@@ -419,7 +419,7 @@ class TestPowerStepLower:
         # passed as a shift, from the class's row: never above its upper
         for c in classes(n).surgery:
             graphs = [c.edges] + [[e for e in c.edges if e != cut]
-                                  for cut in c.edges if cut not in c.bridges]
+                                  for cut in c.cycle_edges]
             bounds, _ = power_step(n, graphs, [c.perron] * len(graphs))
             assert max(bounds) <= c.upper, c.path
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -7,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,12 +17,13 @@ from cactiq import (cli, enumeration, families, graph6, polynomials, spectra,
                     verify)
 from cactiq.cli import main
 from cactiq.enumeration import CactusFilter, classes, enumerate_cacti
+from cactiq.graph import from_edges, is_connected
 from cactiq.spectra import graph_radius
 from cactiq.transforms import contract_pend, shift_neighbors
 from cactiq.verify import (rank_certified, verify_conjecture11_negative,
                            verify_extremal, verify_formulas,
                            verify_monotonicity)
-from oracles import (contract_instance_by_path, rank_by_sort,
+from oracles import (contract_instance_by_path, perron_targets, rank_by_sort,
                      shift_instance_by_path, subgraph_instance_by_path,
                      subgraph_instance_by_trial)
 
@@ -541,6 +544,62 @@ def _sha(report):
     return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
+# (single-neighbour shifts, contractions) in the move tables of each order:
+# every target u of a row of v counts once per neighbour of v that u lacks
+# (the same counts as the power-step check, `TestPowerStepLower.SURGERIES`)
+MOVE_TABLE_SIZES = {3: (0, 0), 4: (12, 5), 5: (53, 13), 6: (250, 47),
+                    7: (1024, 161), 8: (4627, 602)}
+
+
+def check_move_tables(n):
+    """Assert that each class of order n has as its `Surgery` move tables
+    the sets the draws' shuffle rule searched, derived from the class's
+    path: the shift pairs (v, u), the contractions and the cycle edges,
+    these found by deleting each sorted edge and testing connectivity; the
+    rows and targets ascending, each once.  Return the (single-neighbour
+    shifts, contractions) of the order."""
+    level = classes(n)
+    perron = level.spectra[1].tolist()
+    shifts = contracts = 0
+    for pos, c in enumerate(level.surgery):
+        edges = sorted(enumeration._path_edges(n, level.path(pos)))
+        adj = [{b for a, b in edges if a == v} | {a for a, b in edges if b == v}
+               for v in range(n)]
+        x = perron[pos]
+        pairs = {(v, u) for v in range(n) for u in perron_targets(n, x, v)
+                 if adj[v] - adj[u] - {u}}
+        rows = [(row[0], list(row[1:])) for row in c.shifts]
+        assert [v for v, _ in rows] == sorted({v for v, _ in pairs})
+        assert all(us == sorted(set(us)) for _, us in rows)
+        assert {(v, u) for v, us in rows for u in us} == pairs
+        assert list(c.contracts) == [
+            (u, v) for u, v in edges if len(adj[u]) > 1 < len(adj[v])
+            and not adj[u] & adj[v]]
+        assert list(c.cycle_edges) == [e for e in edges if is_connected(
+            from_edges(n, [f for f in edges if f != e]))]
+        shifts += sum(len(adj[v] - adj[u] - {u}) for v, u in pairs)
+        contracts += len(c.contracts)
+    return shifts, contracts
+
+
+def first_hits(items, admissible) -> Counter:
+    """How often each element of items is the first admissible one of a
+    permutation of them, over all permutations; None counts those with
+    none."""
+    return Counter(next((x for x in perm if admissible(x)), None)
+                   for perm in itertools.permutations(items))
+
+
+def assert_uniform(hits, entries):
+    """hits (`first_hits`) spread evenly over entries, or all on None when
+    there are none."""
+    total = sum(hits.values())
+    if not entries:
+        assert hits == {None: total}
+    else:
+        assert hits == {e: total // len(entries) for e in entries}
+
+
 class TestMonotonicity:
     @pytest.mark.parametrize("trials, seed", sorted(MONOTONICITY_PINS))
     def test_pinned_reports(self, trials, seed):
@@ -701,6 +760,44 @@ class TestMonotonicity:
             c, *rest = draw(rng)
             assert (c.n, c.path, c.radius, *rest) == oracle(ref)
             assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", sorted(MOVE_TABLE_SIZES))
+    def test_move_tables_are_the_shuffle_rule_supports(self, n):
+        assert check_move_tables(n) == MOVE_TABLE_SIZES[n]
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_table_draw_has_the_shuffle_law(self, n):
+        # the draws picked the first admissible element of a uniform
+        # shuffle: a vertex of a shuffled vertex list with a target, then
+        # (from a shuffle of its own) a Perron-admissible target that lacks
+        # a neighbour of v, or a sorted edge of a shuffled edge list.  Over
+        # every permutation each table entry comes first equally often, so
+        # a uniform index into the tables (a row, then a target in it) draws
+        # with the same law; an empty table is a shuffle that finds nothing
+        level = classes(n)
+        for c in level.surgery:
+            adj, x = c.adj, c.perron
+
+            def moves(v, u):
+                return bool(adj[v] - adj[u] - {u})
+
+            def contractible(edge):
+                u, v = edge
+                return len(adj[u]) > 1 < len(adj[v]) and not adj[u] & adj[v]
+
+            rows = {row[0]: list(row[1:]) for row in c.shifts}
+            assert_uniform(first_hits(range(n), lambda v: any(
+                moves(v, u) for u in perron_targets(n, x, v))), list(rows))
+            for v in range(n):
+                assert_uniform(first_hits(perron_targets(n, x, v),
+                                          lambda u: moves(v, u)),
+                               rows.get(v, []))
+            assert_uniform(first_hits(c.edges, contractible), c.contracts)
+            graph = enumeration._path_graph(n, c.path)
+            bridges = {e for e in graph.edges if not is_connected(
+                from_edges(n, graph.edges - {e}))}
+            assert_uniform(first_hits(c.edges, lambda e: e not in bridges),
+                           c.cycle_edges)
 
     def test_small_run_passes(self):
         r = verify_monotonicity(trials=30, seed=7)
