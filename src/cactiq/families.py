@@ -222,7 +222,8 @@ def extremal_answer(n: int, matching: int | None = None,
 
     if pendants is not None:
         k = pendants
-        if not 0 <= k < n:
+        # no cactus on 3 vertices has one pendant: P3 has two, C3 none
+        if not 0 <= k < n or (n, k) == (3, 1):
             raise ValueError(f"pendant count {k} infeasible for n = {n}")
         if (n - k) % 2 == 1:
             params = FamilyParams("H", (n - k - 1) // 2, k)

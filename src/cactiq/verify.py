@@ -24,12 +24,13 @@ uniform index into a table (a neighbour shift by a row, then a target in
 it), and run `transforms`' internals on those sets.  That is the law of
 taking the first admissible element of a uniform shuffle, which is a
 uniform pick from the admissible set.  The results are taken RADII_SLICE
-instances at a time.
-Each neighbour shift and contraction is first bounded below by one power
-step from its class's Perron row, one `power_step_lower` call per order;
-the proper subgraphs and any result whose rise that bound leaves
-uncertified are solved by one `stacked_eigenpairs` call per order.  The
-instances are then checked in trial and property order.
+instances at a time, and each batch is grouped once, by result order (a
+shift or contraction keeps its class's order).  Within an order each
+neighbour shift and contraction is first bounded below by one power step
+from its class's Perron row, in one `power_step_lower` call; the proper
+subgraphs and any result whose rise that bound leaves uncertified are then
+solved by one `stacked_eigenpairs` call.  The instances are then checked in
+trial and property order.
 """
 
 from __future__ import annotations
@@ -99,10 +100,12 @@ class VerificationReport:
 
 def _char_polys(graphs) -> list:
     """The characteristic polynomial of Q of each (order, edges) pair, in
-    turn, from one Q stack and one `char_polys` call per order."""
-    polys = [None] * len(graphs)
-    for n in {n for n, _ in graphs}:
-        idx = [i for i, (order, _) in enumerate(graphs) if order == n]
+    turn, from one Q stack and one `char_polys` call per order; the list
+    is grouped by order in one pass."""
+    polys, by_order = [None] * len(graphs), {}
+    for i, (n, _) in enumerate(graphs):
+        by_order.setdefault(n, []).append(i)
+    for n, idx in by_order.items():
         for i, p in zip(idx, char_polys(_q_stack(
                 n, [graphs[i][1] for i in idx]).astype(int))):
             polys[i] = p
@@ -183,8 +186,8 @@ def _rank_class(report: VerificationReport, filt: CactusFilter):
     Positions, radii and their bounds come from one `classes(n)` lookup."""
     n = report.parameters["n"]
     level = classes(n)
-    positions = list(level.positions(filt))
-    if not positions:
+    positions = np.fromiter(level.positions(filt), dtype=np.intp)
+    if not positions.size:
         raise ValueError(f"no cacti match {report.parameters}")
     radius, _, lower, upper = level.spectra
     class_radii = radius[positions]
@@ -367,33 +370,27 @@ def _violations(batch) -> list:
     """Violation records of a batch of instances, in batch order; a class's
     Graph is built only for its record.
 
-    A neighbour shift or contraction is certified to raise its class's
-    radius when the power-step bound from the class's Perron row
-    (`spectra.power_step_lower`, one call per order) exceeds the upper
-    bound of the class's `Surgery` entry.  Every other result is solved by
-    one `stacked_eigenpairs` call per order: its radius is certified above
-    its class's when its lower bound exceeds the class's upper bound, and a
-    proper subgraph's below it when the class's lower bound exceeds the
-    subgraph's upper bound.  Every instance left is decided by exact
-    largest-root comparison of the two characteristic polynomials
-    (`_char_polys`); an exact tie is a violation."""
-    rises = [False] * len(batch)
-    # each order's neighbour shifts and contractions, then the instances
-    # left, by batch index, ascending, from one pass over the batch each
-    steps, by_order = {}, {}
-    for i, (prop, _, c, _) in enumerate(batch):
-        if prop != "proper_subgraph":
-            steps.setdefault(c.n, []).append(i)
-    for n, idx in steps.items():
-        bounds = power_step_lower(n, [batch[i][3].edges for i in idx],
-                                  [batch[i][2].perron for i in idx])
-        for i, low in zip(idx, bounds.tolist()):
-            rises[i] = low > batch[i][2].upper
+    The batch is grouped once, by result order, a shift or contraction
+    keeping its class's order.  Within an order, a neighbour shift or
+    contraction is certified to raise its class's radius when the
+    power-step bound from the class's Perron row (`spectra.power_step_lower`,
+    one call) exceeds the upper bound of the class's `Surgery` entry.  Every
+    other result is solved by one `stacked_eigenpairs` call: its radius is
+    certified above its class's when its lower bound exceeds the class's
+    upper bound, and a proper subgraph's below it when the class's lower
+    bound exceeds the subgraph's upper bound.  Every instance left is
+    decided by exact largest-root comparison of the two characteristic
+    polynomials (`_char_polys`); an exact tie is a violation."""
+    rises, radii, by_order = [False] * len(batch), {}, {}
     for i, (*_, h) in enumerate(batch):
-        if not rises[i]:
-            by_order.setdefault(h.order, []).append(i)
-    radii = {}
+        by_order.setdefault(h.order, []).append(i)
     for n, idx in by_order.items():
+        moves = [i for i in idx if batch[i][0] != "proper_subgraph"]
+        bounds = power_step_lower(n, [batch[i][3].edges for i in moves],
+                                  [batch[i][2].perron for i in moves])
+        for i, low in zip(moves, bounds.tolist()):
+            rises[i] = low > batch[i][2].upper
+        idx = [i for i in idx if not rises[i]]
         radius, _, lower, upper = stacked_eigenpairs(
             n, len(idx), (batch[i][3].edges for i in idx))
         for i, q1, low, up in zip(idx, radius.tolist(), lower.tolist(),

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: subset enumeration, permutation
 search, exhaustive cycle listing.  None of it shares code paths with the
-library routines it checks.
+library routines it checks.  networkx is imported only by the functions
+that build a networkx graph, so a CI step that reads `claim_argvs` and
+measures its own peak memory does not count networkx's.
 """
 
 import itertools
@@ -11,7 +13,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-import networkx as nx
 import numpy as np
 
 from cactiq.enumeration import (_attach_points, _child_codes, _path_blocks,
@@ -98,8 +99,9 @@ def cactus_by_definition(g: Graph) -> bool:
     return True
 
 
-def to_networkx(g: Graph) -> nx.Graph:
+def to_networkx(g: Graph):
     """g as a networkx graph on the same vertex indices."""
+    import networkx as nx
     h = nx.Graph()
     h.add_nodes_from(range(g.order))
     h.add_edges_from(g.edges)
@@ -131,10 +133,11 @@ def check_block_order(g: Graph, blocks) -> None:
         assert b[0] == 0 or owner[b[0]] > i, (i, b)
 
 
-def block_tree(n: int, blocks) -> nx.Graph:
+def block_tree(n: int, blocks):
     """The vertex-block incidence tree of a cactus on n vertices with these
     blocks, as a networkx graph: nodes 0..n-1 the vertices, n, n + 1, ...
     the blocks in order."""
+    import networkx as nx
     t = nx.Graph()
     t.add_nodes_from(range(n))
     t.add_edges_from((v, b) for b, verts in enumerate(blocks, n)
@@ -955,3 +958,19 @@ def fraction_radius_bounds(n, edges, y):
         return rayleigh, None
     return rayleigh, max((len(nbrs[v]) * x[v] + sum(x[w] for w in nbrs[v]))
                          / x[v] for v in range(n))
+
+
+def claim_argvs(orders):
+    """A `verify` argv for every claim that reads n, at each order in turn:
+    theorem31i and conjecture11_negative at odd n, prop215 at even n,
+    theorem31ii at every m below n's perfect or near-perfect matching,
+    prop213 at every k < n, and theorem32.  The claim lists of the CI steps
+    and the tests that run every claim."""
+    for n in orders:
+        claims = ([["theorem31i"], ["conjecture11_negative"]] if n % 2
+                  else [["prop215"]])
+        claims += [["theorem31ii", "--m", str(m)]
+                   for m in range(1, (n - 2) // 2 + 1)]
+        claims += [["prop213", "--k", str(k)] for k in range(n)]
+        for claim in claims + [["theorem32"]]:
+            yield ["verify", "--n", str(n), "--claim", *claim]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cactiq import graph6
+from cactiq.enumeration import CactusFilter, count_cacti
 from cactiq.families import (FamilyParams, _blocks, _edges, build, build_H,
                              build_L, extremal_answer, h_cubic, l_quintic,
                              legacy_h_cubic, legacy_l_quintic, members, psi_H,
@@ -365,19 +366,44 @@ class TestExtremalAnswer:
 def test_radii_pinned():
     # sha256 of "n constraint repr(radius)" lines for n = 3..64 under no
     # constraint, every matching number and every pendant count with a
-    # prediction, recorded while each radius came from a descriptor object
+    # prediction, recorded while each radius came from a descriptor object;
+    # the line of n = 3, one pendant, an empty class, was dropped later and
+    # the other 3,130 lines kept their bytes
     lines = []
     for n in range(3, 65):
         cases = [("none", {})]
         cases += [(f"matching={m}", {"matching": m})
                   for m in range(1, n // 2 + 1)]
-        cases += [(f"pendants={k}", {"pendants": k})
-                  for k in range(n) if (n - k) % 2 or k]
+        cases += [(f"pendants={k}", {"pendants": k}) for k in range(n)
+                  if ((n - k) % 2 or k) and (n, k) != (3, 1)]
         lines += [f"{n} {name} {extremal_answer(n, **c).radius!r}"
                   for name, c in cases]
-    assert len(lines) == 3131
+    assert len(lines) == 3130
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
-        "a7d4074d0993abc4959fbe2fbae6290748c0d1c8b21d459f88f9a55729e59c9c"
+        "cb575fabe44d5c2620149db6c057bb6b1b9d71a8dc37f3f5b7d4fa705962d245"
+
+
+def test_extremal_answer_refuses_exactly_the_empty_classes():
+    # under every matching and pendant constraint at n = 3..10 the answer
+    # is refused exactly when no cactus meets the constraint, apart from the
+    # documented gap of even n - k with zero pendants; otherwise its
+    # maximizer is a cactus on n vertices that meets the constraint
+    for n in range(3, 11):
+        constraints = [("matching", m) for m in range(n // 2 + 2)]
+        constraints += [("pendants", k) for k in range(n + 1)]
+        for name, value in constraints:
+            if not count_cacti(n, CactusFilter(**{name: value})):
+                with pytest.raises(ValueError, match="infeasible"):
+                    extremal_answer(n, **{name: value})
+            elif name == "pendants" and value == 0 and n % 2 == 0:
+                with pytest.raises(ValueError, match="no prediction"):
+                    extremal_answer(n, pendants=0)
+            else:
+                g = extremal_answer(n, **{name: value}).maximizer
+                invariant = (matching_number if name == "matching"
+                             else pendant_count)
+                assert g.order == n and is_cactus(g), (n, name, value)
+                assert invariant(g) == value, (n, name, value)
 
 
 def test_superseded_bound_below_true_radius_at_5():

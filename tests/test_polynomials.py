@@ -437,7 +437,9 @@ def _extremal_polys():
     """The distinct (cubic or quintic, bracket) pairs whose largest roots are
     the extremal answers' radii to n = 64: h_cubic(n, n - 2m + 1) for a
     matching number m with n >= 2m + 2, h_cubic(n, k) for a pendant count k
-    with n - k odd, and l_quintic(n, k) for k >= 1 with n - k even."""
+    with n - k odd, and l_quintic(n, k) for k >= 1 with n - k even.
+    l_quintic(3, 1), which no answer reads (no cactus on 3 vertices has one
+    pendant), is kept for its double top root."""
     seen = set()
     for n in range(3, 65):
         polys = [h_cubic(n, n - 2 * m + 1) for m in range(1, (n - 2) // 2 + 1)]
